@@ -30,7 +30,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    NodeValues,
     PathFunctional,
     PathLattice,
     ProcessOnLattice,

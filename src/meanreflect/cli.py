@@ -16,7 +16,7 @@ import sys
 
 from .config import config_from_dict, load_config
 from .errors import ConfigError
-from .registry import COEFFICIENTS, LOSSES, PAYOFFS
+from .registry import REGISTRIES
 from .runner import EXIT_CONFIG_ERROR, run_experiment
 
 
@@ -32,39 +32,24 @@ def _print_checks(result) -> None:
     print(f"overall: {overall}{where}")
 
 
-def _cmd_run(args) -> int:
+def _cmd_solve(args) -> int:
+    """run, verify and probe; they differ only in the parser defaults
+    ``write_csv`` and ``probe``."""
     config = load_config(args.config)
-    result = run_experiment(config, output_dir=args.output_dir)
-    _print_checks(result)
-    return result.exit_code
-
-
-def _cmd_verify(args) -> int:
-    config = load_config(args.config)
-    result = run_experiment(config, output_dir=args.output_dir, write_csv=False)
-    _print_checks(result)
-    return result.exit_code
-
-
-def _cmd_probe(args) -> int:
-    raw = load_config(args.config).to_dict()
-    raw["mode"] = "gexp_probe"
-    config = config_from_dict(raw)
-    result = run_experiment(config, output_dir=args.output_dir)
+    if args.probe:
+        raw = config.to_dict()
+        raw["mode"] = "gexp_probe"
+        config = config_from_dict(raw)
+    result = run_experiment(config, output_dir=args.output_dir, write_csv=args.write_csv)
     _print_checks(result)
     return result.exit_code
 
 
 def _cmd_list(_args) -> int:
-    print("coefficients:")
-    for name in sorted(COEFFICIENTS):
-        print(f"  {name}")
-    print("losses:")
-    for name in sorted(LOSSES):
-        print(f"  {name}")
-    print("payoffs:")
-    for name in sorted(PAYOFFS):
-        print(f"  {name}")
+    for kind, table in REGISTRIES.items():
+        print(f"{kind}:")
+        for name in sorted(table):
+            print(f"  {name}")
     return 0
 
 
@@ -74,18 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Mean-reflection experiment harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("run", _cmd_run, True),
-        ("verify", _cmd_verify, True),
-        ("probe", _cmd_probe, True),
-        ("list", _cmd_list, False),
-    ):
+    for name in ("run", "verify", "probe"):
         cmd = sub.add_parser(name)
-        if needs_config:
-            cmd.add_argument("config", help="path to a JSON experiment config")
-            cmd.add_argument("--output-dir", default=None,
-                             help="directory overriding configured output paths")
-        cmd.set_defaults(handler=fn)
+        cmd.add_argument("config", help="path to a JSON experiment config")
+        cmd.add_argument("--output-dir", default=None,
+                         help="directory overriding configured output paths")
+        cmd.set_defaults(handler=_cmd_solve, write_csv=name != "verify",
+                         probe=name == "probe")
+    sub.add_parser("list").set_defaults(handler=_cmd_list)
     return parser
 
 

@@ -17,13 +17,15 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError
 from .lattice import DEFAULT_ENUMERATION_CAP, TimeGrid, VolatilityBand
 from .loss import LossSpec
-from .registry import make_coefficient, make_loss, make_payoff
+from .registry import finite_float, make_coefficient, make_loss, make_payoff
 from .sde import Coefficients, PicardConfig
 
 MODES = ("full_sde", "sp_only", "gexp_probe")
 
 # loss families whose growth constant depends on the horizon
 _HORIZON_AWARE_LOSSES = {"linear", "smooth_sin"}
+# LossConfig fields that, when set, replace the loss's declared constants
+_LOSS_OVERRIDES = ("c_l", "C_l", "kappa_growth")
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,6 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    tol: float = 1e-10
-    max_iter: int = 60
-    contraction_guard: float = 0.5
-    delta_initial_steps: int | None = None
-    delta_min_steps: int = 1
-    initial_guess: float | None = None
-
-
-@dataclass(frozen=True)
 class OutputsConfig:
     csv: str = "trace.csv"
     report: str = "report.json"
@@ -89,7 +81,7 @@ class OutputsConfig:
 class ExperimentConfig:
     mode: str = "full_sde"
     problem: ProblemConfig = field(default_factory=ProblemConfig)
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver: PicardConfig = field(default_factory=PicardConfig)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
 
     # -- builders -----------------------------------------------------------
@@ -117,14 +109,17 @@ class ExperimentConfig:
         params = dict(cfg.params)
         if cfg.name in _HORIZON_AWARE_LOSSES and "horizon" not in params:
             params["horizon"] = self.problem.horizon
-        spec = make_loss(cfg.name, params)
         overrides = {
             key: getattr(cfg, key)
-            for key in ("c_l", "C_l", "kappa_growth")
+            for key in _LOSS_OVERRIDES
             if getattr(cfg, key) is not None
         }
-        if overrides:
-            spec = dataclasses.replace(spec, **overrides)
+        try:
+            spec = make_loss(cfg.name, params)
+            if overrides:
+                spec = dataclasses.replace(spec, **overrides)
+        except InvalidParameterError as exc:
+            raise ConfigError(f"problem.loss: {exc}") from None
         return spec
 
     def coefficients(self) -> Coefficients:
@@ -133,20 +128,6 @@ class ExperimentConfig:
         sigma = make_coefficient(self.problem.sigma.name, self.problem.sigma.params)
         kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
         return Coefficients(b=b.fn, h=h.fn, sigma=sigma.fn, kappa=kappa)
-
-    def picard_config(self) -> PicardConfig:
-        s = self.solver
-        try:
-            return PicardConfig(
-                tol=s.tol,
-                max_iter=s.max_iter,
-                contraction_guard=s.contraction_guard,
-                delta_initial_steps=s.delta_initial_steps,
-                delta_min_steps=s.delta_min_steps,
-                initial_guess=s.initial_guess,
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(f"solver: {exc}") from None
 
     # -- serialization ------------------------------------------------------
 
@@ -189,17 +170,26 @@ def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
 
 
-def _number(data: dict, key: str, where: str, default) -> float:
+def _number(data: dict, key: str, where: str, default, optional: bool = False) -> float | None:
+    """The finite number at ``key``; with ``optional``, null reads as None."""
     value = data.get(key, default)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    if optional and value is None:
+        return None
+    number = finite_float(value)
+    if number is None:
+        or_null = " or null" if optional else ""
+        raise ConfigError(f"{where}.{key} must be a finite number{or_null}, got {value!r}")
+    return number
 
 
-def _integer(data: dict, key: str, where: str, default) -> int:
+def _integer(data: dict, key: str, where: str, default, optional: bool = False) -> int | None:
+    """The integer at ``key``; with ``optional``, null reads as None."""
     value = data.get(key, default)
+    if optional and value is None:
+        return None
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        or_null = " or null" if optional else ""
+        raise ConfigError(f"{where}.{key} must be an integer{or_null}, got {value!r}")
     return value
 
 
@@ -218,26 +208,11 @@ def _loss_selector(data, where: str, default: LossConfig) -> LossConfig:
     if data is None:
         return default
     data = _require_mapping(data, where)
-    _reject_unknown(data, {"name", "params", "c_l", "C_l", "kappa_growth"}, where)
-    if "name" not in data or not isinstance(data["name"], str):
-        raise ConfigError(f"{where}.name must be a string")
-    params = _require_mapping(data.get("params"), f"{where}.params")
-
-    def opt_number(key):
-        value = data.get(key)
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        return float(value)
-
-    return LossConfig(
-        data["name"],
-        dict(params),
-        c_l=opt_number("c_l"),
-        C_l=opt_number("C_l"),
-        kappa_growth=opt_number("kappa_growth"),
+    selector = _selector(
+        {k: v for k, v in data.items() if k not in _LOSS_OVERRIDES}, where, None
     )
+    overrides = {key: _number(data, key, where, None, optional=True) for key in _LOSS_OVERRIDES}
+    return LossConfig(selector.name, selector.params, **overrides)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -276,21 +251,21 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
          "delta_min_steps", "initial_guess"},
         "solver",
     )
-    sdef = SolverConfig()
-    delta_initial = sd.get("delta_initial_steps", sdef.delta_initial_steps)
-    if delta_initial is not None and (isinstance(delta_initial, bool) or not isinstance(delta_initial, int)):
-        raise ConfigError(f"solver.delta_initial_steps must be an integer or null, got {delta_initial!r}")
-    initial_guess = sd.get("initial_guess", sdef.initial_guess)
-    if initial_guess is not None and (isinstance(initial_guess, bool) or not isinstance(initial_guess, (int, float))):
-        raise ConfigError(f"solver.initial_guess must be a number or null, got {initial_guess!r}")
-    solver = SolverConfig(
-        tol=_number(sd, "tol", "solver", sdef.tol),
-        max_iter=_integer(sd, "max_iter", "solver", sdef.max_iter),
-        contraction_guard=_number(sd, "contraction_guard", "solver", sdef.contraction_guard),
-        delta_initial_steps=delta_initial,
-        delta_min_steps=_integer(sd, "delta_min_steps", "solver", sdef.delta_min_steps),
-        initial_guess=None if initial_guess is None else float(initial_guess),
-    )
+    sdef = PicardConfig()
+    solver_fields = {
+        "tol": _number(sd, "tol", "solver", sdef.tol),
+        "max_iter": _integer(sd, "max_iter", "solver", sdef.max_iter),
+        "contraction_guard": _number(sd, "contraction_guard", "solver", sdef.contraction_guard),
+        "delta_initial_steps": _integer(
+            sd, "delta_initial_steps", "solver", sdef.delta_initial_steps, optional=True
+        ),
+        "delta_min_steps": _integer(sd, "delta_min_steps", "solver", sdef.delta_min_steps),
+        "initial_guess": _number(sd, "initial_guess", "solver", sdef.initial_guess, optional=True),
+    }
+    try:
+        solver = PicardConfig(**solver_fields)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"solver: {exc}") from None
 
     od = _require_mapping(raw.get("outputs"), "outputs")
     _reject_unknown(od, {"csv", "report"}, "outputs")
@@ -319,7 +294,6 @@ def _validate_semantics(config: ExperimentConfig) -> None:
         raise ConfigError(f"problem.p must be >= 1, got {p.p}")
     config.band()
     config.grid()
-    config.picard_config()
     config.coefficients()
     loss = config.loss_spec()
     if p.payoff is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthMismatchError, IndicatorError, InvalidParameterError
-from .lattice import NodeValues, PathFunctional, PathLattice, VolatilityBand
+from .lattice import PathFunctional, PathLattice, VolatilityBand
 
 
 def g_function(a: float, band: VolatilityBand) -> float:
@@ -66,7 +66,9 @@ def lower_expectation(lattice: PathLattice, xi: PathFunctional) -> float:
     return -upper_expectation(lattice, PathFunctional(xi.depth, -xi.values))
 
 
-def conditional_upper_expectation(lattice: PathLattice, xi: PathFunctional, step: int) -> NodeValues:
+def conditional_upper_expectation(
+    lattice: PathLattice, xi: PathFunctional, step: int
+) -> PathFunctional:
     """Backward DP values at depth ``step``: the conditional sublinear expectation.
 
     step == xi.depth returns xi itself; step == 0 collapses to the scalar
@@ -80,7 +82,7 @@ def conditional_upper_expectation(lattice: PathLattice, xi: PathFunctional, step
     values = xi.values
     for _ in range(xi.depth - step):
         values = _reduce_one_level(values)
-    return NodeValues(step, values)
+    return PathFunctional(step, values)
 
 
 def _require_indicator(event: PathFunctional) -> None:

@@ -133,10 +133,6 @@ class PathFunctional:
             raise InvalidParameterError("functional values must be finite")
 
 
-# Conditional expectations are again one value per node; same structure.
-NodeValues = PathFunctional
-
-
 @dataclass(frozen=True)
 class PathLattice:
     """The full tree up to depth n_steps with per-node B and QV arrays.
@@ -156,18 +152,23 @@ class PathLattice:
     @property
     def step_db(self) -> np.ndarray:
         """Per-child increment of B for one step, in child order."""
-        sigmas = np.array([self.band.sigma_low, self.band.sigma_high])
-        return CHILD_SIGN * sigmas[CHILD_VOL] * math.sqrt(self.grid.dt)
+        return _step_increments(self.band, self.grid)[0]
 
     @property
     def step_dqv(self) -> np.ndarray:
         """Per-child increment of QV for one step, in child order."""
-        sig_sq = np.array([self.band.sigma_low_sq, self.band.sigma_high_sq])
-        return sig_sq[CHILD_VOL] * self.grid.dt
+        return _step_increments(self.band, self.grid)[1]
 
     def functional_from_terminal(self, fn) -> PathFunctional:
         """Payoff fn(B_T) as a terminal-depth functional."""
         return PathFunctional(self.depth, fn(self.b[self.depth]))
+
+
+def _step_increments(band: VolatilityBand, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Per-child increments (dB, dQV) of one step, in child order."""
+    sigmas = np.array([band.sigma_low, band.sigma_high])
+    sig_sq = np.array([band.sigma_low_sq, band.sigma_high_sq])
+    return CHILD_SIGN * sigmas[CHILD_VOL] * math.sqrt(grid.dt), sig_sq[CHILD_VOL] * grid.dt
 
 
 def lift_values(values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
@@ -191,15 +192,10 @@ def build_lattice(
         )
     b = [np.zeros(1)]
     qv = [np.zeros(1)]
-    if n > 0:
-        sqrt_dt = math.sqrt(grid.dt)
-        sigmas = np.array([band.sigma_low, band.sigma_high])
-        sig_sq = np.array([band.sigma_low_sq, band.sigma_high_sq])
-        db = CHILD_SIGN * sigmas[CHILD_VOL] * sqrt_dt
-        dqv = sig_sq[CHILD_VOL] * grid.dt
-        for k in range(n):
-            b.append((b[k][:, None] + db[None, :]).ravel())
-            qv.append((qv[k][:, None] + dqv[None, :]).ravel())
+    db, dqv = _step_increments(band, grid)
+    for k in range(n):
+        b.append((b[k][:, None] + db[None, :]).ravel())
+        qv.append((qv[k][:, None] + dqv[None, :]).ravel())
     return PathLattice(band=band, grid=grid, b=tuple(b), qv=tuple(qv))
 
 

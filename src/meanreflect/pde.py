@@ -68,6 +68,18 @@ def default_space_grid(band: VolatilityBand, horizon: float, dx: float = 0.02,
     return SpaceGrid(half_width=max(half, dx), dx=dx)
 
 
+def _warn_if_narrow(space: SpaceGrid, band: VolatilityBand, horizon: float) -> None:
+    """Warn the caller of a public solver when the domain is narrower than
+    ``_DOMAIN_STDS`` terminal standard deviations."""
+    if space.half_width < _DOMAIN_STDS * band.sigma_high * math.sqrt(horizon):
+        warnings.warn(
+            f"space grid half_width={space.half_width} is below "
+            f"{_DOMAIN_STDS} terminal standard deviations; terminal influence "
+            "may reach the boundary",
+            stacklevel=3,
+        )
+
+
 def _resolve_dt(space: SpaceGrid, band: VolatilityBand, horizon: float,
                 dt: float | None) -> tuple[float, int]:
     bound = space.dx**2 / band.sigma_high_sq
@@ -110,13 +122,7 @@ def solve_nonlinear_heat(
     """
     if horizon <= 0.0:
         raise InvalidParameterError(f"horizon must be positive, got {horizon}")
-    if space.half_width < _DOMAIN_STDS * band.sigma_high * math.sqrt(horizon):
-        warnings.warn(
-            f"space grid half_width={space.half_width} is below "
-            f"{_DOMAIN_STDS} terminal standard deviations; terminal influence "
-            "may reach the boundary",
-            stacklevel=2,
-        )
+    _warn_if_narrow(space, band, horizon)
     dt, n = _resolve_dt(space, band, horizon, dt)
     xs = space.xs
     u = np.asarray(terminal(xs), dtype=float)
@@ -163,13 +169,7 @@ def nested_expectation_pde(
         )
     if n_inner < 3:
         raise InvalidParameterError("n_inner must be at least 3")
-    if space.half_width < _DOMAIN_STDS * band.sigma_high * math.sqrt(horizon):
-        warnings.warn(
-            f"space grid half_width={space.half_width} is below "
-            f"{_DOMAIN_STDS} terminal standard deviations; terminal influence "
-            "may reach the boundary",
-            stacklevel=2,
-        )
+    _warn_if_narrow(space, band, horizon)
     xs = space.xs
     x1_half = inner_stds * band.sigma_high * math.sqrt(t1)
     x1_grid = np.linspace(-x1_half, x1_half, n_inner)

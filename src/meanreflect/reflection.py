@@ -119,7 +119,6 @@ def _smallest_nonneg_point(
     lo: float,
     hi: float,
     tol: float,
-    expand_lo: bool,
     context: str,
 ) -> float:
     """Bisection for the smallest x with phi(x) >= 0, phi increasing.
@@ -141,10 +140,6 @@ def _smallest_nonneg_point(
     else:
         raise BracketError(f"{context}: no sign change up to x={hi}; declared c_l too large?")
     if f_lo >= 0.0:
-        if not expand_lo:
-            # hard floor (x >= 0 operators): phi(floor) < 0 was checked by the
-            # caller, so landing here is rounding noise at the root itself
-            return lo
         width = max(hi - lo, tol)
         for _ in range(_MAX_BRACKET_DOUBLINGS):
             lo -= width
@@ -165,34 +160,15 @@ def _smallest_nonneg_point(
     return hi
 
 
-def required_shift(
-    t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float = DEFAULT_ROOT_TOL,
+def _minimal_shift(
+    name: str, t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
+    tol: float, base: float,
 ) -> float:
-    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol."""
-    base = expected_loss(t, xi, lattice, loss)
-    if base >= 0.0:
-        return 0.0
+    """Minimal x with E[l(t, x + X)] >= 0, given base = E[l(t, X)] != 0.
 
-    def phi(x: float) -> float:
-        return expected_loss(t, PathFunctional(xi.depth, xi.values + x), lattice, loss)
-
-    hi = -base / loss.c_l + tol
-    return _smallest_nonneg_point(phi, 0.0, hi, tol, expand_lo=False,
-                                  context=f"required_shift(t={t:.6g})")
-
-
-def required_shift_signed(
-    t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> float:
-    """Minimal x (any sign) with E[l(t, x + X)] >= 0.
-
-    The positive part of this is required_shift, up to tolerance.
+    For base < 0 the search starts at 0, where phi(0) = base < 0, so the
+    result is positive; for base > 0 it is negative.
     """
-    base = expected_loss(t, xi, lattice, loss)
-    if base == 0.0:
-        return 0.0
 
     def phi(x: float) -> float:
         return expected_loss(t, PathFunctional(xi.depth, xi.values + x), lattice, loss)
@@ -201,17 +177,37 @@ def required_shift_signed(
         lo, hi = 0.0, -base / loss.c_l + tol
     else:
         lo, hi = -base / loss.c_l - tol, 0.0
-    return _smallest_nonneg_point(phi, lo, hi, tol, expand_lo=True,
-                                  context=f"required_shift_signed(t={t:.6g})")
+    return _smallest_nonneg_point(phi, lo, hi, tol, context=f"{name}(t={t:.6g})")
 
 
-def risk_measure(
+def required_shift(
     t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> float:
-    """Cash to add so the position is acceptable: nonincreasing in X and
-    translation invariant (rho(X+m) = rho(X) - m)."""
-    return required_shift_signed(t, xi, lattice, loss, tol)
+    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol."""
+    base = expected_loss(t, xi, lattice, loss)
+    if base >= 0.0:
+        return 0.0
+    return _minimal_shift("required_shift", t, xi, lattice, loss, tol, base)
+
+
+def required_shift_signed(
+    t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
+    tol: float = DEFAULT_ROOT_TOL,
+) -> float:
+    """Minimal x (any sign) with E[l(t, x + X)] >= 0.
+
+    The positive part of this is required_shift, up to tolerance. As a risk
+    measure it is the cash to add so the position is acceptable: nonincreasing
+    in X and translation invariant (rho(X+m) = rho(X) - m).
+    """
+    base = expected_loss(t, xi, lattice, loss)
+    if base == 0.0:
+        return 0.0
+    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base)
+
+
+risk_measure = required_shift_signed
 
 
 def centered_loss(
@@ -239,7 +235,7 @@ def centered_loss_inverse(
     a = (z - h0) / loss.C_l
     b = (z - h0) / loss.c_l
     lo, hi = min(a, b) - tol, max(a, b) + tol
-    return _smallest_nonneg_point(psi, lo, hi, tol, expand_lo=True,
+    return _smallest_nonneg_point(psi, lo, hi, tol,
                                   context=f"centered_loss_inverse(t={t:.6g})")
 
 

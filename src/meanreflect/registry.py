@@ -26,7 +26,21 @@ class CoefficientTerm:
     lipschitz: float
 
 
-def _take(params: dict, defaults: dict, kind: str, name: str) -> dict:
+def finite_float(value) -> float | None:
+    """``value`` as a finite float, or None for a boolean, a non-number, or a
+    number that is not finite as a float (JSON admits NaN, Infinity and
+    integers beyond the float range)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _take(params: dict, defaults: dict, kind: str, name: str) -> dict[str, float]:
+    """Defaults overridden by ``params``, every value a finite float."""
     params = dict(params or {})
     unknown = set(params) - set(defaults)
     if unknown:
@@ -36,6 +50,13 @@ def _take(params: dict, defaults: dict, kind: str, name: str) -> dict:
         )
     merged = dict(defaults)
     merged.update(params)
+    for key, value in merged.items():
+        number = finite_float(value)
+        if number is None:
+            raise ConfigError(
+                f"{kind} '{name}' parameter '{key}' must be a finite number, got {value!r}"
+            )
+        merged[key] = number
     return merged
 
 
@@ -46,25 +67,25 @@ def _coeff_zero(params: dict) -> CoefficientTerm:
 
 def _coeff_constant_drift(params: dict) -> CoefficientTerm:
     p = _take(params, {"c": 1.0}, "coefficient", "constant_drift")
-    c = float(p["c"])
+    c = p["c"]
     return CoefficientTerm("constant_drift", lambda t, x: np.full_like(x, c), 0.0)
 
 
 def _coeff_ou_drift(params: dict) -> CoefficientTerm:
     p = _take(params, {"theta": 1.0, "mu": 0.0}, "coefficient", "ou_drift")
-    theta, mu = float(p["theta"]), float(p["mu"])
+    theta, mu = p["theta"], p["mu"]
     return CoefficientTerm("ou_drift", lambda t, x: theta * (mu - x), abs(theta))
 
 
 def _coeff_constant_sigma(params: dict) -> CoefficientTerm:
     p = _take(params, {"a": 1.0}, "coefficient", "constant_sigma")
-    a = float(p["a"])
+    a = p["a"]
     return CoefficientTerm("constant_sigma", lambda t, x: np.full_like(x, a), 0.0)
 
 
 def _coeff_linear_sigma(params: dict) -> CoefficientTerm:
     p = _take(params, {"a": 1.0, "b": 0.1, "cap": 2.0}, "coefficient", "linear_sigma")
-    a, b, cap = float(p["a"]), float(p["b"]), float(p["cap"])
+    a, b, cap = p["a"], p["b"], p["cap"]
     if b < 0.0 or cap < a:
         raise ConfigError(f"linear_sigma needs b >= 0 and cap >= a, got {p}")
     return CoefficientTerm(
@@ -86,7 +107,7 @@ COEFFICIENTS: dict[str, Callable[[dict], CoefficientTerm]] = {
 def _loss_linear(params: dict) -> LossSpec:
     # l(t, x) = x - (c0 + c1 t)
     p = _take(params, {"c0": 0.0, "c1": 1.0, "horizon": 1.0}, "loss", "linear")
-    c0, c1, horizon = float(p["c0"]), float(p["c1"]), float(p["horizon"])
+    c0, c1, horizon = p["c0"], p["c1"], p["horizon"]
     c_max = abs(c0) + abs(c1) * horizon
     return LossSpec(
         fn=lambda t, x: x - (c0 + c1 * t),
@@ -103,7 +124,7 @@ def _loss_linear(params: dict) -> LossSpec:
 def _loss_arctan_shift(params: dict) -> LossSpec:
     # l(t, x) = 2x + arctan(x) - c; slope in [2, 3]
     p = _take(params, {"c": 5.0}, "loss", "arctan_shift")
-    c = float(p["c"])
+    c = p["c"]
     return LossSpec(
         fn=lambda t, x: 2.0 * x + np.arctan(x) - c,
         c_l=2.0,
@@ -118,7 +139,7 @@ def _loss_arctan_shift(params: dict) -> LossSpec:
 def _loss_smooth_sin(params: dict) -> LossSpec:
     # l(t, x) = x + 0.1 sin(x) - (c0 + c1 t); slope in [0.9, 1.1]
     p = _take(params, {"c0": 0.0, "c1": 1.0, "horizon": 1.0}, "loss", "smooth_sin")
-    c0, c1, horizon = float(p["c0"]), float(p["c1"]), float(p["horizon"])
+    c0, c1, horizon = p["c0"], p["c1"], p["horizon"]
     c_max = abs(c0) + abs(c1) * horizon
     return LossSpec(
         fn=lambda t, x: x + 0.1 * np.sin(x) - (c0 + c1 * t),
@@ -169,7 +190,7 @@ def _payoff_abs(params: dict) -> Payoff:
 
 def _payoff_call(params: dict) -> Payoff:
     p = _take(params, {"strike": 0.0}, "payoff", "call")
-    strike = float(p["strike"])
+    strike = p["strike"]
     return Payoff("call", lambda x: np.maximum(x - strike, 0.0))
 
 
@@ -182,28 +203,30 @@ PAYOFFS: dict[str, Callable[[dict], Payoff]] = {
 }
 
 
+# the tables by plural kind, in the order `meanreflect list` prints them
+REGISTRIES: dict[str, dict[str, Callable[[dict], object]]] = {
+    "coefficients": COEFFICIENTS,
+    "losses": LOSSES,
+    "payoffs": PAYOFFS,
+}
+
+
+def _make(table: dict, kind: str, name: str, params: dict | None):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} '{name}'; available: {', '.join(sorted(table))}")
+    return table[name](params or {})
+
+
 def make_coefficient(name: str, params: dict | None = None) -> CoefficientTerm:
-    if name not in COEFFICIENTS:
-        raise ConfigError(
-            f"unknown coefficient '{name}'; available: {', '.join(sorted(COEFFICIENTS))}"
-        )
-    return COEFFICIENTS[name](params or {})
+    return _make(COEFFICIENTS, "coefficient", name, params)
 
 
 def make_loss(name: str, params: dict | None = None) -> LossSpec:
-    if name not in LOSSES:
-        raise ConfigError(
-            f"unknown loss '{name}'; available: {', '.join(sorted(LOSSES))}"
-        )
-    return LOSSES[name](params or {})
+    return _make(LOSSES, "loss", name, params)
 
 
 def make_payoff(name: str, params: dict | None = None) -> Payoff:
-    if name not in PAYOFFS:
-        raise ConfigError(
-            f"unknown payoff '{name}'; available: {', '.join(sorted(PAYOFFS))}"
-        )
-    return PAYOFFS[name](params or {})
+    return _make(PAYOFFS, "payoff", name, params)
 
 
 def registry_list() -> list[str]:

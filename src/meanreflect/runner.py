@@ -22,7 +22,7 @@ from ._version import __version__
 from .config import ExperimentConfig
 from .errors import (
     BracketError,
-    InitialConstraintError,
+    InvalidParameterError,
     NonContractionError,
     SolverError,
 )
@@ -191,7 +191,7 @@ def run_experiment(
                     verification = verify_mean_reflection(solution, loss, driver, lattice)
                 else:
                     problem = config_to_problem(config, band, grid)
-                    mr = picard_solve(problem, config.picard_config(), lattice=lattice)
+                    mr = picard_solve(problem, config.solver, lattice=lattice)
                     solution = SkorokhodSolution(X=mr.X, A=mr.A)
                     verification = verify_mean_reflection(solution, loss, mr.U, lattice)
                     max_ratio = max(
@@ -218,7 +218,7 @@ def run_experiment(
                     }
                 checks.extend(_verification_checks(verification, solution.A.values))
                 csv_text = _solution_csv(lattice, solution, loss, config.problem.p)
-            except (SolverError, NonContractionError, BracketError, InitialConstraintError) as exc:
+            except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:
                 solver_error = f"{type(exc).__name__}: {exc}"
                 diagnostics["solver_error"] = solver_error
                 exit_code = EXIT_SOLVER_FAILURE

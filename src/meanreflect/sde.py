@@ -173,6 +173,21 @@ class MRSDESolution:
     restarts: int = 0
 
 
+def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
+                cur: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One Euler step from the node values ``cur`` to their children, in child
+    order, with the coefficients evaluated at ``u``."""
+    bv = _eval_coeff(coeffs.b, t, u)
+    hv = _eval_coeff(coeffs.h, t, u)
+    sv = _eval_coeff(coeffs.sigma, t, u)
+    children = (
+        (cur + bv * lattice.grid.dt)[:, None]
+        + hv[:, None] * lattice.step_dqv[None, :]
+        + sv[:, None] * lattice.step_db[None, :]
+    )
+    return children.ravel()
+
+
 def integrate_forward(
     coeffs: Coefficients,
     lattice: PathLattice,
@@ -195,24 +210,11 @@ def integrate_forward(
         raise InvalidParameterError(
             f"initial values need shape ({4**start_step},), got {initial.shape}"
         )
-    dt = lattice.grid.dt
     times = lattice.grid.times
-    db = lattice.step_db
-    dqv = lattice.step_dqv
     values = [initial]
     cur = initial
     for k in range(start_step, end_step):
-        u = driver.at(k)
-        t = float(times[k])
-        bv = _eval_coeff(coeffs.b, t, u)
-        hv = _eval_coeff(coeffs.h, t, u)
-        sv = _eval_coeff(coeffs.sigma, t, u)
-        children = (
-            (cur + bv * dt)[:, None]
-            + hv[:, None] * dqv[None, :]
-            + sv[:, None] * db[None, :]
-        )
-        cur = children.ravel()
+        cur = _euler_step(coeffs, lattice, float(times[k]), cur, driver.at(k))
         values.append(cur)
     return ProcessOnLattice(lattice, start_step, tuple(values))
 
@@ -227,23 +229,11 @@ def integrate_sde(
     Each path's recursion is closed-form Euler, so no iteration is needed;
     used for driver processes such as arithmetic paths.
     """
-    dt = lattice.grid.dt
     times = lattice.grid.times
-    db = lattice.step_db
-    dqv = lattice.step_dqv
     cur = np.array([float(x0)])
     values = [cur]
     for k in range(lattice.depth):
-        t = float(times[k])
-        bv = _eval_coeff(coeffs.b, t, cur)
-        hv = _eval_coeff(coeffs.h, t, cur)
-        sv = _eval_coeff(coeffs.sigma, t, cur)
-        children = (
-            (cur + bv * dt)[:, None]
-            + hv[:, None] * dqv[None, :]
-            + sv[:, None] * db[None, :]
-        )
-        cur = children.ravel()
+        cur = _euler_step(coeffs, lattice, float(times[k]), cur, cur)
         values.append(cur)
     return ProcessOnLattice(lattice, 0, tuple(values))
 
@@ -251,7 +241,6 @@ def integrate_sde(
 @dataclass(frozen=True)
 class PicardStepResult:
     solution: SkorokhodSolution
-    unreflected: ProcessOnLattice
 
 
 def picard_step(
@@ -274,7 +263,7 @@ def picard_step(
     solution = solve_mean_reflection_direct(
         problem.loss, unreflected, lattice, tol=tol, precondition_tol=precondition_tol
     )
-    return PicardStepResult(solution=solution, unreflected=unreflected)
+    return PicardStepResult(solution=solution)
 
 
 class _NonContraction(Exception):

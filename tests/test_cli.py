@@ -7,6 +7,7 @@ import pytest
 
 import meanreflect
 from conftest import child_env
+from meanreflect import cli
 
 CRITERION8 = {
     "mode": "full_sde",
@@ -170,3 +171,33 @@ def test_list_command(tmp_path):
     losses_block = proc.stdout.split("losses:")[1].split("payoffs:")[0]
     names = [line.strip() for line in losses_block.strip().splitlines()]
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("where, key, value, code", [
+    ("problem", "x0", float("nan"), 2),
+    ("solver", "tol", float("nan"), 2),
+    ("problem.loss.params", "c0", "abc", 2),
+    ("problem.loss.params", "c0", float("nan"), 2),
+    ("problem.b.params", "theta", True, 2),
+    ("problem.loss", "c_l", -1.0, 2),
+    ("problem.sigma.params", "a", 1e308, 3),
+    ("problem", "x0", 1e300, 3),
+], ids=["x0_nan", "tol_nan", "c0_str", "c0_nan", "theta_bool", "c_l_negative",
+        "sigma_overflow", "x0_overflow"])
+def test_bad_numbers_map_to_exit_codes(tmp_path, capsys, where, key, value, code):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"]["n_steps"] = 4
+    payload["problem"]["b"] = {"name": "ou_drift", "params": {"theta": 0.5}}
+    payload["solver"] = {}
+    section = payload
+    for part in where.split("."):
+        section = section[part]
+    section[key] = value
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == code
+    if code == 2:
+        assert "config error" in capsys.readouterr().err
+    else:
+        report = json.loads((out / "report.json").read_text())
+        assert "solver_error" in report["diagnostics"]
