@@ -3,12 +3,18 @@
 Every solver knob has a documented default, all defaults are materialized on
 parse, and serialize -> parse is the identity, so configs are reproducible
 artifacts. Validation is eager and names the offending field.
+
+The dataclasses below, with ``sde.PicardConfig`` for the solver section, are
+the schema: ``_section`` reads each section from their declared fields and
+types, and ``to_dict`` is ``dataclasses.asdict``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,9 +41,6 @@ class SelectorConfig:
     name: str
     params: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
-
 
 @dataclass(frozen=True)
 class LossConfig(SelectorConfig):
@@ -47,11 +50,6 @@ class LossConfig(SelectorConfig):
     c_l: float | None = None
     C_l: float | None = None
     kappa_growth: float | None = None
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out.update({"c_l": self.c_l, "C_l": self.C_l, "kappa_growth": self.kappa_growth})
-        return out
 
 
 @dataclass(frozen=True)
@@ -132,152 +130,88 @@ class ExperimentConfig:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        p = self.problem
-        return {
-            "mode": self.mode,
-            "problem": {
-                "x0": p.x0,
-                "horizon": p.horizon,
-                "n_steps": p.n_steps,
-                "sigma_low_sq": p.sigma_low_sq,
-                "sigma_high_sq": p.sigma_high_sq,
-                "p": p.p,
-                "b": p.b.to_dict(),
-                "h": p.h.to_dict(),
-                "sigma": p.sigma.to_dict(),
-                "loss": p.loss.to_dict(),
-                "payoff": None if p.payoff is None else p.payoff.to_dict(),
-            },
-            "solver": dataclasses.asdict(self.solver),
-            "outputs": dataclasses.asdict(self.outputs),
-        }
+        return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _require_mapping(obj, where: str) -> dict:
-    if obj is None:
-        return {}
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    return obj
-
-
-def _reject_unknown(data: dict, allowed: set[str], where: str) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown field(s) {sorted(unknown)}")
-
-
-def _number(data: dict, key: str, where: str, default, optional: bool = False) -> float | None:
-    """The finite number at ``key``; with ``optional``, null reads as None."""
-    value = data.get(key, default)
-    if optional and value is None:
-        return None
+def _finite(value, where: str) -> float:
     number = finite_float(value)
     if number is None:
-        or_null = " or null" if optional else ""
-        raise ConfigError(f"{where}.{key} must be a finite number{or_null}, got {value!r}")
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
     return number
 
 
-def _integer(data: dict, key: str, where: str, default, optional: bool = False) -> int | None:
-    """The integer at ``key``; with ``optional``, null reads as None."""
-    value = data.get(key, default)
-    if optional and value is None:
-        return None
+def _integer(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
-        or_null = " or null" if optional else ""
-        raise ConfigError(f"{where}.{key} must be an integer{or_null}, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
 
 
-def _selector(data, where: str, default: SelectorConfig | None) -> SelectorConfig | None:
-    if data is None:
-        return default
-    data = _require_mapping(data, where)
-    _reject_unknown(data, {"name", "params"}, where)
-    if "name" not in data or not isinstance(data["name"], str):
-        raise ConfigError(f"{where}.name must be a string")
-    params = _require_mapping(data.get("params"), f"{where}.params")
-    return SelectorConfig(data["name"], dict(params))
+def _string(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where} must be a non-empty string, got {value!r}")
+    return value
 
 
-def _loss_selector(data, where: str, default: LossConfig) -> LossConfig:
-    if data is None:
-        return default
-    data = _require_mapping(data, where)
-    selector = _selector(
-        {k: v for k, v in data.items() if k not in _LOSS_OVERRIDES}, where, None
-    )
-    overrides = {key: _number(data, key, where, None, optional=True) for key in _LOSS_OVERRIDES}
-    return LossConfig(selector.name, selector.params, **overrides)
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
+    return dict(value)
+
+
+_READERS = {float: _finite, int: _integer, str: _string, dict: _mapping}
+
+
+@functools.cache
+def _schema(cls) -> tuple:
+    """(name, reader, nullable, null_default, required) for each field of
+    ``cls``, from its declared type: ``T | None`` is nullable, and null in a
+    mapping or nested section takes the default."""
+    hints = typing.get_type_hints(cls)
+    schema = []
+    for f in dataclasses.fields(cls):
+        args = typing.get_args(hints[f.name])
+        nullable = type(None) in args
+        kind = next(a for a in args if a is not type(None)) if nullable else hints[f.name]
+        nested = dataclasses.is_dataclass(kind)
+        reader = functools.partial(_section, kind) if nested else _READERS[kind]
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        schema.append((f.name, reader, nullable, nested or kind is dict, required))
+    return tuple(schema)
+
+
+def _section(cls, data, where: str):
+    """Read the JSON object ``data`` (null reads as ``{}``) into the config
+    dataclass ``cls``. Unknown keys are rejected; an absent field, or a null
+    section or mapping, takes the dataclass default; null in a ``T | None``
+    field reads as None."""
+    label = where or "config"
+    data = _mapping({} if data is None else data, label)
+    schema = _schema(cls)
+    unknown = set(data) - {name for name, *_ in schema}
+    if unknown:
+        raise ConfigError(f"{label}: unknown field(s) {sorted(unknown)}")
+    kwargs = {}
+    for name, reader, nullable, null_default, required in schema:
+        value = data.get(name)
+        if value is None and not required and (name not in data or null_default):
+            continue
+        if value is None and nullable:
+            kwargs[name] = None
+        else:
+            kwargs[name] = reader(value, f"{where}.{name}" if where else name)
+    try:
+        return cls(**kwargs)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{label}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    raw = _require_mapping(raw, "config")
-    _reject_unknown(raw, {"mode", "problem", "solver", "outputs"}, "config")
-    mode = raw.get("mode", "full_sde")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-
-    pd = _require_mapping(raw.get("problem"), "problem")
-    _reject_unknown(
-        pd,
-        {"x0", "horizon", "n_steps", "sigma_low_sq", "sigma_high_sq", "p",
-         "b", "h", "sigma", "loss", "payoff"},
-        "problem",
-    )
-    defaults = ProblemConfig()
-    problem = ProblemConfig(
-        x0=_number(pd, "x0", "problem", defaults.x0),
-        horizon=_number(pd, "horizon", "problem", defaults.horizon),
-        n_steps=_integer(pd, "n_steps", "problem", defaults.n_steps),
-        sigma_low_sq=_number(pd, "sigma_low_sq", "problem", defaults.sigma_low_sq),
-        sigma_high_sq=_number(pd, "sigma_high_sq", "problem", defaults.sigma_high_sq),
-        p=_number(pd, "p", "problem", defaults.p),
-        b=_selector(pd.get("b"), "problem.b", defaults.b),
-        h=_selector(pd.get("h"), "problem.h", defaults.h),
-        sigma=_selector(pd.get("sigma"), "problem.sigma", defaults.sigma),
-        loss=_loss_selector(pd.get("loss"), "problem.loss", defaults.loss),
-        payoff=_selector(pd.get("payoff"), "problem.payoff", None),
-    )
-
-    sd = _require_mapping(raw.get("solver"), "solver")
-    _reject_unknown(
-        sd,
-        {"tol", "max_iter", "contraction_guard", "delta_initial_steps",
-         "delta_min_steps", "initial_guess"},
-        "solver",
-    )
-    sdef = PicardConfig()
-    solver_fields = {
-        "tol": _number(sd, "tol", "solver", sdef.tol),
-        "max_iter": _integer(sd, "max_iter", "solver", sdef.max_iter),
-        "contraction_guard": _number(sd, "contraction_guard", "solver", sdef.contraction_guard),
-        "delta_initial_steps": _integer(
-            sd, "delta_initial_steps", "solver", sdef.delta_initial_steps, optional=True
-        ),
-        "delta_min_steps": _integer(sd, "delta_min_steps", "solver", sdef.delta_min_steps),
-        "initial_guess": _number(sd, "initial_guess", "solver", sdef.initial_guess, optional=True),
-    }
-    try:
-        solver = PicardConfig(**solver_fields)
-    except InvalidParameterError as exc:
-        raise ConfigError(f"solver: {exc}") from None
-
-    od = _require_mapping(raw.get("outputs"), "outputs")
-    _reject_unknown(od, {"csv", "report"}, "outputs")
-    odef = OutputsConfig()
-    csv_path = od.get("csv", odef.csv)
-    report_path = od.get("report", odef.report)
-    for label, value in (("outputs.csv", csv_path), ("outputs.report", report_path)):
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{label} must be a non-empty string, got {value!r}")
-    outputs = OutputsConfig(csv=csv_path, report=report_path)
-
-    config = ExperimentConfig(mode=mode, problem=problem, solver=solver, outputs=outputs)
+    config = _section(ExperimentConfig, raw, "")
+    if config.mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {config.mode!r}")
     _validate_semantics(config)
     return config
 

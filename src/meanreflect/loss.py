@@ -79,20 +79,16 @@ class LossValidationReport:
         return not self.violations
 
 
-def validate_loss(
-    loss: LossSpec,
-    n_t: int = 50,
-    n_x: int = 200,
-) -> LossValidationReport:
-    """Spot-check the declared constants on an n_t x n_x grid over the boxes.
+def validate_loss(loss: LossSpec) -> LossValidationReport:
+    """Spot-check the declared constants on a 50 x 200 grid over the boxes.
 
     Checks: F(0)=0 and F nondecreasing; strict increase in x; the bi-Lipschitz
     band; the time modulus; linear growth. Returns a report rather than
     raising, so the harness can surface each violation as a named check.
     """
     bad: list[str] = []
-    ts = np.linspace(0.0, loss.t_box, n_t)
-    xs = np.linspace(loss.x_box[0], loss.x_box[1], n_x)
+    ts = np.linspace(0.0, loss.t_box, 50)
+    xs = np.linspace(loss.x_box[0], loss.x_box[1], 200)
 
     f0 = loss.time_modulus(0.0)
     if abs(f0) > _SPOT_RTOL:
@@ -134,8 +130,8 @@ def validate_loss(
     return LossValidationReport(violations=tuple(bad))
 
 
-def require_valid_loss(loss: LossSpec, **kwargs) -> None:
-    report = validate_loss(loss, **kwargs)
+def require_valid_loss(loss: LossSpec) -> None:
+    report = validate_loss(loss)
     if not report.ok:
         raise ValidationError(
             f"loss '{loss.name}' failed its spot check: " + "; ".join(report.violations)

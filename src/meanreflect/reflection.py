@@ -259,12 +259,10 @@ def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndar
     return s + compensator, compensator
 
 
-def _check_initial_constraint(
-    loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice, precondition_tol: float
-) -> None:
+def _check_initial_constraint(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice) -> None:
     t0 = lattice.grid.times[S.start_step]
     e0 = expected_loss(t0, S.functional_at(S.start_step), lattice, loss)
-    if e0 < -precondition_tol:
+    if e0 < -DEFAULT_PRECONDITION_TOL:
         raise InitialConstraintError(
             f"E[l(t0, S_t0)] = {e0} < 0 at the initial time t0={t0}"
         )
@@ -275,10 +273,9 @@ def solve_mean_reflection_direct(
     S: ProcessOnLattice,
     lattice: PathLattice,
     tol: float = DEFAULT_ROOT_TOL,
-    precondition_tol: float = DEFAULT_PRECONDITION_TOL,
 ) -> SkorokhodSolution:
     """Construction via the running supremum of minimal shifts."""
-    _check_initial_constraint(loss, S, lattice, precondition_tol)
+    _check_initial_constraint(loss, S, lattice)
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
     shifts = np.zeros(k1 - k0 + 1)
@@ -298,11 +295,10 @@ def solve_mean_reflection_reduced(
     S: ProcessOnLattice,
     lattice: PathLattice,
     tol: float = DEFAULT_ROOT_TOL,
-    precondition_tol: float = DEFAULT_PRECONDITION_TOL,
 ) -> SkorokhodSolution:
     """Construction via the deterministic Skorokhod problem for E[S_t] against
     the barrier solving the centered-loss equation."""
-    _check_initial_constraint(loss, S, lattice, precondition_tol)
+    _check_initial_constraint(loss, S, lattice)
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
     n = k1 - k0 + 1

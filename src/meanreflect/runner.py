@@ -5,7 +5,8 @@ byte-identical files. Floats are serialized with their shortest round-trip
 representation and the report carries the config hash for provenance.
 
 Exit-code contract: 0 all checks pass, 1 a check failed, 2 configuration
-error (raised before running), 3 solver failure (recorded in the report).
+error (raised before running, or an output path that cannot be written),
+3 solver failure (recorded in the report).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from ._version import __version__
 from .config import ExperimentConfig
 from .errors import (
     BracketError,
+    ConfigError,
     InvalidParameterError,
     NonContractionError,
     SolverError,
@@ -95,6 +97,20 @@ def _resolve_path(configured: str, output_dir: str | None) -> Path:
     return Path(configured)
 
 
+def _write_output(text: str, key: str, configured: str, output_dir: str | None) -> Path:
+    """Write one output file; a path that cannot be written is a config error
+    naming the ``outputs`` field."""
+    path = _resolve_path(configured, output_dir)
+    try:
+        if not Path(configured).name:
+            raise IsADirectoryError(f"{configured!r} names no file")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"outputs.{key}: cannot write {path}: {exc}") from None
+    return path
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -117,7 +133,12 @@ def _solution_csv(lattice, solution: SkorokhodSolution, loss, p: float) -> str:
         xk = solution.X.at(k)
         e_l[k] = expected_loss(float(times[k]), solution.X.functional_at(k), lattice, loss)
         e_x[k] = upper_expectation(lattice, PathFunctional(k, xk))
-        e_abs_p[k] = upper_expectation(lattice, PathFunctional(k, np.abs(xk) ** p))
+        abs_p = np.abs(xk) ** p
+        if not np.all(np.isfinite(abs_p)):
+            raise InvalidParameterError(
+                f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"
+            )
+        e_abs_p[k] = upper_expectation(lattice, PathFunctional(k, abs_p))
     return _csv_from_columns(CSV_HEADER, [times, a, e_l, e_x, e_abs_p])
 
 
@@ -138,11 +159,13 @@ def _verification_checks(report, a_values) -> list[CheckResult]:
     ]
 
 
+# overflow and invalid operations surface as non-finite values, which the
+# finiteness checks turn into exit 3; numpy's warnings about them are noise
+@np.errstate(over="ignore", invalid="ignore")
 def run_experiment(
     config: ExperimentConfig,
     output_dir: str | None = None,
     write_csv: bool = True,
-    write_report: bool = True,
 ) -> RunResult:
     """Execute one configured experiment and write its artifacts."""
     checks: list[CheckResult] = []
@@ -190,7 +213,8 @@ def run_experiment(
                     )
                     verification = verify_mean_reflection(solution, loss, driver, lattice)
                 else:
-                    problem = config_to_problem(config, band, grid)
+                    problem = MRSDEProblem(x0=config.problem.x0, coeffs=coeffs, loss=loss,
+                                           band=band, grid=grid, p=config.problem.p)
                     mr = picard_solve(problem, config.solver, lattice=lattice)
                     solution = SkorokhodSolution(X=mr.X, A=mr.A)
                     verification = verify_mean_reflection(solution, loss, mr.U, lattice)
@@ -240,15 +264,13 @@ def run_experiment(
         },
     }
 
-    csv_path = report_path = None
+    csv_path = None
     if write_csv and csv_text is not None:
-        csv_path = _resolve_path(config.outputs.csv, output_dir)
-        csv_path.parent.mkdir(parents=True, exist_ok=True)
-        csv_path.write_text(csv_text)
-    if write_report:
-        report_path = _resolve_path(config.outputs.report, output_dir)
-        report_path.parent.mkdir(parents=True, exist_ok=True)
-        report_path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        csv_path = _write_output(csv_text, "csv", config.outputs.csv, output_dir)
+    report_path = _write_output(
+        json.dumps(report, sort_keys=True, indent=2) + "\n",
+        "report", config.outputs.report, output_dir,
+    )
 
     return RunResult(
         report=report,
@@ -258,14 +280,3 @@ def run_experiment(
         report_path=report_path,
     )
 
-
-def config_to_problem(config: ExperimentConfig, band=None, grid=None) -> MRSDEProblem:
-    """Build the solver-facing problem object from a validated config."""
-    return MRSDEProblem(
-        x0=config.problem.x0,
-        coeffs=config.coefficients(),
-        loss=config.loss_spec(),
-        band=band or config.band(),
-        grid=grid or config.grid(),
-        p=config.problem.p,
-    )

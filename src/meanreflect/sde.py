@@ -36,7 +36,6 @@ from .lattice import (
 )
 from .loss import LossSpec
 from .reflection import (
-    DEFAULT_PRECONDITION_TOL,
     DeterministicPath,
     SkorokhodSolution,
     solve_mean_reflection_direct,
@@ -80,13 +79,12 @@ def validate_coefficients(
     coeffs: Coefficients,
     t_max: float = 1.0,
     x_box: tuple[float, float] = (-5.0, 5.0),
-    n_t: int = 20,
-    n_x: int = 80,
 ) -> CoefficientValidationReport:
-    """Spot-check |f(t,x) - f(t,x')| <= kappa |x - x'| for each coefficient."""
+    """Spot-check |f(t,x) - f(t,x')| <= kappa |x - x'| for each coefficient
+    on a 20 x 80 grid of (t, x)."""
     bad: list[str] = []
-    ts = np.linspace(0.0, t_max, n_t)
-    xs = np.linspace(x_box[0], x_box[1], n_x)
+    ts = np.linspace(0.0, t_max, 20)
+    xs = np.linspace(x_box[0], x_box[1], 80)
     dx = np.abs(xs[:, None] - xs[None, :])
     allowed = coeffs.kappa * dx + _LIPSCHITZ_RTOL * (1.0 + dx)
     for label, fn in (("b", coeffs.b), ("h", coeffs.h), ("sigma", coeffs.sigma)):
@@ -251,7 +249,6 @@ def picard_step(
     end_step: int,
     initial: np.ndarray | None = None,
     tol: float = 1e-10,
-    precondition_tol: float = DEFAULT_PRECONDITION_TOL,
 ) -> PicardStepResult:
     """One application of the contraction map: integrate driven by ``driver``,
     then reflect. Its fixed points solve the subinterval problem."""
@@ -260,9 +257,7 @@ def picard_step(
             raise InvalidParameterError("initial node values required when start_step > 0")
         initial = np.array([problem.x0])
     unreflected = integrate_forward(problem.coeffs, lattice, driver, start_step, end_step, initial)
-    solution = solve_mean_reflection_direct(
-        problem.loss, unreflected, lattice, tol=tol, precondition_tol=precondition_tol
-    )
+    solution = solve_mean_reflection_direct(problem.loss, unreflected, lattice, tol=tol)
     return PicardStepResult(solution=solution)
 
 

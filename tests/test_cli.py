@@ -1,9 +1,13 @@
+import copy
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meanreflect
 from conftest import child_env
@@ -182,8 +186,9 @@ def test_list_command(tmp_path):
     ("problem.loss", "c_l", -1.0, 2),
     ("problem.sigma.params", "a", 1e308, 3),
     ("problem", "x0", 1e300, 3),
+    ("outputs", "csv", "/", 2),
 ], ids=["x0_nan", "tol_nan", "c0_str", "c0_nan", "theta_bool", "c_l_negative",
-        "sigma_overflow", "x0_overflow"])
+        "sigma_overflow", "x0_overflow", "csv_root"])
 def test_bad_numbers_map_to_exit_codes(tmp_path, capsys, where, key, value, code):
     payload = json.loads(json.dumps(CRITERION8))
     payload["problem"]["n_steps"] = 4
@@ -201,3 +206,79 @@ def test_bad_numbers_map_to_exit_codes(tmp_path, capsys, where, key, value, code
     else:
         report = json.loads((out / "report.json").read_text())
         assert "solver_error" in report["diagnostics"]
+
+
+def test_unwritable_output_dir_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, CRITERION8)
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert cli.main(["run", str(cfg), "--output-dir", str(not_a_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: outputs.csv: cannot write" in err
+    assert str(not_a_dir / "trace.csv") in err
+
+
+def test_csv_overflow_names_column_and_time(tmp_path, capsys):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"].update(n_steps=4, x0=1e300)
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "CSV column E_absX_p at t=0.0" in report["diagnostics"]["solver_error"]
+    assert all(check["pass"] for check in report["checks"])
+    assert "E_absX_p" in capsys.readouterr().out
+
+
+# every section and field set, so each field path can be mutated
+FUZZ_BASE = {
+    "mode": "full_sde",
+    "problem": {
+        "x0": 0.0, "horizon": 1.0, "n_steps": 4, "sigma_low_sq": 1.0, "sigma_high_sq": 4.0,
+        "p": 2.0,
+        "b": {"name": "ou_drift", "params": {"theta": 0.5, "mu": 0.0}},
+        "h": {"name": "constant_drift", "params": {"c": 0.1}},
+        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1, "cap": 10.0}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0},
+                 "c_l": None, "C_l": None, "kappa_growth": None},
+        "payoff": {"name": "call", "params": {"strike": 0.5}},
+    },
+    "solver": {"tol": 1e-10, "max_iter": 60, "contraction_guard": 0.5,
+               "delta_initial_steps": None, "delta_min_steps": 1, "initial_guess": None},
+    "outputs": {"csv": "trace.csv", "report": "report.json"},
+}
+
+
+def _field_paths(node, prefix=()):
+    for key, value in node.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, prefix + (key,))
+
+
+# a null or partial problem section would fall back to the default n_steps 8
+FUZZ_PATHS = [path for path in _field_paths(FUZZ_BASE) if path != ("problem",)]
+
+FUZZ_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([10**400, -(10**400), 2**64, float("nan"), float("inf"),
+                     float("-inf"), 1e308, -1e308]),
+    st.text(max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
+def test_mutated_config_maps_to_exit_code(path, value):
+    payload = copy.deepcopy(FUZZ_BASE)
+    *parents, key = path
+    section = payload
+    for part in parents:
+        section = section[part]
+    section[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), payload)
+        code = cli.main(["run", str(cfg), "--output-dir", str(Path(tmp) / "out")])
+    assert code in {0, 1, 2, 3}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -102,3 +103,41 @@ def test_horizon_propagates_to_loss_growth():
 def test_mode_must_be_known():
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict({"mode": "banana"})
+
+
+EVERY_SECTION = {
+    "mode": "sp_only",
+    "problem": {
+        "x0": 0.5, "horizon": 2, "n_steps": 3, "sigma_low_sq": 0.5, "sigma_high_sq": 0.5, "p": 3,
+        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+        "h": {"name": "constant_drift", "params": {"c": 0.1}},
+        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+        "loss": {"name": "smooth_sin", "params": {"c0": 0.0}, "c_l": 0.8, "C_l": 1.2,
+                 "kappa_growth": 5},
+        "payoff": {"name": "call", "params": {"strike": 1}},
+    },
+    "solver": {"tol": 1e-9, "max_iter": 30, "contraction_guard": 0.6,
+               "delta_initial_steps": 2, "delta_min_steps": 1, "initial_guess": 0.0},
+    "outputs": {"csv": "t.csv", "report": "r.json"},
+}
+
+
+def test_canonical_json_is_pinned():
+    default = ExperimentConfig().canonical_json()
+    assert hashlib.sha256(default.encode()).hexdigest() == (
+        "b41c6e513b4b3e073f6b6b89572c0e23354e4c738f2e693f455945617f4be0e4"
+    )
+    config = config_from_dict(EVERY_SECTION)
+    assert config.canonical_json() == (
+        '{"mode":"sp_only","outputs":{"csv":"t.csv","report":"r.json"},'
+        '"problem":{"b":{"name":"ou_drift","params":{"theta":0.5}},'
+        '"h":{"name":"constant_drift","params":{"c":0.1}},"horizon":2.0,'
+        '"loss":{"C_l":1.2,"c_l":0.8,"kappa_growth":5.0,"name":"smooth_sin",'
+        '"params":{"c0":0.0}},"n_steps":3,"p":3.0,'
+        '"payoff":{"name":"call","params":{"strike":1}},'
+        '"sigma":{"name":"linear_sigma","params":{"a":1.0,"b":0.1}},'
+        '"sigma_high_sq":0.5,"sigma_low_sq":0.5,"x0":0.5},'
+        '"solver":{"contraction_guard":0.6,"delta_initial_steps":2,"delta_min_steps":1,'
+        '"initial_guess":0.0,"max_iter":30,"tol":1e-09}}'
+    )
+    assert config_from_dict(config.to_dict()) == config
