@@ -11,6 +11,7 @@ types, and ``to_dict`` is ``dataclasses.asdict``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -23,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError
 from .lattice import DEFAULT_ENUMERATION_CAP, TimeGrid, VolatilityBand
 from .loss import LossSpec
-from .registry import finite_float, make_coefficient, make_loss, make_payoff
+from .registry import Payoff, finite_float, make_coefficient, make_loss, make_payoff
 from .sde import Coefficients, PicardConfig
 
 MODES = ("full_sde", "sp_only", "gexp_probe")
@@ -112,20 +113,25 @@ class ExperimentConfig:
             for key in _LOSS_OVERRIDES
             if getattr(cfg, key) is not None
         }
-        try:
+        with _field("problem.loss"):
             spec = make_loss(cfg.name, params)
             if overrides:
                 spec = dataclasses.replace(spec, **overrides)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"problem.loss: {exc}") from None
         return spec
 
     def coefficients(self) -> Coefficients:
-        b = make_coefficient(self.problem.b.name, self.problem.b.params)
-        h = make_coefficient(self.problem.h.name, self.problem.h.params)
-        sigma = make_coefficient(self.problem.sigma.name, self.problem.sigma.params)
+        terms = []
+        for key in ("b", "h", "sigma"):
+            selected = getattr(self.problem, key)
+            with _field(f"problem.{key}"):
+                terms.append(make_coefficient(selected.name, selected.params))
+        b, h, sigma = terms
         kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
         return Coefficients(b=b.fn, h=h.fn, sigma=sigma.fn, kappa=kappa)
+
+    def payoff(self) -> Payoff:
+        with _field("problem.payoff"):
+            return make_payoff(self.problem.payoff.name, self.problem.payoff.params)
 
     # -- serialization ------------------------------------------------------
 
@@ -134,6 +140,15 @@ class ExperimentConfig:
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
+@contextlib.contextmanager
+def _field(where: str):
+    """Prefix the config path ``where`` to a registry or constructor error."""
+    try:
+        yield
+    except (ConfigError, InvalidParameterError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _finite(value, where: str) -> float:
@@ -231,7 +246,7 @@ def _validate_semantics(config: ExperimentConfig) -> None:
     config.coefficients()
     loss = config.loss_spec()
     if p.payoff is not None:
-        make_payoff(p.payoff.name, p.payoff.params)
+        config.payoff()
     if config.mode == "gexp_probe":
         if p.payoff is None:
             raise ConfigError("problem.payoff is required in gexp_probe mode")

@@ -33,11 +33,9 @@ from .lattice import PathFunctional, build_lattice
 from .loss import validate_loss
 from .reflection import (
     SkorokhodSolution,
-    expected_loss,
     solve_mean_reflection_direct,
     verify_mean_reflection,
 )
-from .registry import make_payoff
 from .sde import (
     MRSDEProblem,
     integrate_sde,
@@ -122,16 +120,16 @@ def _csv_from_columns(header: str, columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv(lattice, solution: SkorokhodSolution, loss, p: float) -> str:
+def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float) -> str:
+    """The CSV trace; e_l is E[l(t_k, X_k)] for every step, as the verifier
+    computed it."""
     times = lattice.grid.times
     n = lattice.depth
     a = solution.A.values
-    e_l = np.empty(n + 1)
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     for k in range(n + 1):
         xk = solution.X.at(k)
-        e_l[k] = expected_loss(float(times[k]), solution.X.functional_at(k), lattice, loss)
         e_x[k] = upper_expectation(lattice, PathFunctional(k, xk))
         abs_p = np.abs(xk) ** p
         if not np.all(np.isfinite(abs_p)):
@@ -179,7 +177,7 @@ def run_experiment(
 
     solver_error: str | None = None
     if config.mode == "gexp_probe":
-        payoff = make_payoff(config.problem.payoff.name, config.problem.payoff.params)
+        payoff = config.payoff()
         value = upper_expectation(lattice, lattice.functional_from_terminal(payoff.fn))
         finite = bool(np.isfinite(value))
         checks.append(CheckResult("value_finite", float(finite), 1.0, finite))
@@ -241,7 +239,8 @@ def run_experiment(
                         ],
                     }
                 checks.extend(_verification_checks(verification, solution.A.values))
-                csv_text = _solution_csv(lattice, solution, loss, config.problem.p)
+                csv_text = _solution_csv(lattice, solution, verification.expected_losses,
+                                         config.problem.p)
             except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:
                 solver_error = f"{type(exc).__name__}: {exc}"
                 diagnostics["solver_error"] = solver_error

@@ -56,6 +56,23 @@ def test_unknown_loss_lists_available(tmp_path):
         load_config(write(tmp_path, payload))
 
 
+@pytest.mark.parametrize("problem, path, detail", [
+    ({"b": {"name": "ou_drift", "params": {"theta": "fast"}}},
+     "problem.b", "coefficient 'ou_drift' parameter 'theta' must be"),
+    ({"h": {"name": "nope"}}, "problem.h", "unknown coefficient 'nope'"),
+    ({"sigma": {"name": "linear_sigma", "params": {"b": -1.0}}},
+     "problem.sigma", "linear_sigma needs b >= 0"),
+    ({"loss": {"name": "linear", "params": {"c9": 1.0}}},
+     "problem.loss", "loss 'linear' got unknown parameter(s) ['c9']"),
+    ({"payoff": {"name": "nope"}}, "problem.payoff", "unknown payoff 'nope'; available: abs"),
+])
+def test_registry_errors_name_the_config_field(tmp_path, problem, path, detail):
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, {"problem": problem}))
+    assert str(info.value).startswith(f"{path}: ")
+    assert detail in str(info.value)
+
+
 def test_unknown_field_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown field"):
         load_config(write(tmp_path, {"problems": {}}))

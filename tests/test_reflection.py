@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from meanreflect import (
     upper_expectation,
     verify_mean_reflection,
 )
-from meanreflect.reflection import DeterministicPath, SkorokhodSolution
+from meanreflect.reflection import DeterministicPath, SkorokhodSolution, _smallest_nonneg_point
 from meanreflect.registry import make_loss
 from oracles import ref_bisect, ref_upper_expectation
 
@@ -40,6 +43,78 @@ def drifted_process(lattice, x0=0.0, drift=-1.0, vol=1.0):
         kappa=1e-9,
     )
     return integrate_sde(coeffs, lattice, x0)
+
+
+def piecewise_linear(rng, slope_max, root):
+    """An increasing piecewise-linear map with up to five random kinks on each
+    side of root and slopes drawn from [1, slope_max]. Each piece is evaluated
+    from its own kink, so phi(x) >= 0 exactly when x >= root."""
+    sides = []
+    for sign in (1.0, -1.0):
+        kinks = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 5.0, rng.integers(0, 6)))])
+        slopes = rng.uniform(1.0, slope_max, len(kinks))
+        offsets = np.concatenate([[0.0], np.cumsum(slopes[:-1] * np.diff(kinks))])
+        sides.append((sign, kinks, slopes, offsets))
+
+    def phi(x):
+        d = x - root
+        sign, kinks, slopes, offsets = sides[0] if d >= 0.0 else sides[1]
+        i = int(np.searchsorted(kinks, sign * d, side="right")) - 1
+        return sign * (offsets[i] + slopes[i] * (sign * d - kinks[i]))
+
+    return phi
+
+
+def interior_evaluations(phi, lo, hi):
+    """Run the root finder on [lo, hi]; return its result and the number of
+    evaluations away from the two bracket ends."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return phi(x)
+
+    got = _smallest_nonneg_point(counted, lo, hi, TOL, "test", f_zero=phi(0.0))
+    return got, sum(x not in (lo, hi) for x in calls)
+
+
+class TestRootFinder:
+    @pytest.mark.parametrize("slope_max", [1.0, 3.0, 10.0, 100.0])
+    def test_piecewise_linear_within_bisection_plus_two(self, slope_max):
+        rng = np.random.default_rng(int(slope_max))
+        for _ in range(200):
+            root = rng.uniform(-3.0, 3.0)
+            lo, hi = root - rng.uniform(1e-9, 4.0), root + rng.uniform(1e-9, 4.0)
+            phi = piecewise_linear(rng, slope_max, root)
+            got, interior = interior_evaluations(phi, lo, hi)
+            assert phi(got) >= 0.0
+            assert got - root <= TOL
+            assert interior <= math.ceil(math.log2((hi - lo) / TOL)) + 2
+
+    def test_affine_map_closes_in_two_interior_evaluations(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            root, slope = rng.uniform(-3.0, 3.0), rng.uniform(0.1, 10.0)
+            lo, hi = root - rng.uniform(1e-9, 4.0), root + rng.uniform(1e-9, 4.0)
+            got, interior = interior_evaluations(lambda x: slope * (x - root), lo, hi)
+            assert root <= got <= root + TOL
+            assert interior <= 2
+
+    def test_linear_loss_root_takes_at_most_four_loss_calls(self, lattice6):
+        # one call at x = 0, one at the bracket end, two inside
+        xi = lattice6.functional_from_terminal(lambda x: x)
+        for c in (0.4, 2.0, 7.5):
+            linear = make_loss("linear", {"c0": c, "c1": 0.0})
+            calls = []
+
+            def counted(t, x, fn=linear.fn):
+                calls.append(t)
+                return fn(t, x)
+
+            loss = dataclasses.replace(linear, fn=counted)
+            got = required_shift(1.0, xi, lattice6, loss, TOL)
+            assert got == pytest.approx(c - upper_expectation(lattice6, xi), abs=2 * TOL)
+            assert len(calls) <= 4
 
 
 class TestRequiredShift:
@@ -324,6 +399,16 @@ class TestVerifier:
         assert report.passed
         assert report.identity_residual <= 1e-12
         assert abs(report.flatoff_residual) <= 1e-8
+
+    def test_reports_expected_loss_at_every_step(self, lattice6, solved):
+        # the runner writes these values as the CSV column E_l_X
+        loss, s, sol = solved
+        report = verify_mean_reflection(sol, loss, s, lattice6, tol=1e-8)
+        times = lattice6.grid.times
+        recomputed = [expected_loss(float(times[k]), sol.X.functional_at(k), lattice6, loss)
+                      for k in range(7)]
+        assert report.expected_losses.tolist() == recomputed
+        assert report.constraint_min == min(recomputed)
 
     def test_inflated_compensator_fails_flatoff(self, lattice6, solved):
         loss, s, sol = solved
