@@ -2,8 +2,8 @@
 
 Every node of the (non-recombining) tree records one step of the canonical
 path: a volatility choice from the two-point band and a sign. A node at depth
-k therefore has 4^k ancestors-free identities, and carries the path value B
-and its quadratic variation QV:
+k is one of 4^k paths; its path value B and quadratic variation QV are
+derived from band and grid on first read, then kept:
 
     B  = sum_j sign_j * sigma_j * sqrt(dt),     sigma_j in {sigma_low, sigma_high}
     QV = sum_j sigma_j^2 * dt
@@ -20,7 +20,8 @@ bitwise deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -135,40 +136,58 @@ class PathFunctional:
 
 @dataclass(frozen=True)
 class PathLattice:
-    """The full tree up to depth n_steps with per-node B and QV arrays.
+    """The full tree up to depth n_steps, given by its band and grid.
 
-    ``b[k]`` and ``qv[k]`` have shape (4**k,), indexed in child-major order.
+    ``step_db``, ``step_dqv``, ``b[k]`` and ``qv[k]`` (shape (4**k,), child-major
+    order) are derived from band and grid on first read, then kept.
     """
 
     band: VolatilityBand
     grid: TimeGrid
-    b: tuple = field(repr=False)
-    qv: tuple = field(repr=False)
+
+    def __post_init__(self):
+        if self.depth > DEFAULT_ENUMERATION_CAP:
+            raise LatticeSizeError(
+                f"n_steps={self.depth} exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}: "
+                f"the leaf level alone would hold 4^{self.depth} = {4**self.depth} nodes"
+            )
 
     @property
     def depth(self) -> int:
         return self.grid.n_steps
 
-    @property
+    @cached_property
     def step_db(self) -> np.ndarray:
         """Per-child increment of B for one step, in child order."""
-        return _step_increments(self.band, self.grid)[0]
+        sigmas = np.array([self.band.sigma_low, self.band.sigma_high])
+        return CHILD_SIGN * sigmas[CHILD_VOL] * math.sqrt(self.grid.dt)
 
-    @property
+    @cached_property
     def step_dqv(self) -> np.ndarray:
         """Per-child increment of QV for one step, in child order."""
-        return _step_increments(self.band, self.grid)[1]
+        return np.array([self.band.sigma_low_sq, self.band.sigma_high_sq])[CHILD_VOL] * self.grid.dt
+
+    @cached_property
+    def b(self) -> tuple:
+        """B at every node, one array per depth."""
+        return _levels(self.step_db, self.depth)
+
+    @cached_property
+    def qv(self) -> tuple:
+        """QV at every node, one array per depth."""
+        return _levels(self.step_dqv, self.depth)
 
     def functional_from_terminal(self, fn) -> PathFunctional:
         """Payoff fn(B_T) as a terminal-depth functional."""
         return PathFunctional(self.depth, fn(self.b[self.depth]))
 
 
-def _step_increments(band: VolatilityBand, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-child increments (dB, dQV) of one step, in child order."""
-    sigmas = np.array([band.sigma_low, band.sigma_high])
-    sig_sq = np.array([band.sigma_low_sq, band.sigma_high_sq])
-    return CHILD_SIGN * sigmas[CHILD_VOL] * math.sqrt(grid.dt), sig_sq[CHILD_VOL] * grid.dt
+def _levels(step: np.ndarray, depth: int) -> tuple:
+    """Sums of per-child increments ``step`` along every path, depths 0..depth."""
+    levels = [np.zeros(1)]
+    for k in range(depth):
+        levels.append((levels[k][:, None] + step[None, :]).ravel())
+    return tuple(levels)
 
 
 def lift_values(values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarray:
@@ -178,25 +197,9 @@ def lift_values(values: np.ndarray, from_depth: int, to_depth: int) -> np.ndarra
     return np.repeat(np.asarray(values, dtype=float), 4 ** (to_depth - from_depth))
 
 
-def build_lattice(
-    band: VolatilityBand,
-    grid: TimeGrid,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
-) -> PathLattice:
-    """Enumerate the tree; refuses anything beyond the cap (4^n nodes at the leaf)."""
-    n = grid.n_steps
-    if n > enumeration_cap:
-        raise LatticeSizeError(
-            f"n_steps={n} exceeds the enumeration cap {enumeration_cap}: "
-            f"the leaf level alone would hold 4^{n} = {4**n} nodes"
-        )
-    b = [np.zeros(1)]
-    qv = [np.zeros(1)]
-    db, dqv = _step_increments(band, grid)
-    for k in range(n):
-        b.append((b[k][:, None] + db[None, :]).ravel())
-        qv.append((qv[k][:, None] + dqv[None, :]).ravel())
-    return PathLattice(band=band, grid=grid, b=tuple(b), qv=tuple(qv))
+def build_lattice(band: VolatilityBand, grid: TimeGrid) -> PathLattice:
+    """The lattice of ``band`` over ``grid``; refuses n_steps past the enumeration cap."""
+    return PathLattice(band, grid)
 
 
 @dataclass(frozen=True)

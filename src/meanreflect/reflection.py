@@ -38,8 +38,10 @@ from .lattice import PathFunctional, PathLattice, ProcessOnLattice, lift_values
 from .loss import LossSpec
 
 DEFAULT_ROOT_TOL = 1e-10
-# how far below zero the initial constraint may sit before we refuse to solve
+# how far below zero the initial constraint may sit before we refuse to solve;
+# also the verifier's constraint and flat-off tolerance
 DEFAULT_PRECONDITION_TOL = 1e-8
+IDENTITY_TOL = 1e-12  # X = S + A is one addition per node: rounding only
 
 # a few doublings absorb rounding noise at the bracket edge; anything more
 # means the declared constants are wrong and must surface as BracketError
@@ -383,7 +385,7 @@ def verify_mean_reflection(
         constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(
-        identity <= 1e-12
+        identity <= IDENTITY_TOL
         and constraint.min() >= -tol
         and flatoff <= tol * (a[-1] - a[0] + 1.0)
     )

@@ -32,6 +32,8 @@ from .gexpectation import upper_expectation
 from .lattice import PathFunctional, build_lattice
 from .loss import validate_loss
 from .reflection import (
+    DEFAULT_PRECONDITION_TOL,
+    IDENTITY_TOL,
     SkorokhodSolution,
     solve_mean_reflection_direct,
     verify_mean_reflection,
@@ -51,11 +53,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
-
-# thresholds for the post-solve residual checks
-IDENTITY_TOL = 1e-12
-CONSTRAINT_TOL = 1e-8
-FLATOFF_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -143,14 +140,14 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
 def _verification_checks(report, a_values) -> list[CheckResult]:
     total_a = float(a_values[-1] - a_values[0])
     min_step = float(np.min(np.diff(a_values))) if len(a_values) > 1 else 0.0
+    flatoff_limit = DEFAULT_PRECONDITION_TOL * (1.0 + total_a)
     return [
         CheckResult("identity_residual", report.identity_residual, IDENTITY_TOL,
                     report.identity_residual <= IDENTITY_TOL),
-        CheckResult("constraint_min", report.constraint_min, -CONSTRAINT_TOL,
-                    report.constraint_min >= -CONSTRAINT_TOL),
-        CheckResult("flatoff_residual", report.flatoff_residual,
-                    FLATOFF_TOL * (1.0 + total_a),
-                    report.flatoff_residual <= FLATOFF_TOL * (1.0 + total_a)),
+        CheckResult("constraint_min", report.constraint_min, -DEFAULT_PRECONDITION_TOL,
+                    report.constraint_min >= -DEFAULT_PRECONDITION_TOL),
+        CheckResult("flatoff_residual", report.flatoff_residual, flatoff_limit,
+                    report.flatoff_residual <= flatoff_limit),
         CheckResult("compensator_nondecreasing", min_step, 0.0, min_step >= 0.0),
         CheckResult("compensator_starts_at_zero", float(a_values[0]), 0.0,
                     a_values[0] == 0.0),
@@ -171,9 +168,7 @@ def run_experiment(
     csv_text: str | None = None
     exit_code = EXIT_PASS
 
-    band = config.band()
-    grid = config.grid()
-    lattice = build_lattice(band, grid)
+    lattice = build_lattice(config.band(), config.grid())
 
     solver_error: str | None = None
     if config.mode == "gexp_probe":
@@ -212,7 +207,7 @@ def run_experiment(
                     verification = verify_mean_reflection(solution, loss, driver, lattice)
                 else:
                     problem = MRSDEProblem(x0=config.problem.x0, coeffs=coeffs, loss=loss,
-                                           band=band, grid=grid, p=config.problem.p)
+                                           band=lattice.band, grid=lattice.grid, p=config.problem.p)
                     mr = picard_solve(problem, config.solver, lattice=lattice)
                     solution = SkorokhodSolution(X=mr.X, A=mr.A)
                     verification = verify_mean_reflection(solution, loss, mr.U, lattice)

@@ -27,19 +27,17 @@ from meanreflect import cli
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 FILES = ("trace.csv", "report.json")
 
-_FULL_SDE = {
-    "mode": "full_sde",
-    "problem": {
-        "n_steps": 8,
-        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
-        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
-        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
-    },
-}
-
 CONFIGS = {
     "default": {},
-    "full_sde_ou_linear_sigma": _FULL_SDE,
+    "full_sde_ou_linear_sigma": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 8,
+            "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
+        },
+    },
     "sp_only_smooth_sin": {
         "mode": "sp_only",
         "problem": {"n_steps": 6, "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}}},
@@ -125,10 +123,9 @@ def _csv_cells(text: str) -> list:
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_outputs_match_golden(name, tmp_path, capsys):
+def test_outputs_match_golden(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
     got = run_config(name, tmp_path)
-    capsys.readouterr()
     assert got["exit_code"] == want["exit_code"]
     if name not in BY_VALUE:
         assert got == want

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from meanreflect import (
     InvalidParameterError,
     LatticeSizeError,
     PathFunctional,
+    PathLattice,
     ProcessOnLattice,
     TimeGrid,
     VolatilityBand,
@@ -94,14 +97,46 @@ def test_node_counts_and_invariants(lattice8, band, grid8):
 def test_enumeration_cap_names_node_count():
     with pytest.raises(LatticeSizeError, match=r"4\^11"):
         build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 11))
+    # built directly, too: the first read of .b would otherwise enumerate 4^11 leaves
+    with pytest.raises(LatticeSizeError, match=r"4\^11"):
+        PathLattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 11))
 
 
-def test_lattice_build_is_deterministic(band, grid8):
+# sha256 of b[k].tobytes() and qv[k].tobytes() on the band (1, 4) and 8-step
+# unit grid, k = 0..8, as the eager tree builder produced them
+B8_SHA256 = (
+    "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "17428253a56c3cf632155eba8d94b13714325b937111a688a8ac985481b77438",
+    "e94b284f94e0812f6e92b4e7b7851faafbef9a8fe50fdf5c3ff7a2fceab9297d",
+    "436eed3fb1bea63c4f63a47a7b5d43e6f9d3df0e162e34066107ec486066314d",
+    "c23594cf3de1b876bda4d25be0910a23c849ceee782b7352672bdaf2717a1560",
+    "c053cc584a4d099788ba93853938c97c7332465fc9b0e524a54b5dc2fbb4c7a0",
+    "a9d04e4ac59d09b5df428405a6f7eca01331c368d43971808c7b94a543488d00",
+    "479cf272c8f437ea5a2b508e8fcdff0406b56350837932760c503ed03464d039",
+    "d22e63025da1e1b084d8115b9edf5cb9c8cc866fd672840316d12c5b008cd615",
+)
+QV8_SHA256 = (
+    "af5570f5a1810b7af78caf4bc70a660f0df51e42baf91d4de5b2328de0e83dfc",
+    "5e2e3469dcfa8dc4cc2fd60269e7b327dd73d86a357e6d6d5458e0ee5b1bcff7",
+    "bfcd355f3736b1fc65709295e7f9f1912cd23cbed399badcbe3ee9a9bd6690d2",
+    "421cca164576c5d0cc6078b279c855f1fe3dfdc4f4ec7352224e91445386fab0",
+    "d23242fa6e74bc49c544cc06f75a39e09fe80d05644b23767a60b475d3b52b4a",
+    "8f86513ef9fe9cd28fa6c69dbc2f7ca2362182396a2aeec01851dbf6f89283fa",
+    "4cff52a906ec6213b19564a519e017f29b914e79a249861bde4ce4da5ece9f60",
+    "4e730fe593259f781f8866327f557bc9e4f212039d06b320ea53014d60bcef35",
+    "3d9cbaef13294708606d56582d1ff1cdaef373655d203ed2a9aa1b13bc429ab2",
+)
+
+
+def test_lattice_build_is_deterministic(band, grid8, lattice8):
     a = build_lattice(band, grid8)
     b = build_lattice(band, grid8)
     for k in range(a.depth + 1):
         assert np.array_equal(a.b[k], b.b[k])
         assert np.array_equal(a.qv[k], b.qv[k])
+    for k in range(lattice8.depth + 1):
+        assert hashlib.sha256(lattice8.b[k].tobytes()).hexdigest() == B8_SHA256[k]
+        assert hashlib.sha256(lattice8.qv[k].tobytes()).hexdigest() == QV8_SHA256[k]
 
 
 def test_path_functional_validation():

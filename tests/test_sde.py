@@ -17,8 +17,10 @@ from meanreflect import (
     check_moment_estimate,
     constant_process,
     integrate_forward,
+    integrate_sde,
     picard_solve,
     picard_step,
+    solve_mean_reflection_direct,
     validate_coefficients,
     verify_mean_reflection,
 )
@@ -74,6 +76,19 @@ class TestIntegrateForward:
             integrate_forward(const_coeffs(), lattice4, driver, 0, 5, np.array([0.0]))
         with pytest.raises(InvalidParameterError):
             integrate_forward(const_coeffs(), lattice4, driver, 0, 4, np.zeros(2))
+
+
+def test_solves_leave_canonical_path_unbuilt(band, grid6):
+    # the solvers read only the per-step increments, never the per-node B and QV
+    coeffs = Coefficients(b=make_coefficient("ou_drift", {"theta": 0.5}).fn,
+                          h=make_coefficient("constant_drift", {"c": 0.1}).fn,
+                          sigma=make_coefficient("constant_sigma").fn, kappa=0.5)
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    lattice = build_lattice(band, grid6)
+    solve_mean_reflection_direct(loss, integrate_sde(coeffs, lattice, 0.0), lattice)
+    picard_solve(MRSDEProblem(x0=0.0, coeffs=coeffs, loss=loss, band=band, grid=grid6),
+                 lattice=lattice)
+    assert "b" not in vars(lattice) and "qv" not in vars(lattice)
 
 
 class TestValidateCoefficients:
