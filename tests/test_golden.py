@@ -8,6 +8,12 @@ can differ by an ulp across numpy builds and CPUs, so the ``smooth_sin`` and
 value at 1e-12 relative (to ``max(1, |value|)``, so root-finder residuals
 near zero compare at 1e-12 absolute).
 
+The ``pde`` entry pins the PDE backend on a coarse grid: the sha256 of
+``solve_nonlinear_heat(...).u`` for four terminals (the explicit march is
+only ``+ - *`` and ``max``, so its bytes are portable), and the value of one
+``nested_expectation_pde``, compared at 1e-12 relative because its
+``np.interp`` may be compiled with fused multiply-add on some CPUs.
+
 A change that moves outputs on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -20,9 +26,10 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from meanreflect import cli
+from meanreflect import VolatilityBand, cli, pde
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 FILES = ("trace.csv", "report.json")
@@ -73,6 +80,28 @@ CONFIGS = {
 # compared value by value: np.sin and np.arctan are not bitwise portable
 BY_VALUE = {"sp_only_smooth_sin", "sp_only_arctan_shift"}
 REL_TOL = 1e-12
+
+
+PDE_BAND = VolatilityBand(1.0, 4.0)
+PDE_SPACE = pde.SpaceGrid(half_width=12.0, dx=0.1)
+PDE_TERMINALS = {
+    "abs": np.abs,
+    "call": lambda x: np.maximum(x - 0.5, 0.0),
+    "square": lambda x: x**2,
+    "neg_square": lambda x: -(x**2),
+}
+
+
+def run_pde() -> dict:
+    """sha256 of each heat solution's ``u`` and the nested value."""
+    entry = {}
+    for name, terminal in PDE_TERMINALS.items():
+        sol = pde.solve_nonlinear_heat(terminal, PDE_BAND, PDE_SPACE, 1.0)
+        entry[f"heat_{name}"] = hashlib.sha256(sol.u.tobytes()).hexdigest()
+    entry["nested"] = pde.nested_expectation_pde(
+        lambda x1, x: np.abs(x - x1) + 0.3 * x1, PDE_BAND, PDE_SPACE, 0.5, 1.0
+    )
+    return entry
 
 
 def run_config(name: str, tmp: Path) -> dict:
@@ -139,6 +168,17 @@ def test_outputs_match_golden(name, tmp_path):
                          "report.json")
 
 
+def test_pde_matches_golden():
+    want = json.loads(GOLDEN.read_text())["pde"]
+    got = run_pde()
+    assert got.keys() == want.keys()
+    for key in want:
+        if key == "nested":
+            assert _close(got[key], want[key]), f"{key}: {got[key]!r} != {want[key]!r}"
+        else:
+            assert got[key] == want[key], key
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -146,6 +186,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         golden = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
+    golden["pde"] = run_pde()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} configs to {GOLDEN}", file=sys.stderr)
