@@ -27,13 +27,6 @@ def g_function(a: float, band: VolatilityBand) -> float:
     return 0.5 * (band.sigma_high_sq * max(a, 0.0) - band.sigma_low_sq * max(-a, 0.0))
 
 
-def g_function_array(a: np.ndarray, band: VolatilityBand) -> np.ndarray:
-    """Vectorized g_function (used by the PDE backend)."""
-    pos = np.maximum(a, 0.0)
-    neg = np.maximum(-a, 0.0)
-    return 0.5 * (band.sigma_high_sq * pos - band.sigma_low_sq * neg)
-
-
 def _reduce_one_level(values: np.ndarray) -> np.ndarray:
     """One backward step: (4m,) child values -> (m,) parent values.
 

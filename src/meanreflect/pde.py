@@ -5,6 +5,12 @@ band generator. Under dt <= dx^2 / sigma_high^2 every update is a convex
 combination of neighbors, so the scheme is monotone and stable. Linear tails
 are exact (G(0) = 0), which justifies the zero-curvature boundary columns.
 
+One kernel marches every solve: it updates a copy of the terminal data in
+place over its last axis, so the nested expectation marches all its inner
+problems as one (n_inner, n_points) array. Every element sees the same
+floating-point operations in the same order as a one-row march, so batched
+and one-row results are bitwise equal.
+
 Used to cross-validate the lattice engine, not to feed it.
 """
 
@@ -18,7 +24,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, StabilityError
-from .gexpectation import g_function_array
 from .lattice import VolatilityBand
 
 # half-widths below this many terminal standard deviations trigger a warning
@@ -97,14 +102,44 @@ def _resolve_dt(space: SpaceGrid, band: VolatilityBand, horizon: float,
     return horizon / n, n
 
 
-def _march_backward(u: np.ndarray, band: VolatilityBand, dx: float, dt: float,
+def _march_backward(terminal: np.ndarray, band: VolatilityBand, dx: float, dt: float,
                     n_steps: int) -> np.ndarray:
+    """March each row (the last axis) of ``terminal`` n_steps explicit steps back.
+
+    Updates a copy in place with two preallocated buffers. Per element the
+    step is u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0))), the generator
+    ``g_function`` of c = ((u[i+1] - 2u[i]) + u[i-1])/dx^2, rounded in that
+    order, so rows never mix and a batched march equals one-row marches.
+    """
+    u = np.array(terminal, dtype=float)
     inv_dx2 = 1.0 / (dx * dx)
+    left, mid, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
     curvature = np.zeros_like(u)
+    inner = curvature[..., 1:-1]
+    g = np.empty_like(u)
     for _ in range(n_steps):
-        curvature[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        # boundary columns keep zero curvature: linear tails are exact solutions
-        u = u + dt * g_function_array(curvature, band)
+        np.multiply(2.0, mid, out=inner)
+        np.subtract(right, inner, out=inner)
+        np.add(inner, left, out=inner)
+        np.multiply(inner, inv_dx2, out=inner)
+        np.negative(curvature, out=g)
+        np.maximum(g, 0.0, out=g)
+        np.multiply(band.sigma_low_sq, g, out=g)
+        # boundary columns keep zero curvature (max(0, 0) and sh*0 leave +0.0
+        # there): linear tails are exact solutions
+        np.maximum(curvature, 0.0, out=curvature)
+        np.multiply(band.sigma_high_sq, curvature, out=curvature)
+        np.subtract(curvature, g, out=g)
+        np.multiply(0.5, g, out=g)
+        np.multiply(dt, g, out=g)
+        np.add(u, g, out=u)
+    return u
+
+
+def _on_grid(values, xs: np.ndarray) -> np.ndarray:
+    u = np.asarray(values, dtype=float)
+    if u.shape != xs.shape:
+        raise InvalidParameterError("terminal payoff must map the grid to one value per node")
     return u
 
 
@@ -125,10 +160,7 @@ def solve_nonlinear_heat(
     _warn_if_narrow(space, band, horizon)
     dt, n = _resolve_dt(space, band, horizon, dt)
     xs = space.xs
-    u = np.asarray(terminal(xs), dtype=float)
-    if u.shape != xs.shape:
-        raise InvalidParameterError("terminal payoff must map the grid to one value per node")
-    u = _march_backward(u, band, space.dx, dt, n)
+    u = _march_backward(_on_grid(terminal(xs), xs), band, space.dx, dt, n)
     return HeatSolution(xs=xs, u=u, value_at_origin=float(u[space.origin_index]),
                         dt=dt, n_time_steps=n)
 
@@ -159,9 +191,10 @@ def nested_expectation_pde(
 ) -> float:
     """Two-monitoring-time expectation of payoff(B_{t1}, B_T) via the PDE recursion.
 
-    The inner equation is solved on [t1, horizon] once per first-argument value
-    on a coarse grid of ``n_inner`` points spanning ``inner_stds`` standard
-    deviations of B_{t1}; its diagonal becomes the outer terminal condition.
+    The inner equations on [t1, horizon], one per first-argument value on a
+    coarse grid of ``n_inner`` points spanning ``inner_stds`` standard
+    deviations of B_{t1}, are marched as one batch; their diagonal becomes the
+    outer terminal condition.
     """
     if not 0.0 < t1 < horizon:
         raise InvalidParameterError(
@@ -173,13 +206,12 @@ def nested_expectation_pde(
     xs = space.xs
     x1_half = inner_stds * band.sigma_high * math.sqrt(t1)
     x1_grid = np.linspace(-x1_half, x1_half, n_inner)
-    diag = np.empty(n_inner)
-    inner_span = horizon - t1
-    dt_inner, n_steps_inner = _resolve_dt(space, band, inner_span, dt)
+    dt_inner, n_steps_inner = _resolve_dt(space, band, horizon - t1, dt)
+    inner = np.empty((n_inner, xs.size))
     for i, x1 in enumerate(x1_grid):
-        u = np.asarray(payoff(float(x1), xs), dtype=float)
-        u = _march_backward(u, band, space.dx, dt_inner, n_steps_inner)
-        diag[i] = np.interp(x1, xs, u)
+        inner[i] = _on_grid(payoff(float(x1), xs), xs)
+    inner = _march_backward(inner, band, space.dx, dt_inner, n_steps_inner)
+    diag = np.array([np.interp(x1, xs, row) for x1, row in zip(x1_grid, inner)])
     outer_terminal = _interp_with_linear_tails(xs, x1_grid, diag)
     dt_outer, n_steps_outer = _resolve_dt(space, band, t1, dt)
     u = _march_backward(outer_terminal, band, space.dx, dt_outer, n_steps_outer)

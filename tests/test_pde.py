@@ -7,12 +7,14 @@ from meanreflect import (
     SpaceGrid,
     StabilityError,
     TimeGrid,
+    VolatilityBand,
     build_lattice,
     default_space_grid,
     nested_expectation_pde,
     solve_nonlinear_heat,
     upper_expectation,
 )
+from meanreflect import pde
 from meanreflect.lattice import lift_values
 
 
@@ -77,6 +79,45 @@ def test_lattice_pde_consistency_for_lipschitz_payoffs(band):
         assert abs(lattice_value - pde_value) / abs(pde_value) <= 0.05
 
 
+def _reference_march(u, band, dx, dt, n_steps):
+    """The one-row explicit step written out plainly, in the kernel's order."""
+    inv_dx2 = 1.0 / (dx * dx)
+    c = np.zeros_like(u)
+    for _ in range(n_steps):
+        c[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
+        g = 0.5 * (band.sigma_high_sq * np.maximum(c, 0.0) - band.sigma_low_sq * np.maximum(-c, 0.0))
+        u = u + dt * g
+    return u
+
+
+@pytest.mark.parametrize("march_band", [VolatilityBand(1.0, 4.0), VolatilityBand(0.25, 0.5)])
+def test_batched_march_equals_one_row_marches_bitwise(march_band):
+    # a zero row and signed zeros (also in the boundary columns) next to random
+    # rows: any coupling across row ends or reordered arithmetic shows in the bytes
+    rows = np.random.default_rng(7).standard_normal((5, 31))
+    rows[1] = 0.0
+    rows[2, ::2] = -0.0
+    before = rows.copy()
+    dx = 0.1
+    dt = dx * dx / march_band.sigma_high_sq
+    batched = pde._march_backward(rows, march_band, dx, dt, 40)
+    assert rows.tobytes() == before.tobytes()
+    for row, got in zip(rows, batched):
+        one_row = pde._march_backward(row, march_band, dx, dt, 40)
+        assert got.tobytes() == one_row.tobytes()
+        assert got.tobytes() == _reference_march(row, march_band, dx, dt, 40).tobytes()
+
+
+def test_terminal_arrays_are_not_written(band):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    held = np.abs(grid.xs)
+    before = held.copy()
+    solve_nonlinear_heat(lambda x: held, band, grid, 0.5)
+    assert held.tobytes() == before.tobytes()
+    nested_expectation_pde(lambda x1, x: held, band, grid, 0.25, 0.5, n_inner=5)
+    assert held.tobytes() == before.tobytes()
+
+
 class TestNested:
     SPACE = SpaceGrid(half_width=10.0, dx=0.05)
 
@@ -103,6 +144,11 @@ class TestNested:
             lambda x1, x: np.abs(x - x1) + 0.3 * x1, band, self.SPACE, 0.5, 1.0
         )
         assert abs(lattice_value - pde_value) / abs(pde_value) <= 0.08
+
+    def test_payoff_must_give_one_value_per_node(self, band):
+        for payoff in (lambda x1, x: 1.0, lambda x1, x: x[:-1]):
+            with pytest.raises(InvalidParameterError, match="one value per node"):
+                nested_expectation_pde(payoff, band, self.SPACE, 0.5, 1.0, n_inner=3)
 
     def test_monitoring_time_must_be_interior(self, band):
         with pytest.raises(InvalidParameterError):
