@@ -11,10 +11,10 @@ from meanreflect import (
     build_lattice,
     default_space_grid,
     nested_expectation_pde,
+    pde,
     solve_nonlinear_heat,
     upper_expectation,
 )
-from meanreflect import pde
 from meanreflect.lattice import lift_values
 
 
