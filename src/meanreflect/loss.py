@@ -102,20 +102,23 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
 
     dx = np.abs(xs[:, None] - xs[None, :])
     slack = _SPOT_RTOL * (1.0 + dx)
+    lower = loss.c_l * dx - slack
+    upper = loss.C_l * dx + slack
+    growth = loss.kappa_growth * (1.0 + np.abs(xs))
+    growth_bound = growth + _SPOT_RTOL * (1.0 + growth)
     for t in ts:
         lv = loss(float(t), xs)
         if np.any(np.diff(lv) <= 0.0):
             bad.append(f"l(t={t:.4g}, .) is not strictly increasing on the sample")
             break
         dl = np.abs(lv[:, None] - lv[None, :])
-        if np.any(dl < loss.c_l * dx - slack):
+        if np.any(dl < lower):
             bad.append(f"lower Lipschitz bound c_l={loss.c_l} violated at t={t:.4g}")
             break
-        if np.any(dl > loss.C_l * dx + slack):
+        if np.any(dl > upper):
             bad.append(f"upper Lipschitz bound C_l={loss.C_l} violated at t={t:.4g}")
             break
-        growth = loss.kappa_growth * (1.0 + np.abs(xs))
-        if np.any(np.abs(lv) > growth + _SPOT_RTOL * (1.0 + growth)):
+        if np.any(np.abs(lv) > growth_bound):
             bad.append(f"growth bound kappa={loss.kappa_growth} violated at t={t:.4g}")
             break
 

@@ -8,6 +8,15 @@ diffusion term per scenario:
 with the per-child increments dB_k, dQV_k read off the lattice. The solver
 iterates the map "integrate driven by U, then reflect" to its fixed point on
 subintervals short enough to contract, then pastes the compensators.
+
+An iteration recomputes only from the first level at which its driver
+differs bit for bit from the previous driver: U at a level depends only on
+the driver below it, so the unreflected values, minimal shifts and X levels
+beneath are the previous iterate's. The compensator is still the running max
+over all shifts, so every value equals that of a full pass. Since the
+equation is causal, iterate j is exact up to step j, and a solve of n steps
+from x0 typically takes n(n+1)/2 Euler steps and root finds where full passes
+take n(n+1); its confirming last iteration recomputes nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ from .loss import LossSpec
 from .reflection import (
     DeterministicPath,
     SkorokhodSolution,
-    solve_mean_reflection_direct,
+    _check_initial_constraint,
+    required_shift,
 )
 
 _LIPSCHITZ_RTOL = 1e-9
@@ -238,7 +248,21 @@ def integrate_sde(
 
 @dataclass(frozen=True)
 class PicardStepResult:
+    """One application of the map and what the next application reuses.
+
+    ``distance`` is the sup distance between ``solution.X`` and the driver;
+    ``changed_from`` is the first level at which they differ bit for bit
+    (``end_step + 1`` if none). ``shifts`` are the minimal shifts before the
+    running max, and ``unreflected`` is U at level ``changed_from``, where the
+    next step starts its Euler steps; it is None from the top level on, since
+    no step starts there.
+    """
+
     solution: SkorokhodSolution
+    distance: float
+    changed_from: int
+    shifts: np.ndarray
+    unreflected: np.ndarray | None
 
 
 def picard_step(
@@ -249,16 +273,76 @@ def picard_step(
     end_step: int,
     initial: np.ndarray | None = None,
     tol: float = 1e-10,
+    previous: PicardStepResult | None = None,
 ) -> PicardStepResult:
     """One application of the contraction map: integrate driven by ``driver``,
-    then reflect. Its fixed points solve the subinterval problem."""
-    if initial is None:
-        if start_step != 0:
-            raise InvalidParameterError("initial node values required when start_step > 0")
-        initial = np.array([problem.x0])
-    unreflected = integrate_forward(problem.coeffs, lattice, driver, start_step, end_step, initial)
-    solution = solve_mean_reflection_direct(problem.loss, unreflected, lattice, tol=tol)
-    return PicardStepResult(solution=solution)
+    then reflect. Its fixed points solve the subinterval problem.
+
+    ``previous`` is the step whose X is ``driver``. U at a level depends only
+    on the driver below it, so up to ``previous.changed_from`` this step
+    equals the previous one: it keeps U, the minimal shifts and the X levels
+    there and recomputes the Euler steps and root finds above. Every value is
+    the same operation on the same inputs as in a full pass. Without
+    ``previous`` the step is a full pass.
+    """
+    k0 = start_step
+    loss = problem.loss
+    times = lattice.grid.times
+    # u holds U from level base on; below level fresh, X and the shifts are
+    # the previous step's
+    if previous is None:
+        if initial is None:
+            if start_step != 0:
+                raise InvalidParameterError("initial node values required when start_step > 0")
+            initial = np.array([problem.x0])
+        u = list(integrate_forward(problem.coeffs, lattice, driver, k0, end_step, initial).values)
+        _check_initial_constraint(loss, ProcessOnLattice(lattice, k0, u[:1]), lattice)
+        shifts = np.zeros(end_step - k0 + 1)
+        x: list[np.ndarray] = []
+        base = fresh = k0
+    else:
+        same_range = (driver.start_step, driver.end_step) == (k0, end_step)
+        if driver is not previous.solution.X or not same_range:
+            raise InvalidParameterError("previous must be the step whose X is the driver")
+        base = min(previous.changed_from, end_step)
+        u = []
+        if base < end_step:
+            u = list(integrate_forward(problem.coeffs, lattice, driver, base, end_step,
+                                       previous.unreflected).values)
+        shifts = previous.shifts.copy()
+        x = list(driver.values[: base - k0 + 1])
+        fresh = base + 1
+    # the shift at start_step is zero by the checked constraint
+    root_levels = range(max(fresh, k0 + 1), end_step + 1)
+    for k in root_levels:
+        shifts[k - k0] = required_shift(
+            times[k], PathFunctional(k, u[k - base]), lattice, loss, tol
+        )
+    compensator = np.maximum.accumulate(shifts)
+    for k in range(fresh, end_step + 1):
+        x.append(u[k - base] + compensator[k - k0])
+    # no step starts from the top level: free it before the distance pass
+    del u[end_step - base :]
+    # kept levels equal the driver's; start_step stays in so that a
+    # non-finite initial value gives the distance NaN, as a full pass does
+    gaps = []
+    changed_from = end_step + 1
+    for k in (k0, *root_levels):
+        new, old = x[k - k0], driver.at(k)
+        gaps.append(float(np.max(np.abs(new - old))))
+        if changed_from > end_step and not np.array_equal(new.view(np.int64), old.view(np.int64)):
+            changed_from = k
+    solution = SkorokhodSolution(
+        X=ProcessOnLattice(lattice, k0, tuple(x)),
+        A=DeterministicPath(times[k0 : end_step + 1], compensator),
+    )
+    return PicardStepResult(
+        solution=solution,
+        distance=max(gaps),
+        changed_from=changed_from,
+        shifts=shifts,
+        unreflected=u[changed_from - base] if changed_from < end_step else None,
+    )
 
 
 class _NonContraction(Exception):
@@ -266,13 +350,6 @@ class _NonContraction(Exception):
         self.ratio = ratio
         self.distances = distances
         super().__init__(f"observed ratio {ratio}")
-
-
-def _sup_distance(a: ProcessOnLattice, b: ProcessOnLattice) -> float:
-    return max(
-        float(np.max(np.abs(a.at(k) - b.at(k))))
-        for k in range(a.start_step, a.end_step + 1)
-    )
 
 
 def _iterate_subinterval(
@@ -285,13 +362,15 @@ def _iterate_subinterval(
 ) -> tuple[PicardStepResult, SubintervalDiagnostics]:
     guess = problem.x0 if config.initial_guess is None else config.initial_guess
     driver = constant_process(lattice, guess, start_step, end_step)
+    step = None
     distances: list[float] = []
     ratios: list[float] = []
     for _ in range(config.max_iter):
         step = picard_step(
-            problem, lattice, driver, start_step, end_step, initial, tol=config.tol
+            problem, lattice, driver, start_step, end_step, initial, tol=config.tol,
+            previous=step,
         )
-        d = _sup_distance(step.solution.X, driver)
+        d = step.distance
         distances.append(d)
         if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
             ratio = d / distances[-2]

@@ -24,6 +24,7 @@ from meanreflect import (
     validate_coefficients,
     verify_mean_reflection,
 )
+from meanreflect import sde
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
@@ -251,6 +252,160 @@ class TestPicardSolve:
             SkorokhodSolution(sol.X, sol.A), loss, sol.U, lattice8
         )
         assert ver.passed
+
+
+def _reference_solve(problem, config, lattice):
+    """picard_solve written out with a full pass of picard_step on every
+    iteration and its own sup distance. Returns the pasted solution or how
+    the solve failed."""
+    n = lattice.depth
+    delta = config.delta_initial_steps or n
+    pos, offset, restarts = 0, 0.0, 0
+    a = np.zeros(n + 1)
+    x = [np.array([problem.x0])] + [None] * n
+    initial = np.array([problem.x0])
+    diags = []
+    while pos < n:
+        end = min(pos + delta, n)
+        guess = problem.x0 if config.initial_guess is None else config.initial_guess
+        driver = constant_process(lattice, guess, pos, end)
+        distances, ratios = [], []
+        for _ in range(config.max_iter):
+            step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol)
+            d = max(float(np.max(np.abs(step.solution.X.at(k) - driver.at(k))))
+                    for k in range(pos, end + 1))
+            distances.append(d)
+            if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
+                ratios.append(d / distances[-2])
+                if ratios[-1] >= config.contraction_guard:
+                    break
+            if d <= config.tol:
+                break
+            driver = step.solution.X
+        else:
+            return {"failed": "max_iter", "distances": distances}
+        if d > config.tol:
+            if delta <= config.delta_min_steps:
+                return {"failed": "contraction", "distances": distances, "ratio": ratios[-1]}
+            delta = max(config.delta_min_steps, delta // 2)
+            restarts += 1
+            continue
+        diags.append((pos, end, distances, ratios))
+        local_a = step.solution.A.values
+        a[pos : end + 1] = offset + local_a
+        for k in range(pos, end + 1):
+            x[k] = step.solution.X.at(k)
+        offset += float(local_a[-1])
+        initial = step.solution.X.at(end)
+        pos = end
+    return {"x": x, "a": a, "diags": diags, "restarts": restarts}
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+class TestLevelReuse:
+    """picard_solve reuses the levels below the first one at which its driver
+    changed; the result must equal full passes bit for bit."""
+
+    CASES = {
+        "ou_linear_sigma": ({"b": ("ou_drift", {"theta": 0.5}),
+                             "sigma": ("linear_sigma", {"a": 1.0, "b": 0.1})}, {}, {}),
+        "delta_initial_steps": ({"b": ("ou_drift", {"theta": 0.7})}, {},
+                                {"delta_initial_steps": 2}),
+        "initial_guess": ({"b": ("ou_drift", {"theta": 0.5}),
+                           "sigma": ("linear_sigma", {"a": 1.0, "b": 0.15})}, {},
+                          {"initial_guess": 2.0, "tol": 1e-12}),
+        "h_drift_smooth_sin": ({"b": ("ou_drift", {"theta": 0.5}),
+                                "h": ("ou_drift", {"theta": 0.4})},
+                               {"loss": ("smooth_sin", {"c0": 0.0, "c1": 1.0})}, {}),
+        "arctan_shift": ({"b": ("ou_drift", {"theta": 1.0})},
+                         {"loss": ("arctan_shift", {"c": 5.0}), "x0": 2.5}, {}),
+        "constant": ({}, {}, {}),
+        "restart": ({"b": ("ou_drift", {"theta": 3.0})}, {}, {"max_iter": 120}),
+        "max_iter": ({"b": ("ou_drift", {"theta": 0.5})}, {}, {"max_iter": 2}),
+        "no_contraction": ({"b": ("ou_drift", {"theta": 60.0})}, {}, {"max_iter": 200}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_picard_solve_equals_full_passes_bitwise(self, case, band, grid6, lattice6):
+        terms, problem_args, solver = self.CASES[case]
+        parts = {"b": ("zero", {}), "h": ("zero", {}), "sigma": ("constant_sigma", {})}
+        parts.update(terms)
+        made = {key: make_coefficient(name, params) for key, (name, params) in parts.items()}
+        coeffs = Coefficients(b=made["b"].fn, h=made["h"].fn, sigma=made["sigma"].fn,
+                              kappa=max(max(m.lipschitz for m in made.values()), 1e-9))
+        loss_name, loss_params = problem_args.get("loss", ("linear", {"c0": 0.0, "c1": 1.0}))
+        prob = MRSDEProblem(x0=problem_args.get("x0", 0.0), coeffs=coeffs,
+                            loss=make_loss(loss_name, loss_params), band=band, grid=grid6)
+        config = PicardConfig(**solver)
+        ref = _reference_solve(prob, config, lattice6)
+        if "failed" in ref:
+            error = SolverError if ref["failed"] == "max_iter" else NonContractionError
+            with pytest.raises(error) as info:
+                picard_solve(prob, config, lattice=lattice6)
+            if ref["failed"] == "max_iter":
+                assert str(info.value).endswith(f"last distance {ref['distances'][-1]}")
+            else:
+                assert f"observed ratio {ref['ratio']} " in str(info.value)
+                assert f"after {len(ref['distances'])} iterations" in str(info.value)
+            return
+        sol = picard_solve(prob, config, lattice=lattice6)
+        assert sol.restarts == ref["restarts"]
+        if case == "restart":
+            assert sol.restarts >= 1
+        assert _bits(sol.A.values) == _bits(ref["a"])
+        for k in range(7):
+            assert _bits(sol.X.at(k)) == _bits(ref["x"][k])
+        assert len(sol.diagnostics) == len(ref["diags"])
+        for diag, (start, end, distances, ratios) in zip(sol.diagnostics, ref["diags"]):
+            assert (diag.start_step, diag.end_step) == (start, end)
+            assert _bits(diag.distances) == _bits(distances)
+            assert _bits(diag.ratios) == _bits(ratios)
+
+    def test_binding_solve_counts_root_finds_and_euler_steps(self, band, grid6, lattice6,
+                                                             monkeypatch):
+        # iteration j recomputes levels j..6 only: 6 + 5 + ... + 1 root finds,
+        # and the confirming seventh iteration recomputes nothing
+        b = make_coefficient("ou_drift", {"theta": 0.5})
+        coeffs = Coefficients(b=b.fn, h=make_coefficient("zero").fn,
+                              sigma=make_coefficient("linear_sigma", {"a": 1.0, "b": 0.1}).fn,
+                              kappa=0.5)
+        prob = MRSDEProblem(x0=0.0, coeffs=coeffs,
+                            loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=grid6)
+        per_step = []  # [root finds, Euler steps] per picard_step call
+
+        def counted(fn, index):
+            def wrapped(*args, **kwargs):
+                per_step[-1][index] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def step(*args, **kwargs):
+            per_step.append([0, 0])
+            return real_step(*args, **kwargs)
+
+        real_step = sde.picard_step
+        monkeypatch.setattr(sde, "picard_step", step)
+        monkeypatch.setattr(sde, "required_shift", counted(sde.required_shift, 0))
+        monkeypatch.setattr(sde, "_euler_step", counted(sde._euler_step, 1))
+        sol = picard_solve(prob, lattice=lattice6)
+        assert sol.A.values[-1] > 0.0
+        assert sol.diagnostics[0].iterations == 7
+        assert [c[0] for c in per_step] == [6, 5, 4, 3, 2, 1, 0]
+        assert sum(c[0] for c in per_step) == 21
+        assert per_step[-1] == [0, 0]
+
+    def test_previous_must_be_the_step_of_the_driver(self, band, grid6, lattice6):
+        prob = MRSDEProblem(x0=0.0, coeffs=const_coeffs(sigma=1.0),
+                            loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=grid6)
+        first = picard_step(prob, lattice6, constant_process(lattice6, 0.0), 0, 6)
+        picard_step(prob, lattice6, first.solution.X, 0, 6, previous=first)
+        with pytest.raises(InvalidParameterError):
+            picard_step(prob, lattice6, constant_process(lattice6, 0.0), 0, 6, previous=first)
 
 
 class TestEstimateChecks:
