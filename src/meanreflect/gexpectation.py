@@ -6,6 +6,11 @@ backward sweep computes it: at every node, average the two sign-children
 of each volatility branch, then take the larger branch. The reduction order
 is fixed (average first, then max, children in lattice order) so identical
 inputs give bitwise-identical results.
+
+Both public sweeps run one kernel that allocates two buffers per call: the
+sign-pair sums of a level are added and halved in one, the volatility max is
+written into the other, and the next level reads it from there. The payoff's
+values are never written.
 """
 
 from __future__ import annotations
@@ -27,14 +32,25 @@ def g_function(a: float, band: VolatilityBand) -> float:
     return 0.5 * (band.sigma_high_sq * max(a, 0.0) - band.sigma_low_sq * max(-a, 0.0))
 
 
-def _reduce_one_level(values: np.ndarray) -> np.ndarray:
-    """One backward step: (4m,) child values -> (m,) parent values.
+def _sweep(values: np.ndarray, levels: int) -> np.ndarray:
+    """``levels`` backward steps, each (4m,) child values -> (m,) parent values.
 
-    Child layout per parent: [(low,+), (low,-), (high,+), (high,-)].
+    Child layout per parent: [(low,+), (low,-), (high,+), (high,-)]. A step
+    writes the sign-pair sums into one buffer, halves them there and writes
+    the volatility max into the other; both are allocated once. The last
+    step writes a fresh array, so the result owns exactly its values.
     """
-    v = values.reshape(-1, 2, 2)
-    sign_avg = 0.5 * (v[:, :, 0] + v[:, :, 1])
-    return np.maximum(sign_avg[:, 0], sign_avg[:, 1])
+    if levels == 0:
+        return values
+    sums = np.empty(values.size // 2)
+    maxima = np.empty(values.size // 4 if levels > 1 else 0)
+    for left in reversed(range(levels)):
+        pairs = sums[: values.size // 2]
+        np.add(values[0::2], values[1::2], out=pairs)
+        np.multiply(0.5, pairs, out=pairs)
+        values = np.maximum(pairs[0::2], pairs[1::2],
+                            out=maxima[: pairs.size // 2] if left else None)
+    return values
 
 
 def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
@@ -47,10 +63,7 @@ def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
 def upper_expectation(lattice: PathLattice, xi: PathFunctional) -> float:
     """Sup over adapted volatility policies of the policy expectation of xi."""
     _check_depth(lattice, xi)
-    values = xi.values
-    for _ in range(xi.depth):
-        values = _reduce_one_level(values)
-    return float(values[0])
+    return float(_sweep(xi.values, xi.depth)[0])
 
 
 def lower_expectation(lattice: PathLattice, xi: PathFunctional) -> float:
@@ -72,10 +85,7 @@ def conditional_upper_expectation(
         raise InvalidParameterError(
             f"conditional step must lie in [0, {xi.depth}], got {step}"
         )
-    values = xi.values
-    for _ in range(xi.depth - step):
-        values = _reduce_one_level(values)
-    return PathFunctional(step, values)
+    return PathFunctional(step, _sweep(xi.values, xi.depth - step))
 
 
 def _require_indicator(event: PathFunctional) -> None:

@@ -186,7 +186,10 @@ def _levels(step: np.ndarray, depth: int) -> tuple:
     """Sums of per-child increments ``step`` along every path, depths 0..depth."""
     levels = [np.zeros(1)]
     for k in range(depth):
-        levels.append((levels[k][:, None] + step[None, :]).ravel())
+        children = np.empty((4**k, 4))
+        for c in range(4):
+            np.add(levels[k], step[c], out=children[:, c])
+        levels.append(children.ravel())
     return tuple(levels)
 
 

@@ -106,8 +106,8 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
     upper = loss.C_l * dx + slack
     growth = loss.kappa_growth * (1.0 + np.abs(xs))
     growth_bound = growth + _SPOT_RTOL * (1.0 + growth)
-    for t in ts:
-        lv = loss(float(t), xs)
+    lv_by_t = np.stack([loss(float(t), xs) for t in ts])
+    for t, lv in zip(ts, lv_by_t):
         if np.any(np.diff(lv) <= 0.0):
             bad.append(f"l(t={t:.4g}, .) is not strictly increasing on the sample")
             break
@@ -122,7 +122,6 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
             bad.append(f"growth bound kappa={loss.kappa_growth} violated at t={t:.4g}")
             break
 
-    lv_by_t = np.stack([loss(float(t), xs) for t in ts])
     for i in range(len(ts)):
         gap = np.abs(lv_by_t - lv_by_t[i]).max(axis=1)
         allowed = np.array([loss.time_modulus(abs(float(t - ts[i]))) for t in ts])

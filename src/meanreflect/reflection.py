@@ -210,8 +210,11 @@ def _minimal_shift(
     result is positive; for base > 0 it is negative.
     """
 
+    shifted = np.empty_like(xi.values)
+
     def phi(x: float) -> float:
-        return expected_loss(t, PathFunctional(xi.depth, xi.values + x), lattice, loss)
+        np.add(xi.values, x, out=shifted)
+        return expected_loss(t, PathFunctional(xi.depth, shifted), lattice, loss)
 
     # the root lies in [0, -base/c_l] (or [-base/c_l, 0]), on the end when phi
     # is affine with slope c_l, as for linear losses; the pad keeps the sign

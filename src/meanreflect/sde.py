@@ -17,6 +17,14 @@ over all shifts, so every value equals that of a full pass. Since the
 equation is causal, iterate j is exact up to step j, and a solve of n steps
 from x0 typically takes n(n+1)/2 Euler steps and root finds where full passes
 take n(n+1); its confirming last iteration recomputes nothing.
+
+An Euler step writes each of the four child columns of its output in one
+pass over the nodes, never a length-4 broadcast. A Picard step reflects the
+top U level, which its own Euler steps produced and no step starts from, into
+X in place, and takes the per-level sup distances through one scratch buffer.
+Each element still sees the same operations in the same order, so the values
+are bitwise those of the plain expressions, and no array a caller passed in is
+written.
 """
 
 from __future__ import annotations
@@ -188,11 +196,12 @@ def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
     bv = _eval_coeff(coeffs.b, t, u)
     hv = _eval_coeff(coeffs.h, t, u)
     sv = _eval_coeff(coeffs.sigma, t, u)
-    children = (
-        (cur + bv * lattice.grid.dt)[:, None]
-        + hv[:, None] * lattice.step_dqv[None, :]
-        + sv[:, None] * lattice.step_db[None, :]
-    )
+    base = cur + bv * lattice.grid.dt
+    dqv, db = lattice.step_dqv, lattice.step_db
+    # one column per child: a length-4 broadcast would loop 4 wide per node
+    children = np.empty((base.size, 4))
+    for c in range(4):
+        np.add(base + hv * dqv[c], sv * db[c], out=children[:, c])
     return children.ravel()
 
 
@@ -320,16 +329,23 @@ def picard_step(
         )
     compensator = np.maximum.accumulate(shifts)
     for k in range(fresh, end_step + 1):
-        x.append(u[k - base] + compensator[k - k0])
-    # no step starts from the top level: free it before the distance pass
-    del u[end_step - base :]
+        level = u[k - base]
+        if k == end_step > base:
+            # this step's Euler made the top level and no step starts from
+            # it, so it becomes X in place; U at base is the caller's array
+            level += compensator[k - k0]
+            x.append(level)
+        else:
+            x.append(level + compensator[k - k0])
     # kept levels equal the driver's; start_step stays in so that a
     # non-finite initial value gives the distance NaN, as a full pass does
     gaps = []
     changed_from = end_step + 1
+    scratch = np.empty(x[-1].size)
     for k in (k0, *root_levels):
         new, old = x[k - k0], driver.at(k)
-        gaps.append(float(np.max(np.abs(new - old))))
+        gap = np.subtract(new, old, out=scratch[: new.size])
+        gaps.append(float(np.max(np.abs(gap, out=gap))))
         if changed_from > end_step and not np.array_equal(new.view(np.int64), old.view(np.int64)):
             changed_from = k
     solution = SkorokhodSolution(

@@ -17,6 +17,7 @@ from meanreflect import (
     upper_capacity,
     upper_expectation,
 )
+from meanreflect.gexpectation import _sweep
 from oracles import ref_enumerated_supremum, ref_upper_expectation
 
 
@@ -206,3 +207,67 @@ def test_determinism_bitwise(lattice8):
     values = rng.normal(size=4**8)
     xi = PathFunctional(8, values)
     assert upper_expectation(lattice8, xi) == upper_expectation(lattice8, xi)
+
+
+def _broadcast_sweep(values, levels):
+    """The backward sweep written out as the (m, 2, 2) broadcast it replaced."""
+    for _ in range(levels):
+        v = values.reshape(-1, 2, 2)
+        sign_avg = 0.5 * (v[:, :, 0] + v[:, :, 1])
+        values = np.maximum(sign_avg[:, 0], sign_avg[:, 1])
+    return values
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# signed zeros and ties make every max pick a side; 5e-324 halves to zero
+FINITE_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300])
+NON_FINITE = np.array([np.inf, -np.inf, np.nan, -np.nan])
+
+
+def _leaves(kind, depth, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return rng.normal(size=4**depth)
+    if kind == "edges":
+        return rng.choice(FINITE_EDGES, size=4**depth)
+    return rng.choice(np.concatenate([FINITE_EDGES, NON_FINITE]), size=4**depth)
+
+
+class TestSweepKernel:
+    """The two-buffer sweep equals the broadcast sweep byte for byte."""
+
+    @pytest.mark.parametrize("kind", ["random", "edges"])
+    @pytest.mark.parametrize("depth", range(7))
+    def test_public_sweeps_match_broadcast(self, kind, depth, lattice6):
+        values = _leaves(kind, depth, seed=depth)
+        xi = PathFunctional(depth, values)
+        assert _same_bits(upper_expectation(lattice6, xi), _broadcast_sweep(values, depth)[0])
+        for step in range(depth + 1):
+            cond = conditional_upper_expectation(lattice6, xi, step)
+            assert _same_bits(cond.values, _broadcast_sweep(values, depth - step))
+            if step < depth:
+                # the result owns its values, not a view into a scratch buffer
+                assert cond.values.base is None
+
+    @pytest.mark.parametrize("depth", range(7))
+    def test_non_finite_leaves_match_broadcast(self, depth):
+        # PathFunctional refuses these, so the kernel is called directly
+        values = _leaves("non_finite", depth, seed=100 + depth)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for levels in range(depth + 1):
+                assert _same_bits(_sweep(values, levels), _broadcast_sweep(values, levels))
+
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    def test_sweeps_leave_the_leaves_unchanged(self, depth, lattice6):
+        values = _leaves("edges", depth, seed=depth)
+        xi = PathFunctional(depth, values)
+        before = values.copy()
+        upper_expectation(lattice6, xi)
+        for step in range(depth + 1):
+            conditional_upper_expectation(lattice6, xi, step)
+        assert xi.values is values
+        assert _same_bits(values, before)

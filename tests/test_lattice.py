@@ -17,6 +17,7 @@ from meanreflect import (
     constant_process,
     lift_values,
 )
+from meanreflect.lattice import _levels
 
 
 def test_band_requires_strict_inequality():
@@ -185,3 +186,34 @@ def test_subrange_process(lattice4):
     assert proc.start_step == 2 and proc.end_step == 3
     with pytest.raises(DepthMismatchError):
         ProcessOnLattice(lattice4, 2, (np.zeros(4),))
+
+
+def _broadcast_levels(step, depth):
+    """Path sums written out as the (m, 4) broadcast that per-column writes replaced."""
+    levels = [np.zeros(1)]
+    for k in range(depth):
+        levels.append((levels[k][:, None] + step[None, :]).ravel())
+    return levels
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("step", [
+    np.random.default_rng(3).normal(size=4),
+    np.array([-0.0, 0.0, 5e-324, -5e-324]),
+    np.array([np.inf, -np.inf, np.nan, -0.0]),
+], ids=["random", "signed_zeros", "non_finite"])
+def test_levels_match_broadcast_bitwise(step):
+    with np.errstate(invalid="ignore"):  # inf - inf
+        got = _levels(step, 6)
+        expected = _broadcast_levels(step, 6)
+    for g, e in zip(got, expected, strict=True):
+        assert _same_bits(g, e)
+
+
+def test_lattice_levels_match_broadcast_bitwise(lattice8):
+    for lazy, step in ((lattice8.b, lattice8.step_db), (lattice8.qv, lattice8.step_dqv)):
+        for g, e in zip(lazy, _broadcast_levels(step, 8), strict=True):
+            assert _same_bits(g, e)

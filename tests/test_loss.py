@@ -84,3 +84,27 @@ def test_shifted_loss_keeps_slopes():
     assert np.allclose(shifted(0.3, xs), base(0.3, xs) + 0.25)
     assert shifted.c_l == base.c_l and shifted.C_l == base.C_l
     assert validate_loss(shifted).ok
+
+
+@pytest.mark.parametrize("fn,c_l,C_l,modulus,growth,violations", [
+    (lambda t, x: x - t, 1.0, 1.0, lambda d: d, 6.0, ()),
+    (lambda t, x: x, 5.0, 5.0, lambda d: 0.0, 10.0,
+     ("lower Lipschitz bound c_l=5.0 violated at t=0",)),
+    (lambda t, x: -x - 2.0 * t, 0.5, 1.5, lambda d: 0.0, 5.0,
+     ("l(t=0, .) is not strictly increasing on the sample",
+      "time modulus F violated on the sample")),
+    (lambda t, x: 2.0 * x - t, 1.9, 2.1, lambda d: 0.5 * d, 0.5,
+     ("growth bound kappa=0.5 violated at t=0", "time modulus F violated on the sample")),
+], ids=["ok", "lower", "decreasing_and_modulus", "growth_and_modulus"])
+def test_validate_loss_evaluates_each_sample_time_once(fn, c_l, C_l, modulus, growth,
+                                                       violations):
+    calls = []
+
+    def counted(t, x):
+        calls.append(t)
+        return fn(t, x)
+
+    loss = LossSpec(fn=counted, c_l=c_l, C_l=C_l, time_modulus=modulus, kappa_growth=growth)
+    assert validate_loss(loss).violations == violations
+    assert len(calls) == 50
+    assert calls == sorted(set(calls))

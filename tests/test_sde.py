@@ -7,7 +7,9 @@ from meanreflect import (
     InvalidParameterError,
     MRSDEProblem,
     NonContractionError,
+    PathFunctional,
     PicardConfig,
+    ProcessOnLattice,
     SolverError,
     TimeGrid,
     VolatilityBand,
@@ -20,6 +22,8 @@ from meanreflect import (
     integrate_sde,
     picard_solve,
     picard_step,
+    required_shift,
+    required_shift_signed,
     solve_mean_reflection_direct,
     validate_coefficients,
     verify_mean_reflection,
@@ -530,3 +534,166 @@ class TestSolutionInvariants:
         # plain average over the 4^k nodes is that same expectation
         expected = np.maximum.accumulate(np.maximum(grid.times - means, 0.0))
         assert np.max(np.abs(sol.A.values - expected)) <= 1e-9
+
+
+def _broadcast_euler_step(coeffs, lattice, t, cur, u):
+    """The Euler step written out as the (m, 4) broadcast that per-column writes
+    replaced."""
+    bv = sde._eval_coeff(coeffs.b, t, u)
+    hv = sde._eval_coeff(coeffs.h, t, u)
+    sv = sde._eval_coeff(coeffs.sigma, t, u)
+    children = (
+        (cur + bv * lattice.grid.dt)[:, None]
+        + hv[:, None] * lattice.step_dqv[None, :]
+        + sv[:, None] * lattice.step_db[None, :]
+    )
+    return children.ravel()
+
+
+EDGE_VALUES = np.array([0.0, -0.0, 1.0, -2.5, 5e-324, -5e-324, np.inf, -np.inf, np.nan])
+
+
+class TestEulerKernel:
+    """The per-column Euler step equals the broadcast step byte for byte."""
+
+    CASES = {
+        "random": Coefficients(b=lambda t, x: 0.7 * (t - x), h=lambda t, x: np.sin(x),
+                               sigma=lambda t, x: np.minimum(1.0 + 0.1 * np.abs(x), 2.0),
+                               kappa=1.0),
+        # the coefficients pass the edge values of u through to the products
+        "edges": Coefficients(b=lambda t, x: x, h=lambda t, x: -x, sigma=lambda t, x: x[::-1],
+                              kappa=1.0),
+        # scalar results take the fill path of _eval_coeff
+        "scalar": Coefficients(b=lambda t, x: -0.0, h=lambda t, x: np.float64(np.inf),
+                               sigma=lambda t, x: 1.5, kappa=1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("depth", range(5))
+    def test_euler_step_matches_broadcast(self, case, depth, lattice6):
+        rng = np.random.default_rng(depth)
+        if case == "random":
+            cur, u = rng.normal(size=(2, 4**depth))
+        else:
+            cur, u = rng.choice(EDGE_VALUES, size=(2, 4**depth))
+        coeffs = self.CASES[case]
+        with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
+            got = sde._euler_step(coeffs, lattice6, 0.25, cur, u)
+            expected = _broadcast_euler_step(coeffs, lattice6, 0.25, cur, u)
+        assert _bits(got) == _bits(expected)
+
+    def test_integrate_sde_matches_broadcast(self, lattice6):
+        coeffs = self.CASES["random"]
+        cur = np.array([0.3])
+        expected = [cur]
+        for k in range(6):
+            t = float(lattice6.grid.times[k])
+            cur = _broadcast_euler_step(coeffs, lattice6, t, cur, cur)
+            expected.append(cur)
+        got = integrate_sde(coeffs, lattice6, 0.3)
+        assert [_bits(v) for v in got.values] == [_bits(v) for v in expected]
+
+
+def _guarded(fn, arrays_of, seen):
+    """Wrap fn so that every call checks the arrays ``arrays_of(*args, **kwargs)``
+    names are bit for bit the same after the call as before it."""
+
+    def wrapped(*args, **kwargs):
+        arrays = [a for a in arrays_of(*args, **kwargs) if a is not None]
+        before = [a.copy() for a in arrays]
+        result = fn(*args, **kwargs)
+        for a, b in zip(arrays, before):
+            assert _bits(a) == _bits(b), f"{fn.__name__} wrote to one of its inputs"
+        seen.append(len(arrays))
+        return result
+
+    return wrapped
+
+
+def _step_inputs(problem, lattice, driver, start_step, end_step, initial=None, tol=1e-10,
+                 previous=None):
+    arrays = [initial, *driver.values]
+    if previous is not None:
+        arrays += [*previous.solution.X.values, previous.unreflected]
+    return arrays
+
+
+def _forward_inputs(coeffs, lattice, driver, start_step, end_step, initial):
+    return [initial, *driver.values]
+
+
+class TestInputsUnchanged:
+    """The top level is reflected in place and the distance and root finds go
+    through scratch buffers; none of them may write to an array a caller
+    passed in. Signed zeros make even an added 0.0 show."""
+
+    @staticmethod
+    def _problem(band, grid6):
+        coeffs = Coefficients(b=make_coefficient("ou_drift", {"theta": 0.5}).fn,
+                              h=make_coefficient("zero").fn,
+                              sigma=make_coefficient("linear_sigma", {"a": 1.0, "b": 0.1}).fn,
+                              kappa=0.5)
+        return MRSDEProblem(x0=-0.0, coeffs=coeffs, loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=grid6)
+
+    @staticmethod
+    def _initial(start_step):
+        # E[l(t, initial)] stays above the binding barrier t at start_step <= 3
+        return np.resize(np.array([-0.0, 2.0, 3.0, -0.0]), 4**start_step)
+
+    @staticmethod
+    def _driver(lattice, start_step, end_step):
+        rng = np.random.default_rng(start_step)
+        levels = tuple(rng.choice(np.array([-0.0, 0.5, 1.0]), size=4**k)
+                       for k in range(start_step, end_step + 1))
+        return ProcessOnLattice(lattice, start_step, levels)
+
+    def test_integrate_forward(self, band, grid6, lattice6):
+        seen = []
+        guarded = _guarded(integrate_forward, _forward_inputs, seen)
+        prob = self._problem(band, grid6)
+        guarded(prob.coeffs, lattice6, self._driver(lattice6, 2, 5), 2, 5, self._initial(2))
+        guarded(prob.coeffs, lattice6, self._driver(lattice6, 3, 3), 3, 3, self._initial(3))
+        assert seen == [5, 2]
+
+    @pytest.mark.parametrize("start_step,end_step", [(0, 6), (2, 5), (3, 3)])
+    def test_picard_step_full_and_previous_passes(self, band, grid6, lattice6,
+                                                  start_step, end_step):
+        seen = []
+        guarded = _guarded(picard_step, _step_inputs, seen)
+        prob = self._problem(band, grid6)
+        initial = self._initial(start_step)
+        driver = self._driver(lattice6, start_step, end_step)
+        step = None
+        for _ in range(4):
+            step = guarded(prob, lattice6, driver, start_step, end_step, initial, previous=step)
+            driver = step.solution.X
+        assert len(seen) == 4
+        if start_step < end_step:
+            # some pass started from an unreflected level of the one before
+            assert max(seen) == 1 + 2 * (end_step - start_step + 1) + 1
+
+    def test_picard_solve(self, band, grid6, lattice6, monkeypatch):
+        seen_steps, seen_forward = [], []
+        monkeypatch.setattr(sde, "picard_step",
+                            _guarded(sde.picard_step, _step_inputs, seen_steps))
+        monkeypatch.setattr(sde, "integrate_forward",
+                            _guarded(sde.integrate_forward, _forward_inputs, seen_forward))
+        prob = self._problem(band, grid6)
+        for config in (PicardConfig(), PicardConfig(delta_initial_steps=2)):
+            seen_steps.clear()
+            sol = picard_solve(prob, config, lattice=lattice6)
+            assert sol.A.values[-1] > 0.0
+            assert len(seen_steps) == sum(d.iterations for d in sol.diagnostics)
+        assert seen_forward
+
+    def test_root_finds_leave_the_functional_unchanged(self, band, grid6, lattice6):
+        loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+        values = np.resize(np.array([-0.0, 0.25, -1.0, 0.0]), 4**4)
+        before = values.copy()
+        xi = PathFunctional(4, values)
+        assert required_shift(0.5, xi, lattice6, loss) > 0.0
+        assert required_shift_signed(0.5, xi, lattice6, loss) > 0.0
+        assert required_shift_signed(0.0, xi, lattice6, loss) < 0.0
+        assert xi.values is values
+        assert _bits(values) == _bits(before)
