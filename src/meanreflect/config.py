@@ -24,13 +24,13 @@ import numpy as np
 from .errors import ConfigError, InvalidParameterError
 from .lattice import DEFAULT_ENUMERATION_CAP, TimeGrid, VolatilityBand
 from .loss import LossSpec
-from .registry import Payoff, finite_float, make_coefficient, make_loss, make_payoff
+from .registry import (
+    LOSSES, Payoff, accepted_params, finite_float, make_coefficient, make_loss, make_payoff,
+)
 from .sde import Coefficients, PicardConfig
 
 MODES = ("full_sde", "sp_only", "gexp_probe")
 
-# loss families whose growth constant depends on the horizon
-_HORIZON_AWARE_LOSSES = {"linear", "smooth_sin"}
 # LossConfig fields that, when set, replace the loss's declared constants
 _LOSS_OVERRIDES = ("c_l", "C_l", "kappa_growth")
 
@@ -106,7 +106,7 @@ class ExperimentConfig:
     def loss_spec(self) -> LossSpec:
         cfg = self.problem.loss
         params = dict(cfg.params)
-        if cfg.name in _HORIZON_AWARE_LOSSES and "horizon" not in params:
+        if "horizon" in accepted_params(LOSSES, cfg.name) and "horizon" not in params:
             params["horizon"] = self.problem.horizon
         overrides = {
             key: getattr(cfg, key)

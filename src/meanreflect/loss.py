@@ -72,6 +72,8 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class LossValidationReport:
+    """Violations found by ``validate_loss`` or ``sde.validate_coefficients``."""
+
     violations: tuple[str, ...] = field(default_factory=tuple)
 
     @property

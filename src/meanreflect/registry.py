@@ -1,12 +1,18 @@
 """Named coefficient, loss and payoff families for the experiment harness.
 
-Each factory takes a parameter dict (missing entries fall back to documented
-defaults) and returns a ready object together with the constants the solvers
-need. Unknown parameter keys are rejected so typos fail loudly.
+Each family is one factory in its table (``COEFFICIENTS``, ``LOSSES`` or
+``PAYOFFS``): its keyword parameters, every one with a default, are the
+parameters a config may set. ``_make`` reads them from the signature, rejects
+unknown keys so typos fail loudly, passes each value as a finite float and
+names the object after its table key. To add a family, write a factory that
+returns a ``CoefficientTerm``, ``LossSpec`` or ``Payoff`` and list it under
+its name in the table; ``meanreflect list`` and the config parser pick it up.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -21,9 +27,9 @@ from .loss import LossSpec
 class CoefficientTerm:
     """One named coefficient: the callable plus its Lipschitz constant in x."""
 
-    name: str
     fn: Callable[[float, np.ndarray], np.ndarray]
     lipschitz: float
+    name: str = ""
 
 
 def finite_float(value) -> float | None:
@@ -39,63 +45,31 @@ def finite_float(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _take(params: dict, defaults: dict, kind: str, name: str) -> dict[str, float]:
-    """Defaults overridden by ``params``, every value a finite float."""
-    params = dict(params or {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigError(
-            f"{kind} '{name}' got unknown parameter(s) {sorted(unknown)}; "
-            f"accepted: {sorted(defaults)}"
-        )
-    merged = dict(defaults)
-    merged.update(params)
-    for key, value in merged.items():
-        number = finite_float(value)
-        if number is None:
-            raise ConfigError(
-                f"{kind} '{name}' parameter '{key}' must be a finite number, got {value!r}"
-            )
-        merged[key] = number
-    return merged
+def _coeff_zero() -> CoefficientTerm:
+    return CoefficientTerm(lambda t, x: np.zeros_like(x), 0.0)
 
 
-def _coeff_zero(params: dict) -> CoefficientTerm:
-    _take(params, {}, "coefficient", "zero")
-    return CoefficientTerm("zero", lambda t, x: np.zeros_like(x), 0.0)
+def _coeff_constant_drift(c=1.0) -> CoefficientTerm:
+    return CoefficientTerm(lambda t, x: np.full_like(x, c), 0.0)
 
 
-def _coeff_constant_drift(params: dict) -> CoefficientTerm:
-    p = _take(params, {"c": 1.0}, "coefficient", "constant_drift")
-    c = p["c"]
-    return CoefficientTerm("constant_drift", lambda t, x: np.full_like(x, c), 0.0)
+def _coeff_ou_drift(theta=1.0, mu=0.0) -> CoefficientTerm:
+    return CoefficientTerm(lambda t, x: theta * (mu - x), abs(theta))
 
 
-def _coeff_ou_drift(params: dict) -> CoefficientTerm:
-    p = _take(params, {"theta": 1.0, "mu": 0.0}, "coefficient", "ou_drift")
-    theta, mu = p["theta"], p["mu"]
-    return CoefficientTerm("ou_drift", lambda t, x: theta * (mu - x), abs(theta))
+def _coeff_constant_sigma(a=1.0) -> CoefficientTerm:
+    return CoefficientTerm(lambda t, x: np.full_like(x, a), 0.0)
 
 
-def _coeff_constant_sigma(params: dict) -> CoefficientTerm:
-    p = _take(params, {"a": 1.0}, "coefficient", "constant_sigma")
-    a = p["a"]
-    return CoefficientTerm("constant_sigma", lambda t, x: np.full_like(x, a), 0.0)
-
-
-def _coeff_linear_sigma(params: dict) -> CoefficientTerm:
-    p = _take(params, {"a": 1.0, "b": 0.1, "cap": 2.0}, "coefficient", "linear_sigma")
-    a, b, cap = p["a"], p["b"], p["cap"]
+def _coeff_linear_sigma(a=1.0, b=0.1, cap=2.0) -> CoefficientTerm:
     if b < 0.0 or cap < a:
-        raise ConfigError(f"linear_sigma needs b >= 0 and cap >= a, got {p}")
-    return CoefficientTerm(
-        "linear_sigma",
-        lambda t, x: np.minimum(a + b * np.abs(x), cap),
-        b,
-    )
+        raise ConfigError(
+            f"linear_sigma needs b >= 0 and cap >= a, got {dict(a=a, b=b, cap=cap)}"
+        )
+    return CoefficientTerm(lambda t, x: np.minimum(a + b * np.abs(x), cap), b)
 
 
-COEFFICIENTS: dict[str, Callable[[dict], CoefficientTerm]] = {
+COEFFICIENTS: dict[str, Callable[..., CoefficientTerm]] = {
     "zero": _coeff_zero,
     "constant_drift": _coeff_constant_drift,
     "ou_drift": _coeff_ou_drift,
@@ -104,10 +78,8 @@ COEFFICIENTS: dict[str, Callable[[dict], CoefficientTerm]] = {
 }
 
 
-def _loss_linear(params: dict) -> LossSpec:
+def _loss_linear(c0=0.0, c1=1.0, horizon=1.0) -> LossSpec:
     # l(t, x) = x - (c0 + c1 t)
-    p = _take(params, {"c0": 0.0, "c1": 1.0, "horizon": 1.0}, "loss", "linear")
-    c0, c1, horizon = p["c0"], p["c1"], p["horizon"]
     c_max = abs(c0) + abs(c1) * horizon
     return LossSpec(
         fn=lambda t, x: x - (c0 + c1 * t),
@@ -116,15 +88,12 @@ def _loss_linear(params: dict) -> LossSpec:
         time_modulus=lambda d: abs(c1) * d,
         kappa_growth=max(1.0, c_max),
         smooth=True,
-        name="linear",
         t_box=horizon,
     )
 
 
-def _loss_arctan_shift(params: dict) -> LossSpec:
+def _loss_arctan_shift(c=5.0) -> LossSpec:
     # l(t, x) = 2x + arctan(x) - c; slope in [2, 3]
-    p = _take(params, {"c": 5.0}, "loss", "arctan_shift")
-    c = p["c"]
     return LossSpec(
         fn=lambda t, x: 2.0 * x + np.arctan(x) - c,
         c_l=2.0,
@@ -132,14 +101,11 @@ def _loss_arctan_shift(params: dict) -> LossSpec:
         time_modulus=lambda d: 0.0,
         kappa_growth=max(3.0, math.pi / 2.0 + abs(c)),
         smooth=True,
-        name="arctan_shift",
     )
 
 
-def _loss_smooth_sin(params: dict) -> LossSpec:
+def _loss_smooth_sin(c0=0.0, c1=1.0, horizon=1.0) -> LossSpec:
     # l(t, x) = x + 0.1 sin(x) - (c0 + c1 t); slope in [0.9, 1.1]
-    p = _take(params, {"c0": 0.0, "c1": 1.0, "horizon": 1.0}, "loss", "smooth_sin")
-    c0, c1, horizon = p["c0"], p["c1"], p["horizon"]
     c_max = abs(c0) + abs(c1) * horizon
     return LossSpec(
         fn=lambda t, x: x + 0.1 * np.sin(x) - (c0 + c1 * t),
@@ -148,12 +114,11 @@ def _loss_smooth_sin(params: dict) -> LossSpec:
         time_modulus=lambda d: abs(c1) * d,
         kappa_growth=max(1.1, 0.1 + c_max),
         smooth=True,
-        name="smooth_sin",
         t_box=horizon,
     )
 
 
-LOSSES: dict[str, Callable[[dict], LossSpec]] = {
+LOSSES: dict[str, Callable[..., LossSpec]] = {
     "linear": _loss_linear,
     "arctan_shift": _loss_arctan_shift,
     "smooth_sin": _loss_smooth_sin,
@@ -164,37 +129,31 @@ LOSSES: dict[str, Callable[[dict], LossSpec]] = {
 class Payoff:
     """Terminal payoff of the canonical path for probe mode."""
 
-    name: str
     fn: Callable[[np.ndarray], np.ndarray]
+    name: str = ""
 
 
-def _payoff_identity(params: dict) -> Payoff:
-    _take(params, {}, "payoff", "identity")
-    return Payoff("identity", lambda x: x)
+def _payoff_identity() -> Payoff:
+    return Payoff(lambda x: x)
 
 
-def _payoff_square(params: dict) -> Payoff:
-    _take(params, {}, "payoff", "square")
-    return Payoff("square", lambda x: x**2)
+def _payoff_square() -> Payoff:
+    return Payoff(lambda x: x**2)
 
 
-def _payoff_neg_square(params: dict) -> Payoff:
-    _take(params, {}, "payoff", "neg_square")
-    return Payoff("neg_square", lambda x: -(x**2))
+def _payoff_neg_square() -> Payoff:
+    return Payoff(lambda x: -(x**2))
 
 
-def _payoff_abs(params: dict) -> Payoff:
-    _take(params, {}, "payoff", "abs")
-    return Payoff("abs", lambda x: np.abs(x))
+def _payoff_abs() -> Payoff:
+    return Payoff(lambda x: np.abs(x))
 
 
-def _payoff_call(params: dict) -> Payoff:
-    p = _take(params, {"strike": 0.0}, "payoff", "call")
-    strike = p["strike"]
-    return Payoff("call", lambda x: np.maximum(x - strike, 0.0))
+def _payoff_call(strike=0.0) -> Payoff:
+    return Payoff(lambda x: np.maximum(x - strike, 0.0))
 
 
-PAYOFFS: dict[str, Callable[[dict], Payoff]] = {
+PAYOFFS: dict[str, Callable[..., Payoff]] = {
     "identity": _payoff_identity,
     "square": _payoff_square,
     "neg_square": _payoff_neg_square,
@@ -204,17 +163,42 @@ PAYOFFS: dict[str, Callable[[dict], Payoff]] = {
 
 
 # the tables by plural kind, in the order `meanreflect list` prints them
-REGISTRIES: dict[str, dict[str, Callable[[dict], object]]] = {
+REGISTRIES: dict[str, dict[str, Callable[..., object]]] = {
     "coefficients": COEFFICIENTS,
     "losses": LOSSES,
     "payoffs": PAYOFFS,
 }
 
 
+def accepted_params(table: dict, name: str) -> dict[str, float]:
+    """The parameters family ``name`` of ``table`` accepts, with their
+    defaults; empty for a name the table does not hold."""
+    if name not in table:
+        return {}
+    return {p.name: p.default for p in inspect.signature(table[name]).parameters.values()}
+
+
 def _make(table: dict, kind: str, name: str, params: dict | None):
+    """Family ``name`` of ``table`` built from its defaults overridden by
+    ``params``, every value a finite float, and named ``name``."""
     if name not in table:
         raise ConfigError(f"unknown {kind} '{name}'; available: {', '.join(sorted(table))}")
-    return table[name](params or {})
+    accepted = accepted_params(table, name)
+    unknown = set(params or {}) - set(accepted)
+    if unknown:
+        raise ConfigError(
+            f"{kind} '{name}' got unknown parameter(s) {sorted(unknown)}; "
+            f"accepted: {sorted(accepted)}"
+        )
+    kwargs = {**accepted, **(params or {})}
+    for key, value in kwargs.items():
+        number = finite_float(value)
+        if number is None:
+            raise ConfigError(
+                f"{kind} '{name}' parameter '{key}' must be a finite number, got {value!r}"
+            )
+        kwargs[key] = number
+    return dataclasses.replace(table[name](**kwargs), name=name)
 
 
 def make_coefficient(name: str, params: dict | None = None) -> CoefficientTerm:

@@ -5,8 +5,8 @@ byte-identical files. Floats are serialized with their shortest round-trip
 representation and the report carries the config hash for provenance.
 
 Exit-code contract: 0 all checks pass, 1 a check failed, 2 configuration
-error (raised before running, or an output path that cannot be written),
-3 solver failure (recorded in the report).
+error (raised before running, including a CSV and report on one path, or an
+output path that cannot be written), 3 solver failure in any mode (recorded in the report).
 """
 
 from __future__ import annotations
@@ -168,37 +168,37 @@ def run_experiment(
     csv_text: str | None = None
     exit_code = EXIT_PASS
 
+    if write_csv:
+        targets = {os.path.abspath(_resolve_path(configured, output_dir))
+                   for configured in (config.outputs.csv, config.outputs.report)}
+        if len(targets) == 1:
+            raise ConfigError(f"outputs.report: {targets.pop()} is also the outputs.csv path")
+
     lattice = build_lattice(config.band(), config.grid())
 
-    solver_error: str | None = None
-    if config.mode == "gexp_probe":
-        payoff = config.payoff()
-        value = upper_expectation(lattice, lattice.functional_from_terminal(payoff.fn))
-        finite = bool(np.isfinite(value))
-        checks.append(CheckResult("value_finite", float(finite), 1.0, finite))
-        csv_text = f"payoff,value\n{payoff.name},{_fmt(value)}\n"
-        diagnostics["payoff"] = payoff.name
-        diagnostics["value"] = value
-    else:
-        loss = config.loss_spec()
-        coeffs = config.coefficients()
-        loss_report = validate_loss(loss)
-        coeff_report = validate_coefficients(
-            coeffs, t_max=config.problem.horizon, x_box=loss.x_box
-        )
-        checks.append(CheckResult("loss_spotcheck_violations",
-                                  float(len(loss_report.violations)), 0.0,
-                                  loss_report.ok))
-        checks.append(CheckResult("coefficient_lipschitz_violations",
-                                  float(len(coeff_report.violations)), 0.0,
-                                  coeff_report.ok))
-        if loss_report.violations:
-            diagnostics["loss_spotcheck"] = list(loss_report.violations)
-        if coeff_report.violations:
-            diagnostics["coefficient_spotcheck"] = list(coeff_report.violations)
+    try:
+        if config.mode == "gexp_probe":
+            payoff = config.payoff()
+            value = upper_expectation(lattice, lattice.functional_from_terminal(payoff.fn))
+            finite = bool(np.isfinite(value))
+            checks.append(CheckResult("value_finite", float(finite), 1.0, finite))
+            csv_text = f"payoff,value\n{payoff.name},{_fmt(value)}\n"
+            diagnostics["payoff"] = payoff.name
+            diagnostics["value"] = value
+        else:
+            loss = config.loss_spec()
+            coeffs = config.coefficients()
+            spot_checks = [
+                ("loss_spotcheck_violations", "loss_spotcheck", validate_loss(loss)),
+                ("coefficient_lipschitz_violations", "coefficient_spotcheck",
+                 validate_coefficients(coeffs, t_max=config.problem.horizon, x_box=loss.x_box)),
+            ]
+            for check, key, spot in spot_checks:
+                checks.append(CheckResult(check, float(len(spot.violations)), 0.0, spot.ok))
+                if spot.violations:
+                    diagnostics[key] = list(spot.violations)
 
-        if loss_report.ok and coeff_report.ok:
-            try:
+            if all(spot.ok for *_, spot in spot_checks):
                 if config.mode == "sp_only":
                     driver = integrate_sde(coeffs, lattice, config.problem.x0)
                     solution = solve_mean_reflection_direct(
@@ -236,14 +236,13 @@ def run_experiment(
                 checks.extend(_verification_checks(verification, solution.A.values))
                 csv_text = _solution_csv(lattice, solution, verification.expected_losses,
                                          config.problem.p)
-            except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:
-                solver_error = f"{type(exc).__name__}: {exc}"
-                diagnostics["solver_error"] = solver_error
-                exit_code = EXIT_SOLVER_FAILURE
-        else:
-            diagnostics["solve_skipped"] = "validation checks failed"
+            else:
+                diagnostics["solve_skipped"] = "validation checks failed"
+    except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:
+        diagnostics["solver_error"] = f"{type(exc).__name__}: {exc}"
+        exit_code = EXIT_SOLVER_FAILURE
 
-    overall = bool(all(c.passed for c in checks)) and solver_error is None
+    overall = bool(all(c.passed for c in checks)) and exit_code == EXIT_PASS
     if exit_code == EXIT_PASS and not overall:
         exit_code = EXIT_CHECK_FAILED
 

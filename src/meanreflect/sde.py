@@ -36,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
     NonContractionError,
@@ -51,15 +52,13 @@ from .lattice import (
     build_lattice,
     constant_process,
 )
-from .loss import LossSpec
+from .loss import _SPOT_RTOL, LossSpec, LossValidationReport
 from .reflection import (
     DeterministicPath,
     SkorokhodSolution,
     _check_initial_constraint,
     required_shift,
 )
-
-_LIPSCHITZ_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,27 +83,18 @@ def _eval_coeff(fn: Callable, t: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientValidationReport:
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def validate_coefficients(
     coeffs: Coefficients,
     t_max: float = 1.0,
     x_box: tuple[float, float] = (-5.0, 5.0),
-) -> CoefficientValidationReport:
+) -> LossValidationReport:
     """Spot-check |f(t,x) - f(t,x')| <= kappa |x - x'| for each coefficient
     on a 20 x 80 grid of (t, x)."""
     bad: list[str] = []
     ts = np.linspace(0.0, t_max, 20)
     xs = np.linspace(x_box[0], x_box[1], 80)
     dx = np.abs(xs[:, None] - xs[None, :])
-    allowed = coeffs.kappa * dx + _LIPSCHITZ_RTOL * (1.0 + dx)
+    allowed = coeffs.kappa * dx + _SPOT_RTOL * (1.0 + dx)
     for label, fn in (("b", coeffs.b), ("h", coeffs.h), ("sigma", coeffs.sigma)):
         for t in ts:
             v = _eval_coeff(fn, float(t), xs)
@@ -114,7 +104,7 @@ def validate_coefficients(
                     f"at t={t:.4g}"
                 )
                 break
-    return CoefficientValidationReport(violations=tuple(bad))
+    return LossValidationReport(violations=tuple(bad))
 
 
 @dataclass(frozen=True)
@@ -424,6 +414,8 @@ def picard_solve(
     config = config or PicardConfig()
     if lattice is None:
         lattice = build_lattice(problem.band, problem.grid)
+    elif (lattice.band, lattice.grid) != (problem.band, problem.grid):
+        raise GridMismatchError("the lattice must have the problem's band and grid")
     n = problem.grid.n_steps
     if n < 1:
         raise InvalidParameterError("picard_solve needs at least one time step")

@@ -167,14 +167,30 @@ def test_exit_code_3_on_solver_failure(tmp_path):
     assert "solver_error" in report["diagnostics"]
 
 
+LIST_STDOUT = """\
+coefficients:
+  constant_drift
+  constant_sigma
+  linear_sigma
+  ou_drift
+  zero
+losses:
+  arctan_shift
+  linear
+  smooth_sin
+payoffs:
+  abs
+  call
+  identity
+  neg_square
+  square
+"""
+
+
 def test_list_command(tmp_path):
     proc = run_cli(["list"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "linear" in proc.stdout
-    assert "coefficients:" in proc.stdout
-    losses_block = proc.stdout.split("losses:")[1].split("payoffs:")[0]
-    names = [line.strip() for line in losses_block.strip().splitlines()]
-    assert names == sorted(names)
+    assert proc.stdout == LIST_STDOUT
 
 
 @pytest.mark.parametrize("where, key, value, code", [
@@ -229,6 +245,57 @@ def test_csv_overflow_names_column_and_time(tmp_path, capsys):
     assert "E_absX_p" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("payoff", ["square", "neg_square"])
+@pytest.mark.parametrize("command", ["run", "verify", "probe"])
+def test_probe_overflow_is_solver_failure(tmp_path, capsys, command, payoff):
+    payload = {"mode": "gexp_probe",
+               "problem": {"n_steps": 4, "sigma_low_sq": 1.0, "sigma_high_sq": 1.7e308,
+                           "payoff": {"name": payoff}}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main([command, str(cfg), "--output-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostics"]["solver_error"] == (
+        "InvalidParameterError: functional values must be finite"
+    )
+    assert report["overall_pass"] is False
+    assert not (out / "trace.csv").exists()
+    assert "solver error: InvalidParameterError" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("csv, report, output_dir", [
+    ("a/same.json", "b/same.json", True),
+    ("same.json", "same.json", False),
+    ("same.json", "./sub/../same.json", False),
+], ids=["output_dir", "equal", "normalised"])
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_csv_and_report_on_one_path_is_config_error(tmp_path, monkeypatch, capsys,
+                                                    command, csv, report, output_dir):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"].update(n_steps=4, payoff={"name": "square"})
+    payload["outputs"] = {"csv": csv, "report": report}
+    cfg = write_config(tmp_path, payload)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = [command, str(cfg)] + (["--output-dir", str(work / "out")] if output_dir else [])
+    assert cli.main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: outputs.report: ")
+    assert "is also the outputs.csv path" in err
+    assert list(work.iterdir()) == []
+
+
+def test_verify_may_put_report_on_the_csv_path(tmp_path, monkeypatch):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"]["n_steps"] = 4
+    payload["outputs"] = {"csv": "same.json", "report": "same.json"}
+    cfg = write_config(tmp_path, payload)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", str(cfg)]) == 0
+    assert json.loads((tmp_path / "same.json").read_text())["overall_pass"] is True
+
+
 # every section and field set, so each field path can be mutated
 FUZZ_BASE = {
     "mode": "full_sde",
@@ -269,9 +336,10 @@ FUZZ_VALUES = st.one_of(
 )
 
 
+@pytest.mark.parametrize("command", ["run", "verify", "probe"])
 @settings(max_examples=100, deadline=None)
 @given(path=st.sampled_from(FUZZ_PATHS), value=FUZZ_VALUES)
-def test_mutated_config_maps_to_exit_code(path, value):
+def test_mutated_config_maps_to_exit_code(command, path, value):
     payload = copy.deepcopy(FUZZ_BASE)
     *parents, key = path
     section = payload
@@ -280,5 +348,5 @@ def test_mutated_config_maps_to_exit_code(path, value):
     section[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), payload)
-        code = cli.main(["run", str(cfg), "--output-dir", str(Path(tmp) / "out")])
+        code = cli.main([command, str(cfg), "--output-dir", str(Path(tmp) / "out")])
     assert code in {0, 1, 2, 3}

@@ -117,6 +117,17 @@ def test_horizon_propagates_to_loss_growth():
     assert spec.kappa_growth >= 1.0
 
 
+@pytest.mark.parametrize("loss, t_box", [
+    ({"name": "linear"}, 2.5),
+    ({"name": "smooth_sin"}, 2.5),
+    ({"name": "smooth_sin", "params": {"horizon": 1.5}}, 1.5),
+    ({"name": "arctan_shift", "params": {"c": 0.0}}, 1.0),
+], ids=["linear", "smooth_sin", "explicit", "arctan_shift"])
+def test_problem_horizon_reaches_losses_with_a_horizon_parameter(loss, t_box):
+    config = config_from_dict({"problem": {"horizon": 2.5, "loss": loss}})
+    assert config.loss_spec().t_box == t_box
+
+
 def test_mode_must_be_known():
     with pytest.raises(ConfigError, match="mode"):
         config_from_dict({"mode": "banana"})

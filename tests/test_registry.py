@@ -3,7 +3,68 @@ import pytest
 
 from meanreflect import make_coefficient, make_loss, make_payoff, registry_list
 from meanreflect.errors import ConfigError
-from meanreflect.registry import COEFFICIENTS, LOSSES, PAYOFFS
+from meanreflect.registry import COEFFICIENTS, LOSSES, PAYOFFS, accepted_params
+
+# every family with its parameters spelled out at their default values
+DEFAULTS = {
+    "coefficient": (make_coefficient, COEFFICIENTS, {
+        "zero": {},
+        "constant_drift": {"c": 1.0},
+        "ou_drift": {"theta": 1.0, "mu": 0.0},
+        "constant_sigma": {"a": 1.0},
+        "linear_sigma": {"a": 1.0, "b": 0.1, "cap": 2.0},
+    }),
+    "loss": (make_loss, LOSSES, {
+        "linear": {"c0": 0.0, "c1": 1.0, "horizon": 1.0},
+        "arctan_shift": {"c": 5.0},
+        "smooth_sin": {"c0": 0.0, "c1": 1.0, "horizon": 1.0},
+    }),
+    "payoff": (make_payoff, PAYOFFS, {
+        "identity": {},
+        "square": {},
+        "neg_square": {},
+        "abs": {},
+        "call": {"strike": 0.0},
+    }),
+}
+FAMILIES = [(kind, name) for kind, (_, _, families) in DEFAULTS.items() for name in families]
+XS = np.linspace(-6.0, 6.0, 49)
+TS = np.linspace(0.0, 2.0, 5)
+
+
+def _observed(kind, made):
+    """What a family's object does on a grid, with its declared constants."""
+    if kind == "payoff":
+        return made.name, made.fn(XS).tolist()
+    values = [made.fn(float(t), XS).tolist() for t in TS]
+    if kind == "coefficient":
+        return made.name, values, made.lipschitz
+    constants = (made.c_l, made.C_l, made.kappa_growth, made.smooth, made.x_box, made.t_box)
+    return made.name, values, constants, [made.time_modulus(float(d)) for d in TS]
+
+
+def test_every_family_is_pinned():
+    for _, table, families in DEFAULTS.values():
+        assert list(table) == list(families)
+
+
+@pytest.mark.parametrize("kind, name", FAMILIES)
+def test_accepted_parameters_are_pinned(kind, name):
+    make, table, families = DEFAULTS[kind]
+    with pytest.raises(ConfigError) as info:
+        make(name, {"zz_unknown": 1.0})
+    assert str(info.value) == (
+        f"{kind} '{name}' got unknown parameter(s) ['zz_unknown']; "
+        f"accepted: {sorted(families[name])}"
+    )
+    assert accepted_params(table, name) == families[name]
+
+
+@pytest.mark.parametrize("kind, name", FAMILIES)
+def test_defaults_equal_explicit_parameters(kind, name):
+    make, _, families = DEFAULTS[kind]
+    assert _observed(kind, make(name)) == _observed(kind, make(name, families[name]))
+    assert make(name).name == name
 
 
 def test_list_contains_required_names():

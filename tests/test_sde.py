@@ -3,6 +3,7 @@ import pytest
 
 from meanreflect import (
     Coefficients,
+    GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
     MRSDEProblem,
@@ -187,6 +188,18 @@ class TestPicardSolve:
         sol = picard_solve(prob, lattice=lattice6)
         for k in range(7):
             assert np.allclose(sol.X.at(k), sol.U.at(k) + sol.A.values[k], atol=1e-14)
+
+    @pytest.mark.parametrize("band_sq, horizon", [((1.0, 4.0), 2.0), ((1.0, 2.0), 1.0)],
+                             ids=["grid", "band"])
+    def test_lattice_must_match_problem(self, band, band_sq, horizon):
+        # a lattice on TimeGrid(2, 4) would step with dt 0.5 while A takes
+        # its times from the problem's TimeGrid(1, 4)
+        prob = MRSDEProblem(x0=0.0, coeffs=const_coeffs(sigma=1.0),
+                            loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=TimeGrid(1.0, 4))
+        lattice = build_lattice(VolatilityBand(*band_sq), TimeGrid(horizon, 4))
+        with pytest.raises(GridMismatchError, match="band and grid"):
+            picard_solve(prob, lattice=lattice)
 
     def test_two_initial_guesses_agree(self, band, grid6, lattice6):
         b = make_coefficient("ou_drift", {"theta": 0.5})
