@@ -14,11 +14,18 @@ only ``+ - *`` and ``max``, so its bytes are portable), and the value of one
 ``nested_expectation_pde``, compared at 1e-12 relative because its
 ``np.interp`` may be compiled with fused multiply-add on some CPUs.
 
-A change that moves outputs on purpose regenerates the file with
+Every config with ``n_steps`` at most 8 fits in one leaf block of the
+blocked kernels; ``full_sde_ou_linear_sigma_n10`` and
+``sp_only_smooth_sin_n9`` run the multi-block paths of the sweep, the loss
+evaluation and the Euler step.
 
-    PYTHONPATH=src python tests/test_golden.py
+A change that moves outputs on purpose regenerates the entries it moves with
 
-and names every changed config in CHANGES.md.
+    PYTHONPATH=src python tests/test_golden.py NAME...
+
+which rewrites only the named entries (``pde`` names the PDE entry) and
+keeps the others as pinned; with no name it rewrites every entry. Every
+changed entry is named in CHANGES.md.
 """
 
 import hashlib
@@ -45,9 +52,22 @@ CONFIGS = {
             "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
         },
     },
+    "full_sde_ou_linear_sigma_n10": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 10,
+            "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
+        },
+    },
     "sp_only_smooth_sin": {
         "mode": "sp_only",
         "problem": {"n_steps": 6, "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}}},
+    },
+    "sp_only_smooth_sin_n9": {
+        "mode": "sp_only",
+        "problem": {"n_steps": 9, "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}}},
     },
     "sp_only_arctan_shift": {
         "mode": "sp_only",
@@ -78,7 +98,7 @@ CONFIGS = {
 }
 
 # compared value by value: np.sin and np.arctan are not bitwise portable
-BY_VALUE = {"sp_only_smooth_sin", "sp_only_arctan_shift"}
+BY_VALUE = {"sp_only_smooth_sin", "sp_only_smooth_sin_n9", "sp_only_arctan_shift"}
 REL_TOL = 1e-12
 
 
@@ -184,9 +204,14 @@ if __name__ == "__main__":
     import io
     import tempfile
 
+    names = sys.argv[1:] or [*CONFIGS, "pde"]
+    unknown = sorted(set(names) - {*CONFIGS, "pde"})
+    if unknown:
+        sys.exit(f"unknown golden entries {unknown}; choose from {sorted(CONFIGS)} or pde")
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        golden = {name: run_config(name, Path(tmp)) for name in sorted(CONFIGS)}
-    golden["pde"] = run_pde()
+        for name in names:
+            golden[name] = run_pde() if name == "pde" else run_config(name, Path(tmp))
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(golden)} configs to {GOLDEN}", file=sys.stderr)
+    print(f"wrote {sorted(set(names))} to {GOLDEN}", file=sys.stderr)
