@@ -7,10 +7,19 @@ of each volatility branch, then take the larger branch. The reduction order
 is fixed (average first, then max, children in lattice order) so identical
 inputs give bitwise-identical results.
 
-Both public sweeps run one kernel that allocates two buffers per call: the
-sign-pair sums of a level are added and halved in one, the volatility max is
-written into the other, and the next level reads it from there. The payoff's
-values are never written.
+Both public sweeps run one kernel. Each node's subtree is one contiguous
+slice of the leaves (child-major order), so the kernel sweeps the leaves in
+blocks of one subtree of 4^8 leaves (512 KiB, which stays in L2): a block
+sweeps its 8 levels through two buffers allocated once per call, the
+sign-pair sums of a level added and halved in one and the volatility max
+written into the other, and its last level writes its value into one
+gathered array of 4^(k-8) values, which the kernel then sweeps the rest of
+the way. A payoff of at most 4^8 leaves is one block. Each node still sees
+the same operations on the same inputs, so every value is bitwise that of a
+level-by-level sweep. ``upper_expectation`` may map each leaf block before
+it is swept (the expected loss applies its shift and loss there), so that a
+payoff of 4^k values is never built whole. The payoff's values are never
+written.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lattice as _lattice
 from .errors import DepthMismatchError, IndicatorError, InvalidParameterError
 from .lattice import PathFunctional, PathLattice, VolatilityBand
 
@@ -32,25 +42,37 @@ def g_function(a: float, band: VolatilityBand) -> float:
     return 0.5 * (band.sigma_high_sq * max(a, 0.0) - band.sigma_low_sq * max(-a, 0.0))
 
 
-def _sweep(values: np.ndarray, levels: int) -> np.ndarray:
+def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
     """``levels`` backward steps, each (4m,) child values -> (m,) parent values.
 
-    Child layout per parent: [(low,+), (low,-), (high,+), (high,-)]. A step
-    writes the sign-pair sums into one buffer, halves them there and writes
-    the volatility max into the other; both are allocated once. The last
-    step writes a fresh array, so the result owns exactly its values.
+    Child layout per parent: [(low,+), (low,-), (high,+), (high,-)]. The
+    leaves are swept in blocks of one subtree each, up to the kernel block's
+    levels; a step writes the sign-pair sums into one buffer, halves them
+    there and writes the volatility max into the other, and the last step
+    of a block writes into a fresh gathered array, which is swept the
+    remaining levels. ``leaf_map``, if given, maps each block of ``values``
+    to the values swept in its place (with no level to sweep, all of them).
     """
     if levels == 0:
-        return values
-    sums = np.empty(values.size // 2)
-    maxima = np.empty(values.size // 4 if levels > 1 else 0)
-    for left in reversed(range(levels)):
-        pairs = sums[: values.size // 2]
-        np.add(values[0::2], values[1::2], out=pairs)
-        np.multiply(0.5, pairs, out=pairs)
-        values = np.maximum(pairs[0::2], pairs[1::2],
-                            out=maxima[: pairs.size // 2] if left else None)
-    return values
+        return values if leaf_map is None else leaf_map(values)
+    inner = min(levels, _lattice._BLOCK_LEVELS)
+    block = min(values.size, 4**_lattice._BLOCK_LEVELS)
+    width = block >> 2 * inner
+    sums = np.empty(block // 2)
+    maxima = np.empty(block // 4 if inner > 1 else 0)
+    gathered = np.empty(values.size >> 2 * inner)
+    for start in range(0, values.size, block):
+        part = values[start : start + block]
+        if leaf_map is not None:
+            part = leaf_map(part)
+        out = gathered[start >> 2 * inner : (start >> 2 * inner) + width]
+        for left in reversed(range(inner)):
+            pairs = sums[: part.size // 2]
+            np.add(part[0::2], part[1::2], out=pairs)
+            np.multiply(0.5, pairs, out=pairs)
+            part = np.maximum(pairs[0::2], pairs[1::2],
+                              out=maxima[: pairs.size // 2] if left else out)
+    return _sweep(gathered, levels - inner)
 
 
 def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
@@ -60,10 +82,15 @@ def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
         )
 
 
-def upper_expectation(lattice: PathLattice, xi: PathFunctional) -> float:
-    """Sup over adapted volatility policies of the policy expectation of xi."""
+def upper_expectation(lattice: PathLattice, xi: PathFunctional, leaf_map=None) -> float:
+    """Sup over adapted volatility policies of the policy expectation of xi.
+
+    With ``leaf_map``, the payoff is ``leaf_map`` applied to xi's values, one
+    contiguous block of them at a time; it must return one finite value per
+    value it is given (the caller checks that).
+    """
     _check_depth(lattice, xi)
-    return float(_sweep(xi.values, xi.depth)[0])
+    return float(_sweep(xi.values, xi.depth, leaf_map)[0])
 
 
 def lower_expectation(lattice: PathLattice, xi: PathFunctional) -> float:

@@ -15,6 +15,14 @@ Child ordering is fixed once and for all (index c = 2*vol + sign):
 so node i at depth k has children 4*i + c at depth k+1. All reductions in
 the expectation engine rely on this ordering, which is what makes results
 bitwise deterministic.
+
+The order is child-major, so the subtree of every node is one contiguous
+slice of each deeper level. The kernels that pass over a level of more than
+4^8 nodes (the backward sweep, the loss evaluation, the Euler step and the
+``b``/``qv`` levels) run over blocks of one subtree of 4^8 leaves (512 KiB
+of doubles, which stays in a 2 MiB L2 cache) at a time. Each element still
+sees the same operations in the same order, so every output is bitwise the
+one of a pass over the whole level, whatever the block size.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ import numpy as np
 from .errors import DepthMismatchError, InvalidParameterError, LatticeSizeError
 
 DEFAULT_ENUMERATION_CAP = 10
+
+# levels of the subtree a kernel block covers: 4^8 leaves, 512 KiB of doubles
+_BLOCK_LEVELS = 8
 
 # per-step child layout: (vol index, sign) for c = 0..3
 CHILD_VOL = np.array([0, 0, 1, 1])
@@ -130,8 +141,12 @@ class PathFunctional:
                 f"functional at depth {self.depth} needs {4**self.depth} values, "
                 f"got shape {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidParameterError("functional values must be finite")
+        _require_finite(self.values)
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise InvalidParameterError("functional values must be finite")
 
 
 @dataclass(frozen=True)
@@ -182,13 +197,25 @@ class PathLattice:
         return PathFunctional(self.depth, fn(self.b[self.depth]))
 
 
+def _parent_blocks(parents: int):
+    """Slices of a level of ``parents`` nodes, each of 4^7 nodes (the last may
+    be shorter), whose children fill one kernel block of 4^8 nodes."""
+    block = 4 ** max(_BLOCK_LEVELS - 1, 0)
+    return (slice(start, start + block) for start in range(0, parents, block))
+
+
 def _levels(step: np.ndarray, depth: int) -> tuple:
-    """Sums of per-child increments ``step`` along every path, depths 0..depth."""
+    """Sums of per-child increments ``step`` along every path, depths 0..depth.
+
+    Each of the four child columns of a parent block is written in one pass
+    over the block, with no length-4 broadcast.
+    """
     levels = [np.zeros(1)]
     for k in range(depth):
         children = np.empty((4**k, 4))
-        for c in range(4):
-            np.add(levels[k], step[c], out=children[:, c])
+        for rows in _parent_blocks(4**k):
+            for c in range(4):
+                np.add(levels[k][rows], step[c], out=children[rows, c])
         levels.append(children.ravel())
     return tuple(levels)
 

@@ -23,10 +23,12 @@ _SPOT_RTOL = 1e-9
 class LossSpec:
     """l(t, x) with declared constants.
 
-    fn must accept a scalar t and an ndarray x and return an ndarray. The
-    validation box bounds the region on which the declared constants are
-    certified; solvers may leave it for pathological inputs, which is the
-    caller's risk (the growth bound keeps brackets finite regardless).
+    fn must accept a scalar t and an ndarray x and return an ndarray of x's
+    shape, value by value: the expected loss evaluates it on one leaf block
+    at a time (see ``reflection.expected_loss``). The validation box bounds
+    the region on which the declared constants are certified; solvers may
+    leave it for pathological inputs, which is the caller's risk (the growth
+    bound keeps brackets finite regardless).
     """
 
     fn: Callable[[float, np.ndarray], np.ndarray]

@@ -17,6 +17,14 @@ minmax envelope of bisection, so it never takes more than two evaluations
 beyond bisection and usually closes in two or three. The declared
 bi-Lipschitz band of the loss supplies the brackets, so a bracket failure
 means a wrong declaration.
+
+A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
+the shift and the loss to one leaf block of X at a time (see
+``gexpectation``): one pass over X's values, with the shifted block, its
+loss values and the sweep's buffers kept in L2. The shift and the loss act
+value by value and the sweep keeps its order, so the value is bitwise that
+of shifting, evaluating and sweeping whole arrays, and each block gets the
+finiteness and shape checks the whole arrays would get.
 """
 
 from __future__ import annotations
@@ -29,12 +37,13 @@ import numpy as np
 
 from .errors import (
     BracketError,
+    DepthMismatchError,
     GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
 )
 from .gexpectation import upper_expectation
-from .lattice import PathFunctional, PathLattice, ProcessOnLattice, lift_values
+from .lattice import PathFunctional, PathLattice, ProcessOnLattice, _require_finite, lift_values
 from .loss import LossSpec
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -119,9 +128,32 @@ class ModulusReport:
     holds: bool
 
 
-def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec) -> float:
-    """E[l(t, X)] for a depth-k functional X."""
-    return upper_expectation(lattice, PathFunctional(xi.depth, loss(t, xi.values)))
+def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
+                  shift: float | None = None) -> float:
+    """E[l(t, X)] for a depth-k functional X, or E[l(t, X + shift)].
+
+    The shift and the loss are applied inside the backward sweep, one leaf
+    block at a time (see ``gexpectation``), so no shifted array and no loss
+    array of 4^k values is built. Each block gets the checks a functional of
+    the whole shifted array and of the whole loss array would get: finite
+    shifted values, one loss value per point and finite loss values, with
+    the same errors.
+    """
+
+    def leaf_map(block: np.ndarray) -> np.ndarray:
+        if shift is not None:
+            block = block + shift
+            _require_finite(block)
+        values = loss(t, block)
+        if values.shape != block.shape:
+            raise DepthMismatchError(
+                f"loss at depth {xi.depth} returned shape {values.shape} "
+                f"for points of shape {block.shape}"
+            )
+        _require_finite(values)
+        return values
+
+    return upper_expectation(lattice, xi, leaf_map=leaf_map)
 
 
 def _smallest_nonneg_point(
@@ -210,11 +242,8 @@ def _minimal_shift(
     result is positive; for base > 0 it is negative.
     """
 
-    shifted = np.empty_like(xi.values)
-
     def phi(x: float) -> float:
-        np.add(xi.values, x, out=shifted)
-        return expected_loss(t, PathFunctional(xi.depth, shifted), lattice, loss)
+        return expected_loss(t, xi, lattice, loss, shift=x)
 
     # the root lies in [0, -base/c_l] (or [-base/c_l, 0]), on the end when phi
     # is affine with slope c_l, as for linear losses; the pad keeps the sign
@@ -263,7 +292,7 @@ def centered_loss(
     """H(t, z, Y) = E[l(t, Y - E[Y] + z)]: strictly increasing in z with slope
     inside the declared bi-Lipschitz band."""
     ey = upper_expectation(lattice, y)
-    return expected_loss(t, PathFunctional(y.depth, y.values - ey + z), lattice, loss)
+    return expected_loss(t, PathFunctional(y.depth, y.values - ey), lattice, loss, shift=z)
 
 
 def centered_loss_inverse(
@@ -273,10 +302,10 @@ def centered_loss_inverse(
     """The z-inverse of centered_loss: returns zbar with H(t, zbar, Y) = z
     (within C_l * tol)."""
     ey = upper_expectation(lattice, y)
-    centered = y.values - ey
+    centered = PathFunctional(y.depth, y.values - ey)
 
     def psi(x: float) -> float:
-        return expected_loss(t, PathFunctional(y.depth, centered + x), lattice, loss) - z
+        return expected_loss(t, centered, lattice, loss, shift=x) - z
 
     psi0 = psi(0.0)  # H(t, 0, Y) - z
     a = -psi0 / loss.C_l

@@ -92,13 +92,50 @@ def _resolve_path(configured: str, output_dir: str | None) -> Path:
     return Path(configured)
 
 
-def _write_output(text: str, key: str, configured: str, output_dir: str | None) -> Path:
-    """Write one output file; a path that cannot be written is a config error
-    naming the ``outputs`` field."""
-    path = _resolve_path(configured, output_dir)
+def _output_paths(config: ExperimentConfig, output_dir: str | None,
+                  write_csv: bool) -> dict[str, Path]:
+    """The output paths by ``outputs`` key, checked before anything is written.
+
+    A path that names no file or is a directory, whose nearest existing
+    ancestor is not a writable directory, or that lies on or inside the
+    other output's path is a config error naming its ``outputs`` field, so
+    a run that cannot write its report writes no CSV either.
+    """
+    keys = ("csv", "report") if write_csv else ("report",)
+    paths: dict[str, Path] = {}
+    targets: dict[str, Path] = {}
+    for key in keys:
+        configured = getattr(config.outputs, key)
+        path = _resolve_path(configured, output_dir)
+        try:
+            target = Path(os.path.abspath(path))
+            for other_key, other in targets.items():
+                if target == other:
+                    raise ConfigError(
+                        f"outputs.{key}: {target} is also the outputs.{other_key} path")
+                if other in target.parents or target in other.parents:
+                    raise IsADirectoryError(f"{other} is the outputs.{other_key} path")
+            if not Path(configured).name:
+                raise IsADirectoryError(f"{configured!r} names no file")
+            if target.is_dir():
+                raise IsADirectoryError(f"{target} is a directory")
+            ancestor = target.parent
+            while not ancestor.exists():
+                ancestor = ancestor.parent
+            if not ancestor.is_dir():
+                raise NotADirectoryError(f"{ancestor} is not a directory")
+            if not os.access(ancestor, os.W_OK | os.X_OK):
+                raise PermissionError(f"{ancestor} is not writable")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"outputs.{key}: cannot write {path}: {exc}") from None
+        paths[key], targets[key] = path, target
+    return paths
+
+
+def _write_output(text: str, key: str, path: Path) -> Path:
+    """Write one checked output file; a write that still fails is a config
+    error naming the ``outputs`` field."""
     try:
-        if not Path(configured).name:
-            raise IsADirectoryError(f"{configured!r} names no file")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
     except (OSError, ValueError) as exc:
@@ -168,12 +205,7 @@ def run_experiment(
     csv_text: str | None = None
     exit_code = EXIT_PASS
 
-    if write_csv:
-        targets = {os.path.abspath(_resolve_path(configured, output_dir))
-                   for configured in (config.outputs.csv, config.outputs.report)}
-        if len(targets) == 1:
-            raise ConfigError(f"outputs.report: {targets.pop()} is also the outputs.csv path")
-
+    paths = _output_paths(config, output_dir, write_csv)
     lattice = build_lattice(config.band(), config.grid())
 
     try:
@@ -259,11 +291,9 @@ def run_experiment(
 
     csv_path = None
     if write_csv and csv_text is not None:
-        csv_path = _write_output(csv_text, "csv", config.outputs.csv, output_dir)
-    report_path = _write_output(
-        json.dumps(report, sort_keys=True, indent=2) + "\n",
-        "report", config.outputs.report, output_dir,
-    )
+        csv_path = _write_output(csv_text, "csv", paths["csv"])
+    report_path = _write_output(json.dumps(report, sort_keys=True, indent=2) + "\n",
+                                "report", paths["report"])
 
     return RunResult(
         report=report,

@@ -18,8 +18,11 @@ equation is causal, iterate j is exact up to step j, and a solve of n steps
 from x0 typically takes n(n+1)/2 Euler steps and root finds where full passes
 take n(n+1); its confirming last iteration recomputes nothing.
 
-An Euler step writes each of the four child columns of its output in one
-pass over the nodes, never a length-4 broadcast. A Picard step reflects the
+An Euler step runs over blocks of 4^7 parents, whose 4^8 children (512 KiB)
+are one contiguous subtree block of the child level (see ``lattice``): it
+evaluates the coefficients on the block's parents and writes each of the
+four child columns of the block in one pass, so the strided column writes
+stay in L2 and no length-4 broadcast is made. A Picard step reflects the
 top U level, which its own Euler steps produced and no step starts from, into
 X in place, and takes the per-level sup distances through one scratch buffer.
 Each element still sees the same operations in the same order, so the values
@@ -49,6 +52,7 @@ from .lattice import (
     ProcessOnLattice,
     TimeGrid,
     VolatilityBand,
+    _parent_blocks,
     build_lattice,
     constant_process,
 )
@@ -64,7 +68,9 @@ from .reflection import (
 @dataclass(frozen=True)
 class Coefficients:
     """Coefficient triple (b, h, sigma), each (t, x) -> value, with a shared
-    Lipschitz constant in x. Callables must accept ndarray x."""
+    Lipschitz constant in x. Callables must accept ndarray x and act on it
+    value by value (or return a scalar): the Euler step evaluates them on one
+    block of nodes at a time."""
 
     b: Callable[[float, np.ndarray], np.ndarray]
     h: Callable[[float, np.ndarray], np.ndarray]
@@ -182,16 +188,20 @@ class MRSDESolution:
 def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
                 cur: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One Euler step from the node values ``cur`` to their children, in child
-    order, with the coefficients evaluated at ``u``."""
-    bv = _eval_coeff(coeffs.b, t, u)
-    hv = _eval_coeff(coeffs.h, t, u)
-    sv = _eval_coeff(coeffs.sigma, t, u)
-    base = cur + bv * lattice.grid.dt
+    order, with the coefficients evaluated at ``u``, one parent block at a
+    time."""
+    dt = lattice.grid.dt
     dqv, db = lattice.step_dqv, lattice.step_db
-    # one column per child: a length-4 broadcast would loop 4 wide per node
-    children = np.empty((base.size, 4))
-    for c in range(4):
-        np.add(base + hv * dqv[c], sv * db[c], out=children[:, c])
+    children = np.empty((cur.size, 4))
+    for rows in _parent_blocks(cur.size):
+        at = u[rows]
+        bv = _eval_coeff(coeffs.b, t, at)
+        hv = _eval_coeff(coeffs.h, t, at)
+        sv = _eval_coeff(coeffs.sigma, t, at)
+        base = cur[rows] + bv * dt
+        # one column per child: a length-4 broadcast would loop 4 wide per node
+        for c in range(4):
+            np.add(base + hv * dqv[c], sv * db[c], out=children[rows, c])
     return children.ravel()
 
 

@@ -1,17 +1,19 @@
 import copy
+import dataclasses
 import json
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanreflect
 from conftest import child_env
-from meanreflect import cli
+from meanreflect import cli, registry
 
 CRITERION8 = {
     "mode": "full_sde",
@@ -284,6 +286,66 @@ def test_csv_and_report_on_one_path_is_config_error(tmp_path, monkeypatch, capsy
     assert err.startswith("config error: outputs.report: ")
     assert "is also the outputs.csv path" in err
     assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize("csv, report, existing", [
+    ("trace.csv", "trace.csv/r.json", ()),
+    ("trace.csv", "trace.csv/r.json", ("trace.csv",)),
+    ("out/trace.csv", "out", ()),
+    ("trace.csv", "blocker/r.json", ("blocker",)),
+    ("blocker/trace.csv", "report.json", ("blocker",)),
+], ids=["report_under_csv", "report_under_old_csv", "csv_under_report", "report_under_file",
+        "csv_under_file"])
+@pytest.mark.parametrize("command", ["run", "probe"])
+def test_unwritable_output_writes_nothing(tmp_path, monkeypatch, capsys, command, csv, report,
+                                          existing):
+    payload = {"problem": {"n_steps": 4, "payoff": {"name": "square"}},
+               "outputs": {"csv": csv, "report": report}}
+    cfg = write_config(tmp_path, payload)
+    work = tmp_path / "work"
+    work.mkdir()
+    for name in existing:
+        (work / name).write_text("kept\n")
+    monkeypatch.chdir(work)
+    assert cli.main([command, str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("config error: outputs.")
+    assert sorted(p.name for p in work.iterdir()) == sorted(existing)
+    assert all((work / name).read_text() == "kept\n" for name in existing)
+
+
+def _linear_loss_with(fn):
+    """A ``linear`` loss family whose values are ``fn(x, values)``; it agrees
+    with the linear loss on its spot-check box, so only the solve sees fn."""
+
+    linear = registry.LOSSES["linear"]
+
+    def family(c0=0.0, c1=1.0, horizon=1.0):
+        spec = linear(c0, c1, horizon)
+        return dataclasses.replace(spec, fn=lambda t, x: fn(x, spec.fn(t, x)))
+
+    return family
+
+
+# at n_steps 9 on the default band, only the last leaf block (paths that
+# start with a high-volatility down step) holds points below this
+LAST_BLOCK_ONLY = -5.8
+
+
+@pytest.mark.parametrize("fn, error", [
+    (lambda x, v: np.where(x < LAST_BLOCK_ONLY, np.inf, v),
+     "InvalidParameterError: functional values must be finite"),
+    (lambda x, v: v[:-1] if x.min() < LAST_BLOCK_ONLY else v,
+     "DepthMismatchError: loss at depth 9 returned shape"),
+], ids=["non_finite", "wrong_shape"])
+def test_bad_loss_values_in_last_block_are_solver_failure(tmp_path, monkeypatch, fn, error):
+    monkeypatch.setitem(registry.LOSSES, "linear", _linear_loss_with(fn))
+    payload = {"mode": "sp_only", "problem": {"n_steps": 9}}
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 3
+    report = json.loads((out / "report.json").read_text())
+    assert report["diagnostics"]["solver_error"].startswith(error)
+    assert not (out / "trace.csv").exists()
 
 
 def test_verify_may_put_report_on_the_csv_path(tmp_path, monkeypatch):
