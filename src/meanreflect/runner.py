@@ -96,10 +96,11 @@ def _output_paths(config: ExperimentConfig, output_dir: str | None,
                   write_csv: bool) -> dict[str, Path]:
     """The output paths by ``outputs`` key, checked before anything is written.
 
-    A path that names no file or is a directory, whose nearest existing
-    ancestor is not a writable directory, or that lies on or inside the
-    other output's path is a config error naming its ``outputs`` field, so
-    a run that cannot write its report writes no CSV either.
+    A path that names no file, holds a null byte or is a directory, whose
+    nearest existing ancestor is not a writable directory, or that lies on
+    or inside the other output's path is a config error naming its
+    ``outputs`` field, so a run that cannot write its report writes no CSV
+    either.
     """
     keys = ("csv", "report") if write_csv else ("report",)
     paths: dict[str, Path] = {}
@@ -117,6 +118,8 @@ def _output_paths(config: ExperimentConfig, output_dir: str | None,
                     raise IsADirectoryError(f"{other} is the outputs.{other_key} path")
             if not Path(configured).name:
                 raise IsADirectoryError(f"{configured!r} names no file")
+            if "\0" in str(target):
+                raise ValueError("embedded null byte")
             if target.is_dir():
                 raise IsADirectoryError(f"{target} is a directory")
             ancestor = target.parent

@@ -294,8 +294,9 @@ def test_csv_and_report_on_one_path_is_config_error(tmp_path, monkeypatch, capsy
     ("out/trace.csv", "out", ()),
     ("trace.csv", "blocker/r.json", ("blocker",)),
     ("blocker/trace.csv", "report.json", ("blocker",)),
+    ("trace.csv", "r\0.json", ()),
 ], ids=["report_under_csv", "report_under_old_csv", "csv_under_report", "report_under_file",
-        "csv_under_file"])
+        "csv_under_file", "report_null_byte"])
 @pytest.mark.parametrize("command", ["run", "probe"])
 def test_unwritable_output_writes_nothing(tmp_path, monkeypatch, capsys, command, csv, report,
                                           existing):
