@@ -17,7 +17,9 @@ only ``+ - *`` and ``max``, so its bytes are portable), and the value of one
 Every config with ``n_steps`` at most 8 fits in one leaf block of the
 blocked kernels; ``full_sde_ou_linear_sigma_n10`` and
 ``sp_only_smooth_sin_n9`` run the multi-block paths of the sweep, the loss
-evaluation and the Euler step.
+evaluation and the Euler step. The ``picard_*`` configs pin Picard reports
+over several subintervals: after restarts, from a set initial length, and a
+non-contraction failure.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -94,6 +96,24 @@ CONFIGS = {
         "mode": "full_sde",
         "problem": {"n_steps": 4, "b": {"name": "ou_drift", "params": {"theta": 0.5}}},
         "solver": {"max_iter": 1},
+    },
+    # two restarts, then subintervals 0-3, 3-4, 4-5 and 5-6
+    "picard_restart": {
+        "mode": "full_sde",
+        "problem": {"n_steps": 6, "b": {"name": "ou_drift", "params": {"theta": 3.0}}},
+        "solver": {"max_iter": 120},
+    },
+    # subintervals 0-3, 3-6 and 6-8 from the first length
+    "picard_delta_initial_steps": {
+        "mode": "full_sde",
+        "problem": {"n_steps": 8, "b": {"name": "ou_drift", "params": {"theta": 0.7}}},
+        "solver": {"delta_initial_steps": 3},
+    },
+    # no contraction at the minimum length: exit 3
+    "picard_no_contraction": {
+        "mode": "full_sde",
+        "problem": {"n_steps": 4, "b": {"name": "ou_drift", "params": {"theta": 60.0}}},
+        "solver": {"max_iter": 200},
     },
 }
 
