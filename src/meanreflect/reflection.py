@@ -89,14 +89,6 @@ class SkorokhodSolution:
     X: ProcessOnLattice
     A: DeterministicPath
 
-    @property
-    def start_step(self) -> int:
-        return self.X.start_step
-
-    @property
-    def end_step(self) -> int:
-        return self.X.end_step
-
 
 @dataclass(frozen=True)
 class VerificationReport:

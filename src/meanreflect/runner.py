@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -235,37 +235,30 @@ def run_experiment(
 
             if all(spot.ok for *_, spot in spot_checks):
                 if config.mode == "sp_only":
-                    driver = integrate_sde(coeffs, lattice, config.problem.x0)
-                    solution = solve_mean_reflection_direct(
-                        loss, driver, lattice, tol=config.solver.tol
-                    )
-                    verification = verify_mean_reflection(solution, loss, driver, lattice)
+                    S = integrate_sde(coeffs, lattice, config.problem.x0)
+                    solution = solve_mean_reflection_direct(loss, S, lattice,
+                                                            tol=config.solver.tol)
                 else:
                     problem = MRSDEProblem(x0=config.problem.x0, coeffs=coeffs, loss=loss,
                                            band=lattice.band, grid=lattice.grid, p=config.problem.p)
-                    mr = picard_solve(problem, config.solver, lattice=lattice)
-                    solution = SkorokhodSolution(X=mr.X, A=mr.A)
-                    verification = verify_mean_reflection(solution, loss, mr.U, lattice)
+                    solution = picard_solve(problem, config.solver, lattice=lattice)
+                    S = solution.U
+                verification = verify_mean_reflection(solution, loss, S, lattice)
+                if config.mode == "full_sde":
+                    # picard_solve raises unless every subinterval converged
+                    checks.append(CheckResult("picard_converged", 1.0, 1.0, True))
                     max_ratio = max(
-                        (r for d in mr.diagnostics for r in d.ratios), default=0.0
+                        (r for d in solution.diagnostics for r in d.ratios), default=0.0
                     )
-                    converged = all(d.converged for d in mr.diagnostics)
-                    checks.append(CheckResult("picard_converged", float(converged), 1.0, converged))
                     checks.append(CheckResult("contraction_ratio_max", max_ratio,
                                               config.solver.contraction_guard,
                                               max_ratio < config.solver.contraction_guard))
                     diagnostics["picard"] = {
-                        "restarts": mr.restarts,
+                        "restarts": solution.restarts,
                         "subintervals": [
-                            {
-                                "start_step": d.start_step,
-                                "end_step": d.end_step,
-                                "delta_steps": d.end_step - d.start_step,
-                                "iterations": d.iterations,
-                                "distances": list(d.distances),
-                                "ratios": list(d.ratios),
-                            }
-                            for d in mr.diagnostics
+                            {**asdict(d), "delta_steps": d.end_step - d.start_step,
+                             "iterations": d.iterations}
+                            for d in solution.diagnostics
                         ],
                     }
                 checks.extend(_verification_checks(verification, solution.A.values))

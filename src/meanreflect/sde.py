@@ -5,9 +5,12 @@ diffusion term per scenario:
 
     X_{k+1} = X_k + b(t_k, .) dt + h(t_k, .) dQV_k + sigma(t_k, .) dB_k
 
-with the per-child increments dB_k, dQV_k read off the lattice. The solver
-iterates the map "integrate driven by U, then reflect" to its fixed point on
-subintervals short enough to contract, then pastes the compensators.
+with the per-child increments dB_k, dQV_k read off the lattice.
+``picard_solve`` iterates the map "integrate driven by U, then reflect" to
+its fixed point on subintervals short enough to contract, in one loop over
+subintervals and iterations, then pastes the compensators. Its result is the
+Skorokhod pair (X, A) plus the solver's diagnostics; the unreflected part
+U = X - A is derived from the pair on first read.
 
 An iteration recomputes only from the first level at which its driver
 differs bit for bit from the previous driver: U at a level depends only on
@@ -32,6 +35,7 @@ written.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -166,7 +170,6 @@ class SubintervalDiagnostics:
     end_step: int
     distances: tuple[float, ...]
     ratios: tuple[float, ...]
-    converged: bool
 
     @property
     def iterations(self) -> int:
@@ -174,15 +177,16 @@ class SubintervalDiagnostics:
 
 
 @dataclass(frozen=True)
-class MRSDESolution:
-    """Fixed point (X, A) plus the unreflected part U = X - A and diagnostics."""
+class MRSDESolution(SkorokhodSolution):
+    """The fixed point (X, A) with the solver's diagnostics."""
 
-    X: ProcessOnLattice
-    A: DeterministicPath
-    U: ProcessOnLattice
-    lattice: PathLattice
     diagnostics: tuple[SubintervalDiagnostics, ...]
     restarts: int = 0
+
+    @functools.cached_property
+    def U(self) -> ProcessOnLattice:
+        """The unreflected part U = X - A."""
+        return self.X.shifted(-self.A.values)
 
 
 def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
@@ -361,54 +365,6 @@ def picard_step(
     )
 
 
-class _NonContraction(Exception):
-    def __init__(self, ratio: float, distances: list[float]):
-        self.ratio = ratio
-        self.distances = distances
-        super().__init__(f"observed ratio {ratio}")
-
-
-def _iterate_subinterval(
-    problem: MRSDEProblem,
-    lattice: PathLattice,
-    start_step: int,
-    end_step: int,
-    initial: np.ndarray,
-    config: PicardConfig,
-) -> tuple[PicardStepResult, SubintervalDiagnostics]:
-    guess = problem.x0 if config.initial_guess is None else config.initial_guess
-    driver = constant_process(lattice, guess, start_step, end_step)
-    step = None
-    distances: list[float] = []
-    ratios: list[float] = []
-    for _ in range(config.max_iter):
-        step = picard_step(
-            problem, lattice, driver, start_step, end_step, initial, tol=config.tol,
-            previous=step,
-        )
-        d = step.distance
-        distances.append(d)
-        if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
-            ratio = d / distances[-2]
-            ratios.append(ratio)
-            if ratio >= config.contraction_guard:
-                raise _NonContraction(ratio, distances)
-        if d <= config.tol:
-            diag = SubintervalDiagnostics(
-                start_step=start_step,
-                end_step=end_step,
-                distances=tuple(distances),
-                ratios=tuple(ratios),
-                converged=True,
-            )
-            return step, diag
-        driver = step.solution.X
-    raise SolverError(
-        f"Picard iteration exceeded max_iter={config.max_iter} on steps "
-        f"{start_step}..{end_step}; last distance {distances[-1]}"
-    )
-
-
 def picard_solve(
     problem: MRSDEProblem,
     config: PicardConfig | None = None,
@@ -429,7 +385,7 @@ def picard_solve(
     n = problem.grid.n_steps
     if n < 1:
         raise InvalidParameterError("picard_solve needs at least one time step")
-    times = problem.grid.times
+    guess = problem.x0 if config.initial_guess is None else config.initial_guess
     delta = config.delta_initial_steps or n
     pos = 0
     offset = 0.0
@@ -441,19 +397,39 @@ def picard_solve(
     diags: list[SubintervalDiagnostics] = []
     while pos < n:
         end = min(pos + delta, n)
-        try:
-            step, diag = _iterate_subinterval(problem, lattice, pos, end, initial, config)
-        except _NonContraction as nc:
+        driver = constant_process(lattice, guess, pos, end)
+        step = None
+        distances: list[float] = []
+        ratios: list[float] = []
+        for _ in range(config.max_iter):
+            step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol,
+                               previous=step)
+            d = step.distance
+            distances.append(d)
+            if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
+                ratios.append(d / distances[-2])
+                if ratios[-1] >= config.contraction_guard:
+                    break
+            if d <= config.tol:
+                break
+            driver = step.solution.X
+        else:
+            raise SolverError(
+                f"Picard iteration exceeded max_iter={config.max_iter} on steps "
+                f"{pos}..{end}; last distance {distances[-1]}"
+            )
+        if d > config.tol:
+            # the ratio reached the guard: restart on a shorter subinterval
             if delta <= config.delta_min_steps:
                 raise NonContractionError(
                     f"no contraction at the minimum subinterval length "
-                    f"{config.delta_min_steps}: observed ratio {nc.ratio} on steps "
-                    f"{pos}..{end} after {len(nc.distances)} iterations"
-                ) from None
+                    f"{config.delta_min_steps}: observed ratio {ratios[-1]} on steps "
+                    f"{pos}..{end} after {len(distances)} iterations"
+                )
             delta = max(config.delta_min_steps, delta // 2)
             restarts += 1
             continue
-        diags.append(diag)
+        diags.append(SubintervalDiagnostics(pos, end, tuple(distances), tuple(ratios)))
         local_a = step.solution.A.values
         a_full[pos : end + 1] = offset + local_a
         for k in range(pos, end + 1):
@@ -461,13 +437,9 @@ def picard_solve(
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
-    x_proc = ProcessOnLattice(lattice, 0, tuple(x_vals))
-    u_proc = x_proc.shifted(-a_full)
     return MRSDESolution(
-        X=x_proc,
-        A=DeterministicPath(times, a_full),
-        U=u_proc,
-        lattice=lattice,
+        X=ProcessOnLattice(lattice, 0, tuple(x_vals)),
+        A=DeterministicPath(problem.grid.times, a_full),
         diagnostics=tuple(diags),
         restarts=restarts,
     )
@@ -499,7 +471,7 @@ def check_moment_estimate(solution: MRSDESolution, problem: MRSDEProblem) -> Mom
     The constant in front of the right side is not explicit, so the meaningful
     diagnostic is that the ratio stays bounded under grid refinement.
     """
-    lattice = solution.lattice
+    lattice = solution.X.lattice
     p = problem.p
     sup_abs = running_abs_max(solution.X)
     left = upper_expectation(lattice, PathFunctional(sup_abs.depth, sup_abs.values**p))

@@ -189,6 +189,17 @@ class TestPicardSolve:
         for k in range(7):
             assert np.allclose(sol.X.at(k), sol.U.at(k) + sol.A.values[k], atol=1e-14)
 
+    def test_solution_is_the_skorokhod_pair(self, band, grid6, lattice6):
+        # U is derived from (X, A) once and kept
+        prob = MRSDEProblem(x0=0.0, coeffs=const_coeffs(b=-0.5, sigma=1.0),
+                            loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=grid6)
+        sol = picard_solve(prob, lattice=lattice6)
+        assert isinstance(sol, SkorokhodSolution)
+        assert sol.U is sol.U
+        for k in range(7):
+            assert _bits(sol.U.at(k)) == _bits(sol.X.at(k) - sol.A.values[k])
+
     @pytest.mark.parametrize("band_sq, horizon", [((1.0, 4.0), 2.0), ((1.0, 2.0), 1.0)],
                              ids=["grid", "band"])
     def test_lattice_must_match_problem(self, band, band_sq, horizon):
