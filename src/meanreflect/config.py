@@ -251,7 +251,9 @@ def _validate_semantics(config: ExperimentConfig) -> None:
         if p.payoff is None:
             raise ConfigError("problem.payoff is required in gexp_probe mode")
     else:
-        l0 = float(loss(0.0, np.array([p.x0]))[0])
+        # an overflow reads as a non-finite l0; the run then exits 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            l0 = float(loss(0.0, np.array([p.x0]))[0])
         if l0 < 0.0:
             raise ConfigError(
                 f"problem.x0={p.x0} violates the initial constraint: l(0, x0) = {l0} < 0"
@@ -259,11 +261,13 @@ def _validate_semantics(config: ExperimentConfig) -> None:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse and fully validate a JSON config file."""
+    """Parse and fully validate a JSON config file. A file that cannot be
+    read or is not UTF-8, a path with a null byte, and JSON that does not
+    parse or nests too deeply are config errors."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         raw = json.loads(text)
@@ -271,4 +275,6 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ConfigError(f"parse error in {path}: nesting too deep") from None
     return config_from_dict(raw)

@@ -226,6 +226,30 @@ def test_bad_numbers_map_to_exit_codes(tmp_path, capsys, where, key, value, code
         assert "solver_error" in report["diagnostics"]
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000, None],
+                         ids=["not_utf8", "too_deep", "null_byte_path"])
+def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+    cfg = tmp_path / "config.json"
+    if content is None:
+        cfg = tmp_path / "config\0.json"
+    else:
+        cfg.write_bytes(content)
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    assert "config error: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflow_at_config_load_is_solver_failure(tmp_path, capsys):
+    # tier-1 turns a RuntimeWarning into an error, so a warning leaking out
+    # of the initial-constraint check at load time would raise here
+    cfg = write_config(tmp_path, {"mode": "sp_only",
+                                  "problem": {"n_steps": 4, "x0": 1e308,
+                                              "loss": {"name": "arctan_shift",
+                                                       "params": {"c": 5.0}}}})
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 def test_unwritable_output_dir_is_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, CRITERION8)
     not_a_dir = tmp_path / "file"

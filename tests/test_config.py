@@ -44,6 +44,31 @@ def test_missing_file(tmp_path):
         load_config(tmp_path / "absent.json")
 
 
+def test_non_utf8_file_is_config_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ConfigError, match="cannot read config file .*utf-8"):
+        load_config(path)
+
+
+def test_path_with_null_byte_is_config_error():
+    with pytest.raises(ConfigError, match="cannot read config file .*null byte"):
+        load_config("a\0b.json")
+
+
+def test_deep_nesting_is_parse_error(tmp_path):
+    with pytest.raises(ConfigError, match="parse error .*nesting too deep"):
+        load_config(write(tmp_path, "[" * 100000 + "]" * 100000))
+
+
+def test_initial_constraint_overflow_warns_nothing(tmp_path):
+    # 2 x0 overflows inside the loss; l(0, x0) = inf satisfies the constraint
+    payload = {"mode": "sp_only",
+               "problem": {"n_steps": 4, "x0": 1e308,
+                           "loss": {"name": "arctan_shift", "params": {"c": 5.0}}}}
+    assert load_config(write(tmp_path, payload)).problem.x0 == 1e308
+
+
 def test_band_inversion_names_both_fields(tmp_path):
     payload = {"problem": {"sigma_low_sq": 4.0, "sigma_high_sq": 1.0}}
     with pytest.raises(ConfigError, match="sigma_low_sq"):
