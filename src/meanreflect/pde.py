@@ -28,6 +28,11 @@ from .lattice import VolatilityBand
 
 # half-widths below this many terminal standard deviations trigger a warning
 _DOMAIN_STDS = 4.0
+# the default grid's half-width, in terminal standard deviations
+_DEFAULT_GRID_STDS = 6.0
+# the nested expectation's first-argument grid spans this many standard
+# deviations of B_{t1}
+_INNER_STDS = 4.0
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,9 @@ class HeatSolution:
     n_time_steps: int
 
 
-def default_space_grid(band: VolatilityBand, horizon: float, dx: float = 0.02,
-                       stds: float = 6.0) -> SpaceGrid:
+def default_space_grid(band: VolatilityBand, horizon: float, dx: float = 0.02) -> SpaceGrid:
     """Domain wide enough that boundary influence at the origin is negligible."""
-    half = stds * band.sigma_high * math.sqrt(horizon)
+    half = _DEFAULT_GRID_STDS * band.sigma_high * math.sqrt(horizon)
     return SpaceGrid(half_width=max(half, dx), dx=dx)
 
 
@@ -187,12 +191,11 @@ def nested_expectation_pde(
     horizon: float,
     dt: float | None = None,
     n_inner: int = 65,
-    inner_stds: float = 4.0,
 ) -> float:
     """Two-monitoring-time expectation of payoff(B_{t1}, B_T) via the PDE recursion.
 
     The inner equations on [t1, horizon], one per first-argument value on a
-    coarse grid of ``n_inner`` points spanning ``inner_stds`` standard
+    coarse grid of ``n_inner`` points spanning ``_INNER_STDS`` standard
     deviations of B_{t1}, are marched as one batch; their diagonal becomes the
     outer terminal condition.
     """
@@ -204,7 +207,7 @@ def nested_expectation_pde(
         raise InvalidParameterError("n_inner must be at least 3")
     _warn_if_narrow(space, band, horizon)
     xs = space.xs
-    x1_half = inner_stds * band.sigma_high * math.sqrt(t1)
+    x1_half = _INNER_STDS * band.sigma_high * math.sqrt(t1)
     x1_grid = np.linspace(-x1_half, x1_half, n_inner)
     dt_inner, n_steps_inner = _resolve_dt(space, band, horizon - t1, dt)
     inner = np.empty((n_inner, xs.size))
