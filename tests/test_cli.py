@@ -226,22 +226,17 @@ def test_bad_numbers_map_to_exit_codes(tmp_path, capsys, where, key, value, code
         assert "solver_error" in report["diagnostics"]
 
 
-@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000, None],
-                         ids=["not_utf8", "too_deep", "null_byte_path"])
-def test_unreadable_config_is_config_error(tmp_path, capsys, content):
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    if content is None:
-        cfg = tmp_path / "config\0.json"
-    else:
-        cfg.write_bytes(content)
+    cfg.write_bytes(b"\xff\xfe{}")
     assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
     assert "config error: " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 def test_overflow_at_config_load_is_solver_failure(tmp_path, capsys):
-    # tier-1 turns a RuntimeWarning into an error, so a warning leaking out
-    # of the initial-constraint check at load time would raise here
+    # 2 x0 overflows in the load-time check of l(0, x0); pytest turns a
+    # RuntimeWarning into an error, so a warning leaking out would raise here
     cfg = write_config(tmp_path, {"mode": "sp_only",
                                   "problem": {"n_steps": 4, "x0": 1e308,
                                               "loss": {"name": "arctan_shift",

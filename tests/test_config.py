@@ -61,14 +61,6 @@ def test_deep_nesting_is_parse_error(tmp_path):
         load_config(write(tmp_path, "[" * 100000 + "]" * 100000))
 
 
-def test_initial_constraint_overflow_warns_nothing(tmp_path):
-    # 2 x0 overflows inside the loss; l(0, x0) = inf satisfies the constraint
-    payload = {"mode": "sp_only",
-               "problem": {"n_steps": 4, "x0": 1e308,
-                           "loss": {"name": "arctan_shift", "params": {"c": 5.0}}}}
-    assert load_config(write(tmp_path, payload)).problem.x0 == 1e308
-
-
 def test_band_inversion_names_both_fields(tmp_path):
     payload = {"problem": {"sigma_low_sq": 4.0, "sigma_high_sq": 1.0}}
     with pytest.raises(ConfigError, match="sigma_low_sq"):
