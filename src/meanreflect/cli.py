@@ -20,6 +20,16 @@ from .registry import REGISTRIES
 from .runner import EXIT_CONFIG_ERROR, run_experiment
 
 
+def _printable(text) -> str:
+    """``str(text)`` with each non-printable character escaped as ``repr``
+    escapes it, so that a path cannot put control bytes on the terminal;
+    printable text is returned as it is."""
+    text = str(text)
+    if text.isprintable():
+        return text
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _print_checks(result) -> None:
     for check in result.report["checks"]:
         status = "PASS" if check["pass"] else "FAIL"
@@ -28,7 +38,7 @@ def _print_checks(result) -> None:
     if "solver_error" in result.report["diagnostics"]:
         print(f"solver error: {result.report['diagnostics']['solver_error']}")
     overall = "PASS" if result.overall_pass else "FAIL"
-    where = f" (report: {result.report_path})" if result.report_path else ""
+    where = f" (report: {_printable(result.report_path)})" if result.report_path else ""
     print(f"overall: {overall}{where}")
 
 
@@ -75,7 +85,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        # the message may hold a configured path
+        print(f"config error: {_printable(exc)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
 
 

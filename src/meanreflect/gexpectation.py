@@ -18,19 +18,22 @@ the way. A payoff of at most 4^8 leaves is one block. Each node still sees
 the same operations on the same inputs, so every value is bitwise that of a
 level-by-level sweep. ``upper_expectation`` may map each leaf block before
 it is swept (the expected loss applies its shift and loss there), so that a
-payoff of 4^k values is never built whole. The payoff's values are never
-written.
+payoff of 4^k values is never built whole; the kernel then checks that the
+mapped values are finite, with a full check of a block only when its
+smallest or largest first-level pair sum is not finite, since a non-finite
+value makes its pair sum non-finite. The payoff's values are never written.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import lattice as _lattice
 from .errors import DepthMismatchError, IndicatorError, InvalidParameterError
-from .lattice import PathFunctional, PathLattice, VolatilityBand
+from .lattice import PathFunctional, PathLattice, VolatilityBand, _require_finite
 
 
 def g_function(a: float, band: VolatilityBand) -> float:
@@ -51,10 +54,15 @@ def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
     there and writes the volatility max into the other, and the last step
     of a block writes into a fresh gathered array, which is swept the
     remaining levels. ``leaf_map``, if given, maps each block of ``values``
-    to the values swept in its place (with no level to sweep, all of them).
+    to the values swept in its place (with no level to sweep, all of them),
+    whose finiteness is checked as the block is swept.
     """
     if levels == 0:
-        return values if leaf_map is None else leaf_map(values)
+        if leaf_map is None:
+            return values
+        values = leaf_map(values)
+        _require_finite(values)
+        return values
     inner = min(levels, _lattice._BLOCK_LEVELS)
     block = min(values.size, 4**_lattice._BLOCK_LEVELS)
     width = block >> 2 * inner
@@ -68,11 +76,27 @@ def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
         out = gathered[start >> 2 * inner : (start >> 2 * inner) + width]
         for left in reversed(range(inner)):
             pairs = sums[: part.size // 2]
-            np.add(part[0::2], part[1::2], out=pairs)
+            if leaf_map is not None and left == inner - 1:
+                _add_checked_pairs(part, pairs)
+            else:
+                np.add(part[0::2], part[1::2], out=pairs)
             np.multiply(0.5, pairs, out=pairs)
             part = np.maximum(pairs[0::2], pairs[1::2],
                               out=maxima[: pairs.size // 2] if left else out)
     return _sweep(gathered, levels - inner)
+
+
+def _add_checked_pairs(part: np.ndarray, pairs: np.ndarray) -> None:
+    """The sign-pair sums of one block of mapped leaf values, with the
+    values' finiteness check: a non-finite value makes its pair sum, and so
+    the smallest or the largest pair sum, non-finite, so the full check runs
+    only then (finite values whose sum overflows pass it). ``inf - inf`` is
+    the one invalid operation here, and the check then raises."""
+    with np.errstate(invalid="ignore"):
+        np.add(part[0::2], part[1::2], out=pairs)
+        lo, hi = pairs.min(), pairs.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        _require_finite(part)
 
 
 def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
@@ -86,8 +110,9 @@ def upper_expectation(lattice: PathLattice, xi: PathFunctional, leaf_map=None) -
     """Sup over adapted volatility policies of the policy expectation of xi.
 
     With ``leaf_map``, the payoff is ``leaf_map`` applied to xi's values, one
-    contiguous block of them at a time; it must return one finite value per
-    value it is given (the caller checks that).
+    contiguous block of them at a time; it must return one value per value
+    it is given (the caller checks that), and a non-finite one raises
+    InvalidParameterError from its block.
     """
     _check_depth(lattice, xi)
     return float(_sweep(xi.values, xi.depth, leaf_map)[0])

@@ -18,17 +18,18 @@ bitwise deterministic.
 
 The order is child-major, so the subtree of every node is one contiguous
 slice of each deeper level. The kernels that pass over a level of more than
-4^8 nodes (the backward sweep, the loss evaluation, the Euler step and the
-``b``/``qv`` levels) run over blocks of one subtree of 4^8 leaves (512 KiB
-of doubles, which stays in a 2 MiB L2 cache) at a time. Each element still
-sees the same operations in the same order, so every output is bitwise the
-one of a pass over the whole level, whatever the block size.
+4^8 nodes (the backward sweep, the loss evaluation, the Euler step, the
+``b``/``qv`` levels and the Picard step's shift into X) run over blocks of
+one subtree of 4^8 leaves (512 KiB of doubles, which stays in a 2 MiB L2
+cache) at a time. Each element still sees the same operations in the same
+order, so every output is bitwise the one of a pass over the whole level,
+whatever the block size.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -131,6 +132,9 @@ class PathFunctional:
 
     depth: int
     values: np.ndarray
+    # (min, max) of the values, taken by the finiteness check; the values are
+    # not written once the functional is made
+    value_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -141,7 +145,12 @@ class PathFunctional:
                 f"functional at depth {self.depth} needs {4**self.depth} values, "
                 f"got shape {self.values.shape}"
             )
-        _require_finite(self.values)
+        # a NaN or an infinity makes the smallest or the largest value non-finite
+        with np.errstate(invalid="ignore"):
+            value_range = float(self.values.min()), float(self.values.max())
+        if not (math.isfinite(value_range[0]) and math.isfinite(value_range[1])):
+            _require_finite(self.values)
+        object.__setattr__(self, "value_range", value_range)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -202,6 +211,13 @@ def _parent_blocks(parents: int):
     be shorter), whose children fill one kernel block of 4^8 nodes."""
     block = 4 ** max(_BLOCK_LEVELS - 1, 0)
     return (slice(start, start + block) for start in range(0, parents, block))
+
+
+def _level_blocks(size: int):
+    """Slices of a level of ``size`` nodes, each one kernel block of 4^8 nodes
+    (the last may be shorter)."""
+    block = 4**_BLOCK_LEVELS
+    return (slice(start, start + block) for start in range(0, size, block))
 
 
 def _levels(step: np.ndarray, depth: int) -> tuple:

@@ -24,7 +24,13 @@ the shift and the loss to one leaf block of X at a time (see
 loss values and the sweep's buffers kept in L2. The shift and the loss act
 value by value and the sweep keeps its order, so the value is bitwise that
 of shifting, evaluating and sweeping whole arrays, and each block gets the
-finiteness and shape checks the whole arrays would get.
+finiteness and shape checks the whole arrays would get, with the same
+errors from the same block. The finiteness checks take no pass of their
+own unless they can fail: X's finiteness check takes its smallest and
+largest value, and since rounding is monotone the shifted blocks need a check
+only when one of those two shifts to a non-finite value; the sweep checks
+a block's loss values only when its first-level pair sums are not all
+finite.
 """
 
 from __future__ import annotations
@@ -129,20 +135,27 @@ def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: Loss
     array of 4^k values is built. Each block gets the checks a functional of
     the whole shifted array and of the whole loss array would get: finite
     shifted values, one loss value per point and finite loss values, with
-    the same errors.
+    the same errors. Rounding is monotone, so every shifted value is finite
+    when X's smallest and largest values (``value_range``, which the
+    functional's own finiteness check takes) shift to finite values; only
+    otherwise is each shifted block checked. The sweep checks the loss values (see ``gexpectation._sweep``).
     """
+    check_shifted = shift is not None and not all(
+        math.isfinite(v + float(shift)) for v in xi.value_range)
 
     def leaf_map(block: np.ndarray) -> np.ndarray:
-        if shift is not None:
-            block = block + shift
+        if check_shifted:
+            with np.errstate(over="ignore"):  # an overflow fails the check
+                block = block + shift
             _require_finite(block)
+        elif shift is not None:
+            block = block + shift
         values = loss(t, block)
         if values.shape != block.shape:
             raise DepthMismatchError(
                 f"loss at depth {xi.depth} returned shape {values.shape} "
                 f"for points of shape {block.shape}"
             )
-        _require_finite(values)
         return values
 
     return upper_expectation(lattice, xi, leaf_map=leaf_map)

@@ -23,14 +23,16 @@ take n(n+1); its confirming last iteration recomputes nothing.
 
 An Euler step runs over blocks of 4^7 parents, whose 4^8 children (512 KiB)
 are one contiguous subtree block of the child level (see ``lattice``): it
-evaluates the coefficients on the block's parents and writes each of the
-four child columns of the block in one pass, so the strided column writes
-stay in L2 and no length-4 broadcast is made. A Picard step reflects the
-top U level, which its own Euler steps produced and no step starts from, into
-X in place, and takes the per-level sup distances through one scratch buffer.
-Each element still sees the same operations in the same order, so the values
-are bitwise those of the plain expressions, and no array a caller passed in is
-written.
+evaluates the coefficients on the block's parents, forms the ``h dQV`` and
+``sigma dB`` terms once per volatility (the two sign children of a
+volatility share dQV and have opposite dB, bit for bit) and writes each of
+the four child columns of the block in one pass, so the strided column
+writes stay in L2 and no length-4 broadcast is made. A Picard step shifts
+each recomputed U level into X and takes its sup distance and first changed
+level against the driver one such block at a time, through one 4^8 scratch
+buffer, while the block is in L2; the top U level, which its own Euler
+steps produced and no step starts from, becomes X in place. Every value is bitwise that of the plain expression over whole
+levels, and no array a caller passed in is written.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import lattice as _lattice
 from .errors import (
     GridMismatchError,
     InitialConstraintError,
@@ -56,6 +59,7 @@ from .lattice import (
     ProcessOnLattice,
     TimeGrid,
     VolatilityBand,
+    _level_blocks,
     _parent_blocks,
     build_lattice,
     constant_process,
@@ -203,9 +207,15 @@ def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
         hv = _eval_coeff(coeffs.h, t, at)
         sv = _eval_coeff(coeffs.sigma, t, at)
         base = cur[rows] + bv * dt
-        # one column per child: a length-4 broadcast would loop 4 wide per node
-        for c in range(4):
-            np.add(base + hv * dqv[c], sv * db[c], out=children[rows, c])
+        # one column per child: a length-4 broadcast would loop 4 wide per node.
+        # The two children of a volatility share dqv bit for bit, so they
+        # share its drift term, and db[c + 1] is -db[c], so x + sv * db[c + 1]
+        # is x - sv * db[c] bit for bit
+        for c in (0, 2):
+            drift = base + hv * dqv[c]
+            noise = sv * db[c]
+            np.add(drift, noise, out=children[rows, c])
+            np.subtract(drift, noise, out=children[rows, c + 1])
     return children.ravel()
 
 
@@ -332,26 +342,34 @@ def picard_step(
             times[k], PathFunctional(k, u[k - base]), lattice, loss, tol
         )
     compensator = np.maximum.accumulate(shifts)
-    for k in range(fresh, end_step + 1):
-        level = u[k - base]
-        if k == end_step > base:
-            # this step's Euler made the top level and no step starts from
-            # it, so it becomes X in place; U at base is the caller's array
-            level += compensator[k - k0]
-            x.append(level)
-        else:
-            x.append(level + compensator[k - k0])
-    # kept levels equal the driver's; start_step stays in so that a
-    # non-finite initial value gives the distance NaN, as a full pass does
+    # X at the recomputed levels, and the sup distance and first changed
+    # level against the driver, one kernel block at a time. Kept levels equal
+    # the driver's; start_step stays in so that a non-finite initial value
+    # gives the distance NaN, as a full pass does
     gaps = []
     changed_from = end_step + 1
-    scratch = np.empty(x[-1].size)
+    scratch = np.empty(min(4**end_step, 4**_lattice._BLOCK_LEVELS))
     for k in (k0, *root_levels):
-        new, old = x[k - k0], driver.at(k)
-        gap = np.subtract(new, old, out=scratch[: new.size])
-        gaps.append(float(np.max(np.abs(gap, out=gap))))
-        if changed_from > end_step and not np.array_equal(new.view(np.int64), old.view(np.int64)):
-            changed_from = k
+        old = driver.at(k)
+        if k < fresh:
+            new = x[k - k0]
+        else:
+            level = u[k - base]
+            # this step's Euler made the top level and no step starts from
+            # it, so it becomes X in place; U at base is the caller's array
+            new = level if k == end_step > base else np.empty_like(level)
+            x.append(new)
+        block_gaps = []
+        for part in _level_blocks(new.size):
+            block = new[part]
+            if k >= fresh:
+                np.add(level[part], compensator[k - k0], out=block)
+            gap = np.subtract(block, old[part], out=scratch[: block.size])
+            block_gaps.append(np.max(np.abs(gap, out=gap)))
+            if changed_from > end_step and not np.array_equal(block.view(np.int64),
+                                                              old[part].view(np.int64)):
+                changed_from = k
+        gaps.append(float(np.max(block_gaps)))
     solution = SkorokhodSolution(
         X=ProcessOnLattice(lattice, k0, tuple(x)),
         A=DeterministicPath(times[k0 : end_step + 1], compensator),

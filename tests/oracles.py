@@ -2,13 +2,19 @@
 
 Everything here is deliberately written in plain scalar Python (recursion,
 explicit enumeration, straight loops) so it shares no code path with the
-vectorized library. Oracles stay independent of what they check.
+vectorized library. Oracles stay independent of what they check. The one
+exception is ``ref_loss_violations``, the all-pairs spot check of a loss that
+``validate_loss`` certifies in O(n): it is kept as written before the
+certificate, since the certificate must reproduce its exact floating-point
+verdicts.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def ref_upper_expectation(values, depth: int) -> float:
@@ -94,3 +100,53 @@ def bachelier_call(std: float, strike: float) -> float:
 
 def expected_abs_normal(std: float) -> float:
     return std * math.sqrt(2.0 / math.pi)
+
+
+def ref_loss_violations(loss, rtol: float = 1e-9) -> tuple[str, ...]:
+    """``validate_loss(loss).violations`` by the all-pairs check: the band on
+    a (200, 200) matrix per sample time and the time modulus on every
+    ordered pair of the 50 sample times. ``rtol`` is the library's spot-check
+    slack."""
+    bad = []
+    ts = np.linspace(0.0, loss.t_box, 50)
+    xs = np.linspace(loss.x_box[0], loss.x_box[1], 200)
+
+    f0 = loss.time_modulus(0.0)
+    if abs(f0) > rtol:
+        bad.append(f"time modulus F(0)={f0}, expected 0")
+    deltas = np.linspace(0.0, loss.t_box, 25)
+    f_vals = np.array([loss.time_modulus(float(d)) for d in deltas])
+    if np.any(np.diff(f_vals) < -rtol):
+        bad.append("time modulus F is not nondecreasing on the sample")
+    if np.any(f_vals < -rtol):
+        bad.append("time modulus F takes negative values")
+
+    dx = np.abs(xs[:, None] - xs[None, :])
+    slack = rtol * (1.0 + dx)
+    lower = loss.c_l * dx - slack
+    upper = loss.C_l * dx + slack
+    growth = loss.kappa_growth * (1.0 + np.abs(xs))
+    growth_bound = growth + rtol * (1.0 + growth)
+    lv_by_t = np.stack([loss(float(t), xs) for t in ts])
+    for t, lv in zip(ts, lv_by_t):
+        if np.any(np.diff(lv) <= 0.0):
+            bad.append(f"l(t={t:.4g}, .) is not strictly increasing on the sample")
+            break
+        dl = np.abs(lv[:, None] - lv[None, :])
+        if np.any(dl < lower):
+            bad.append(f"lower Lipschitz bound c_l={loss.c_l} violated at t={t:.4g}")
+            break
+        if np.any(dl > upper):
+            bad.append(f"upper Lipschitz bound C_l={loss.C_l} violated at t={t:.4g}")
+            break
+        if np.any(np.abs(lv) > growth_bound):
+            bad.append(f"growth bound kappa={loss.kappa_growth} violated at t={t:.4g}")
+            break
+
+    for i in range(len(ts)):
+        gap = np.abs(lv_by_t - lv_by_t[i]).max(axis=1)
+        allowed = np.array([loss.time_modulus(abs(float(t - ts[i]))) for t in ts])
+        if np.any(gap > allowed + rtol * (1.0 + allowed)):
+            bad.append("time modulus F violated on the sample")
+            break
+    return tuple(bad)

@@ -1,12 +1,15 @@
 """Block-size independence and error parity of the blocked lattice kernels.
 
-The sweep, the expected loss, the Euler step and the ``b``/``qv`` levels run
-over blocks of one subtree each, ``lattice._BLOCK_LEVELS`` levels deep (4^8
-leaves by default, so a depth-6 or depth-7 lattice is one block). Every
-element sees the same operations in either layout, so shrinking the block to
-1, 2 or 3 levels must give the same bits, and a bad value in the last block
-must raise the error that a pass over the whole level raises.
+The sweep, the expected loss, the Euler step, the ``b``/``qv`` levels and the
+Picard step's shift into X and sup distance run over blocks of one subtree
+each, ``lattice._BLOCK_LEVELS`` levels deep (4^8 leaves by default, so a
+depth-6 or depth-7 lattice is one block). Every element sees the same
+operations in either layout, so shrinking the block to 1, 2 or 3 levels must
+give the same bits, and a bad value in the first or the last block must raise
+the error that a pass over the whole level raises, from that block.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +19,18 @@ from meanreflect import (
     DepthMismatchError,
     InvalidParameterError,
     LossSpec,
+    MRSDEProblem,
     PathFunctional,
     TimeGrid,
     build_lattice,
     conditional_upper_expectation,
+    constant_process,
     expected_loss,
     lattice,
+    picard_step,
+    required_shift,
     sde,
+    upper_expectation,
 )
 from meanreflect.gexpectation import _sweep
 from meanreflect.registry import make_coefficient, make_loss
@@ -91,6 +99,24 @@ def _levels(lat):
     return [*lattice._levels(lat.step_db, lat.depth), *lattice._levels(lat.step_dqv, lat.depth)]
 
 
+def _picard_steps(lat):
+    """Two full passes and two passes that reuse the levels below the first
+    changed one: X, A, the distance and the first changed level of each."""
+    problem = MRSDEProblem(x0=-0.0, coeffs=COEFFS[0],
+                           loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                           band=lat.band, grid=lat.grid)
+    out = []
+    for guess in (0.0, -0.0):
+        driver = constant_process(lat, guess)
+        step = None
+        for _ in range(2):
+            step = picard_step(problem, lat, driver, 0, lat.depth, previous=step)
+            out.extend([*step.solution.X.values, step.solution.A.values,
+                        [step.distance, step.changed_from]])
+            driver = step.solution.X
+    return out
+
+
 KERNELS = {
     "sweep": _sweeps,
     "conditional_upper_expectation": _conditionals,
@@ -98,6 +124,7 @@ KERNELS = {
     "expected_loss_shifted": _shifted_expected_losses,
     "euler_step": _euler_steps,
     "levels": _levels,
+    "picard_step": _picard_steps,
 }
 
 
@@ -175,3 +202,106 @@ def test_loss_of_wrong_shape_in_last_block_raises(blocked_lattice, wrong):
     for shift in (None, 0.25):
         with pytest.raises(DepthMismatchError, match="loss at depth"):
             expected_loss(0.5, xi, blocked_lattice, loss, shift=shift)
+
+
+# the first leaf of the first block and the last leaf of the last block of a
+# depth-9 lattice, whose 4^9 leaves fill four blocks of 4^8
+FIRST_AND_LAST = [(0, 0), (-1, 3)]
+FIRST_AND_LAST_IDS = ["first_block", "last_block"]
+
+
+@pytest.fixture(scope="module")
+def lattice9(band):
+    return build_lattice(band, TimeGrid(1.0, 9))
+
+
+def _one_leaf(lat, leaf, value):
+    values = np.zeros(4**lat.depth)
+    values[leaf] = value
+    return PathFunctional(lat.depth, values)
+
+
+def _counted(fn):
+    """LossSpec of ``fn`` that records the size of each block it is given."""
+    calls = []
+
+    def counted(t, x):
+        calls.append(x.size)
+        return fn(t, x)
+
+    return _loss(counted), calls
+
+
+@pytest.mark.parametrize("leaf, block", FIRST_AND_LAST, ids=FIRST_AND_LAST_IDS)
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("shift", [None, 0.25])
+def test_non_finite_loss_raises_from_its_block(lattice9, leaf, block, bad, shift):
+    loss, calls = _counted(lambda t, x: np.where(x > 0.5, bad, x))
+    with pytest.raises(InvalidParameterError) as info:
+        expected_loss(0.5, _one_leaf(lattice9, leaf, 1.0), lattice9, loss, shift=shift)
+    assert str(info.value) == "functional values must be finite"
+    assert calls == [4**8] * (block + 1)
+
+
+@pytest.mark.parametrize("leaf, block", FIRST_AND_LAST, ids=FIRST_AND_LAST_IDS)
+def test_opposite_infinities_in_one_pair_raise_without_a_warning(lattice9, leaf, block):
+    # inf + (-inf) is the one invalid operation of the checked pair sums
+    def fn(t, x):
+        out = x.copy()
+        out[x > 0.5] = np.inf
+        out[np.flatnonzero(x > 0.5) ^ 1] = -np.inf
+        return out
+
+    loss, calls = _counted(fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="functional values must be finite"):
+            expected_loss(0.5, _one_leaf(lattice9, leaf, 1.0), lattice9, loss)
+    assert calls == [4**8] * (block + 1)
+
+
+@pytest.mark.parametrize("leaf, block", FIRST_AND_LAST, ids=FIRST_AND_LAST_IDS)
+@pytest.mark.parametrize("fn", [lambda t, x: np.arctan(x), make_loss("arctan_shift").fn],
+                         ids=["arctan", "arctan_shift"])
+def test_overflowing_shift_raises_from_its_block_without_a_warning(lattice9, leaf, block, fn):
+    # arctan(inf) is finite, so for it only the check of the shifted values
+    # can fail; no overflow warning escapes that check. The other leaves
+    # shift to 0.2e308, which arctan_shift doubles without overflow
+    loss, calls = _counted(fn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError) as info:
+            expected_loss(0.5, _one_leaf(lattice9, leaf, 1.7e308), lattice9, loss, shift=0.2e308)
+    assert str(info.value) == "functional values must be finite"
+    assert calls == [4**8] * block
+
+
+@pytest.mark.parametrize("leaf, block", FIRST_AND_LAST, ids=FIRST_AND_LAST_IDS)
+@pytest.mark.parametrize("shift", [None, 0.25])
+def test_loss_of_wrong_shape_raises_from_its_block(lattice9, leaf, block, shift):
+    loss, calls = _counted(lambda t, x: x[:-1] if np.any(x > 0.5) else x)
+    with pytest.raises(DepthMismatchError) as info:
+        expected_loss(0.5, _one_leaf(lattice9, leaf, 1.0), lattice9, loss, shift=shift)
+    assert str(info.value) == ("loss at depth 9 returned shape (65535,) "
+                               "for points of shape (65536,)")
+    assert calls == [4**8] * (block + 1)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_levels_near_the_float_limit_warn_nothing(lattice9, band, sign):
+    # the first-level pair sums reach 1.55e308, finite though any two of them
+    # overflow, and a root search from 0.8e308 away shifts the smallest and
+    # largest values close to the float limit and back
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    values = sign * np.resize(np.array([0.8e308, 0.7e308, 0.75e308, 0.8e308]), 4**9)
+    xi = PathFunctional(9, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = expected_loss(1.0, xi, lattice9, loss)
+        shifted = expected_loss(1.0, xi, lattice9, loss, shift=-sign * 0.7e308)
+        small = build_lattice(band, TimeGrid(1.0, 4))
+        shift = required_shift(1.0, PathFunctional(4, values[: 4**4]), small, loss)
+    assert value == upper_expectation(lattice9, PathFunctional(9, loss(1.0, values)))
+    assert shifted == upper_expectation(
+        lattice9, PathFunctional(9, loss(1.0, values - sign * 0.7e308)))
+    assert (shift == 0.0) if sign > 0 else (0.7e308 < shift < 0.8e308)

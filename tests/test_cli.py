@@ -234,6 +234,37 @@ def test_non_utf8_config_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_control_bytes_in_printed_paths_are_escaped(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", "a\0b.json"]) == 2
+    err = capsys.readouterr().err
+    assert "\0" not in err
+    assert err.startswith("config error: cannot read config file a\\x00b.json: ")
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3}})
+    assert cli.main(["run", str(cfg), "--output-dir", "out\x07dir"]) == 0
+    out = capsys.readouterr().out
+    assert "\x07" not in out
+    assert out.endswith("overall: PASS (report: out\\x07dir/report.json)\n")
+    assert (tmp_path / "out\x07dir" / "report.json").is_file()
+    # a report path under an existing file cannot be written
+    (tmp_path / "bell\x07").write_text("")
+    assert cli.main(["run", str(cfg), "--output-dir", "bell\x07/out"]) == 2
+    err = capsys.readouterr().err
+    assert "\x07" not in err
+    assert err.startswith("config error: outputs.csv: cannot write bell\\x07/out/trace.csv: ")
+
+
+def test_printable_paths_print_as_they_are(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3}})
+    assert cli.main(["run", str(cfg), "--output-dir", "out dir\\é"]) == 0
+    assert capsys.readouterr().out.endswith("overall: PASS (report: out dir\\é/report.json)\n")
+    assert cli.main(["run", "missing é.json"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: cannot read config file missing é.json: "
+        "[Errno 2] No such file or directory: 'missing é.json'\n")
+
+
 def test_overflow_at_config_load_is_solver_failure(tmp_path, capsys):
     # 2 x0 overflows in the load-time check of l(0, x0); pytest turns a
     # RuntimeWarning into an error, so a warning leaking out would raise here

@@ -1,10 +1,15 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from meanreflect import InvalidParameterError, LossSpec, validate_loss
-from meanreflect.loss import require_valid_loss
+from meanreflect.loss import _SPOT_RTOL, _band_certified, require_valid_loss
 from meanreflect.errors import ValidationError
 from meanreflect.registry import make_loss
+from oracles import ref_loss_violations
 
 
 def test_constructor_rejects_bad_constants():
@@ -108,3 +113,103 @@ def test_validate_loss_evaluates_each_sample_time_once(fn, c_l, C_l, modulus, gr
     assert validate_loss(loss).violations == violations
     assert len(calls) == 50
     assert calls == sorted(set(calls))
+
+
+def _certified(loss):
+    """Whether the O(n) certificate holds at every sample time, so that
+    ``validate_loss`` builds no pair matrix."""
+    ts = np.linspace(0.0, loss.t_box, 50)
+    xs = np.linspace(loss.x_box[0], loss.x_box[1], 200)
+    lv_by_t = np.stack([loss(float(t), xs) for t in ts])
+    return bool(_band_certified(loss, xs, lv_by_t, np.diff(lv_by_t, axis=1)).all())
+
+
+REGISTRY_GRID = [
+    *(("linear", {"c0": c0, "c1": c1, "horizon": h})
+      for c0, c1, h in itertools.product((-1.0, 0.0, 0.3), (0.0, 0.5, 1.5), (0.5, 1.0))),
+    *(("arctan_shift", {"c": c}) for c in (-5.0, 0.0, 2.5, 5.0)),
+    *(("smooth_sin", {"c0": c0, "c1": c1, "horizon": h})
+      for c0, c1, h in itertools.product((-1.0, 0.0, 0.3), (0.0, 0.5, 1.5), (0.5, 1.0))),
+]
+
+
+@pytest.mark.parametrize("name, params", REGISTRY_GRID,
+                         ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in REGISTRY_GRID])
+def test_registry_losses_take_the_certified_path(name, params):
+    loss = make_loss(name, params)
+    assert _certified(loss)
+    assert validate_loss(loss).violations == ref_loss_violations(loss, _SPOT_RTOL) == ()
+
+
+# the smallest and largest slope of each registry loss on its box [-5, 5]
+TRUE_SLOPES = {
+    "linear": (1.0, 1.0),
+    "arctan_shift": (2.0 + 1.0 / 26.0, 3.0),
+    "smooth_sin": (0.9, 1.1),
+}
+MOVES = (-1e-6, -1e-10, 0.0, 1e-10, 1e-6)
+
+
+def _sampled_slopes(loss):
+    """The smallest and largest slope between adjacent samples."""
+    ts = np.linspace(0.0, loss.t_box, 50)
+    xs = np.linspace(loss.x_box[0], loss.x_box[1], 200)
+    slopes = np.diff(np.stack([loss(float(t), xs) for t in ts]), axis=1) / np.diff(xs)
+    return float(slopes.min()), float(slopes.max())
+
+
+@pytest.mark.parametrize("name", sorted(TRUE_SLOPES))
+def test_band_moved_near_the_slope_bounds_gives_the_all_pairs_verdict(name):
+    seen = set()
+    for low, high in (TRUE_SLOPES[name], _sampled_slopes(make_loss(name))):
+        for move_low, move_high in itertools.product(MOVES, MOVES):
+            c_l, C_l = low * (1.0 + move_low), high * (1.0 + move_high)
+            if c_l > C_l:
+                continue
+            loss = dataclasses.replace(make_loss(name), c_l=c_l, C_l=C_l)
+            violations = validate_loss(loss).violations
+            assert violations == ref_loss_violations(loss, _SPOT_RTOL)
+            seen.add((violations == (), _certified(loss)))
+    # a band 1e-6 inside the sampled slopes is violated; 1e-10 inside is
+    # within the slack but beyond the certificate's margin
+    assert seen == {(True, True), (True, False), (False, False)}
+
+
+def test_golden_spotcheck_config_gives_the_all_pairs_verdict():
+    loss = dataclasses.replace(make_loss("linear", {"c0": 0.0, "c1": 1.0}), c_l=5.0, C_l=5.0)
+    assert not _certified(loss)
+    assert validate_loss(loss).violations == ref_loss_violations(loss, _SPOT_RTOL) == (
+        "lower Lipschitz bound c_l=5.0 violated at t=0",)
+
+
+@pytest.mark.parametrize("scale, violations", [
+    (1e6, ()),
+    (-1e6, ("l(t=0, .) is not strictly increasing on the sample",)),
+], ids=["band_holds", "decreasing"])
+def test_large_values_fall_back_to_the_all_pairs_check(scale, violations):
+    # |l| near 5e6 leaves rounding errors beyond the certificate's margin
+    loss = LossSpec(fn=lambda t, x: scale * x, c_l=1e6, C_l=1e6,
+                    time_modulus=lambda d: 0.0, kappa_growth=1e6)
+    assert not _certified(loss)
+    assert validate_loss(loss).violations == ref_loss_violations(loss, _SPOT_RTOL) == violations
+
+
+def test_non_finite_loss_values_fail_the_certificate():
+    loss = LossSpec(fn=lambda t, x: np.where(x > 4.9, np.nan, x), c_l=1.0, C_l=1.0,
+                    time_modulus=lambda d: 0.0, kappa_growth=10.0)
+    assert not _certified(loss)
+    assert validate_loss(loss).violations == ref_loss_violations(loss, _SPOT_RTOL)
+
+
+def test_time_modulus_is_called_once_per_unordered_pair():
+    calls = []
+
+    def modulus(d):
+        calls.append(d)
+        return d
+
+    validate_loss(LossSpec(fn=lambda t, x: x - t, c_l=1.0, C_l=1.0, time_modulus=modulus,
+                           kappa_growth=6.0))
+    # F(0), the 25 monotonicity samples, then 50 * 51 / 2 pairs
+    assert len(calls) == 1 + 25 + 50 * 51 // 2
+    assert math.isclose(max(calls), 1.0)
