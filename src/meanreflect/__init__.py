@@ -48,6 +48,7 @@ from .gexpectation import (
     lower_capacity,
     lower_expectation,
     strict_comparison_check,
+    terminal_upper_expectation,
     upper_capacity,
     upper_expectation,
 )

@@ -76,6 +76,22 @@ class OutputsConfig:
     report: str = "report.json"
 
 
+def _built_once(builder):
+    """Keep a builder's result on the config, so that validation and the run
+    share one object: the config is frozen, so it cannot go stale. An error
+    is not kept, and each call raises it again."""
+    key = f"_built_{builder.__name__}"
+
+    @functools.wraps(builder)
+    def built(self):
+        kept = self.__dict__
+        if key not in kept:
+            kept[key] = builder(self)
+        return kept[key]
+
+    return built
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     mode: str = "full_sde"
@@ -83,8 +99,9 @@ class ExperimentConfig:
     solver: PicardConfig = field(default_factory=PicardConfig)
     outputs: OutputsConfig = field(default_factory=OutputsConfig)
 
-    # -- builders -----------------------------------------------------------
+    # -- builders (each runs once per config) --------------------------------
 
+    @_built_once
     def band(self) -> VolatilityBand:
         try:
             classical = self.problem.sigma_low_sq == self.problem.sigma_high_sq
@@ -97,12 +114,14 @@ class ExperimentConfig:
                 f"problem.sigma_high_sq={self.problem.sigma_high_sq}: {exc}"
             ) from None
 
+    @_built_once
     def grid(self) -> TimeGrid:
         try:
             return TimeGrid(self.problem.horizon, self.problem.n_steps)
         except InvalidParameterError as exc:
             raise ConfigError(f"problem.horizon/problem.n_steps: {exc}") from None
 
+    @_built_once
     def loss_spec(self) -> LossSpec:
         cfg = self.problem.loss
         params = dict(cfg.params)
@@ -119,6 +138,7 @@ class ExperimentConfig:
                 spec = dataclasses.replace(spec, **overrides)
         return spec
 
+    @_built_once
     def coefficients(self) -> Coefficients:
         terms = []
         for key in ("b", "h", "sigma"):
@@ -129,6 +149,7 @@ class ExperimentConfig:
         kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
         return Coefficients(b=b.fn, h=h.fn, sigma=sigma.fn, kappa=kappa)
 
+    @_built_once
     def payoff(self) -> Payoff:
         with _field("problem.payoff"):
             return make_payoff(self.problem.payoff.name, self.problem.payoff.params)

@@ -1,5 +1,11 @@
 """Experiment runner: solve, check, and emit CSV traces plus a JSON report.
 
+A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
+``gexpectation.terminal_upper_expectation``, the recombining sweep over the
+net signed counts of low- and high-volatility steps, and reads no level of
+the tree; the lattice it builds (lazily, so this costs nothing) keeps the
+enumeration cap for every mode.
+
 All output is deterministic: repeated runs of one config produce
 byte-identical files. Floats are serialized with their shortest round-trip
 representation and the report carries the config hash for provenance.
@@ -28,7 +34,7 @@ from .errors import (
     NonContractionError,
     SolverError,
 )
-from .gexpectation import upper_expectation
+from .gexpectation import terminal_upper_expectation, upper_expectation
 from .lattice import PathFunctional, build_lattice
 from .loss import validate_loss
 from .reflection import (
@@ -214,7 +220,7 @@ def run_experiment(
     try:
         if config.mode == "gexp_probe":
             payoff = config.payoff()
-            value = upper_expectation(lattice, lattice.functional_from_terminal(payoff.fn))
+            value = terminal_upper_expectation(lattice.band, lattice.grid, payoff.fn)
             finite = bool(np.isfinite(value))
             checks.append(CheckResult("value_finite", float(finite), 1.0, finite))
             csv_text = f"payoff,value\n{payoff.name},{_fmt(value)}\n"

@@ -2,11 +2,12 @@
 
 Everything here is deliberately written in plain scalar Python (recursion,
 explicit enumeration, straight loops) so it shares no code path with the
-vectorized library. Oracles stay independent of what they check. The one
-exception is ``ref_loss_violations``, the all-pairs spot check of a loss that
-``validate_loss`` certifies in O(n): it is kept as written before the
-certificate, since the certificate must reproduce its exact floating-point
-verdicts.
+vectorized library. Oracles stay independent of what they check. The two
+exceptions are ``ref_loss_violations`` and ``ref_coefficient_violations``,
+the all-pairs spot checks of a loss and of coefficients that
+``validate_loss`` and ``sde.validate_coefficients`` certify in O(n): they are
+kept as written before the certificates, since the certificates must
+reproduce their exact floating-point verdicts.
 """
 
 from __future__ import annotations
@@ -149,4 +150,29 @@ def ref_loss_violations(loss, rtol: float = 1e-9) -> tuple[str, ...]:
         if np.any(gap > allowed + rtol * (1.0 + allowed)):
             bad.append("time modulus F violated on the sample")
             break
+    return tuple(bad)
+
+
+def ref_coefficient_violations(coeffs, t_max: float = 1.0, x_box=(-5.0, 5.0),
+                               rtol: float = 1e-9) -> tuple[str, ...]:
+    """``validate_coefficients(coeffs, t_max, x_box).violations`` by the
+    all-pairs check: an (80, 80) pair matrix per coefficient and sample
+    time, as written before the adjacent-difference certificate. ``rtol`` is
+    the library's spot-check slack."""
+    bad = []
+    ts = np.linspace(0.0, t_max, 20)
+    xs = np.linspace(x_box[0], x_box[1], 80)
+    dx = np.abs(xs[:, None] - xs[None, :])
+    allowed = coeffs.kappa * dx + rtol * (1.0 + dx)
+    for label, fn in (("b", coeffs.b), ("h", coeffs.h), ("sigma", coeffs.sigma)):
+        for t in ts:
+            v = np.asarray(fn(float(t), xs), dtype=float)
+            if v.ndim == 0:
+                v = np.full_like(xs, float(v))
+            if np.any(np.abs(v[:, None] - v[None, :]) > allowed):
+                bad.append(
+                    f"coefficient {label} violates the Lipschitz bound kappa={coeffs.kappa} "
+                    f"at t={t:.4g}"
+                )
+                break
     return tuple(bad)

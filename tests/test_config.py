@@ -4,7 +4,7 @@ import json
 import pytest
 
 from meanreflect import ExperimentConfig, load_config
-from meanreflect.config import config_from_dict
+from meanreflect.config import ProblemConfig, config_from_dict
 from meanreflect.errors import ConfigError
 
 
@@ -32,6 +32,33 @@ def test_round_trip_is_identity():
         "problem": {"payoff": {"name": "square"}},
     })
     assert config_from_dict(probe.to_dict()) == probe
+
+
+def test_built_objects_are_shared_by_validation_and_the_run(monkeypatch, tmp_path):
+    from meanreflect import config as config_module, runner
+
+    made = []
+    for name in ("make_loss", "make_coefficient", "make_payoff"):
+        original = getattr(config_module, name)
+        monkeypatch.setattr(config_module, name,
+                            lambda *a, _f=original, _n=name: made.append(_n) or _f(*a))
+    for mode, payoff in (("sp_only", None), ("gexp_probe", {"name": "square"})):
+        made.clear()
+        config = load_config(write(tmp_path, {"mode": mode, "problem": {
+            "n_steps": 3, "payoff": payoff}}))
+        built = (config.band(), config.grid(), config.loss_spec(), config.coefficients())
+        assert runner.run_experiment(config, output_dir=str(tmp_path / mode)).exit_code == 0
+        assert all(a is b for a, b in zip(built, (config.band(), config.grid(),
+                                                   config.loss_spec(), config.coefficients())))
+        assert sorted(made) == ["make_coefficient"] * 3 + ["make_loss"] + (
+            ["make_payoff"] if payoff else [])
+
+
+def test_builder_errors_are_raised_on_every_call():
+    config = ExperimentConfig(problem=ProblemConfig(sigma_low_sq=4.0, sigma_high_sq=1.0))
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="problem.sigma_low_sq=4.0"):
+            config.band()
 
 
 def test_parse_error_reports_position(tmp_path):

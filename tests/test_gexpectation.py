@@ -14,10 +14,13 @@ from meanreflect import (
     lower_capacity,
     lower_expectation,
     strict_comparison_check,
+    terminal_upper_expectation,
     upper_capacity,
     upper_expectation,
 )
+from meanreflect.config import ProblemConfig
 from meanreflect.gexpectation import _sweep
+from meanreflect.registry import PAYOFFS, make_payoff
 from oracles import ref_enumerated_supremum, ref_upper_expectation
 
 
@@ -271,3 +274,74 @@ class TestSweepKernel:
             conditional_upper_expectation(lattice6, xi, step)
         assert xi.values is values
         assert _same_bits(values, before)
+
+
+# (1, 4) is also the config default; a set keeps each band once
+KERNEL_BANDS = sorted({(1.0, 4.0), (ProblemConfig.sigma_low_sq, ProblemConfig.sigma_high_sq),
+                       (0.7, 2.3)})
+KERNEL_PAYOFFS = [(name, {}) for name in sorted(PAYOFFS)] + [
+    ("call", {"strike": strike}) for strike in (-0.3, 0.5, 1.7)]
+
+
+class TestTerminalKernel:
+    """The recombining sweep of a terminal payoff against the tree."""
+
+    @pytest.mark.parametrize("low_sq, high_sq", KERNEL_BANDS)
+    def test_matches_the_tree_for_every_registry_payoff(self, low_sq, high_sq):
+        band = VolatilityBand(low_sq, high_sq)
+        for n in range(11):
+            grid = TimeGrid(1.0 if n else 0.0, n)
+            lattice = build_lattice(band, grid)
+            for name, params in KERNEL_PAYOFFS:
+                fn = make_payoff(name, params).fn
+                tree = upper_expectation(lattice, lattice.functional_from_terminal(fn))
+                value = terminal_upper_expectation(band, grid, fn)
+                assert abs(value - tree) <= 1e-14 * max(1.0, abs(tree)), (n, name, params)
+
+    def test_evaluates_the_payoff_once_on_the_reachable_states(self, band):
+        grid = TimeGrid(1.0, 7)
+        calls = []
+
+        def fn(x):
+            calls.append(x.copy())
+            return x**2
+
+        terminal_upper_expectation(band, grid, fn)
+        assert len(calls) == 1 and calls[0].shape == (8 * 8,)
+        lattice = build_lattice(band, grid)
+        leaves = np.unique(lattice.b[7])
+        # every reachable value of B_T is a leaf value, up to path-order rounding
+        gaps = np.abs(calls[0][:, None] - leaves[None, :]).min(axis=1)
+        assert gaps.max() <= 1e-14
+
+    def test_non_finite_only_off_the_diamond_passes(self, band):
+        n = 6
+        grid = TimeGrid(1.0, n)
+        reach = n * band.sigma_high * np.sqrt(grid.dt) * (1 + 1e-9)
+        fn = lambda x: np.where(np.abs(x) > reach, np.inf, np.abs(x))
+        # (i, j) = (n, n) lies off the diamond, beyond every reachable B
+        assert n * (band.sigma_low + band.sigma_high) * np.sqrt(grid.dt) > reach
+        value = terminal_upper_expectation(band, grid, fn)
+        lattice = build_lattice(band, grid)
+        tree = upper_expectation(lattice, lattice.functional_from_terminal(fn))
+        assert abs(value - tree) <= 1e-14 * max(1.0, abs(tree))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_at_one_reachable_state_raises(self, band, bad):
+        grid = TimeGrid(1.0, 6)
+        fn = lambda x: np.where(x == 0.0, bad, x)
+        with pytest.raises(InvalidParameterError, match="functional values must be finite"):
+            terminal_upper_expectation(band, grid, fn)
+        lattice = build_lattice(band, grid)
+        with pytest.raises(InvalidParameterError, match="functional values must be finite"):
+            lattice.functional_from_terminal(fn)
+
+    def test_one_value_per_state_is_required(self, band):
+        with pytest.raises(InvalidParameterError, match="one value per state"):
+            terminal_upper_expectation(band, TimeGrid(1.0, 3), lambda x: 1.0)
+
+    def test_runs_past_the_enumeration_cap(self):
+        band = VolatilityBand(1.0, 1.0, classical=True)
+        # classical band: the binomial second moment, exactly horizon
+        assert terminal_upper_expectation(band, TimeGrid(1.0, 64), lambda x: x**2) == (
+            pytest.approx(1.0, rel=1e-12))

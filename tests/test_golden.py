@@ -17,7 +17,8 @@ only ``+ - *`` and ``max``, so its bytes are portable), and the value of one
 Every config with ``n_steps`` at most 8 fits in one leaf block of the
 blocked kernels; ``full_sde_ou_linear_sigma_n10`` and
 ``sp_only_smooth_sin_n9`` run the multi-block paths of the sweep, the loss
-evaluation and the Euler step. The ``picard_*`` configs pin Picard reports
+evaluation and the Euler step; ``gexp_probe_call_n10`` pins the probe
+kernel at the enumeration cap. The ``picard_*`` configs pin Picard reports
 over several subintervals: after restarts, from a set initial length, and a
 non-contraction failure.
 
@@ -86,6 +87,11 @@ CONFIGS = {
         }
         for name, params in (("identity", {}), ("square", {}), ("neg_square", {}),
                              ("abs", {}), ("call", {"strike": 0.5}))
+    },
+    # the recombining probe kernel at the enumeration cap
+    "gexp_probe_call_n10": {
+        "mode": "gexp_probe",
+        "problem": {"n_steps": 10, "payoff": {"name": "call", "params": {"strike": 0.5}}},
     },
     "spotcheck_failed": {
         "problem": {"n_steps": 4,

@@ -33,6 +33,7 @@ from meanreflect import sde
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
+from oracles import ref_coefficient_violations
 
 
 def const_coeffs(b=0.0, h=0.0, sigma=0.0):
@@ -111,6 +112,113 @@ class TestValidateCoefficients:
         report = validate_coefficients(coeffs)
         assert not report.ok
         assert any("b" in v for v in report.violations)
+
+
+# the index expressions of a pair matrix: v[:, None] - v[None, :]
+PAIR_KEYS = ((slice(None), None), (None, slice(None)))
+
+
+class _Watched(np.ndarray):
+    """Coefficient values that count the pair matrices built from them."""
+
+    pair_builds = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and key in PAIR_KEYS:
+            _Watched.pair_builds += 1
+        return super().__getitem__(key)
+
+
+@pytest.fixture
+def watched(monkeypatch):
+    """Count the pair matrices validate_coefficients builds."""
+    evaluate = sde._eval_coeff
+    monkeypatch.setattr(sde, "_eval_coeff", lambda fn, t, x: evaluate(fn, t, x).view(_Watched))
+    _Watched.pair_builds = 0
+    return _Watched
+
+
+def _registry_family(seed):
+    """Seeded ou_drift / linear_sigma coefficients, with the config's kappa
+    (the sum of the terms' constants) and the tight one (their largest)."""
+    rng = np.random.default_rng(seed)
+    b = make_coefficient("ou_drift", {"theta": rng.uniform(-3.0, 3.0), "mu": rng.uniform(-1, 1)})
+    a = rng.uniform(0.2, 1.5)
+    sigma = make_coefficient("linear_sigma", {"a": a, "b": rng.uniform(0.0, 1.0),
+                                              "cap": a + rng.uniform(0.1, 3.0)})
+    h = make_coefficient("zero")
+    terms = (b.lipschitz, h.lipschitz, sigma.lipschitz)
+    return b.fn, h.fn, sigma.fn, max(sum(terms), 1e-9), max(*terms, 1e-9)
+
+
+# factors on the tight kappa: a clear pass, a pass that only the pairs can
+# show (the excess is inside the slack but above the certificate's margin),
+# and violations
+KAPPA_MOVES = (1.0 + 1e-6, 1.0, 1.0 - 1e-10, 1.0 - 1e-6, 0.5)
+
+
+class TestCoefficientCertificate:
+    """validate_coefficients reports exactly the all-pairs check's violations."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_registry_families_take_the_certified_path(self, seed, watched):
+        b, h, sigma, kappa, _ = _registry_family(seed)
+        coeffs = Coefficients(b=b, h=h, sigma=sigma, kappa=kappa)
+        assert validate_coefficients(coeffs).violations == ()
+        assert watched.pair_builds == 0
+        assert ref_coefficient_violations(coeffs) == ()
+
+    @pytest.mark.parametrize("move", KAPPA_MOVES)
+    @pytest.mark.parametrize("seed", range(8))
+    def test_moved_kappa_gives_the_all_pairs_verdict(self, seed, move):
+        b, h, sigma, _, tight = _registry_family(seed)
+        for t_max, x_box in ((1.0, (-5.0, 5.0)), (2.5, (-0.5, 3.0))):
+            coeffs = Coefficients(b=b, h=h, sigma=sigma, kappa=tight * move)
+            got = validate_coefficients(coeffs, t_max=t_max, x_box=x_box).violations
+            assert got == ref_coefficient_violations(coeffs, t_max=t_max, x_box=x_box)
+
+    @pytest.mark.parametrize("kappa", [0.9 * 2.6, 2.6, 2.6 * (1 + 1e-10), 10.0])
+    def test_non_monotone_coefficients(self, kappa):
+        # slope 2.6 cos(1.3 x + t): the adjacent differences change sign
+        wave = lambda t, x: 2.0 * np.sin(1.3 * x + t)
+        coeffs = Coefficients(b=wave, h=lambda t, x: np.abs(x - t),
+                              sigma=lambda t, x: np.minimum(np.abs(x), 1.0), kappa=kappa)
+        got = validate_coefficients(coeffs).violations
+        assert got == ref_coefficient_violations(coeffs)
+        assert bool(got) == (kappa < 2.6 * (1 - 1e-3))
+
+    def test_slope_just_past_kappa_falls_back_and_passes(self, watched):
+        # an adjacent excess above the certificate's margin, inside the slack
+        coeffs = Coefficients(b=lambda t, x: 2.0 * (1 + 1e-10) * x,
+                              h=lambda t, x: np.zeros_like(x),
+                              sigma=lambda t, x: np.zeros_like(x), kappa=2.0)
+        assert validate_coefficients(coeffs).violations == ()
+        # b's 20 sample times, each with two index expressions
+        assert watched.pair_builds == 40
+        assert ref_coefficient_violations(coeffs) == ()
+
+    @pytest.mark.parametrize("kappa, x_box", [(1e12, (-5.0, 5.0)), (1.0, (-1e12, 1e12))])
+    def test_rounding_beyond_the_margin_falls_back(self, watched, kappa, x_box):
+        # 16u kappa X > rtol/4: flat coefficients pass the adjacent bound, but
+        # the certificate's proof does not cover the rounding, so every pair
+        # of the 60 rows is checked
+        flat = lambda t, x: np.zeros_like(x)
+        coeffs = Coefficients(b=flat, h=flat, sigma=flat, kappa=kappa)
+        assert validate_coefficients(coeffs, x_box=x_box).violations == ()
+        assert watched.pair_builds == 2 * 60
+        assert ref_coefficient_violations(coeffs, x_box=x_box) == ()
+
+    @pytest.mark.parametrize("values", [
+        lambda t, x: np.where(x > 0.0, np.nan, x),
+        lambda t, x: np.where(x > 4.0, np.inf, x),
+        lambda t, x: 1e300 * x,
+        lambda t, x: np.array([t]),
+    ], ids=["nan", "inf", "huge", "wrong_shape"])
+    def test_values_the_certificate_refuses(self, values):
+        coeffs = Coefficients(b=values, h=lambda t, x: 0.0, sigma=lambda t, x: x, kappa=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = validate_coefficients(coeffs).violations
+            assert got == ref_coefficient_violations(coeffs)
 
 
 class TestProblem:
