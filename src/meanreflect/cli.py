@@ -12,6 +12,7 @@ Set MEANREFLECT_OUTPUT_DIR to redirect all output files into one directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .config import config_from_dict, load_config
@@ -63,7 +64,9 @@ def _cmd_list(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="meanreflect",
         description="Mean-reflection experiment harness",

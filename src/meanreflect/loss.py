@@ -9,7 +9,7 @@ brackets), so ``validate_loss`` spot-checks them on a sampling grid first.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -83,21 +83,99 @@ class LossValidationReport:
         return not self.violations
 
 
-def _band_certified(loss: LossSpec, xs: np.ndarray, lv_by_t: np.ndarray,
-                    d: np.ndarray) -> np.ndarray:
-    """Per sample time (row of ``lv_by_t``, with adjacent differences ``d``),
-    whether the adjacent-sample slopes prove that no pair of samples violates
-    the declared band; the certificate and its proof are in
-    ``validate_loss``."""
+def _adjacent_certified(xs: np.ndarray, v_by_t: np.ndarray, low: float, high: float,
+                        d: np.ndarray | None = None) -> np.ndarray:
+    """Per row of ``v_by_t`` (values at the samples ``xs``, with adjacent
+    differences ``d``), whether the absolute adjacent differences prove that
+    every pair of samples satisfies, for 0 <= low <= high,
+
+        low |x_i - x_j| - s <= |v_i - v_j| <= high |x_i - x_j| + s,
+        s = rtol (1 + |x_i - x_j|),  rtol = _SPOT_RTOL,
+
+    the upper side for any row, the lower side for a monotone row. A row that
+    passes needs no (n, n) pair matrix; ``_pair_bound_sides`` checks every
+    pair of the others, so the verdicts are the same either way.
+
+    Certificate. Let u = 2^-53, n samples x_m and, in one row, values v_m.
+    The row is certified when
+
+        e_m = fl(x_{m+1} - x_m) > 0 for every m,
+        fl(16u (V + high X)) <= rtol/4,  V = max |v_m|,  X = max |x_m|,
+        fl(a_m - fl(low e_m)) >= -tau and fl(a_m - fl(high e_m)) <= tau
+        for every m, with a_m = |fl(v_{m+1} - v_m)|, tau = fl(rtol / (4 (n-1))).
+
+    Proof that no pair then fails. Let D_m and E_m > 0 be the exact adjacent
+    differences; for samples i < j, W = x_j - x_i is the sum of E_m over m
+    in [i, j), so W <= 2X, and |v_j - v_i| <= S, the sum of |D_m|. The pair
+    check flags dv < lo or dv > hi, where dv = fl(|v_i - v_j|), dx =
+    fl(|x_i - x_j|) = W (1 +- u), the slack s = fl(rtol fl(1 + dx)) >= rtol,
+    lo = fl(fl(low dx) - s) and hi = fl(fl(high dx) + s). Each operation
+    rounds within a factor (1 +- u).
+
+    Upper side. a_m >= |D_m| (1 - u), fl(high e_m) <= high E_m (1 + u)^2
+    and, by the certificate, a_m - fl(high e_m) <= tau / (1 - u). Summing
+    over [i, j),
+
+        S <= high W (1 + u)^2 / (1 - u) + (n-1) tau / (1 - u)^2.
+
+    With dv <= S (1 + u) and hi >= high W (1 - u)^3 + s (1 - u), dv - hi <=
+    8u high W + (n-1) tau (1 + u) / (1 - u)^2 - s (1 - u); by the certificate
+    8u high W <= 16u high X <= rtol/4 (1 + 2u) and (n-1) tau <= rtol/4 (1 + u),
+    so dv - hi <= rtol/2 (1 + 4u) - rtol (1 - u) < 0.
+
+    Lower side, for a monotone row. Then |v_j - v_i| = S <= 2V. Each
+    fl(a_m - fl(low e_m)) lies within 4u (|D_m| + high E_m) of
+    |D_m| - low E_m, so summing over [i, j) gives
+
+        S - low W >= -(n-1) tau - 8u (V + high X).
+
+    Either lo <= 0 <= dv, or lo <= low W (1 + u)^3 - s; with dv >= S (1 - u),
+    uS <= 2uV and low W <= 2 high X, dv - lo >= s - (n-1) tau
+    - 16u (V + high X) >= rtol - rtol/2 (1 + 4u) > 0. With low = 0 the lower
+    side holds for every row, since lo = -s < 0.
+
+    A subnormal result adds at most 2^-1075 per operation, far inside the
+    unused half of the slack; a dx that overflows makes hi infinite. A NaN or
+    an infinite difference fails the certificate, and so does any overflow,
+    which needs V or high X above 1e307.
+    """
     n = xs.size
     with np.errstate(over="ignore", invalid="ignore"):
+        a = np.abs(np.diff(v_by_t, axis=1) if d is None else d)
         e = np.diff(xs)
-        low = (d - loss.c_l * e).min(axis=1)
-        high = (d - loss.C_l * e).max(axis=1)
-        rounding = 16.0 * 2.0**-53 * (np.abs(lv_by_t).max(axis=1) + loss.C_l * np.abs(xs).max())
+        lowest = (a - low * e).min(axis=1)
+        highest = (a - high * e).max(axis=1)
+        rounding = 16.0 * 2.0**-53 * (np.abs(v_by_t).max(axis=1) + high * np.abs(xs).max())
     tau = _SPOT_RTOL / (4.0 * (n - 1))
     return (np.all(e > 0.0) & (rounding <= _SPOT_RTOL / 4.0)
-            & (low >= -tau) & (high <= tau))
+            & (lowest >= -tau) & (highest <= tau))
+
+
+def _pair_bound_sides(xs: np.ndarray, rows, low: float, high: float,
+                      certified: np.ndarray) -> Iterator[str | None]:
+    """Yield, row by row, the side of the pairwise bound of
+    ``_adjacent_certified`` that some pair of samples violates: "lower",
+    "upper" or None. A certified row yields None unchecked; the first other
+    row builds the (n, n) bound matrices, which every later one reuses, and
+    is checked on every pair. Rows are checked only as they are drawn, so a
+    caller that stops at its first violation checks no row after it."""
+    bounds = None
+    for v, skip in zip(rows, certified):
+        if skip:
+            yield None
+            continue
+        if bounds is None:
+            dx = np.abs(xs[:, None] - xs[None, :])
+            slack = _SPOT_RTOL * (1.0 + dx)
+            bounds = (low * dx - slack, high * dx + slack)
+        dv = np.abs(v[:, None] - v[None, :])
+        yield "lower" if np.any(dv < bounds[0]) else "upper" if np.any(dv > bounds[1]) else None
+
+
+def _band_certified(loss: LossSpec, xs: np.ndarray, lv_by_t: np.ndarray,
+                    d: np.ndarray) -> np.ndarray:
+    """Per sample time, whether ``_adjacent_certified`` proves the band."""
+    return _adjacent_certified(xs, lv_by_t, loss.c_l, loss.C_l, d)
 
 
 def validate_loss(loss: LossSpec) -> LossValidationReport:
@@ -108,40 +186,10 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
     raising, so the harness can surface each violation as a named check.
 
     The band is checked on every pair of samples at each time, with a slack
-    of rtol (1 + |x_i - x_j|), rtol = _SPOT_RTOL. Adjacent slopes bound every
-    pair's slope, so where they fit the band with the margin below, no pair
-    can fail and the (200, 200) pair matrices are not built; at a time where
-    this certificate fails, every pair is checked. The time modulus is
-    checked once per unordered pair of sample times. The violations are the
-    same either way.
-
-    Certificate. Let u = 2^-53, n = 200 samples x_m, and at one time values
-    l_m that increase strictly (checked first). The pairs are skipped when
-
-        e_m = fl(x_{m+1} - x_m) > 0 for every m,
-        fl(16u (V + C_l X)) <= rtol/4,  V = max |l_m|,  X = max |x_m|,
-        fl(d_m - fl(c_l e_m)) >= -tau and fl(d_m - fl(C_l e_m)) <= tau
-        for every m, with d_m = fl(l_{m+1} - l_m), tau = fl(rtol / (4 (n-1))).
-
-    Proof that no pair then fails. Let D_m, E_m > 0 be the exact adjacent
-    differences; for samples i < j, D = l_j - l_i and W = x_j - x_i are
-    their sums over m in [i, j), so D <= 2V and W <= 2X. Each computed
-    excess fl(d_m - fl(c e_m)), c = c_l or C_l, lies within
-    4u (D_m + C_l E_m) of D_m - c E_m, and summing over [i, j) gives
-
-        D - c_l W >= -(n-1) tau - 8u (V + C_l X),
-        D - C_l W <= (n-1) tau + 8u (V + C_l X).
-
-    The pair check flags dl < lo or dl > hi, where dl = fl(|l_i - l_j|) lies
-    in [D (1 - u), D (1 + u)], dx = fl(|x_i - x_j|) = W (1 +- u), the slack
-    s = fl(rtol fl(1 + dx)) >= rtol, lo = fl(fl(c_l dx) - s) and
-    hi = fl(fl(C_l dx) + s). Either lo <= 0 < dl or lo <= c_l W (1 + u)^3 - s,
-    and hi >= C_l W (1 - u)^3 + s (1 - u). With uD <= 2uV and W <= 2X, neither
-    flags once (n-1) tau + 16u (V + C_l X) <= s (1 - u); by the certificate
-    the left side is at most rtol/2 (1 + 4u), and s >= rtol. A subnormal
-    result adds at most 2^-1075 per operation, far inside the unused half of
-    the slack. A NaN fails the certificate, and so does any overflow, which
-    needs V or C_l X above 1e307.
+    of rtol (1 + |x_i - x_j|), rtol = _SPOT_RTOL: where the adjacent slopes
+    of a strictly increasing row certify it (``_adjacent_certified``, with
+    low = c_l and high = C_l), the (200, 200) pair matrices are not built.
+    The time modulus is checked once per unordered pair of sample times.
     """
     bad: list[str] = []
     ts = np.linspace(0.0, loss.t_box, 50)
@@ -165,25 +213,19 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
         d = np.diff(lv_by_t, axis=1)
         decreasing = np.any(d <= 0.0, axis=1)
         beyond_growth = np.any(np.abs(lv_by_t) > growth_bound, axis=1)
-    certified = _band_certified(loss, xs, lv_by_t, d)
-    lower = upper = None
-    for i, (t, lv) in enumerate(zip(ts, lv_by_t)):
+    sides = _pair_bound_sides(xs, lv_by_t, loss.c_l, loss.C_l,
+                              _band_certified(loss, xs, lv_by_t, d))
+    for i, t in enumerate(ts):
         if decreasing[i]:
             bad.append(f"l(t={t:.4g}, .) is not strictly increasing on the sample")
             break
-        if not certified[i]:
-            if lower is None:
-                dx = np.abs(xs[:, None] - xs[None, :])
-                slack = _SPOT_RTOL * (1.0 + dx)
-                lower = loss.c_l * dx - slack
-                upper = loss.C_l * dx + slack
-            dl = np.abs(lv[:, None] - lv[None, :])
-            if np.any(dl < lower):
-                bad.append(f"lower Lipschitz bound c_l={loss.c_l} violated at t={t:.4g}")
-                break
-            if np.any(dl > upper):
-                bad.append(f"upper Lipschitz bound C_l={loss.C_l} violated at t={t:.4g}")
-                break
+        side = next(sides)
+        if side == "lower":
+            bad.append(f"lower Lipschitz bound c_l={loss.c_l} violated at t={t:.4g}")
+            break
+        if side == "upper":
+            bad.append(f"upper Lipschitz bound C_l={loss.C_l} violated at t={t:.4g}")
+            break
         if beyond_growth[i]:
             bad.append(f"growth bound kappa={loss.kappa_growth} violated at t={t:.4g}")
             break

@@ -308,16 +308,11 @@ def centered_loss_inverse(
     (within C_l * tol)."""
     ey = upper_expectation(lattice, y)
     centered = PathFunctional(y.depth, y.values - ey)
-
-    def psi(x: float) -> float:
-        return expected_loss(t, centered, lattice, loss, shift=x) - z
-
-    psi0 = psi(0.0)  # H(t, 0, Y) - z
-    a = -psi0 / loss.C_l
-    b = -psi0 / loss.c_l
-    lo, hi = min(a, b) - tol, max(a, b) + tol
-    return _smallest_nonneg_point(psi, lo, hi, tol,
-                                  f"centered_loss_inverse(t={t:.6g})", f_zero=psi0)
+    shifted = loss.shifted(-z)  # H(t, x, Y) - z = E[(l - z)(t, x + Y - E[Y])]
+    base = expected_loss(t, centered, lattice, shifted)
+    if base == 0.0:
+        return 0.0
+    return _minimal_shift("centered_loss_inverse", t, centered, lattice, shifted, tol, base)
 
 
 def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,8 @@
 
 A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
 ``gexpectation.terminal_upper_expectation``, the recombining sweep over the
-net signed counts of low- and high-volatility steps, and reads no level of
-the tree; the lattice it builds (lazily, so this costs nothing) keeps the
-enumeration cap for every mode.
+net signed counts of low- and high-volatility steps, and builds no lattice;
+the config's n_steps cap holds for every mode.
 
 All output is deterministic: repeated runs of one config produce
 byte-identical files. Floats are serialized with their shortest round-trip
@@ -215,12 +214,11 @@ def run_experiment(
     exit_code = EXIT_PASS
 
     paths = _output_paths(config, output_dir, write_csv)
-    lattice = build_lattice(config.band(), config.grid())
 
     try:
         if config.mode == "gexp_probe":
             payoff = config.payoff()
-            value = terminal_upper_expectation(lattice.band, lattice.grid, payoff.fn)
+            value = terminal_upper_expectation(config.band(), config.grid(), payoff.fn)
             finite = bool(np.isfinite(value))
             checks.append(CheckResult("value_finite", float(finite), 1.0, finite))
             csv_text = f"payoff,value\n{payoff.name},{_fmt(value)}\n"
@@ -240,6 +238,7 @@ def run_experiment(
                     diagnostics[key] = list(spot.violations)
 
             if all(spot.ok for *_, spot in spot_checks):
+                lattice = build_lattice(config.band(), config.grid())
                 if config.mode == "sp_only":
                     S = integrate_sde(coeffs, lattice, config.problem.x0)
                     solution = solve_mean_reflection_direct(loss, S, lattice,

@@ -64,7 +64,7 @@ from .lattice import (
     build_lattice,
     constant_process,
 )
-from .loss import _SPOT_RTOL, LossSpec, LossValidationReport
+from .loss import LossSpec, LossValidationReport, _adjacent_certified, _pair_bound_sides
 from .reflection import (
     DeterministicPath,
     SkorokhodSolution,
@@ -104,69 +104,23 @@ def validate_coefficients(
 ) -> LossValidationReport:
     """Spot-check |f(t,x) - f(t,x')| <= kappa |x - x'| for each coefficient
     on a 20 x 80 grid of (t, x), with a slack of rtol (1 + |x - x'|), rtol =
-    _SPOT_RTOL, reporting the first violating time of each coefficient.
+    loss._SPOT_RTOL, reporting the first violating time of each coefficient.
     Each coefficient is evaluated at every sample time before its pairs are
-    checked.
-
-    By the triangle inequality, the sum of the absolute adjacent differences
-    between two samples bounds their difference. So where every adjacent
-    difference fits kappa times its step with the margin below, no pair can
-    fail and the (80, 80) pair matrix is not built; at a time where this
-    certificate fails, every pair is checked. The violations are the same
-    either way.
-
-    Certificate. Let u = 2^-53, n = 80 samples x_m and, at one time, values
-    v_m. The pairs are skipped when
-
-        e_m = fl(x_{m+1} - x_m) > 0 for every m,
-        fl(16u fl(kappa X)) <= rtol/4,  X = max |x_m|,
-        fl(|d_m| - fl(kappa e_m)) <= tau for every m,
-        with d_m = fl(v_{m+1} - v_m), tau = fl(rtol / (4 (n-1))).
-
-    Proof that no pair then fails. Let D_m and E_m > 0 be the exact adjacent
-    differences; for samples i < j, W = x_j - x_i is the sum of E_m over m
-    in [i, j), so W <= 2X, and |v_j - v_i| <= S, the sum of |D_m|. Each
-    operation rounds within a factor (1 +- u), so |d_m| >= |D_m| (1 - u),
-    fl(kappa e_m) <= kappa E_m (1 + u)^2 and, by the certificate,
-    |d_m| - fl(kappa e_m) <= tau / (1 - u). Summing over [i, j),
-
-        S <= kappa W (1 + u)^2 / (1 - u) + (n-1) tau / (1 - u)^2.
-
-    The pair check flags dv > a, where dv = fl(|v_i - v_j|) <= S (1 + u),
-    a = fl(fl(kappa dx) + s), dx = fl(|x_i - x_j|) >= W (1 - u) and the slack
-    s = fl(rtol fl(1 + dx)) >= rtol, so a >= kappa W (1 - u)^3 + s (1 - u).
-    Then dv - a <= 8u kappa W + (n-1) tau (1 + u) / (1 - u)^2 - s (1 - u),
-    and by the certificate 8u kappa W <= 16u kappa X <= rtol/4 (1 + 2u) and
-    (n-1) tau <= rtol/4 (1 + u), so dv - a <= rtol/2 (1 + 4u) - rtol (1 - u)
-    < 0. A subnormal result adds at most 2^-1075 per operation, far inside
-    the unused half of the slack; a dx that overflows makes a infinite. A
-    NaN or an infinite difference fails the certificate, and so does an
-    overflowing fl(kappa e_m), which needs kappa X above 1e307.
+    checked. Where the adjacent differences certify a time
+    (``loss._adjacent_certified``, with low = 0 and high = kappa), the
+    (80, 80) pair matrix is not built.
     """
     bad: list[str] = []
     ts = np.linspace(0.0, t_max, 20)
     xs = np.linspace(x_box[0], x_box[1], 80)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = np.diff(xs)
-        kappa_e = coeffs.kappa * e
-        margin = bool(np.all(e > 0.0)) and (
-            2.0**-49 * (coeffs.kappa * np.abs(xs).max()) <= _SPOT_RTOL / 4.0)
-    tau = _SPOT_RTOL / (4.0 * (xs.size - 1))
-    allowed = None
     for label, fn in (("b", coeffs.b), ("h", coeffs.h), ("sigma", coeffs.sigma)):
         v_by_t = [_eval_coeff(fn, float(t), xs) for t in ts]
         certified = np.zeros(ts.size, dtype=bool)
-        if margin and all(v.shape == xs.shape for v in v_by_t):
-            with np.errstate(over="ignore", invalid="ignore"):
-                excess = np.abs(np.diff(np.stack(v_by_t), axis=1)) - kappa_e
-                certified = excess.max(axis=1) <= tau
-        for t, v, skip in zip(ts, v_by_t, certified):
-            if skip:
-                continue
-            if allowed is None:
-                dx = np.abs(xs[:, None] - xs[None, :])
-                allowed = coeffs.kappa * dx + _SPOT_RTOL * (1.0 + dx)
-            if np.any(np.abs(v[:, None] - v[None, :]) > allowed):
+        if all(v.shape == xs.shape for v in v_by_t):
+            certified = _adjacent_certified(xs, np.stack(v_by_t), 0.0, coeffs.kappa)
+        sides = _pair_bound_sides(xs, v_by_t, 0.0, coeffs.kappa, certified)
+        for t, side in zip(ts, sides):
+            if side is not None:
                 bad.append(
                     f"coefficient {label} violates the Lipschitz bound kappa={coeffs.kappa} "
                     f"at t={t:.4g}"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import meanreflect
 from conftest import child_env
-from meanreflect import cli, registry
+from meanreflect import cli, registry, runner
 
 CRITERION8 = {
     "mode": "full_sde",
@@ -313,6 +313,40 @@ def test_probe_overflow_is_solver_failure(tmp_path, capsys, command, payoff):
     assert report["overall_pass"] is False
     assert not (out / "trace.csv").exists()
     assert "solver error: InvalidParameterError" in capsys.readouterr().out
+
+
+def test_every_command_runs_in_one_process(tmp_path, capsys):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"].update(n_steps=4, payoff={"name": "square"})
+    cfg = write_config(tmp_path, payload)
+    for command in ("run", "probe", "verify", "list"):
+        out = tmp_path / command
+        args = [command] if command == "list" else [command, str(cfg), "--output-dir", str(out)]
+        assert cli.main(args) == 0, command
+        printed = capsys.readouterr().out
+        if command == "list":
+            assert printed.splitlines()[0] == f"{next(iter(registry.REGISTRIES))}:"
+            assert "  square" in printed.splitlines()
+            continue
+        first = "value_finite" if command == "probe" else "loss_spotcheck_violations"
+        assert printed.startswith(f"PASS {first}: ")
+        assert printed.endswith(f"overall: PASS (report: {out / 'report.json'})\n")
+        report = json.loads((out / "report.json").read_text())
+        assert report["mode"] == ("gexp_probe" if command == "probe" else "full_sde")
+        assert (out / "trace.csv").exists() == (command != "verify")
+    # one parser serves every call
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_probe_builds_no_lattice(tmp_path, monkeypatch):
+    def refuse(band, grid):
+        raise AssertionError("a probe run built a lattice")
+
+    monkeypatch.setattr(runner, "build_lattice", refuse)
+    payload = {"mode": "gexp_probe", "problem": {"n_steps": 10, "payoff": {"name": "square"}}}
+    cfg = write_config(tmp_path, payload)
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "trace.csv").read_text().startswith("payoff,value\nsquare,")
 
 
 @pytest.mark.parametrize("csv, report, output_dir", [

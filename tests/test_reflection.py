@@ -253,6 +253,14 @@ class TestCenteredLoss:
                 z, abs=loss.C_l * TOL
             )
 
+    def test_inverse_bracket_error_names_the_inverse(self, lattice4):
+        # l stays below 1, so H(t, ., Y) never reaches z = 2
+        bounded = LossSpec(fn=lambda t, x: np.tanh(x), c_l=1.0, C_l=1.0,
+                           time_modulus=lambda d: 0.0, kappa_growth=1.0, name="bounded")
+        y = lattice4.functional_from_terminal(lambda x: x)
+        with pytest.raises(BracketError, match=r"^centered_loss_inverse\(t=1\): no sign change"):
+            centered_loss_inverse(1.0, 2.0, y, lattice4, bounded, TOL)
+
     def test_inverse_of_odd_monotone_map_is_zero(self, lattice4):
         loss = make_loss("arctan_shift", {"c": 0.0})
         y = PathFunctional(0, np.zeros(1))
