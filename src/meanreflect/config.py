@@ -103,23 +103,14 @@ class ExperimentConfig:
 
     @_built_once
     def band(self) -> VolatilityBand:
-        try:
-            classical = self.problem.sigma_low_sq == self.problem.sigma_high_sq
-            return VolatilityBand(
-                self.problem.sigma_low_sq, self.problem.sigma_high_sq, classical=classical
-            )
-        except InvalidParameterError as exc:
-            raise ConfigError(
-                f"problem.sigma_low_sq={self.problem.sigma_low_sq} / "
-                f"problem.sigma_high_sq={self.problem.sigma_high_sq}: {exc}"
-            ) from None
+        low, high = self.problem.sigma_low_sq, self.problem.sigma_high_sq
+        with _field(f"problem.sigma_low_sq={low} / problem.sigma_high_sq={high}"):
+            return VolatilityBand(low, high, classical=low == high)
 
     @_built_once
     def grid(self) -> TimeGrid:
-        try:
+        with _field("problem.horizon/problem.n_steps"):
             return TimeGrid(self.problem.horizon, self.problem.n_steps)
-        except InvalidParameterError as exc:
-            raise ConfigError(f"problem.horizon/problem.n_steps: {exc}") from None
 
     @_built_once
     def loss_spec(self) -> LossSpec:

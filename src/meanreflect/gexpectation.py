@@ -17,11 +17,14 @@ gathered array of 4^(k-8) values, which the kernel then sweeps the rest of
 the way. A payoff of at most 4^8 leaves is one block. Each node still sees
 the same operations on the same inputs, so every value is bitwise that of a
 level-by-level sweep. ``upper_expectation`` may map each leaf block before
-it is swept (the expected loss applies its shift and loss there), so that a
-payoff of 4^k values is never built whole; the kernel then checks that the
-mapped values are finite, with a full check of a block only when its
-smallest or largest first-level pair sum is not finite, since a non-finite
-value makes its pair sum non-finite. The payoff's values are never written.
+it is swept, so that a payoff of 4^k values is never built whole: the
+expected loss applies its shift and loss there, the run's CSV trace and the
+moment estimate raise |X| to the power p there, and ``lower_expectation``
+negates there. The kernel's check is then the one finiteness check of
+these payoffs: it checks that the mapped values are finite, with a full
+check of a block only when its smallest or largest first-level pair sum is
+not finite, since a non-finite value makes its pair sum non-finite. The
+payoff's values are never written.
 
 A terminal payoff phi(B_T) needs no tree. B at a depth-k node is
 i sigma_low sqrt(dt) + j sigma_high sqrt(dt), where i and j are the net
@@ -161,9 +164,9 @@ def terminal_upper_expectation(band: VolatilityBand, grid: TimeGrid, fn) -> floa
 
 
 def lower_expectation(lattice: PathLattice, xi: PathFunctional) -> float:
-    """Inf over policies; equals -upper_expectation(-xi)."""
-    _check_depth(lattice, xi)
-    return -upper_expectation(lattice, PathFunctional(xi.depth, -xi.values))
+    """Inf over policies; equals -upper_expectation(-xi), with -xi taken one
+    leaf block at a time."""
+    return -upper_expectation(lattice, xi, leaf_map=np.negative)
 
 
 def conditional_upper_expectation(

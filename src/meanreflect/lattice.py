@@ -18,12 +18,11 @@ bitwise deterministic.
 
 The order is child-major, so the subtree of every node is one contiguous
 slice of each deeper level. The kernels that pass over a level of more than
-4^8 nodes (the backward sweep, the loss evaluation, the Euler step, the
-``b``/``qv`` levels and the Picard step's shift into X) run over blocks of
-one subtree of 4^8 leaves (512 KiB of doubles, which stays in a 2 MiB L2
-cache) at a time. Each element still sees the same operations in the same
-order, so every output is bitwise the one of a pass over the whole level,
-whatever the block size.
+4^8 nodes (the backward sweep, the loss evaluation, the Euler step and the
+Picard step's shift into X) run over blocks of one subtree of 4^8 leaves
+(512 KiB of doubles, which stays in a 2 MiB L2 cache) at a time. Each
+element still sees the same operations in the same order, so every output
+is bitwise the one of a pass over the whole level, whatever the block size.
 """
 
 from __future__ import annotations
@@ -221,18 +220,10 @@ def _level_blocks(size: int):
 
 
 def _levels(step: np.ndarray, depth: int) -> tuple:
-    """Sums of per-child increments ``step`` along every path, depths 0..depth.
-
-    Each of the four child columns of a parent block is written in one pass
-    over the block, with no length-4 broadcast.
-    """
+    """Sums of per-child increments ``step`` along every path, depths 0..depth."""
     levels = [np.zeros(1)]
-    for k in range(depth):
-        children = np.empty((4**k, 4))
-        for rows in _parent_blocks(4**k):
-            for c in range(4):
-                np.add(levels[k][rows], step[c], out=children[rows, c])
-        levels.append(children.ravel())
+    for _ in range(depth):
+        levels.append((levels[-1][:, None] + step[None, :]).ravel())
     return tuple(levels)
 
 

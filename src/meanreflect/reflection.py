@@ -413,7 +413,11 @@ def verify_mean_reflection(
     constraint = np.empty(k1 - k0 + 1)
     for k in range(k0, k1 + 1):
         i = k - k0
-        identity = max(identity, float(np.max(np.abs(solution.X.at(k) - (S.at(k) + a[i])))))
+        # one level-sized buffer: the same operations per element as
+        # |X_k - (S_k + a_i)|
+        gap = S.at(k) + a[i]
+        np.subtract(solution.X.at(k), gap, out=gap)
+        identity = max(identity, float(np.max(np.abs(gap, out=gap))))
         constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(

@@ -171,14 +171,14 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     for k in range(n + 1):
-        xk = solution.X.at(k)
-        e_x[k] = upper_expectation(lattice, PathFunctional(k, xk))
-        abs_p = np.abs(xk) ** p
-        if not np.all(np.isfinite(abs_p)):
+        xk = PathFunctional(k, solution.X.at(k))
+        e_x[k] = upper_expectation(lattice, xk)
+        try:
+            e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=lambda v: np.abs(v) ** p)
+        except InvalidParameterError:
             raise InvalidParameterError(
                 f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"
-            )
-        e_abs_p[k] = upper_expectation(lattice, PathFunctional(k, abs_p))
+            ) from None
     return _csv_from_columns(CSV_HEADER, [times, a, e_l, e_x, e_abs_p])
 
 

@@ -500,7 +500,7 @@ def check_moment_estimate(solution: MRSDESolution, problem: MRSDEProblem) -> Mom
     lattice = solution.X.lattice
     p = problem.p
     sup_abs = running_abs_max(solution.X)
-    left = upper_expectation(lattice, PathFunctional(sup_abs.depth, sup_abs.values**p))
+    left = upper_expectation(lattice, sup_abs, leaf_map=lambda v: v**p)
     dt = problem.grid.dt
     times = problem.grid.times[:-1]
     zero = np.zeros(1)

@@ -2,12 +2,14 @@
 
 Everything here is deliberately written in plain scalar Python (recursion,
 explicit enumeration, straight loops) so it shares no code path with the
-vectorized library. Oracles stay independent of what they check. The two
+vectorized library. Oracles stay independent of what they check. The
 exceptions are ``ref_loss_violations`` and ``ref_coefficient_violations``,
 the all-pairs spot checks of a loss and of coefficients that
-``validate_loss`` and ``sde.validate_coefficients`` certify in O(n): they are
-kept as written before the certificates, since the certificates must
-reproduce their exact floating-point verdicts.
+``validate_loss`` and ``sde.validate_coefficients`` certify in O(n), and the
+``ref_*`` expectations of a whole-level array at the end, which map a level
+first and then sweep it with the library's plain sweep. They are kept as
+written before the certificates and before the per-block leaf maps, since
+those must reproduce their exact floating-point results.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import itertools
 import math
 
 import numpy as np
+
+from meanreflect import PathFunctional, upper_expectation
 
 
 def ref_upper_expectation(values, depth: int) -> float:
@@ -176,3 +180,30 @@ def ref_coefficient_violations(coeffs, t_max: float = 1.0, x_box=(-5.0, 5.0),
                 )
                 break
     return tuple(bad)
+
+
+def ref_csv_expectations(lattice, X, p: float) -> tuple[list, list]:
+    """The ``E_X`` and ``E_absX_p`` columns of the run's CSV trace for the
+    process ``X`` over the whole lattice, as written before the leaf map: a
+    whole-level |X_k|^p array per level, with a finiteness pass of its own,
+    swept as a functional of its own."""
+    e_x, e_abs_p = [], []
+    for k in range(lattice.depth + 1):
+        xk = X.at(k)
+        e_x.append(upper_expectation(lattice, PathFunctional(k, xk)))
+        abs_p = np.abs(xk) ** p
+        assert np.all(np.isfinite(abs_p))
+        e_abs_p.append(upper_expectation(lattice, PathFunctional(k, abs_p)))
+    return e_x, e_abs_p
+
+
+def ref_moment_left(lattice, sup_abs, p: float) -> float:
+    """``check_moment_estimate(...).left`` from the running maximum
+    ``sup_abs`` of |X|, as written before the leaf map."""
+    return upper_expectation(lattice, PathFunctional(sup_abs.depth, sup_abs.values**p))
+
+
+def ref_lower_expectation(lattice, xi) -> float:
+    """``lower_expectation`` as written before the leaf map: -E[-xi] with -xi
+    built whole."""
+    return -upper_expectation(lattice, PathFunctional(xi.depth, -xi.values))

@@ -1,14 +1,15 @@
 """Block-size independence and error parity of the blocked lattice kernels.
 
-The sweep, the expected loss, the Euler step, the ``b``/``qv`` levels and the
-Picard step's shift into X and sup distance run over blocks of one subtree
-each, ``lattice._BLOCK_LEVELS`` levels deep (4^8 leaves by default, so a
-depth-6 or depth-7 lattice is one block). Every element sees the same
+The sweep, the expected loss, the Euler step and the Picard step's shift
+into X and sup distance run over blocks of one subtree each,
+``lattice._BLOCK_LEVELS`` levels deep (4^8 leaves by default, so a depth-6 or
+depth-7 lattice is one block). Every element sees the same
 operations in either layout, so shrinking the block to 1, 2 or 3 levels must
 give the same bits, and a bad value in the first or the last block must raise
 the error that a pass over the whole level raises, from that block.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,28 +18,41 @@ import pytest
 from meanreflect import (
     Coefficients,
     DepthMismatchError,
+    DeterministicPath,
     InvalidParameterError,
     LossSpec,
     MRSDEProblem,
+    MRSDESolution,
     PathFunctional,
+    ProcessOnLattice,
+    SkorokhodSolution,
     TimeGrid,
     build_lattice,
+    check_moment_estimate,
     conditional_upper_expectation,
     constant_process,
     expected_loss,
     lattice,
+    lower_expectation,
     picard_step,
     required_shift,
+    runner,
     sde,
     upper_expectation,
+    verify_mean_reflection,
 )
 from meanreflect.gexpectation import _sweep
 from meanreflect.registry import make_coefficient, make_loss
+from oracles import ref_csv_expectations, ref_lower_expectation, ref_moment_left
 
 SMALL_BLOCKS = (1, 2, 3)
 
 # signed zeros and ties make every max pick a side; 5e-324 halves to zero
 EDGES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e300, -1e300])
+# the moment orders of the |X|^p sweeps, and EDGES with 1e100 in place of
+# 1e300, so that |x|^p stays finite for each of them
+POWERS = (1.0, 2.0, 2.5)
+POWER_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e100, -1e100])
 
 LOSSES = [make_loss("linear", {"c0": 0.2, "c1": 1.0}), make_loss("smooth_sin"),
           make_loss("arctan_shift")]
@@ -57,10 +71,10 @@ def _bits(values) -> np.ndarray:
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-def _leaves(depth: int, seed: int) -> np.ndarray:
+def _leaves(depth: int, seed: int, edges=EDGES) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if seed % 2:
-        return rng.choice(EDGES, size=4**depth)
+        return rng.choice(edges, size=4**depth)
     return rng.normal(size=4**depth)
 
 
@@ -73,6 +87,22 @@ def _conditionals(lat):
     return [conditional_upper_expectation(lat, PathFunctional(lat.depth, _leaves(lat.depth, seed)),
                                           step).values
             for seed in (0, 1) for step in range(lat.depth + 1)]
+
+
+def _leaf_mapped_sweeps(lat, leaf_map, edges=EDGES):
+    return [upper_expectation(lat, PathFunctional(k, _leaves(k, seed, edges)), leaf_map=leaf_map)
+            for seed in (0, 1) for k in range(lat.depth + 1)]
+
+
+def _abs_power_sweeps(lat):
+    """E[|X|^p] as the CSV trace and the moment estimate take it."""
+    return [value for p in POWERS
+            for value in _leaf_mapped_sweeps(lat, lambda v: np.abs(v) ** p, POWER_EDGES)]
+
+
+def _negative_sweeps(lat):
+    """E[-X], as the lower expectation takes it."""
+    return _leaf_mapped_sweeps(lat, np.negative)
 
 
 def _expected_losses(lat):
@@ -119,6 +149,8 @@ def _picard_steps(lat):
 
 KERNELS = {
     "sweep": _sweeps,
+    "abs_power_sweep": _abs_power_sweeps,
+    "negative_sweep": _negative_sweeps,
     "conditional_upper_expectation": _conditionals,
     "expected_loss": _expected_losses,
     "expected_loss_shifted": _shifted_expected_losses,
@@ -305,3 +337,89 @@ def test_levels_near_the_float_limit_warn_nothing(lattice9, band, sign):
     assert shifted == upper_expectation(
         lattice9, PathFunctional(9, loss(1.0, values - sign * 0.7e308)))
     assert (shift == 0.0) if sign > 0 else (0.7e308 < shift < 0.8e308)
+
+
+def _edge_process(lat, edges):
+    rng = np.random.default_rng(9)
+    return ProcessOnLattice(lat, 0, tuple(rng.choice(edges, size=4**k)
+                                          for k in range(lat.depth + 1)))
+
+
+def _flat(lat):
+    return DeterministicPath(lat.grid.times, np.zeros(lat.depth + 1))
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_csv_columns_match_whole_level_arrays_bitwise(lattice9, p):
+    X = _edge_process(lattice9, EDGES if p == 1.0 else POWER_EDGES)
+    csv = runner._solution_csv(lattice9, SkorokhodSolution(X, _flat(lattice9)),
+                               np.zeros(lattice9.depth + 1), p)
+    rows = [[float(v) for v in line.split(",")] for line in csv.splitlines()[1:]]
+    e_x, e_abs_p = ref_csv_expectations(lattice9, X, p)
+    assert np.array_equal(_bits([row[3] for row in rows]), _bits(e_x))
+    assert np.array_equal(_bits([row[4] for row in rows]), _bits(e_abs_p))
+
+
+@pytest.mark.parametrize("p", POWERS)
+def test_moment_estimate_matches_the_whole_level_array_bitwise(lattice9, p):
+    X = _edge_process(lattice9, EDGES if p == 1.0 else POWER_EDGES)
+    problem = MRSDEProblem(x0=0.0, coeffs=COEFFS[0],
+                           loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                           band=lattice9.band, grid=lattice9.grid, p=p)
+    left = check_moment_estimate(MRSDESolution(X, _flat(lattice9), diagnostics=()), problem).left
+    assert _bits(left) == _bits(ref_moment_left(lattice9, sde.running_abs_max(X), p))
+
+
+def test_lower_expectation_matches_the_whole_level_array_bitwise(lattice9):
+    for seed in (0, 1):
+        for k in range(lattice9.depth + 1):
+            xi = PathFunctional(k, _leaves(k, seed))
+            want = ref_lower_expectation(lattice9, xi)
+            assert _bits(lower_expectation(lattice9, xi)) == _bits(want)
+
+
+def test_overflowing_abs_power_in_last_block_raises_the_csv_error(blocked_lattice):
+    lat = blocked_lattice
+    levels = [np.zeros(4**k) for k in range(lat.depth)] + [_last_leaf(lat, 1e300).values]
+    solution = SkorokhodSolution(ProcessOnLattice(lat, 0, tuple(levels)), _flat(lat))
+    with np.errstate(over="ignore"), pytest.raises(InvalidParameterError) as info:
+        runner._solution_csv(lat, solution, np.zeros(lat.depth + 1), 2.0)
+    t = repr(float(lat.grid.times[-1]))
+    assert str(info.value) == f"CSV column E_absX_p at t={t}: |X|^p overflows for p=2.0"
+
+
+# bytes of the top level of a depth-10 lattice: 8 MiB
+TOP_LEVEL_BYTES = 8 * 4**10
+
+
+@pytest.fixture(scope="module")
+def solution10(band):
+    """A depth-10 solution X = S + a, with S stored, so that reading S or X
+    allocates nothing."""
+    lat = build_lattice(band, TimeGrid(1.0, 10))
+    rng = np.random.default_rng(10)
+    S = ProcessOnLattice(lat, 0, tuple(rng.normal(size=4**k) for k in range(11)))
+    a = np.linspace(0.0, 0.5, 11)
+    return lat, S, SkorokhodSolution(S.shifted(a), DeterministicPath(lat.grid.times, a))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_trace_builds_no_whole_level_array(solution10):
+    lat, _, solution = solution10
+    peak = _traced_peak(lambda: runner._solution_csv(lat, solution, np.zeros(11), 2.0))
+    assert peak < TOP_LEVEL_BYTES
+
+
+def test_identity_residual_takes_one_level_sized_buffer(solution10):
+    lat, S, solution = solution10
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    peak = _traced_peak(lambda: verify_mean_reflection(solution, loss, S, lat))
+    assert peak < 1.5 * TOP_LEVEL_BYTES
