@@ -14,9 +14,11 @@ Two constructions are provided and must agree:
 
 All root finding is one bracketed ITP search: regula falsi kept inside the
 minmax envelope of bisection, so it never takes more than two evaluations
-beyond bisection and usually closes in two or three. The declared
-bi-Lipschitz band of the loss supplies the brackets, so a bracket failure
-means a wrong declaration.
+beyond bisection. The declared bi-Lipschitz band of the loss supplies the
+brackets, so a bracket failure means a wrong declaration. A loss declared
+affine (c_l = C_l) needs no search: its root has a closed form that one
+sweep confirms (see ``_minimal_shift``), so each root costs two sweeps,
+the one for E[l(t, X)] and the confirming one.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -41,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import lattice as _lattice
 from .errors import (
     BracketError,
     DepthMismatchError,
@@ -49,7 +52,14 @@ from .errors import (
     InvalidParameterError,
 )
 from .gexpectation import upper_expectation
-from .lattice import PathFunctional, PathLattice, ProcessOnLattice, _require_finite, lift_values
+from .lattice import (
+    PathFunctional,
+    PathLattice,
+    ProcessOnLattice,
+    _level_blocks,
+    _require_finite,
+    lift_values,
+)
 from .loss import LossSpec
 
 DEFAULT_ROOT_TOL = 1e-10
@@ -245,15 +255,33 @@ def _minimal_shift(
 
     For base < 0 the search starts at 0, where phi(0) = base < 0, so the
     result is positive; for base > 0 it is negative.
+
+    A loss declared with c_l = C_l = c is affine in x, and a G-expectation is
+    cash-additive and positively homogeneous, so phi(x) = E[l(t, X + x)] =
+    base + c x and the root is -base / c. The candidate x = -base / c + tol/2
+    then costs one confirming sweep:
+
+    * feasible: the sweep checks phi(x) >= 0;
+    * minimal within tol: phi(x - tol) <= base + C_l (x - tol) = -C_l tol/2
+      < 0 by the declared upper slope, which ``validate_loss`` certifies.
+
+    A candidate that fails its sweep falls through to the bracketed search.
+    A loss declared affine that is not can pass the sweep with a shift larger
+    than the minimal one; in ``run`` the verifier's flat-off residual flags
+    it wherever A rises.
     """
 
     def phi(x: float) -> float:
         return expected_loss(t, xi, lattice, loss, shift=x)
 
+    if loss.c_l == loss.C_l:
+        x = -base / loss.c_l + 0.5 * tol
+        if phi(x) >= 0.0:
+            return x
     # the root lies in [0, -base/c_l] (or [-base/c_l, 0]), on the end when phi
-    # is affine with slope c_l, as for linear losses; the pad keeps the sign
-    # change inside the bracket against rounding. The search may return the
-    # padded hi itself, so its pad of tol/2 bounds the error of such a shift.
+    # is affine with slope c_l; the pad keeps the sign change inside the
+    # bracket against rounding. The search may return the padded hi itself,
+    # so its pad of tol/2 bounds the error of such a shift.
     if base < 0.0:
         lo, hi = 0.0, -base / loss.c_l + 0.5 * tol
     else:
@@ -411,13 +439,17 @@ def verify_mean_reflection(
     a = solution.A.values
     identity = 0.0
     constraint = np.empty(k1 - k0 + 1)
+    scratch = np.empty(min(4**k1, 4**_lattice._BLOCK_LEVELS))
     for k in range(k0, k1 + 1):
         i = k - k0
-        # one level-sized buffer: the same operations per element as
-        # |X_k - (S_k + a_i)|
-        gap = S.at(k) + a[i]
-        np.subtract(solution.X.at(k), gap, out=gap)
-        identity = max(identity, float(np.max(np.abs(gap, out=gap))))
+        s, x = S.at(k), solution.X.at(k)
+        # one block at a time through one scratch buffer: the same
+        # operations per element as |X_k - (S_k + a_i)|
+        for part in _level_blocks(s.size):
+            block = s[part]
+            gap = np.add(block, a[i], out=scratch[: block.size])
+            np.subtract(x[part], gap, out=gap)
+            identity = max(identity, float(np.max(np.abs(gap, out=gap))))
         constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(

@@ -423,3 +423,11 @@ def test_identity_residual_takes_one_level_sized_buffer(solution10):
     loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
     peak = _traced_peak(lambda: verify_mean_reflection(solution, loss, S, lat))
     assert peak < 1.5 * TOP_LEVEL_BYTES
+
+
+def test_identity_residual_takes_one_block_buffer(solution10):
+    # one 4^8 scratch block (512 KiB) in place of a level-sized buffer
+    lat, S, solution = solution10
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    peak = _traced_peak(lambda: verify_mean_reflection(solution, loss, S, lat))
+    assert peak < 2 * 2**20

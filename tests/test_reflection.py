@@ -101,7 +101,8 @@ class TestRootFinder:
             assert interior <= 2
 
     def test_linear_loss_root_takes_at_most_four_loss_calls(self, lattice6):
-        # one call at x = 0, one at the bracket end, two inside
+        # one call at x = 0 and one confirming the closed-form shift, since
+        # the linear loss declares c_l = C_l; the bound leaves the search's room
         xi = lattice6.functional_from_terminal(lambda x: x)
         for c in (0.4, 2.0, 7.5):
             linear = make_loss("linear", {"c0": c, "c1": 0.0})
@@ -157,6 +158,99 @@ class TestRequiredShift:
         xi = PathFunctional(0, np.zeros(1))
         with pytest.raises(BracketError):
             required_shift(0.0, xi, lattice6, lying, TOL)
+
+
+AFFINE_SLOPES = (0.4, 1.0, 2.5, 7.5)
+
+
+def affine_loss(c, k, declared=None):
+    """l(t, x) = c (x - k), declared with c_l = C_l = declared (default c)."""
+    d = c if declared is None else declared
+    return LossSpec(fn=lambda t, x: c * (x - k), c_l=d, C_l=d,
+                    time_modulus=lambda d: 0.0, kappa_growth=c * (1.0 + abs(k)),
+                    name="affine")
+
+
+def counted_loss(loss):
+    calls = []
+
+    def counted(t, x, fn=loss.fn):
+        calls.append(t)
+        return fn(t, x)
+
+    return dataclasses.replace(loss, fn=counted), calls
+
+
+def oracle_root(fn, values, depth, z=0.0):
+    """Root of x -> E[fn(1, values + x)] - z by the recursive expectation and
+    scalar bisection to 1e-14."""
+    return ref_bisect(lambda x: ref_upper_expectation(fn(1.0, values + x), depth) - z,
+                      -10.0, 10.0)
+
+
+class TestAffineShortcut:
+    """A loss declared with c_l = C_l takes the closed-form shift, confirmed
+    by one sweep: two loss calls per root, one for E[l(t, X)] and one at the
+    shift."""
+
+    @pytest.mark.parametrize("c", AFFINE_SLOPES)
+    @pytest.mark.parametrize("offset", [0.7, -0.7])  # base < 0 and base > 0
+    def test_signed_shift_takes_one_confirming_sweep(self, lattice4, c, offset):
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        exact = affine_loss(c, ref_upper_expectation(xi.values, 4) + offset)
+        loss, calls = counted_loss(exact)
+        got = required_shift_signed(1.0, xi, lattice4, loss, TOL)
+        assert len(calls) == 2
+        root = oracle_root(exact.fn, xi.values, 4)
+        assert root <= got <= root + TOL
+        assert expected_loss(1.0, xi, lattice4, exact, shift=got) >= 0.0
+
+    @pytest.mark.parametrize("c", AFFINE_SLOPES)
+    @pytest.mark.parametrize("offset", [0.7, -0.7])
+    def test_required_shift_takes_one_confirming_sweep(self, lattice4, c, offset):
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        exact = affine_loss(c, ref_upper_expectation(xi.values, 4) + offset)
+        loss, calls = counted_loss(exact)
+        got = required_shift(1.0, xi, lattice4, loss, TOL)
+        if offset < 0.0:  # base >= 0: no shift, no second call
+            assert got == 0.0 and len(calls) == 1
+            return
+        assert len(calls) == 2
+        root = oracle_root(exact.fn, xi.values, 4)
+        assert root <= got <= root + TOL
+        assert expected_loss(1.0, xi, lattice4, exact, shift=got) >= 0.0
+
+    @pytest.mark.parametrize("c", AFFINE_SLOPES)
+    @pytest.mark.parametrize("z", [0.9, -0.9])  # base = -z of both signs
+    def test_inverse_takes_one_confirming_sweep(self, lattice4, c, z):
+        y = lattice4.functional_from_terminal(lambda x: x)
+        exact = affine_loss(c, 0.0)
+        loss, calls = counted_loss(exact)
+        got = centered_loss_inverse(1.0, z, y, lattice4, loss, TOL)
+        assert len(calls) == 2
+        centered = y.values - ref_upper_expectation(y.values, 4)
+        root = oracle_root(exact.fn, centered, 4, z)
+        assert root <= got <= root + TOL
+        centered_xi = PathFunctional(4, y.values - upper_expectation(lattice4, y))
+        assert expected_loss(1.0, centered_xi, lattice4, exact.shifted(-z), shift=got) >= 0.0
+
+    def test_wrong_affine_declaration_falls_through_to_the_search(self, lattice4):
+        # true slope 0.5, declared 1: the closed-form shift is infeasible
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        k = ref_upper_expectation(xi.values, 4) + 0.7
+        loss, calls = counted_loss(affine_loss(0.5, k, declared=1.0))
+        got = required_shift(1.0, xi, lattice4, loss, TOL)
+        assert len(calls) > 2
+
+        def phi(x):
+            return expected_loss(1.0, xi, lattice4, loss, shift=x)
+
+        base = phi(0.0)
+        searched = _smallest_nonneg_point(phi, 0.0, -base + 0.5 * TOL, TOL, "search",
+                                          f_zero=base)
+        assert got == searched
+        root = oracle_root(affine_loss(0.5, k).fn, xi.values, 4)
+        assert root <= got <= root + TOL
 
 
 class TestRequiredShiftSigned:
