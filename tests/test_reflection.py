@@ -165,8 +165,8 @@ AFFINE_SLOPES = (0.4, 1.0, 2.5, 7.5)
 
 def affine_loss(c, k, declared=None):
     """l(t, x) = c (x - k), declared with c_l = C_l = declared (default c)."""
-    d = c if declared is None else declared
-    return LossSpec(fn=lambda t, x: c * (x - k), c_l=d, C_l=d,
+    slope = c if declared is None else declared
+    return LossSpec(fn=lambda t, x: c * (x - k), c_l=slope, C_l=slope,
                     time_modulus=lambda d: 0.0, kappa_growth=c * (1.0 + abs(k)),
                     name="affine")
 
@@ -195,24 +195,13 @@ class TestAffineShortcut:
 
     @pytest.mark.parametrize("c", AFFINE_SLOPES)
     @pytest.mark.parametrize("offset", [0.7, -0.7])  # base < 0 and base > 0
-    def test_signed_shift_takes_one_confirming_sweep(self, lattice4, c, offset):
+    @pytest.mark.parametrize("shift", [required_shift, required_shift_signed])
+    def test_shift_takes_one_confirming_sweep(self, lattice4, c, offset, shift):
         xi = lattice4.functional_from_terminal(lambda x: x)
         exact = affine_loss(c, ref_upper_expectation(xi.values, 4) + offset)
         loss, calls = counted_loss(exact)
-        got = required_shift_signed(1.0, xi, lattice4, loss, TOL)
-        assert len(calls) == 2
-        root = oracle_root(exact.fn, xi.values, 4)
-        assert root <= got <= root + TOL
-        assert expected_loss(1.0, xi, lattice4, exact, shift=got) >= 0.0
-
-    @pytest.mark.parametrize("c", AFFINE_SLOPES)
-    @pytest.mark.parametrize("offset", [0.7, -0.7])
-    def test_required_shift_takes_one_confirming_sweep(self, lattice4, c, offset):
-        xi = lattice4.functional_from_terminal(lambda x: x)
-        exact = affine_loss(c, ref_upper_expectation(xi.values, 4) + offset)
-        loss, calls = counted_loss(exact)
-        got = required_shift(1.0, xi, lattice4, loss, TOL)
-        if offset < 0.0:  # base >= 0: no shift, no second call
+        got = shift(1.0, xi, lattice4, loss, TOL)
+        if shift is required_shift and offset < 0.0:  # base >= 0: no search
             assert got == 0.0 and len(calls) == 1
             return
         assert len(calls) == 2
