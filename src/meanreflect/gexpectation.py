@@ -61,7 +61,7 @@ def g_function(a: float, band: VolatilityBand) -> float:
     return 0.5 * (band.sigma_high_sq * max(a, 0.0) - band.sigma_low_sq * max(-a, 0.0))
 
 
-def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
+def _sweep(values: np.ndarray, levels: int, leaf_map=None, policy=None) -> np.ndarray:
     """``levels`` backward steps, each (4m,) child values -> (m,) parent values.
 
     Child layout per parent: [(low,+), (low,-), (high,+), (high,-)]. The
@@ -71,7 +71,10 @@ def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
     of a block writes into a fresh gathered array, which is swept the
     remaining levels. ``leaf_map``, if given, maps each block of ``values``
     to the values swept in its place (with no level to sweep, all of them),
-    whose finiteness is checked as the block is swept.
+    whose finiteness is checked as the block is swept. ``policy``, if given,
+    is a record of ``levels`` bool arrays, ``policy[d]`` holding one entry
+    per node d levels below the output: each step writes there whether its
+    nodes' high branch strictly wins, so ties go to the low branch.
     """
     if levels == 0:
         if leaf_map is None:
@@ -97,9 +100,13 @@ def _sweep(values: np.ndarray, levels: int, leaf_map=None) -> np.ndarray:
             else:
                 np.add(part[0::2], part[1::2], out=pairs)
             np.multiply(0.5, pairs, out=pairs)
+            if policy is not None:
+                first = start >> 2 * (inner - left)
+                np.greater(pairs[1::2], pairs[0::2],
+                           out=policy[levels - inner + left][first : first + pairs.size // 2])
             part = np.maximum(pairs[0::2], pairs[1::2],
                               out=maxima[: pairs.size // 2] if left else out)
-    return _sweep(gathered, levels - inner)
+    return _sweep(gathered, levels - inner, policy=policy)
 
 
 def _add_checked_pairs(part: np.ndarray, pairs: np.ndarray) -> None:
@@ -122,16 +129,33 @@ def _check_depth(lattice: PathLattice, xi: PathFunctional) -> None:
         )
 
 
-def upper_expectation(lattice: PathLattice, xi: PathFunctional, leaf_map=None) -> float:
+def upper_expectation(lattice: PathLattice, xi: PathFunctional, leaf_map=None,
+                      policy=None) -> float:
     """Sup over adapted volatility policies of the policy expectation of xi.
 
     With ``leaf_map``, the payoff is ``leaf_map`` applied to xi's values, one
     contiguous block of them at a time; it must return one value per value
     it is given (the caller checks that), and a non-finite one raises
-    InvalidParameterError from its block.
+    InvalidParameterError from its block. With ``policy``, a list of xi.depth
+    bool arrays of 4^d entries, the sweep also records there an optimal
+    policy: ``policy[d][i]`` is True where node i at depth d takes its high
+    branch (``_sweep``); the value is the same either way.
     """
     _check_depth(lattice, xi)
-    return float(_sweep(xi.values, xi.depth, leaf_map)[0])
+    return float(_sweep(xi.values, xi.depth, leaf_map, policy)[0])
+
+
+def _policy_support(policy) -> np.ndarray:
+    """The 2^k leaves of the depth-k policy record ``policy``: node i at
+    depth d steps to children 4i + 2 policy[d][i] + {0, 1}. The two children
+    of a node sit next to each other at every depth, so halving sums of
+    adjacent pairs k times gives the policy's expectation with the sweep's
+    operations."""
+    leaves = np.zeros(1, dtype=np.intp)
+    for high in policy:
+        first = 4 * leaves + 2 * high[leaves]
+        leaves = np.stack((first, first + 1), axis=1).ravel()
+    return leaves
 
 
 def terminal_upper_expectation(band: VolatilityBand, grid: TimeGrid, fn) -> float:

@@ -12,13 +12,18 @@ Two constructions are provided and must agree:
   s_t = E[S_t] against the barrier \bar l_t solving H(t, ., S_t) = 0,
   where H(t, z, Y) = E[l(t, Y - E[Y] + z)].
 
-All root finding is one bracketed ITP search: regula falsi kept inside the
-minmax envelope of bisection, so it never takes more than two evaluations
-beyond bisection. The declared bi-Lipschitz band of the loss supplies the
-brackets, so a bracket failure means a wrong declaration. A loss declared
-affine (c_l = C_l) needs no search: its root has a closed form that one
-sweep confirms (see ``_minimal_shift``), so each root costs two sweeps,
-the one for E[l(t, X)] and the confirming one.
+Every minimal shift starts from the sweep for E[l(t, X)], and sweeps alone
+certify its result (see ``_minimal_shift``). A loss declared affine
+(c_l = C_l) needs no search: its root has a closed form that one sweep
+confirms, so each root costs two sweeps. Any other loss takes Howard's
+policy iteration: a sweep records an optimal volatility policy, the root of
+that policy's classical expectation on its 2^k support leaves gives the next
+shift, and one sweep there gives the next policy, about three sweeps per
+root in all. The 1-D solve on each support, and the fallback, is one
+bracketed ITP search: regula falsi kept inside the minmax envelope of
+bisection, so it never takes more than two evaluations beyond bisection.
+The declared bi-Lipschitz band of the loss supplies the brackets, so a
+bracket failure means a wrong declaration.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -51,7 +56,7 @@ from .errors import (
     InitialConstraintError,
     InvalidParameterError,
 )
-from .gexpectation import upper_expectation
+from .gexpectation import _policy_support, upper_expectation
 from .lattice import (
     PathFunctional,
     PathLattice,
@@ -73,6 +78,8 @@ IDENTITY_TOL = 1e-12  # X = S + A is one addition per node: rounding only
 _MAX_BRACKET_DOUBLINGS = 8
 # ITP's slack over bisection: at most this many extra root-find evaluations
 _ITP_N0 = 2
+# policy iteration steps, one sweep each, before the bracketed search takes over
+_HOWARD_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -137,8 +144,10 @@ class ModulusReport:
 
 
 def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-                  shift: float | None = None) -> float:
-    """E[l(t, X)] for a depth-k functional X, or E[l(t, X + shift)].
+                  shift: float | None = None, policy=None) -> float:
+    """E[l(t, X)] for a depth-k functional X, or E[l(t, X + shift)]; with
+    ``policy``, the sweep also records its optimal policy there (see
+    ``gexpectation.upper_expectation``).
 
     The shift and the loss are applied inside the backward sweep, one leaf
     block at a time (see ``gexpectation``), so no shifted array and no loss
@@ -168,7 +177,7 @@ def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: Loss
             )
         return values
 
-    return upper_expectation(lattice, xi, leaf_map=leaf_map)
+    return upper_expectation(lattice, xi, leaf_map=leaf_map, policy=policy)
 
 
 def _smallest_nonneg_point(
@@ -178,14 +187,16 @@ def _smallest_nonneg_point(
     tol: float,
     context: str,
     f_zero: float,
+    f_hi: float | None = None,
 ) -> float:
     """ITP search for the smallest x with phi(x) >= 0, phi increasing.
 
     Returns the feasible endpoint hi of a final bracket with phi(lo) < 0 <=
     phi(hi) and hi - lo <= tol. f_zero is the caller's known phi(0), used
-    when a bracket end sits at 0. The bracket [lo, hi] is widened
-    geometrically if the sign change is not inside; a persistent failure
-    raises BracketError since brackets come from declared constants.
+    when a bracket end sits at 0, and f_hi, if given, its known phi(hi). The
+    bracket [lo, hi] is widened geometrically if the sign change is not
+    inside; a persistent failure raises BracketError since brackets come
+    from declared constants.
 
     Each step takes the regula-falsi point, kept tol/2 inside the bracket,
     and projects it into ITP's minmax envelope around the midpoint
@@ -198,7 +209,8 @@ def _smallest_nonneg_point(
     if tol <= 0.0:
         raise InvalidParameterError(f"tol must be positive, got {tol}")
     f_lo = f_zero if lo == 0.0 else phi(lo)
-    f_hi = f_zero if hi == 0.0 else phi(hi)
+    if f_hi is None:
+        f_hi = f_zero if hi == 0.0 else phi(hi)
     width = max(hi - lo, tol)
     for _ in range(_MAX_BRACKET_DOUBLINGS):
         if f_hi >= 0.0:
@@ -247,11 +259,50 @@ def _smallest_nonneg_point(
     return hi
 
 
+def _bracket(f_zero: float, c_l: float, tol: float) -> tuple[float, float]:
+    """A bracket [lo, hi] of the smallest x with phi(x) >= 0, for phi
+    increasing with slope at least c_l and phi(0) = f_zero.
+
+    The root lies in [0, -f_zero/c_l] (or [-f_zero/c_l, 0]), on the end when
+    phi is affine with slope c_l; the pad keeps the sign change inside the
+    bracket against rounding. The search may return the padded hi itself,
+    so its pad of tol/2 bounds the error of such a shift.
+    """
+    if f_zero < 0.0:
+        return 0.0, -f_zero / c_l + 0.5 * tol
+    return -f_zero / c_l - tol, 0.0
+
+
+def _policy_shift(t: float, support: np.ndarray, x: float, loss: LossSpec, tol: float,
+                  context: str) -> float:
+    """The smallest y, to tol, with E_P[l(t, X + x + y)] >= 0, for the policy
+    P whose 2^k support leaves of X hold ``support`` (``_policy_support``).
+
+    E_P is the mean of the loss over the support, taken as halving sums of
+    adjacent pairs, which are the sweep's operations along P on the same
+    points X + (x + y): the sweep's maximum dominates each of them, so
+    E[l(t, X + x + y)] >= E_P[l(t, X + x + y)] holds in floating point as
+    well when the loss gives the same values.
+    """
+
+    def policy_loss(y: float) -> float:
+        values = loss(t, support + (x + y))
+        _require_finite(values)
+        while values.size > 1:
+            values = 0.5 * (values[0::2] + values[1::2])
+        return float(values[0])
+
+    f_zero = policy_loss(0.0)
+    lo, hi = _bracket(f_zero, loss.c_l, tol)
+    return _smallest_nonneg_point(policy_loss, lo, hi, tol, context, f_zero=f_zero)
+
+
 def _minimal_shift(
     name: str, t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float, base: float,
+    tol: float, base: float, policy,
 ) -> float:
-    """Minimal x with E[l(t, x + X)] >= 0, given base = E[l(t, X)] != 0.
+    """Minimal x with E[l(t, x + X)] >= 0, given base = E[l(t, X)] != 0 and,
+    for a loss with c_l < C_l, the policy record of that sweep.
 
     For base < 0 the search starts at 0, where phi(0) = base < 0, so the
     result is positive; for base > 0 it is negative.
@@ -265,28 +316,70 @@ def _minimal_shift(
     * minimal within tol: phi(x - tol) <= base + C_l (x - tol) = -C_l tol/2
       < 0 by the declared upper slope, which ``validate_loss`` certifies.
 
-    A candidate that fails its sweep falls through to the bracketed search.
-    A loss declared affine that is not can pass the sweep with a shift larger
-    than the minimal one; in ``run`` the verifier's flat-off residual flags
-    it wherever A rises.
+    Any other loss takes Howard's policy iteration. phi is the maximum over
+    adapted policies P of the classical E_P[l(t, X + x)], each smooth and
+    increasing, so phi has kinks where the optimal policy switches, on which
+    regula falsi stalls. Each step takes the optimal policy P_j that the
+    sweep at x_j recorded, solves E_{P_j}[l(t, X + x)] = 0 on P_j's 2^k
+    support leaves to c_l tol / (2 C_l) (``_policy_shift``), and sweeps once
+    at the root x_{j+1} for phi(x_{j+1}) and the next policy. It returns x_j
+    once 0 <= phi(x_j) < c_l tol:
+
+    * feasible and decreasing: phi >= E_P for every P, so phi(x_{j+1}) >= 0,
+      and x_{j+1} <= x_j once x_j is feasible, since E_{P_j}(x_j) = phi(x_j);
+    * terminates: there are finitely many policies, and a repeated one gives
+      phi(x_{j+1}) = E_{P_j}(x_{j+1}) < c_l tol / 2;
+    * minimal within tol: phi(x_j - tol) <= phi(x_j) - c_l tol < 0 by
+      monotonicity, cash additivity and the declared lower slope.
+
+    A step that rounds to phi(x_{j+1}) < 0 or does not decrease x, and a
+    root still open after ``_HOWARD_STEPS`` steps, fall back to the bracketed
+    search, as does an affine candidate that fails its sweep. Each passes
+    the search the value it already knows at the bracket's feasible end.
+
+    A loss whose slope falls below its declared c_l can stop either method
+    early: the affine candidate can pass its sweep, and Howard's stopping
+    test can hold, at a shift larger than the minimal one. In ``run`` the
+    verifier's flat-off residual flags such a shift wherever A rises.
     """
+    context = f"{name}(t={t:.6g})"
 
     def phi(x: float) -> float:
-        return expected_loss(t, xi, lattice, loss, shift=x)
+        return expected_loss(t, xi, lattice, loss, shift=x, policy=policy)
 
-    if loss.c_l == loss.C_l:
+    lo, hi = _bracket(base, loss.c_l, tol)
+    f_hi = None
+    if policy is None:
         x = -base / loss.c_l + 0.5 * tol
-        if phi(x) >= 0.0:
+        f_x = phi(x)
+        if f_x >= 0.0:
             return x
-    # the root lies in [0, -base/c_l] (or [-base/c_l, 0]), on the end when phi
-    # is affine with slope c_l; the pad keeps the sign change inside the
-    # bracket against rounding. The search may return the padded hi itself,
-    # so its pad of tol/2 bounds the error of such a shift.
-    if base < 0.0:
-        lo, hi = 0.0, -base / loss.c_l + 0.5 * tol
+        if x == hi:
+            f_hi = f_x
     else:
-        lo, hi = -base / loss.c_l - tol, 0.0
-    return _smallest_nonneg_point(phi, lo, hi, tol, f"{name}(t={t:.6g})", f_zero=base)
+        x, f_x = 0.0, base
+        for _ in range(_HOWARD_STEPS):
+            step = _policy_shift(t, xi.values[_policy_support(policy)], x, loss,
+                                 0.5 * loss.c_l * tol / loss.C_l, context)
+            if f_x >= 0.0 and step >= 0.0:
+                break
+            f_step = phi(x + step)
+            if f_step < 0.0:
+                break
+            x, f_x = x + step, f_step
+            hi, f_hi = x, f_x
+            if f_x < loss.c_l * tol:
+                return x
+    return _smallest_nonneg_point(phi, lo, hi, tol, context, f_zero=base, f_hi=f_hi)
+
+
+def _base_loss(t: float, xi: PathFunctional, lattice: PathLattice,
+               loss: LossSpec) -> tuple[float, list | None]:
+    """E[l(t, X)] and, for a loss with c_l < C_l, the policy record of its
+    sweep, which is the first policy of ``_minimal_shift``'s iteration."""
+    policy = None if loss.c_l == loss.C_l else [
+        np.empty(4**d, dtype=bool) for d in range(xi.depth)]
+    return expected_loss(t, xi, lattice, loss, policy=policy), policy
 
 
 def required_shift(
@@ -294,10 +387,10 @@ def required_shift(
     tol: float = DEFAULT_ROOT_TOL,
 ) -> float:
     """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol."""
-    base = expected_loss(t, xi, lattice, loss)
+    base, policy = _base_loss(t, xi, lattice, loss)
     if base >= 0.0:
         return 0.0
-    return _minimal_shift("required_shift", t, xi, lattice, loss, tol, base)
+    return _minimal_shift("required_shift", t, xi, lattice, loss, tol, base, policy)
 
 
 def required_shift_signed(
@@ -310,10 +403,10 @@ def required_shift_signed(
     measure it is the cash to add so the position is acceptable: nonincreasing
     in X and translation invariant (rho(X+m) = rho(X) - m).
     """
-    base = expected_loss(t, xi, lattice, loss)
+    base, policy = _base_loss(t, xi, lattice, loss)
     if base == 0.0:
         return 0.0
-    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base)
+    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base, policy)
 
 
 risk_measure = required_shift_signed
@@ -337,10 +430,11 @@ def centered_loss_inverse(
     ey = upper_expectation(lattice, y)
     centered = PathFunctional(y.depth, y.values - ey)
     shifted = loss.shifted(-z)  # H(t, x, Y) - z = E[(l - z)(t, x + Y - E[Y])]
-    base = expected_loss(t, centered, lattice, shifted)
+    base, policy = _base_loss(t, centered, lattice, shifted)
     if base == 0.0:
         return 0.0
-    return _minimal_shift("centered_loss_inverse", t, centered, lattice, shifted, tol, base)
+    return _minimal_shift("centered_loss_inverse", t, centered, lattice, shifted, tol, base,
+                          policy)
 
 
 def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

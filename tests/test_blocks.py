@@ -115,6 +115,18 @@ def _shifted_expected_losses(lat):
     return [expected_loss(0.5, xi, lat, loss, shift=shift) for loss in LOSSES for shift in SHIFTS]
 
 
+def _policy_records(lat):
+    """The value and the policy record of loss sweeps at every depth."""
+    out = []
+    for loss in LOSSES:
+        for k, t in enumerate(lat.grid.times):
+            policy = [np.empty(4**d, dtype=bool) for d in range(k)]
+            xi = PathFunctional(k, lat.b[k] + 0.1 * lat.qv[k])
+            out.append(expected_loss(float(t), xi, lat, loss, shift=0.25, policy=policy))
+            out.extend(policy)
+    return out
+
+
 def _euler_steps(lat):
     rng = np.random.default_rng(7)
     out = []
@@ -154,6 +166,7 @@ KERNELS = {
     "conditional_upper_expectation": _conditionals,
     "expected_loss": _expected_losses,
     "expected_loss_shifted": _shifted_expected_losses,
+    "policy_record": _policy_records,
     "euler_step": _euler_steps,
     "levels": _levels,
     "picard_step": _picard_steps,

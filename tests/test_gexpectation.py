@@ -19,9 +19,10 @@ from meanreflect import (
     upper_expectation,
 )
 from meanreflect.config import ProblemConfig
-from meanreflect.gexpectation import _sweep
-from meanreflect.registry import PAYOFFS, make_payoff
-from oracles import ref_enumerated_supremum, ref_upper_expectation
+from meanreflect.gexpectation import _policy_support, _sweep
+from meanreflect.registry import LOSSES, PAYOFFS, make_loss, make_payoff
+from meanreflect.reflection import expected_loss
+from oracles import ref_enumerated_supremum, ref_fixed_policy_expectation, ref_upper_expectation
 
 
 class TestGFunction:
@@ -345,3 +346,65 @@ class TestTerminalKernel:
         # classical band: the binomial second moment, exactly horizon
         assert terminal_upper_expectation(band, TimeGrid(1.0, 64), lambda x: x**2) == (
             pytest.approx(1.0, rel=1e-12))
+
+
+def _empty_policy(depth):
+    return [np.empty(4**d, dtype=bool) for d in range(depth)]
+
+
+def _whole_level_policy(values, depth):
+    """Where the high branch strictly wins, level by level over whole levels."""
+    record = []
+    for _ in range(depth):
+        sums = 0.5 * (values[0::2] + values[1::2])
+        record.append(sums[1::2] > sums[0::2])
+        values = np.maximum(sums[0::2], sums[1::2])
+    return record[::-1]
+
+
+@pytest.fixture(scope="module")
+def lattice9(band):
+    return build_lattice(band, TimeGrid(1.0, 9))
+
+
+class TestPolicyRecord:
+    """The sweep's optional record of an optimal policy: one bool per node,
+    True where the high branch strictly wins."""
+
+    @pytest.mark.parametrize("depth", range(10))
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_value_is_bitwise_the_same_with_the_record(self, lattice9, name, depth):
+        loss = make_loss(name)
+        xi = PathFunctional(depth, lattice9.b[depth] + 0.1 * lattice9.qv[depth])
+        for shift in (None, -0.75, 2.5):
+            policy = _empty_policy(depth)
+            recorded = expected_loss(0.5, xi, lattice9, loss, shift=shift, policy=policy)
+            assert _same_bits(recorded, expected_loss(0.5, xi, lattice9, loss, shift=shift))
+
+    @pytest.mark.parametrize("kind", ["random", "edges"])
+    @pytest.mark.parametrize("depth", range(5))
+    def test_record_reproduces_the_value_as_a_fixed_policy(self, lattice6, kind, depth):
+        values = _leaves(kind, depth, seed=depth)
+        policy = _empty_policy(depth)
+        value = upper_expectation(lattice6, PathFunctional(depth, values), policy=policy)
+        fixed = ref_fixed_policy_expectation(values, depth, lambda i, level: int(policy[level][i]))
+        assert _same_bits(fixed, value)
+        # the support's halving sums are the same operations
+        support = values[_policy_support(policy)]
+        assert support.size == 2**depth
+        while support.size > 1:
+            support = 0.5 * (support[0::2] + support[1::2])
+        assert _same_bits(support[0], value)
+
+    def test_square_of_b_takes_the_high_branch_everywhere(self, lattice8):
+        policy = _empty_policy(8)
+        upper_expectation(lattice8, lattice8.functional_from_terminal(lambda x: x**2),
+                          policy=policy)
+        assert all(level.all() for level in policy)
+
+    def test_blocked_record_equals_the_whole_level_argmax(self, lattice9):
+        values = _leaves("random", 9, seed=9)
+        policy = _empty_policy(9)
+        upper_expectation(lattice9, PathFunctional(9, values), policy=policy)
+        for got, want in zip(policy, _whole_level_policy(values, 9), strict=True):
+            assert np.array_equal(got, want)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -28,6 +29,7 @@ from meanreflect import (
     upper_expectation,
     verify_mean_reflection,
 )
+from meanreflect import cli, reflection, registry
 from meanreflect.reflection import DeterministicPath, SkorokhodSolution, _smallest_nonneg_point
 from meanreflect.registry import make_loss
 from oracles import ref_bisect, ref_upper_expectation
@@ -240,6 +242,179 @@ class TestAffineShortcut:
         assert got == searched
         root = oracle_root(affine_loss(0.5, k).fn, xi.values, 4)
         assert root <= got <= root + TOL
+
+    def test_failed_candidate_is_not_swept_again(self, lattice4, monkeypatch):
+        # true slope 0.5, declared 1: the failed candidate is the search's
+        # padded hi, whose value the search takes from the candidate's sweep
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        k = ref_upper_expectation(xi.values, 4) + 0.7
+        loss = affine_loss(0.5, k, declared=1.0)
+        shifts = record_sweeps(monkeypatch)
+        got = required_shift(1.0, xi, lattice4, loss, TOL)
+        assert len(shifts) > 2 and len(set(shifts)) == len(shifts)
+        base = expected_loss(1.0, xi, lattice4, loss)
+        searched = _smallest_nonneg_point(
+            lambda x: expected_loss(1.0, xi, lattice4, loss, shift=x),
+            0.0, -base + 0.5 * TOL, TOL, "search", f_zero=base)
+        assert got == searched
+
+
+def record_sweeps(monkeypatch):
+    """The shift of every sweep that the root finders make from now on
+    (None for E[l(t, X)] itself)."""
+    shifts = []
+    real = reflection.expected_loss
+
+    def recorded(*args, **kwargs):
+        shifts.append(kwargs.get("shift"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reflection, "expected_loss", recorded)
+    return shifts
+
+
+POLICY_DEPTHS = (0, 4, 6, 9)
+ROOT_FUNCTIONS = (required_shift, required_shift_signed, centered_loss_inverse)
+
+
+@pytest.fixture(scope="module")
+def lattice9(band):
+    return build_lattice(band, TimeGrid(1.0, 9))
+
+
+def kinked(lat, depth):
+    """X = B + 0.5 sin(3 B) + 0.3 at ``depth``: not monotone in B, so the
+    optimal policy of x -> E[l(t, X + x)] switches with x."""
+    b = lat.b[depth]
+    return PathFunctional(depth, b + 0.5 * np.sin(3.0 * b) + 0.3)
+
+
+def level_expectation(values):
+    """The upper expectation by whole-level averages and maxima."""
+    while values.size > 1:
+        values = values.reshape(-1, 2, 2).mean(axis=2).max(axis=1)
+    return values[0]
+
+
+def assert_minimal_within_tol(fn, values, depth, got):
+    """got lies within TOL above the root of x -> E[fn(1, values + x)]: by
+    the recursive oracle up to depth 4, beyond by the sign of the
+    whole-level expectation at got and at got - TOL."""
+    if depth <= 4:
+        root = oracle_root(fn, values, depth)
+        assert root - 1e-14 <= got <= root + TOL
+    else:
+        assert level_expectation(fn(1.0, values + got)) >= 0.0
+        assert level_expectation(fn(1.0, values + (got - TOL))) < 0.0
+
+
+def policy_problem(lat, name, depth, offset, inverse):
+    """The points X (centered for the inverse), a loss of ``name`` shifted
+    so that E[l(1, X)] is about -offset, and the level z the inverse
+    solves for."""
+    xi = kinked(lat, depth)
+    values = xi.values - upper_expectation(lat, xi) if inverse else xi.values
+    plain = make_loss(name, {"c": 0.0} if name == "arctan_shift" else {"c0": 0.0, "c1": 0.0})
+    level = expected_loss(1.0, PathFunctional(depth, values), lat, plain) + offset
+    return values, (plain, level) if inverse else (plain.shifted(-level), 0.0)
+
+
+class TestPolicyIteration:
+    """Losses with c_l < C_l take Howard's policy iteration: each root is
+    minimal within tol, after at most four sweeps beyond E[l(t, X)]."""
+
+    @pytest.mark.parametrize("depth", POLICY_DEPTHS)
+    @pytest.mark.parametrize("offset", [0.7, -0.7])  # base < 0 and base > 0
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    @pytest.mark.parametrize("root_fn", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_root_is_minimal_within_five_sweeps(self, lattice9, monkeypatch, root_fn, name,
+                                                offset, depth):
+        inverse = root_fn is centered_loss_inverse
+        values, (loss, z) = policy_problem(lattice9, name, depth, offset, inverse)
+        target = loss.shifted(-z) if inverse else loss
+        sizes = []
+        counted = dataclasses.replace(
+            loss, fn=lambda t, x, fn=loss.fn: sizes.append(x.size) or fn(t, x))
+        shifts = record_sweeps(monkeypatch)
+        if inverse:
+            got = root_fn(1.0, z, kinked(lattice9, depth), lattice9, counted, TOL)
+        else:
+            got = root_fn(1.0, kinked(lattice9, depth), lattice9, counted, TOL)
+        monkeypatch.undo()
+        assert len(shifts) <= 5 and len(set(shifts)) == len(shifts)
+        if depth:  # a depth-0 support is the whole array
+            assert sum(n for n in sizes if n > 2**depth) <= 5 * 4**depth
+        if root_fn is required_shift and offset < 0.0:  # base > 0: no search
+            assert got == 0.0 and shifts == [None]
+            return
+        assert_minimal_within_tol(target.fn, values, depth, got)
+        assert expected_loss(1.0, PathFunctional(depth, values), lattice9, target,
+                             shift=got) >= 0.0
+
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    def test_capped_iteration_falls_back_to_the_search(self, lattice9, monkeypatch, name):
+        # no policy step: the search from the declared bracket, as before
+        values, (loss, _) = policy_problem(lattice9, name, 6, 0.7, inverse=False)
+        xi = PathFunctional(6, values)
+        monkeypatch.setattr(reflection, "_HOWARD_STEPS", 0)
+        got = required_shift(1.0, xi, lattice9, loss, TOL)
+        base = expected_loss(1.0, xi, lattice9, loss)
+        searched = _smallest_nonneg_point(
+            lambda x: expected_loss(1.0, xi, lattice9, loss, shift=x),
+            0.0, -base / loss.c_l + 0.5 * TOL, TOL, "search", f_zero=base)
+        assert got == searched
+
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    @pytest.mark.parametrize("fault", ["below_the_root", "not_decreasing"])
+    def test_faulty_step_falls_back_to_the_search(self, lattice9, monkeypatch, name, fault):
+        # a step that lands below the root, as rounding could make it, or
+        # one that does not decrease x: the search takes over from the
+        # known feasible end, and sweeps no shift twice
+        values, (loss, _) = policy_problem(lattice9, name, 6, 0.7, inverse=False)
+        real = reflection._policy_shift
+
+        def faulty(*args):
+            step = real(*args)
+            return step - 1.0 if fault == "below_the_root" else abs(step) + 1e-3
+
+        monkeypatch.setattr(reflection, "_policy_shift", faulty)
+        shifts = record_sweeps(monkeypatch)
+        got = required_shift(1.0, PathFunctional(6, values), lattice9, loss, TOL)
+        monkeypatch.undo()
+        assert len(shifts) > 3 and len(set(shifts)) == len(shifts)
+        assert_minimal_within_tol(loss.fn, values, 6, got)
+
+    @pytest.mark.parametrize("root_fn", ROOT_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_loss_flatter_than_declared_fails_the_bracket(self, lattice6, root_fn):
+        # true slope 0.01 against a declared band [1e5, 1e6]
+        flat = LossSpec(fn=lambda t, x: 0.01 * x - 1.0, c_l=1e5, C_l=1e6,
+                        time_modulus=lambda d: 0.0, kappa_growth=2.0, name="flat")
+        xi = lattice6.functional_from_terminal(lambda x: x)
+        args = (0.0, xi) if root_fn is centered_loss_inverse else (xi,)
+        with pytest.raises(BracketError, match=rf"^{root_fn.__name__}\(t=1\): no sign change"):
+            root_fn(1.0, *args, lattice6, flat, TOL)
+
+    def test_loss_flatter_than_declared_outside_the_box_exits_3(self, tmp_path, monkeypatch):
+        # slope 1.5 on the validation box, which passes the spot check, and
+        # 1e-6 beyond it, so the shift for l >= 20 t lies far past the
+        # bracket that the declared c_l = 1 gives
+        def flat_tail(c1=20.0) -> LossSpec:
+            def fn(t, x):
+                return np.where(x <= 5.0, 1.5 * x, 7.5 + 1e-6 * (x - 5.0)) - c1 * t
+
+            return LossSpec(fn=fn, c_l=1.0, C_l=2.0, time_modulus=lambda d: c1 * d,
+                            kappa_growth=c1 + 5.0)
+
+        monkeypatch.setitem(registry.LOSSES, "flat_tail", flat_tail)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"mode": "sp_only",
+                                   "problem": {"n_steps": 4, "loss": {"name": "flat_tail"}}}))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 3
+        report = json.loads((out / "report.json").read_text())
+        assert report["diagnostics"]["solver_error"].startswith(
+            "BracketError: required_shift(t=")
+        assert all(check["pass"] for check in report["checks"])
 
 
 class TestRequiredShiftSigned:
