@@ -337,15 +337,15 @@ def _minimal_shift(
     search, as does an affine candidate that fails its sweep. Each passes
     the search the value it already knows at the bracket's feasible end.
 
-    A loss whose slope falls below its declared c_l can stop either method
-    early: the affine candidate can pass its sweep, and Howard's stopping
-    test can hold, at a shift larger than the minimal one. In ``run`` the
+    A loss whose slopes leave its declared band can stop either method early:
+    the affine candidate can pass its sweep, and Howard's stopping test can
+    hold, at a shift larger than the minimal one. In ``run`` the
     verifier's flat-off residual flags such a shift wherever A rises.
     """
     context = f"{name}(t={t:.6g})"
 
-    def phi(x: float) -> float:
-        return expected_loss(t, xi, lattice, loss, shift=x, policy=policy)
+    def phi(x: float, record=None) -> float:
+        return expected_loss(t, xi, lattice, loss, shift=x, policy=record)
 
     lo, hi = _bracket(base, loss.c_l, tol)
     f_hi = None
@@ -363,7 +363,7 @@ def _minimal_shift(
                                  0.5 * loss.c_l * tol / loss.C_l, context)
             if f_x >= 0.0 and step >= 0.0:
                 break
-            f_step = phi(x + step)
+            f_step = phi(x + step, policy)
             if f_step < 0.0:
                 break
             x, f_x = x + step, f_step
