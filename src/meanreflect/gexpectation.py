@@ -55,7 +55,9 @@ from .lattice import PathFunctional, PathLattice, TimeGrid, VolatilityBand, _req
 def g_function(a: float, band: VolatilityBand) -> float:
     """Generator of the nonlinear heat equation: 0.5*(sigma_high^2*a+ - sigma_low^2*a-).
 
-    Positively homogeneous, monotone and sublinear in a.
+    Positively homogeneous, monotone and sublinear in a. Equivalently
+    0.5*max(sigma_high^2*a, sigma_low^2*a), the larger of its values at the
+    band's two ends, since sigma_low^2 <= sigma_high^2.
     """
     a = float(a)
     return 0.5 * (band.sigma_high_sq * max(a, 0.0) - band.sigma_low_sq * max(-a, 0.0))

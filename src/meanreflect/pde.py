@@ -1,15 +1,20 @@
 """Explicit monotone finite-difference backend for the nonlinear heat equation.
 
 Solves u_t + G(u_xx) = 0 backward from terminal data, where G is the
-band generator. Under dt <= dx^2 / sigma_high^2 every update is a convex
-combination of neighbors, so the scheme is monotone and stable. Linear tails
-are exact (G(0) = 0), which justifies the zero-curvature boundary columns.
+band generator G(a) = 0.5 * max(sigma_high^2 a, sigma_low^2 a), the larger
+of the generator's values at the band's two ends. Under
+dt <= dx^2 / sigma_high^2 every update is a convex combination of
+neighbors, so the scheme is monotone and stable. Linear tails are exact
+(G(0) = 0), which justifies the zero-curvature boundary columns.
 
 One kernel marches every solve: it updates a copy of the terminal data in
-place over its last axis, so the nested expectation marches all its inner
-problems as one (n_inner, n_points) array. Every element sees the same
-floating-point operations in the same order as a one-row march, so batched
-and one-row results are bitwise equal.
+place, so the nested expectation marches all its inner problems as one
+(n_inner, n_points) array. Each step is nine passes over the contiguous flat
+buffer, rows laid end to end; the curvature entries where two rows meet are
+reset to zero before the generator reads them. A batched row is therefore
+bitwise equal to the same row marched alone, and every march is bitwise
+equal to the plainly written step u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0)))
+except for data in the subnormal range (see ``_march_backward``).
 
 Used to cross-validate the lattice engine, not to feed it.
 """
@@ -17,6 +22,7 @@ Used to cross-validate the lattice engine, not to feed it.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -47,6 +53,8 @@ class SpaceGrid:
             raise InvalidParameterError(
                 f"need 0 < dx <= half_width, got dx={self.dx}, half_width={self.half_width}"
             )
+        if not math.isfinite(self.half_width):
+            raise InvalidParameterError(f"half_width must be finite, got {self.half_width}")
 
     @property
     def n_half(self) -> int:
@@ -95,8 +103,8 @@ def _resolve_dt(space: SpaceGrid, band: VolatilityBand, horizon: float,
     if dt is None:
         n = max(1, math.ceil(horizon / bound - 1e-12))
         return horizon / n, n
-    if dt <= 0.0:
-        raise InvalidParameterError(f"dt must be positive, got {dt}")
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if dt > bound * (1.0 + 1e-12):
         raise StabilityError(
             f"explicit step dt={dt} violates the stability bound "
@@ -110,33 +118,59 @@ def _march_backward(terminal: np.ndarray, band: VolatilityBand, dx: float, dt: f
                     n_steps: int) -> np.ndarray:
     """March each row (the last axis) of ``terminal`` n_steps explicit steps back.
 
-    Updates a copy in place with two preallocated buffers. Per element the
-    step is u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0))), the generator
-    ``g_function`` of c = ((u[i+1] - 2u[i]) + u[i-1])/dx^2, rounded in that
-    order, so rows never mix and a batched march equals one-row marches.
+    Updates a C-ordered copy in place with two preallocated buffers, in nine
+    passes per step, each over the whole contiguous flat buffer. Per element
+    the step is u + (0.5*dt)*max(sh*c, sl*c) with
+    c = ((u[i+1] - 2u[i]) + u[i-1]) * (1/dx^2), rounded in that order. The
+    curvature pass runs across row ends; the entries where one row meets the
+    next are reset to +0.0 before the generator reads them, so every row's
+    boundary columns keep zero curvature and rows never mix: a batched march
+    equals one-row marches bit for bit.
+
+    This is the plainly written step u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0)))
+    (``g_function``) bit for bit. ``VolatilityBand`` makes sl > 0 and
+    sh >= sl, and rounding is monotone, so:
+
+    * c > 0: sh*c >= sl*c, and the plain form's sh*c - sl*0 is sh*c;
+    * c < 0: sl*c >= sh*c, and the plain form's 0 - sl*|c| is sl*c;
+    * c = +0 gives +0 in both. For c = -0 the max form gives -0 where the
+      plain one can give +0, but above the subnormal range c is -0 only
+      where u[i] = +0 and both of its neighbors are -0, and there u[i] + 0
+      is +0 for either zero.
+
+    Then dt*(0.5*y) and (0.5*dt)*y round the same real number whenever 0.5*y
+    and 0.5*dt are exact. Two caveats, for data outside any grid the solvers
+    build. Where sl*c, sh*c or 0.5*y is subnormal or underflows to zero (data
+    near 1e-310), a result can differ by one subnormal ulp or in the sign of a
+    zero. The products the plain form does not make (sl*c for c > 0, sh*c for
+    c < 0, 2*u at a row end) can overflow for data near 1e308: the bits stay
+    the same, but numpy emits an overflow RuntimeWarning.
     """
-    u = np.array(terminal, dtype=float)
+    u = np.array(terminal, dtype=float, order="C")
+    flat = u.reshape(-1)
+    n = u.shape[-1]
     inv_dx2 = 1.0 / (dx * dx)
-    left, mid, right = u[..., :-2], u[..., 1:-1], u[..., 2:]
-    curvature = np.zeros_like(u)
-    inner = curvature[..., 1:-1]
-    g = np.empty_like(u)
+    half_dt = 0.5 * dt
+    sl, sh = band.sigma_low_sq, band.sigma_high_sq
+    left, mid, right = flat[:-2], flat[1:-1], flat[2:]
+    curvature = np.zeros_like(flat)
+    inner = curvature[1:-1]
+    # the last column of each row but the last and the first column of the
+    # next; the ends of the flat buffer are never written
+    seams = curvature[n - 1:-1].reshape(-1, n)[:, :2]
+    g = np.empty_like(flat)
     for _ in range(n_steps):
         np.multiply(2.0, mid, out=inner)
         np.subtract(right, inner, out=inner)
         np.add(inner, left, out=inner)
         np.multiply(inner, inv_dx2, out=inner)
-        np.negative(curvature, out=g)
-        np.maximum(g, 0.0, out=g)
-        np.multiply(band.sigma_low_sq, g, out=g)
-        # boundary columns keep zero curvature (max(0, 0) and sh*0 leave +0.0
-        # there): linear tails are exact solutions
-        np.maximum(curvature, 0.0, out=curvature)
-        np.multiply(band.sigma_high_sq, curvature, out=curvature)
-        np.subtract(curvature, g, out=g)
-        np.multiply(0.5, g, out=g)
-        np.multiply(dt, g, out=g)
-        np.add(u, g, out=u)
+        # zero curvature at the boundary columns: linear tails are exact solutions
+        seams.fill(0.0)
+        np.multiply(sl, curvature, out=g)
+        np.multiply(sh, curvature, out=curvature)
+        np.maximum(curvature, g, out=g)
+        np.multiply(g, half_dt, out=g)
+        np.add(flat, g, out=flat)
     return u
 
 
@@ -159,8 +193,8 @@ def solve_nonlinear_heat(
     ``terminal`` must map an array of grid points to payoff values. dt=None
     picks the largest stable step that divides the horizon evenly.
     """
-    if horizon <= 0.0:
-        raise InvalidParameterError(f"horizon must be positive, got {horizon}")
+    if not (horizon > 0.0 and math.isfinite(horizon)):
+        raise InvalidParameterError(f"horizon must be positive and finite, got {horizon}")
     _warn_if_narrow(space, band, horizon)
     dt, n = _resolve_dt(space, band, horizon, dt)
     xs = space.xs
@@ -199,10 +233,14 @@ def nested_expectation_pde(
     deviations of B_{t1}, are marched as one batch; their diagonal becomes the
     outer terminal condition.
     """
+    if not math.isfinite(horizon):
+        raise InvalidParameterError(f"horizon must be finite, got {horizon}")
     if not 0.0 < t1 < horizon:
         raise InvalidParameterError(
             f"monitoring time must satisfy 0 < t1 < horizon, got t1={t1}, horizon={horizon}"
         )
+    if isinstance(n_inner, bool) or not isinstance(n_inner, numbers.Integral):
+        raise InvalidParameterError(f"n_inner must be an integer, got {n_inner!r}")
     if n_inner < 3:
         raise InvalidParameterError("n_inner must be at least 3")
     _warn_if_narrow(space, band, horizon)

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meanreflect import (
     InvalidParameterError,
@@ -90,6 +94,19 @@ def _reference_march(u, band, dx, dt, n_steps):
     return u
 
 
+def _assert_rows_march_alone(rows, band, dx, dt, n_steps):
+    """The batched march leaves ``rows`` unwritten and equals, row by row and
+    byte for byte, the one-row march and the reference."""
+    before = rows.copy()
+    batched = pde._march_backward(rows, band, dx, dt, n_steps)
+    assert rows.tobytes() == before.tobytes()
+    assert batched.shape == rows.shape
+    for row, got in zip(rows.reshape(-1, rows.shape[-1]), batched.reshape(-1, rows.shape[-1])):
+        one_row = pde._march_backward(row, band, dx, dt, n_steps)
+        assert got.tobytes() == one_row.tobytes()
+        assert got.tobytes() == _reference_march(row, band, dx, dt, n_steps).tobytes()
+
+
 @pytest.mark.parametrize("march_band", [VolatilityBand(1.0, 4.0), VolatilityBand(0.25, 0.5)])
 def test_batched_march_equals_one_row_marches_bitwise(march_band):
     # a zero row and signed zeros (also in the boundary columns) next to random
@@ -97,15 +114,64 @@ def test_batched_march_equals_one_row_marches_bitwise(march_band):
     rows = np.random.default_rng(7).standard_normal((5, 31))
     rows[1] = 0.0
     rows[2, ::2] = -0.0
-    before = rows.copy()
     dx = 0.1
-    dt = dx * dx / march_band.sigma_high_sq
-    batched = pde._march_backward(rows, march_band, dx, dt, 40)
-    assert rows.tobytes() == before.tobytes()
-    for row, got in zip(rows, batched):
-        one_row = pde._march_backward(row, march_band, dx, dt, 40)
-        assert got.tobytes() == one_row.tobytes()
-        assert got.tobytes() == _reference_march(row, march_band, dx, dt, 40).tobytes()
+    _assert_rows_march_alone(rows, march_band, dx, dx * dx / march_band.sigma_high_sq, 40)
+
+
+@pytest.mark.parametrize("march_band", [VolatilityBand(1.0, 4.0), VolatilityBand(0.5, 0.5, classical=True)])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_rows_of_far_apart_scales_do_not_leak_across_row_ends(march_band, order):
+    # rows from 1e-300 to 1e300 laid end to end, with signed zeros and
+    # opposite signs at the row ends: the curvature across a row end is up to
+    # 1e300 times a row's own, so any leak through it shows in the bytes
+    rng = np.random.default_rng(11)
+    scales = 10.0 ** np.array([-300, 300, -150, 0, 150, -300, 300])
+    rows = rng.standard_normal((scales.size, 25)) * scales[:, None]
+    rows[::2, 0], rows[::2, -1] = -0.0, 0.0
+    rows[1::2, 0], rows[1::2, -1] = -rows[1::2, 1], -rows[1::2, -2]
+    rows = np.asarray(rows, order=order)
+    dx = 0.2
+    for dt in (dx * dx / march_band.sigma_high_sq, 0.3 * dx * dx / march_band.sigma_high_sq):
+        _assert_rows_march_alone(rows, march_band, dx, dt, 30)
+        # a 3-D batch marches each row of its last axis alone too
+        _assert_rows_march_alone(rows[:6].reshape(2, 3, 25), march_band, dx, dt, 30)
+
+
+def test_data_up_to_1e300_march_without_runtime_warning():
+    # the max form makes products the plain step does not (sl*c for c > 0,
+    # sh*c for c < 0, 2u at a row end); none of them overflows below 1e300
+    band = VolatilityBand(1.0, 4.0)
+    rows = np.array([[1e300, -1e300, 1e300, -1e300, 1e300],
+                     [-1e300, 1e300, -1e300, 1e300, -1e300],
+                     [1e300, 1e300, 0.0, 1e300, 1e300]])
+    dx = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = pde._march_backward(rows, band, dx, dx * dx / band.sigma_high_sq, 3)
+    assert np.isfinite(out).all()
+    _assert_rows_march_alone(rows, band, dx, dx * dx / band.sigma_high_sq, 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(3,), (17,), (64,), (1, 9), (4, 12), (2, 3, 7)]),
+       classical=st.booleans(),
+       dt_share=st.sampled_from([1.0, 0.999, 0.5, 0.1]),
+       n_steps=st.integers(1, 25))
+def test_march_equals_reference_bitwise(seed, shape, classical, dt_share, n_steps):
+    # data and products stay clear of the subnormal range, where the max
+    # form may differ by one subnormal ulp (see the _march_backward docstring)
+    rng = np.random.default_rng(seed)
+    sl = float(rng.uniform(0.05, 3.0))
+    band = (VolatilityBand(sl, sl, classical=True) if classical
+            else VolatilityBand(sl, sl * float(rng.uniform(1.01, 20.0))))
+    dx = float(rng.uniform(0.01, 1.0))
+    dt = dt_share * dx * dx / band.sigma_high_sq
+    scale = 10.0 ** rng.uniform(-150.0, 150.0, size=shape[:-1] + (1,))
+    data = rng.standard_normal(shape) * scale
+    data[rng.random(shape) < 0.15] = 0.0
+    data[rng.random(shape) < 0.15] = -0.0
+    _assert_rows_march_alone(data, band, dx, dt, n_steps)
 
 
 def test_terminal_arrays_are_not_written(band):
@@ -160,3 +226,34 @@ class TestNested:
         tiny = SpaceGrid(half_width=2.0, dx=0.1)
         with pytest.warns(UserWarning, match="boundary"):
             nested_expectation_pde(lambda x1, x: x, band, tiny, 0.5, 1.0, n_inner=5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_horizon_or_dt_is_a_parameter_error(band, bad):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    with pytest.raises(InvalidParameterError, match="horizon"):
+        solve_nonlinear_heat(lambda x: x, band, grid, bad)
+    with pytest.raises(InvalidParameterError, match="dt"):
+        solve_nonlinear_heat(lambda x: x, band, grid, 0.5, dt=bad)
+    with pytest.raises(InvalidParameterError, match="dt"):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5, dt=bad, n_inner=3)
+    with pytest.raises(InvalidParameterError, match="horizon"):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, bad, n_inner=3)
+
+
+def test_infinite_half_width_is_a_parameter_error():
+    with pytest.raises(InvalidParameterError, match="half_width"):
+        SpaceGrid(half_width=float("inf"), dx=0.1)
+
+
+@pytest.mark.parametrize("n_inner", [3.5, 5.0, True, "5", None])
+def test_non_integer_n_inner_is_a_parameter_error(band, n_inner):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    with pytest.raises(InvalidParameterError, match="n_inner"):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5, n_inner=n_inner)
+
+
+def test_numpy_integer_n_inner_is_accepted(band):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    assert nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5,
+                                  n_inner=np.int64(5)) == pytest.approx(0.0, abs=1e-10)
