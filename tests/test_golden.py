@@ -64,6 +64,15 @@ CONFIGS = {
             "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
         },
     },
+    "full_sde_ou_smooth_sin": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 8,
+            "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}},
+        },
+    },
     "sp_only_smooth_sin": {
         "mode": "sp_only",
         "problem": {"n_steps": 6, "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}}},
@@ -124,7 +133,8 @@ CONFIGS = {
 }
 
 # compared value by value: np.sin and np.arctan are not bitwise portable
-BY_VALUE = {"sp_only_smooth_sin", "sp_only_smooth_sin_n9", "sp_only_arctan_shift"}
+BY_VALUE = {"full_sde_ou_smooth_sin", "sp_only_smooth_sin", "sp_only_smooth_sin_n9",
+            "sp_only_arctan_shift"}
 REL_TOL = 1e-12
 
 
