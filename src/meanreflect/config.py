@@ -6,7 +6,8 @@ artifacts. Validation is eager and names the offending field.
 
 The dataclasses below, with ``sde.PicardConfig`` for the solver section, are
 the schema: ``_section`` reads each section from their declared fields and
-types, and ``to_dict`` is ``dataclasses.asdict``.
+types, and ``to_dict`` is ``dataclasses.asdict``, whose JSON text
+``canonical_json`` writes without the copy.
 """
 
 from __future__ import annotations
@@ -151,7 +152,15 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        """``to_dict`` as compact JSON with sorted keys. The encoder reads each
+        section's fields in place (``_fields``), so no deep copy is made; the
+        text is that of ``json.dumps(self.to_dict(), ...)``."""
+        return json.dumps(self, default=_fields, sort_keys=True, separators=(",", ":"))
+
+
+def _fields(section) -> dict:
+    """One config dataclass as the dict of its fields, for ``json.dumps``."""
+    return {f.name: getattr(section, f.name) for f in dataclasses.fields(section)}
 
 
 @contextlib.contextmanager

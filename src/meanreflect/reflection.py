@@ -12,18 +12,25 @@ Two constructions are provided and must agree:
   s_t = E[S_t] against the barrier \bar l_t solving H(t, ., S_t) = 0,
   where H(t, z, Y) = E[l(t, Y - E[Y] + z)].
 
-Every minimal shift starts from the sweep for E[l(t, X)], and sweeps alone
-certify its result (see ``_minimal_shift``). A loss declared affine
-(c_l = C_l) needs no search: its root has a closed form that one sweep
-confirms, so each root costs two sweeps. Any other loss takes Howard's
-policy iteration: a sweep records an optimal volatility policy, the root of
-that policy's classical expectation on its 2^k support leaves gives the next
-shift, and one sweep there gives the next policy, about three sweeps per
-root in all. The 1-D solve on each support, and the fallback, is one
-bracketed ITP search: regula falsi kept inside the minmax envelope of
-bisection, so it never takes more than two evaluations beyond bisection.
-The declared bi-Lipschitz band of the loss supplies the brackets, so a
-bracket failure means a wrong declaration.
+Sweeps alone certify every minimal shift (see ``_minimal_shift``). A loss
+declared affine (c_l = C_l) needs no search: its root has a closed form
+that one sweep confirms, after the sweep for E[l(t, X)], so each root costs
+two sweeps. Any other loss takes Howard's policy iteration: a sweep records
+an optimal volatility policy, the root of that policy's classical
+expectation on its 2^k support leaves gives the next shift, and one sweep
+there gives the next policy. Both solvers start each such root at the
+shift extrapolated from the two grid times before it, so a root near its
+start takes about two sweeps, where a start at 0 takes about three. The
+1-D solve on each support, and the fallback, is one bracketed ITP search:
+regula falsi kept inside the minmax envelope of bisection, so it never
+takes more than two evaluations beyond bisection. The declared
+bi-Lipschitz band of the loss supplies the brackets, so a bracket failure
+means a wrong declaration.
+
+Each root find also returns E[l(t, X + x)] from its last sweep at its
+result x. Where the compensator equals a positive minimal shift, X at that
+grid time is S plus that shift, by the same addition, so the solvers keep
+that value, and ``verify_mean_reflection`` takes it in place of a sweep.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -43,7 +50,7 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -107,10 +114,16 @@ class DeterministicPath:
 
 @dataclass(frozen=True)
 class SkorokhodSolution:
-    """The pair (X, A): reflected process plus deterministic compensator."""
+    """The pair (X, A): reflected process plus deterministic compensator.
+
+    A solver may add ``expected_losses``: E[l(t_k, X_k)] for each step of A,
+    bitwise the sweep of X_k, where its root find made that sweep
+    (``_reusable_losses``), and NaN elsewhere."""
 
     X: ProcessOnLattice
     A: DeterministicPath
+    expected_losses: np.ndarray | None = field(default=None, kw_only=True, repr=False,
+                                               compare=False)
 
 
 @dataclass(frozen=True)
@@ -297,12 +310,40 @@ def _policy_shift(t: float, support: np.ndarray, x: float, loss: LossSpec, tol: 
     return _smallest_nonneg_point(policy_loss, lo, hi, tol, context, f_zero=f_zero)
 
 
+def _howard(phi: Callable, t: float, xi: PathFunctional, loss: LossSpec, tol: float,
+            context: str, x: float, f_x: float, policy,
+            floor: float = -math.inf) -> tuple[float, float, bool]:
+    """Howard's policy iteration from x, where the sweep f_x = phi(x) recorded
+    ``policy`` (see ``_minimal_shift``).
+
+    Returns the last iterate whose sweep was feasible (or x itself), that
+    sweep's value, and whether it passed the stopping test 0 <= phi < c_l
+    tol. It stops short of the test at a step that rounds to an infeasible
+    sweep or does not decrease a feasible x, at a step to a point at or
+    below ``floor``, and after ``_HOWARD_STEPS`` steps.
+    """
+    for _ in range(_HOWARD_STEPS):
+        if 0.0 <= f_x < loss.c_l * tol:
+            return x, f_x, True
+        step = _policy_shift(t, xi.values[_policy_support(policy)], x, loss,
+                             0.5 * loss.c_l * tol / loss.C_l, context)
+        target = x + step
+        if f_x >= 0.0 and step >= 0.0 or target <= floor:
+            break
+        f_target = phi(target, policy)
+        if f_target < 0.0:
+            break
+        x, f_x = target, f_target
+    return x, f_x, 0.0 <= f_x < loss.c_l * tol
+
+
 def _minimal_shift(
     name: str, t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
     tol: float, base: float, policy,
-) -> float:
-    """Minimal x with E[l(t, x + X)] >= 0, given base = E[l(t, X)] != 0 and,
-    for a loss with c_l < C_l, the policy record of that sweep.
+) -> tuple[float, float]:
+    """Minimal x with E[l(t, x + X)] >= 0, and E[l(t, X + x)] from the last
+    sweep at x, given base = E[l(t, X)] != 0 and, for a loss with c_l < C_l,
+    the policy record of that sweep.
 
     For base < 0 the search starts at 0, where phi(0) = base < 0, so the
     result is positive; for base > 0 it is negative.
@@ -316,17 +357,20 @@ def _minimal_shift(
     * minimal within tol: phi(x - tol) <= base + C_l (x - tol) = -C_l tol/2
       < 0 by the declared upper slope, which ``validate_loss`` certifies.
 
-    Any other loss takes Howard's policy iteration. phi is the maximum over
-    adapted policies P of the classical E_P[l(t, X + x)], each smooth and
-    increasing, so phi has kinks where the optimal policy switches, on which
-    regula falsi stalls. Each step takes the optimal policy P_j that the
-    sweep at x_j recorded, solves E_{P_j}[l(t, X + x)] = 0 on P_j's 2^k
-    support leaves to c_l tol / (2 C_l) (``_policy_shift``), and sweeps once
-    at the root x_{j+1} for phi(x_{j+1}) and the next policy. It returns x_j
-    once 0 <= phi(x_j) < c_l tol:
+    Any other loss takes Howard's policy iteration (``_howard``). phi is the
+    maximum over adapted policies P of the classical E_P[l(t, X + x)], each
+    smooth and increasing, so phi has kinks where the optimal policy
+    switches, on which regula falsi stalls. Each step takes the optimal
+    policy P_j that the sweep at x_j recorded, solves E_{P_j}[l(t, X + x)] =
+    0 on P_j's 2^k support leaves to c_l tol / (2 C_l) (``_policy_shift``),
+    and sweeps once at the root x_{j+1} for phi(x_{j+1}) and the next
+    policy. It returns x_j once 0 <= phi(x_j) < c_l tol. Nothing here needs
+    x_0 = 0, so each property holds from any start x_0 with its sweep and
+    policy (``required_shift``'s ``start``):
 
-    * feasible and decreasing: phi >= E_P for every P, so phi(x_{j+1}) >= 0,
-      and x_{j+1} <= x_j once x_j is feasible, since E_{P_j}(x_j) = phi(x_j);
+    * feasible and decreasing: phi >= E_P for every P, so phi(x_{j+1}) >= 0
+      whichever side of the root x_j lies on, and x_{j+1} <= x_j once x_j is
+      feasible, since E_{P_j}(x_j) = phi(x_j);
     * terminates: there are finitely many policies, and a repeated one gives
       phi(x_{j+1}) = E_{P_j}(x_{j+1}) < c_l tol / 2;
     * minimal within tol: phi(x_j - tol) <= phi(x_j) - c_l tol < 0 by
@@ -343,9 +387,11 @@ def _minimal_shift(
     verifier's flat-off residual flags such a shift wherever A rises.
     """
     context = f"{name}(t={t:.6g})"
+    swept: dict[float, float] = {}
 
     def phi(x: float, record=None) -> float:
-        return expected_loss(t, xi, lattice, loss, shift=x, policy=record)
+        swept[x] = expected_loss(t, xi, lattice, loss, shift=x, policy=record)
+        return swept[x]
 
     lo, hi = _bracket(base, loss.c_l, tol)
     f_hi = None
@@ -353,44 +399,76 @@ def _minimal_shift(
         x = -base / loss.c_l + 0.5 * tol
         f_x = phi(x)
         if f_x >= 0.0:
-            return x
+            return x, f_x
         if x == hi:
             f_hi = f_x
     else:
-        x, f_x = 0.0, base
-        for _ in range(_HOWARD_STEPS):
-            step = _policy_shift(t, xi.values[_policy_support(policy)], x, loss,
-                                 0.5 * loss.c_l * tol / loss.C_l, context)
-            if f_x >= 0.0 and step >= 0.0:
-                break
-            f_step = phi(x + step, policy)
-            if f_step < 0.0:
-                break
-            x, f_x = x + step, f_step
+        x, f_x, done = _howard(phi, t, xi, loss, tol, context, 0.0, base, policy)
+        if done:
+            return x, f_x
+        if f_x >= 0.0:
             hi, f_hi = x, f_x
-            if f_x < loss.c_l * tol:
-                return x
-    return _smallest_nonneg_point(phi, lo, hi, tol, context, f_zero=base, f_hi=f_hi)
+    x = _smallest_nonneg_point(phi, lo, hi, tol, context, f_zero=base, f_hi=f_hi)
+    # only a search from base > 0 can return its bracket end 0, never swept
+    return x, swept.get(x, base)
 
 
-def _base_loss(t: float, xi: PathFunctional, lattice: PathLattice,
-               loss: LossSpec) -> tuple[float, list | None]:
-    """E[l(t, X)] and, for a loss with c_l < C_l, the policy record of its
-    sweep, which is the first policy of ``_minimal_shift``'s iteration."""
-    policy = None if loss.c_l == loss.C_l else [
-        np.empty(4**d, dtype=bool) for d in range(xi.depth)]
-    return expected_loss(t, xi, lattice, loss, policy=policy), policy
+def _policy_record(loss: LossSpec, depth: int) -> list | None:
+    """Room for a depth-k sweep's optimal policy (``upper_expectation``) when
+    the loss has c_l < C_l, whose roots take Howard's iteration; None for an
+    affine loss, whose root has a closed form."""
+    if loss.c_l == loss.C_l:
+        return None
+    return [np.empty(4**d, dtype=bool) for d in range(depth)]
+
+
+def _usable_start(start: float, xi: PathFunctional) -> bool:
+    """Whether ``start`` is positive and finite and shifts X's smallest and
+    largest values, and so by monotone rounding all of them, to finite
+    values."""
+    shifted = (start, *(v + start for v in xi.value_range))
+    return start > 0.0 and all(math.isfinite(v) for v in shifted)
 
 
 def required_shift(
     t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> float:
-    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol."""
-    base, policy = _base_loss(t, xi, lattice, loss)
-    if base >= 0.0:
-        return 0.0
-    return _minimal_shift("required_shift", t, xi, lattice, loss, tol, base, policy)
+    tol: float = DEFAULT_ROOT_TOL, *, start: float = 0.0, with_value: bool = False,
+) -> float | tuple[float, float]:
+    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol.
+
+    ``start`` is a guess of x, such as one extrapolated from the shifts of
+    earlier grid times. For a loss with c_l < C_l and a usable start
+    (``_usable_start``), the first sweep is at the start, and Howard's
+    iteration runs from there (``_minimal_shift`` proves it from any start).
+    It keeps every step above tol, so a result it certifies is also minimal
+    among x >= 0. A step at or below tol, or a root the iteration does not
+    certify, runs the search from 0, reusing the policy record; so does every
+    other start, and every affine loss, whose closed form ignores the start.
+    The search from 0 is the whole path of a start of 0, and it alone
+    returns 0.0, when E[l(t, X)] >= 0.
+
+    With ``with_value`` it returns (x, E[l(t, X + x)]), the value from the
+    last sweep it made at x: E[l(t, X)] itself, unshifted, when x is 0.0.
+    """
+    policy = _policy_record(loss, xi.depth)
+    found = None
+    if policy is not None and _usable_start(start, xi):
+        context = f"required_shift(t={t:.6g})"
+
+        def phi(x: float, record=None) -> float:
+            return expected_loss(t, xi, lattice, loss, shift=x, policy=record)
+
+        x, f_x, done = _howard(phi, t, xi, loss, tol, context, start, phi(start, policy),
+                               policy, floor=tol)
+        if done and x > tol:
+            found = x, f_x
+    if found is None:
+        base = expected_loss(t, xi, lattice, loss, policy=policy)
+        if base >= 0.0:
+            found = 0.0, base
+        else:
+            found = _minimal_shift("required_shift", t, xi, lattice, loss, tol, base, policy)
+    return found if with_value else found[0]
 
 
 def required_shift_signed(
@@ -403,10 +481,11 @@ def required_shift_signed(
     measure it is the cash to add so the position is acceptable: nonincreasing
     in X and translation invariant (rho(X+m) = rho(X) - m).
     """
-    base, policy = _base_loss(t, xi, lattice, loss)
+    policy = _policy_record(loss, xi.depth)
+    base = expected_loss(t, xi, lattice, loss, policy=policy)
     if base == 0.0:
         return 0.0
-    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base, policy)
+    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base, policy)[0]
 
 
 risk_measure = required_shift_signed
@@ -430,11 +509,12 @@ def centered_loss_inverse(
     ey = upper_expectation(lattice, y)
     centered = PathFunctional(y.depth, y.values - ey)
     shifted = loss.shifted(-z)  # H(t, x, Y) - z = E[(l - z)(t, x + Y - E[Y])]
-    base, policy = _base_loss(t, centered, lattice, shifted)
+    policy = _policy_record(shifted, y.depth)
+    base = expected_loss(t, centered, lattice, shifted, policy=policy)
     if base == 0.0:
         return 0.0
     return _minimal_shift("centered_loss_inverse", t, centered, lattice, shifted, tol, base,
-                          policy)
+                          policy)[0]
 
 
 def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -466,6 +546,26 @@ def _check_initial_constraint(loss: LossSpec, S: ProcessOnLattice, lattice: Path
         )
 
 
+def _shift_guess(shifts: np.ndarray, i: int) -> float:
+    """A start for the root at step i: max(2 s_{i-1} - s_{i-2}, 0), the line
+    through the two minimal shifts before it (s_{-1} = 0, so step 1 starts at
+    s_0 = 0, the search from 0). The paper's modulus estimate bounds how far
+    one minimal shift lies from the next."""
+    before = shifts[i - 2] if i >= 2 else 0.0
+    return max(2.0 * float(shifts[i - 1]) - float(before), 0.0)
+
+
+def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
+                     compensator: np.ndarray) -> np.ndarray:
+    """``losses`` (each root find's E[l(t, S + shift)]) where the compensator
+    equals a positive shift, and NaN elsewhere. There X = S + compensator is
+    the point of the root's last sweep, formed by the same addition, so its
+    sweep would give the same bits. A zero shift's value is the sweep of S
+    itself, which S + 0.0 matches only where S holds no -0.0, so it is not
+    kept."""
+    return np.where((shifts > 0.0) & (compensator == shifts), losses, np.nan)
+
+
 def solve_mean_reflection_direct(
     loss: LossSpec,
     S: ProcessOnLattice,
@@ -477,14 +577,18 @@ def solve_mean_reflection_direct(
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
     shifts = np.zeros(k1 - k0 + 1)
+    losses = np.full(k1 - k0 + 1, np.nan)
     # the initial shift is zero by the checked constraint; rounding noise there
     # would otherwise break A(0) = 0 exactly
     for k in range(k0 + 1, k1 + 1):
-        shifts[k - k0] = required_shift(times[k], S.functional_at(k), lattice, loss, tol)
+        i = k - k0
+        shifts[i], losses[i] = required_shift(times[k], S.functional_at(k), lattice, loss, tol,
+                                              start=_shift_guess(shifts, i), with_value=True)
     compensator = np.maximum.accumulate(shifts)
     return SkorokhodSolution(
         X=S.shifted(compensator),
         A=DeterministicPath(times[k0 : k1 + 1], compensator),
+        expected_losses=_reusable_losses(losses, shifts, compensator),
     )
 
 
@@ -521,12 +625,22 @@ def verify_mean_reflection(
     S: ProcessOnLattice,
     lattice: PathLattice,
     tol: float = DEFAULT_PRECONDITION_TOL,
+    *,
+    expected_losses: np.ndarray | None = None,
 ) -> VerificationReport:
     """Check the three solution conditions and report residuals.
 
     flat-off uses the value at the step where the supremum increase lands
     (right endpoint of each increment), which is the one the construction
     drives to zero.
+
+    ``expected_losses`` may give E[l(t_k, X_k)] for the checked steps, NaN
+    where unknown, as a solver's ``SkorokhodSolution.expected_losses`` does
+    for the loss it solved with: the root finds' last sweeps, at every step
+    where A equals a positive minimal shift. Each known value is taken as
+    it is, and only the other steps are swept: the first step, steps where
+    the constraint is slack or A carries an earlier, larger shift, and the
+    junctions of Picard's subintervals.
     """
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
@@ -544,7 +658,10 @@ def verify_mean_reflection(
             gap = np.add(block, a[i], out=scratch[: block.size])
             np.subtract(x[part], gap, out=gap)
             identity = max(identity, float(np.max(np.abs(gap, out=gap))))
-        constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
+        if expected_losses is not None and not math.isnan(expected_losses[i]):
+            constraint[i] = expected_losses[i]
+        else:
+            constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(
         identity <= IDENTITY_TOL

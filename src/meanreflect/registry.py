@@ -12,6 +12,7 @@ its name in the table; ``meanreflect list`` and the config parser pick it up.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -170,12 +171,19 @@ REGISTRIES: dict[str, dict[str, Callable[..., object]]] = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _factory_params(factory: Callable) -> tuple[tuple[str, object], ...]:
+    """A factory's keyword parameters and defaults, read from its signature
+    once per process."""
+    return tuple((p.name, p.default) for p in inspect.signature(factory).parameters.values())
+
+
 def accepted_params(table: dict, name: str) -> dict[str, float]:
     """The parameters family ``name`` of ``table`` accepts, with their
     defaults; empty for a name the table does not hold."""
     if name not in table:
         return {}
-    return {p.name: p.default for p in inspect.signature(table[name]).parameters.values()}
+    return dict(_factory_params(table[name]))
 
 
 def _make(table: dict, kind: str, name: str, params: dict | None):

@@ -248,7 +248,8 @@ def run_experiment(
                                            band=lattice.band, grid=lattice.grid, p=config.problem.p)
                     solution = picard_solve(problem, config.solver, lattice=lattice)
                     S = solution.U
-                verification = verify_mean_reflection(solution, loss, S, lattice)
+                verification = verify_mean_reflection(
+                    solution, loss, S, lattice, expected_losses=solution.expected_losses)
                 if config.mode == "full_sde":
                     # picard_solve raises unless every subinterval converged
                     checks.append(CheckResult("picard_converged", 1.0, 1.0, True))

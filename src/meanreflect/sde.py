@@ -69,6 +69,8 @@ from .reflection import (
     DeterministicPath,
     SkorokhodSolution,
     _check_initial_constraint,
+    _reusable_losses,
+    _shift_guess,
     required_shift,
 )
 
@@ -309,12 +311,18 @@ def picard_step(
     """One application of the contraction map: integrate driven by ``driver``,
     then reflect. Its fixed points solve the subinterval problem.
 
+    Each root find starts from the line through the two minimal shifts below
+    it (``reflection._shift_guess``), and the solution keeps the value of
+    each root's last sweep where A is that root
+    (``SkorokhodSolution.expected_losses``).
+
     ``previous`` is the step whose X is ``driver``. U at a level depends only
     on the driver below it, so up to ``previous.changed_from`` this step
-    equals the previous one: it keeps U, the minimal shifts and the X levels
-    there and recomputes the Euler steps and root finds above. Every value is
-    the same operation on the same inputs as in a full pass. Without
-    ``previous`` the step is a full pass.
+    equals the previous one: it keeps U, the minimal shifts, their sweeps'
+    values and the X levels there and recomputes the Euler steps and root
+    finds above, each from the same start. Every value is the same
+    operation on the same inputs as in a full pass. Without ``previous`` the
+    step is a full pass.
     """
     k0 = start_step
     loss = problem.loss
@@ -329,6 +337,7 @@ def picard_step(
         u = list(integrate_forward(problem.coeffs, lattice, driver, k0, end_step, initial).values)
         _check_initial_constraint(loss, ProcessOnLattice(lattice, k0, u[:1]), lattice)
         shifts = np.zeros(end_step - k0 + 1)
+        losses = np.full(end_step - k0 + 1, np.nan)
         x: list[np.ndarray] = []
         base = fresh = k0
     else:
@@ -341,13 +350,16 @@ def picard_step(
             u = list(integrate_forward(problem.coeffs, lattice, driver, base, end_step,
                                        previous.unreflected).values)
         shifts = previous.shifts.copy()
+        losses = previous.solution.expected_losses.copy()
         x = list(driver.values[: base - k0 + 1])
         fresh = base + 1
     # the shift at start_step is zero by the checked constraint
     root_levels = range(max(fresh, k0 + 1), end_step + 1)
     for k in root_levels:
-        shifts[k - k0] = required_shift(
-            times[k], PathFunctional(k, u[k - base]), lattice, loss, tol
+        i = k - k0
+        shifts[i], losses[i] = required_shift(
+            times[k], PathFunctional(k, u[k - base]), lattice, loss, tol,
+            start=_shift_guess(shifts, i), with_value=True,
         )
     compensator = np.maximum.accumulate(shifts)
     # X at the recomputed levels, and the sup distance and first changed
@@ -381,6 +393,7 @@ def picard_step(
     solution = SkorokhodSolution(
         X=ProcessOnLattice(lattice, k0, tuple(x)),
         A=DeterministicPath(times[k0 : end_step + 1], compensator),
+        expected_losses=_reusable_losses(losses, shifts, compensator),
     )
     return PicardStepResult(
         solution=solution,
@@ -401,7 +414,9 @@ def picard_solve(
     Subintervals start at the full horizon; an observed iteration ratio at or
     above the guard halves the subinterval length (in steps) and restarts the
     current subinterval. Compensators are pasted by accumulating terminal
-    offsets, so the global A is nondecreasing and matches at junctions.
+    offsets, so the global A is nondecreasing and matches at junctions. The
+    converged steps' ``expected_losses`` are pasted with them; each junction
+    takes the later subinterval's NaN at its start.
     """
     config = config or PicardConfig()
     if lattice is None:
@@ -417,6 +432,7 @@ def picard_solve(
     offset = 0.0
     restarts = 0
     a_full = np.zeros(n + 1)
+    losses = np.full(n + 1, np.nan)
     x_vals: list[np.ndarray | None] = [None] * (n + 1)
     x_vals[0] = np.array([problem.x0])
     initial = np.array([problem.x0])
@@ -458,6 +474,7 @@ def picard_solve(
         diags.append(SubintervalDiagnostics(pos, end, tuple(distances), tuple(ratios)))
         local_a = step.solution.A.values
         a_full[pos : end + 1] = offset + local_a
+        losses[pos : end + 1] = step.solution.expected_losses
         for k in range(pos, end + 1):
             x_vals[k] = step.solution.X.at(k)
         offset += float(local_a[-1])
@@ -468,6 +485,7 @@ def picard_solve(
         A=DeterministicPath(problem.grid.times, a_full),
         diagnostics=tuple(diags),
         restarts=restarts,
+        expected_losses=losses,
     )
 
 

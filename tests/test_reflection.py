@@ -417,6 +417,104 @@ class TestPolicyIteration:
         assert all(check["pass"] for check in report["checks"])
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+WARM_STARTS = {
+    "below": lambda root: 0.5 * root,
+    "at": lambda root: root,
+    "just_above": lambda root: root + 1e-6,
+    "far_above": lambda root: root + 5.0,
+    "zero": lambda root: 0.0,
+}
+
+
+class TestWarmStart:
+    """``required_shift(..., start=x0)`` runs Howard's iteration from x0:
+    the same certificate as from 0, and the value of its last sweep."""
+
+    @pytest.mark.parametrize("where", sorted(WARM_STARTS))
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    def test_warm_root_is_certified_and_near_the_cold_root(self, lattice9, name, depth,
+                                                           where):
+        values, (loss, _) = policy_problem(lattice9, name, depth, 0.7, inverse=False)
+        xi = PathFunctional(depth, values)
+        cold = required_shift(1.0, xi, lattice9, loss, TOL)
+        got, value = required_shift(1.0, xi, lattice9, loss, TOL,
+                                    start=WARM_STARTS[where](cold), with_value=True)
+        assert got >= 0.0
+        swept = expected_loss(1.0, xi, lattice9, loss, shift=got)
+        assert _bits([value]) == _bits([swept]) and swept >= 0.0
+        assert expected_loss(1.0, xi, lattice9, loss, shift=got - TOL) < 0.0
+        assert abs(got - cold) <= TOL
+        if where == "zero":
+            assert _bits([got]) == _bits([cold])
+
+    @pytest.mark.parametrize("start", [1e-3, 0.5, 3.0])
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    def test_feasible_start_above_a_zero_shift_returns_zero(self, lattice9, name, start):
+        values, (loss, _) = policy_problem(lattice9, name, 6, -0.7, inverse=False)
+        xi = PathFunctional(6, values)
+        got, value = required_shift(1.0, xi, lattice9, loss, TOL, start=start,
+                                    with_value=True)
+        assert _bits([got]) == _bits([0.0])
+        assert _bits([value]) == _bits([expected_loss(1.0, xi, lattice9, loss)])
+
+    @pytest.mark.parametrize("start", [math.nan, math.inf, -math.inf, -1.0, 1.7e308])
+    def test_unusable_start_takes_the_cold_path(self, lattice9, monkeypatch, start):
+        values, (loss, _) = policy_problem(lattice9, "smooth_sin", 6, 0.7, inverse=False)
+        if start == 1.7e308:
+            # a finite start that shifts the level's largest value past the
+            # largest double; a sweep there would fail its finiteness check
+            values = values.copy()
+            values[0] = 1e307
+        xi = PathFunctional(6, values)
+        cold_sweeps = record_sweeps(monkeypatch)
+        cold = required_shift(1.0, xi, lattice9, loss, TOL)
+        monkeypatch.undo()
+        warm_sweeps = record_sweeps(monkeypatch)
+        got = required_shift(1.0, xi, lattice9, loss, TOL, start=start)
+        monkeypatch.undo()
+        assert _bits([got]) == _bits([cold]) and warm_sweeps == cold_sweeps
+        assert cold_sweeps[0] is None
+
+    def test_affine_loss_keeps_its_closed_form(self, lattice9, monkeypatch):
+        loss = make_loss("linear", {"c0": 2.0, "c1": 0.0})
+        xi = kinked(lattice9, 6)
+        cold = required_shift(1.0, xi, lattice9, loss, TOL)
+        sweeps = record_sweeps(monkeypatch)
+        got = required_shift(1.0, xi, lattice9, loss, TOL, start=cold + 1.0)
+        monkeypatch.undo()
+        assert _bits([got]) == _bits([cold]) and sweeps == [None, cold]
+
+    def test_sweeps_per_root_at_binding_levels(self, lattice6, monkeypatch):
+        # one depth-6 smooth_sin solve that binds at every step: the first
+        # root starts at 0 (E[l(t, X)], two policy steps), each later one at
+        # the line through the two shifts before it (one policy step)
+        loss = make_loss("smooth_sin", {"c0": 0.0, "c1": 1.0})
+        s = drifted_process(lattice6, drift=-1.0)
+        per_root = []
+        real_shift, real_loss = reflection.required_shift, reflection.expected_loss
+
+        def shift(*args, **kwargs):
+            per_root.append(0)
+            return real_shift(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            if per_root:
+                per_root[-1] += 1
+            return real_loss(*args, **kwargs)
+
+        monkeypatch.setattr(reflection, "required_shift", shift)
+        monkeypatch.setattr(reflection, "expected_loss", counted)
+        sol = solve_mean_reflection_direct(loss, s, lattice6, TOL)
+        monkeypatch.undo()
+        assert np.all(np.diff(sol.A.values) > 0.0)
+        assert per_root == [3, 2, 2, 2, 2, 2]
+
+
 class TestRequiredShiftSigned:
     def test_linear_any_sign(self, lattice6):
         for c in (0.4, -1.0, 2.0):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from meanreflect import (
     check_A_modulus,
     check_moment_estimate,
     constant_process,
+    expected_loss,
     integrate_forward,
     integrate_sde,
     picard_solve,
@@ -534,6 +537,84 @@ class TestLevelReuse:
         picard_step(prob, lattice6, first.solution.X, 0, 6, previous=first)
         with pytest.raises(InvalidParameterError):
             picard_step(prob, lattice6, constant_process(lattice6, 0.0), 0, 6, previous=first)
+
+
+REUSE_LOSSES = {
+    "linear": (("linear", {"c0": 0.0, "c1": 1.0}), 0.0),
+    "arctan_shift": (("arctan_shift", {"c": 5.0}), 2.0),
+    "smooth_sin": (("smooth_sin", {"c0": 0.0, "c1": 1.0}), 0.0),
+}
+# (drift, sigma, Picard settings; None solves sp_only)
+REUSE_SOLVES = {
+    "sp_only": (("ou_drift", {"theta": 1.0}), ("linear_sigma", {"a": 1.0, "b": 0.1}), None),
+    "full_sde": (("ou_drift", {"theta": 0.5}), ("linear_sigma", {"a": 1.0, "b": 0.1}), {}),
+    "restart": (("ou_drift", {"theta": 3.0}), ("constant_sigma", {}), {"max_iter": 120}),
+    "delta_initial_steps": (("ou_drift", {"theta": 0.7}), ("constant_sigma", {}),
+                            {"delta_initial_steps": 3}),
+}
+
+
+def _reuse_solve(solve, loss_name, lattice, b=None):
+    """The solution, loss and S of one REUSE_SOLVES case; ``b`` replaces
+    the drift's callable."""
+    (drift, sigma, picard), ((name, params), x0) = REUSE_SOLVES[solve], REUSE_LOSSES[loss_name]
+    made_b, made_sigma = make_coefficient(*drift), make_coefficient(*sigma)
+    coeffs = Coefficients(b=b or made_b.fn, h=make_coefficient("zero").fn, sigma=made_sigma.fn,
+                          kappa=max(made_b.lipschitz, made_sigma.lipschitz, 1e-9))
+    loss = make_loss(name, params)
+    if picard is None:
+        s = integrate_sde(coeffs, lattice, x0)
+        return solve_mean_reflection_direct(loss, s, lattice), loss, s
+    prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice.band, grid=lattice.grid)
+    sol = picard_solve(prob, PicardConfig(**picard), lattice=lattice)
+    return sol, loss, sol.U
+
+
+class TestReusedLosses:
+    """Each solver keeps its root finds' last sweeps as E[l(t_k, X_k)] where
+    A_k is the minimal shift; each kept value must be the sweep of X_k bit
+    for bit, and the verifier must report the same with and without them."""
+
+    @staticmethod
+    def assert_reuse_is_bitwise(sol, loss, s, lattice):
+        times = lattice.grid.times
+        kept = sol.expected_losses
+        fresh = [expected_loss(float(times[k]), sol.X.functional_at(k), lattice, loss)
+                 for k in range(lattice.depth + 1)]
+        known = ~np.isnan(kept)
+        assert _bits(kept[known]) == _bits(np.array(fresh)[known])
+        reused = verify_mean_reflection(sol, loss, s, lattice, expected_losses=kept)
+        swept = verify_mean_reflection(sol, loss, s, lattice)
+        assert _bits(reused.expected_losses) == _bits(fresh)
+        assert reused == dataclasses.replace(swept, expected_losses=reused.expected_losses)
+        return known
+
+    @pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
+    @pytest.mark.parametrize("solve", sorted(REUSE_SOLVES))
+    def test_kept_values_equal_fresh_sweeps(self, solve, loss_name, lattice8):
+        sol, loss, s = _reuse_solve(solve, loss_name, lattice8)
+        known = self.assert_reuse_is_bitwise(sol, loss, s, lattice8)
+        # every level binds on these draws; level 0 and Picard's subinterval
+        # junctions are swept
+        junctions = {d.start_step for d in getattr(sol, "diagnostics", ())}
+        assert known.tolist() == [k not in junctions | {0} for k in range(9)]
+        if solve == "restart":
+            assert sol.restarts >= 1
+        if solve == "delta_initial_steps":
+            assert len(sol.diagnostics) == 3
+
+    def test_compensator_above_the_shift_is_swept(self, lattice8):
+        # the drift pulls S down, then up: after the turn the minimal shifts
+        # fall below the running max, and those steps keep no value
+        def turning(t, x):
+            return np.full_like(x, -2.0 if t < 0.5 else 4.0)
+
+        sol, loss, s = _reuse_solve("sp_only", "smooth_sin", lattice8, b=turning)
+        known = self.assert_reuse_is_bitwise(sol, loss, s, lattice8)
+        a = sol.A.values
+        carried = (a > 0.0) & ~known
+        assert carried.any() and known.any()
+        assert np.all(np.diff(a)[carried[1:]] == 0.0)
 
 
 class TestEstimateChecks:
