@@ -441,11 +441,13 @@ def required_shift(
     (``_usable_start``), the first sweep is at the start, and Howard's
     iteration runs from there (``_minimal_shift`` proves it from any start).
     It keeps every step above tol, so a result it certifies is also minimal
-    among x >= 0. A step at or below tol, or a root the iteration does not
-    certify, runs the search from 0, reusing the policy record; so does every
-    other start, and every affine loss, whose closed form ignores the start.
-    The search from 0 is the whole path of a start of 0, and it alone
-    returns 0.0, when E[l(t, X)] >= 0.
+    among x >= 0. A step at or below tol, a root the iteration does not
+    certify, and an error raised by one of its sweeps or policy steps run
+    the search from 0, reusing the policy record; so does every other start,
+    and every affine loss, whose closed form ignores the start. So a start
+    adds no failure that the search from 0 would not meet. The search from 0
+    is the whole path of a start of 0, and it alone returns 0.0, when
+    E[l(t, X)] >= 0.
 
     With ``with_value`` it returns (x, E[l(t, X + x)]), the value from the
     last sweep it made at x: E[l(t, X)] itself, unshifted, when x is 0.0.
@@ -458,8 +460,13 @@ def required_shift(
         def phi(x: float, record=None) -> float:
             return expected_loss(t, xi, lattice, loss, shift=x, policy=record)
 
-        x, f_x, done = _howard(phi, t, xi, loss, tol, context, start, phi(start, policy),
-                               policy, floor=tol)
+        try:
+            x, f_x, done = _howard(phi, t, xi, loss, tol, context, start,
+                                   phi(start, policy), policy, floor=tol)
+        except (InvalidParameterError, BracketError):
+            # the iteration may visit points above the root that the search
+            # from 0 never reaches; a loss that fails there is its to judge
+            done = False
         if done and x > tol:
             found = x, f_x
     if found is None:

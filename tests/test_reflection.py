@@ -480,6 +480,19 @@ class TestWarmStart:
         assert _bits([got]) == _bits([cold]) and warm_sweeps == cold_sweeps
         assert cold_sweeps[0] is None
 
+    def test_loss_failing_above_the_root_defers_to_the_cold_path(self, lattice9):
+        # finite from below the root up to 1.5 above it, infinite beyond:
+        # the start's sweep fails, and the search from 0 never looks there
+        values, (loss, _) = policy_problem(lattice9, "smooth_sin", 6, 0.7, inverse=False)
+        xi = PathFunctional(6, values)
+        cold = required_shift(1.0, xi, lattice9, loss, TOL)
+        edge = float(values.max()) + cold + 1.5
+        capped = dataclasses.replace(
+            loss, fn=lambda t, x, fn=loss.fn: np.where(x > edge, np.inf, fn(t, x)))
+        assert _bits([required_shift(1.0, xi, lattice9, capped, TOL)]) == _bits([cold])
+        got = required_shift(1.0, xi, lattice9, capped, TOL, start=cold + 5.0)
+        assert _bits([got]) == _bits([cold])
+
     def test_affine_loss_keeps_its_closed_form(self, lattice9, monkeypatch):
         loss = make_loss("linear", {"c0": 2.0, "c1": 0.0})
         xi = kinked(lattice9, 6)
