@@ -20,7 +20,8 @@ blocked kernels; ``full_sde_ou_linear_sigma_n10`` and
 evaluation and the Euler step; ``gexp_probe_call_n10`` pins the probe
 kernel at the enumeration cap. The ``picard_*`` configs pin Picard reports
 over several subintervals: after restarts, from a set initial length, and a
-non-contraction failure.
+non-contraction failure. ``full_sde_ou_smooth_sin`` pins Picard with a
+nonlinear loss, whose roots take policy iteration from extrapolated starts.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
