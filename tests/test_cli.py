@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -441,6 +442,133 @@ def test_verify_may_put_report_on_the_csv_path(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["verify", str(cfg)]) == 0
     assert json.loads((tmp_path / "same.json").read_text())["overall_pass"] is True
+
+
+
+def _small_run(tmp_path):
+    payload = json.loads(json.dumps(CRITERION8))
+    payload["problem"]["n_steps"] = 4
+    cfg = write_config(tmp_path, payload)
+
+    def run(out, command="run"):
+        return cli.main([command, str(cfg), "--output-dir", str(out)])
+
+    fresh = tmp_path / "fresh"
+    assert run(fresh) == 0
+    return run, {name: (fresh / name).read_bytes() for name in ("trace.csv", "report.json")}
+
+
+def _plant_stale(out, size=100_000):
+    out.mkdir()
+    inodes = {}
+    for name in ("trace.csv", "report.json"):
+        (out / name).write_bytes(b"#" * size)
+        inodes[name] = (out / name).stat().st_ino
+    return inodes
+
+
+def test_rewrite_over_longer_stale_outputs(tmp_path):
+    run, fresh = _small_run(tmp_path)
+    out = tmp_path / "stale"
+    inodes = _plant_stale(out)
+    assert all(len(data) < 100_000 for data in fresh.values())
+    assert run(out) == 0
+    for name, data in fresh.items():
+        assert (out / name).read_bytes() == data
+        assert (out / name).stat().st_ino == inodes[name]
+    # a second rewrite of equal length keeps the bytes as well
+    assert run(out) == 0
+    assert all((out / name).read_bytes() == data for name, data in fresh.items())
+
+
+def test_short_writes_write_every_byte(tmp_path, monkeypatch):
+    run, fresh = _small_run(tmp_path)
+    out = tmp_path / "stale"
+    _plant_stale(out, size=50)
+    write, calls = runner.os.write, []
+
+    def write_seven(fd, data):
+        calls.append(fd)
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(runner.os, "write", write_seven)
+    assert run(out) == 0
+    monkeypatch.undo()
+    assert len(calls) >= sum(-(-len(data) // 7) for data in fresh.values())
+    assert all((out / name).read_bytes() == data for name, data in fresh.items())
+
+
+def test_missing_nested_output_dir_is_created(tmp_path):
+    run, fresh = _small_run(tmp_path)
+    out = tmp_path / "a" / "b" / "c"
+    assert run(out) == 0
+    assert all((out / name).read_bytes() == data for name, data in fresh.items())
+
+
+@pytest.mark.skipif(not os.access("/dev", os.W_OK | os.X_OK), reason="/dev is not writable")
+def test_output_to_a_device_is_written(tmp_path):
+    # /dev/null takes writes but cannot be truncated
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3},
+                                  "outputs": {"csv": os.devnull,
+                                              "report": str(tmp_path / "report.json")}})
+    assert cli.main(["run", str(cfg)]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["overall_pass"] is True
+
+
+def test_outputs_sharing_a_name_prefix_are_apart(tmp_path, monkeypatch):
+    # "trace" is no ancestor of "trace.d/r.json"
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3},
+                                  "outputs": {"csv": "trace", "report": "trace.d/r.json"}})
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", str(cfg)]) == 0
+    assert (tmp_path / "trace").read_text().startswith(runner.CSV_HEADER)
+    assert (tmp_path / "trace.d" / "r.json").is_file()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_read_only_report_writes_nothing(tmp_path, monkeypatch, capsys, command):
+    # runs as any user: os.access is what the check asks
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "report.json"
+    report.write_text("kept\n")
+    access = runner.os.access
+
+    def read_only_report(path, mode):
+        return access(path, mode) and not (path == str(report) and mode & os.W_OK)
+
+    monkeypatch.setattr(runner.os, "access", read_only_report)
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3}})
+    assert cli.main([command, str(cfg), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: outputs.report: cannot write {report}: {report} is not writable\n")
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    assert report.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="file modes do not bind the superuser")
+def test_chmod_read_only_report_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    report = out / "report.json"
+    report.write_text("kept\n")
+    report.chmod(0o444)
+    cfg = write_config(tmp_path, {"problem": {"n_steps": 3}})
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(f"{report} is not writable\n")
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+PATH_TEXT = st.text(alphabet="/.ab", max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(configured=PATH_TEXT, base=st.one_of(st.none(), PATH_TEXT.filter(bool)))
+def test_resolved_paths_print_as_pathlib_prints_them(configured, base):
+    name = Path(configured).name
+    reference = Path(base) / name if base else Path(configured)
+    assert runner._resolve_path(configured, base) == (str(reference), name)
+    assert runner._pure_path(configured) == (str(Path(configured)), name)
 
 
 # every section and field set, so each field path can be mutated
