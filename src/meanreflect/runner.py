@@ -29,7 +29,6 @@ import json
 import os
 import stat
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -90,8 +89,8 @@ class RunResult:
     report: dict
     exit_code: int
     csv_text: str | None
-    csv_path: Path | None
-    report_path: Path | None
+    csv_path: str | None
+    report_path: str | None
 
     @property
     def overall_pass(self) -> bool:
@@ -145,16 +144,18 @@ def _stat_mode(path: str) -> int | None:
 def _check_writable(target: str) -> None:
     """Raise the error that keeps the normalised absolute ``target`` from
     being written as a file: it is a directory or a read-only file, or its
-    nearest existing ancestor is not a writable directory. Makes one
+    nearest existing ancestor is not a writable directory. Makes at most one
     ``os.stat`` per path it visits."""
     mode = _stat_mode(target)
     if mode is not None and stat.S_ISDIR(mode):
         raise IsADirectoryError(f"{target} is a directory")
     ancestor = os.path.dirname(target)
-    while (ancestor_mode := _stat_mode(ancestor)) is None:
-        ancestor = os.path.dirname(ancestor)
-    if not stat.S_ISDIR(ancestor_mode):
-        raise NotADirectoryError(f"{ancestor} is not a directory")
+    # an existing target's parent resolved as a directory on the way to it
+    if mode is None:
+        while (ancestor_mode := _stat_mode(ancestor)) is None:
+            ancestor = os.path.dirname(ancestor)
+        if not stat.S_ISDIR(ancestor_mode):
+            raise NotADirectoryError(f"{ancestor} is not a directory")
     if not os.access(ancestor, os.W_OK | os.X_OK):
         raise PermissionError(f"{ancestor} is not writable")
     if mode is not None and not os.access(target, os.W_OK):
@@ -196,7 +197,7 @@ def _output_paths(config: ExperimentConfig, output_dir: str | None,
     return paths
 
 
-def _write_output(text: str, key: str, path: str) -> Path:
+def _write_output(text: str, key: str, path: str) -> str:
     """Write one checked output file in place (see the module docstring); a
     write that still fails is a config error naming the ``outputs`` field.
 
@@ -222,7 +223,7 @@ def _write_output(text: str, key: str, path: str) -> Path:
             os.close(fd)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"outputs.{key}: cannot write {path}: {exc}") from None
-    return Path(path)
+    return path
 
 
 def _fmt(x: float) -> str:
