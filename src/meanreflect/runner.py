@@ -13,8 +13,8 @@ An existing output file is rewritten in place: it keeps its inode and mode,
 its old bytes are written over and any left past the new end are cut off.
 It is never truncated to zero first, because on ext4 (``auto_da_alloc``)
 a truncate to zero followed by a rewrite starts writeback when the file is
-closed: on a 2-vCPU ext4 VM a rewrite cost 100-140 us that way and 5-8 us
-in place.
+closed: on a 2-vCPU ext4 VM, rewriting a 1.6 KB file cost 150-180 us that
+way and 7-9 us in place.
 
 Exit-code contract: 0 all checks pass, 1 a check failed, 2 configuration
 error (raised before running, including a CSV and report on one path, or an

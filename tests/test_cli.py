@@ -566,7 +566,8 @@ PATH_TEXT = st.text(alphabet="/.ab", max_size=8)
 @given(configured=PATH_TEXT, base=st.one_of(st.none(), PATH_TEXT.filter(bool)))
 def test_resolved_paths_print_as_pathlib_prints_them(configured, base):
     name = Path(configured).name
-    reference = Path(base) / name if base else Path(configured)
+    directory = base or os.environ.get(runner.ENV_OUTPUT_DIR)
+    reference = Path(directory) / name if directory else Path(configured)
     assert runner._resolve_path(configured, base) == (str(reference), name)
     assert runner._pure_path(configured) == (str(Path(configured)), name)
 
