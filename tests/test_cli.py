@@ -444,14 +444,13 @@ def test_verify_may_put_report_on_the_csv_path(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "same.json").read_text())["overall_pass"] is True
 
 
-
 def _small_run(tmp_path):
     payload = json.loads(json.dumps(CRITERION8))
     payload["problem"]["n_steps"] = 4
     cfg = write_config(tmp_path, payload)
 
-    def run(out, command="run"):
-        return cli.main([command, str(cfg), "--output-dir", str(out)])
+    def run(out):
+        return cli.main(["run", str(cfg), "--output-dir", str(out)])
 
     fresh = tmp_path / "fresh"
     assert run(fresh) == 0
