@@ -12,8 +12,12 @@ Two constructions are provided and must agree:
   s_t = E[S_t] against the barrier \bar l_t solving H(t, ., S_t) = 0,
   where H(t, z, Y) = E[l(t, Y - E[Y] + z)].
 
-Sweeps alone certify every minimal shift (see ``_minimal_shift``). A loss
-declared affine (c_l = C_l) needs no search: its root has a closed form
+Both constructions solve the same 1-D root at every grid time: the reduced
+one's barrier is the direct one's minimal shift of the centred variable.
+So every minimal shift, of either sign, goes through one entry,
+``_minimal_shift``, which checks the tolerance, takes the warm start, tests
+for a zero shift and makes every sweep; sweeps alone certify its result. A
+loss declared affine (c_l = C_l) needs no search: its root has a closed form
 that one sweep confirms, after the sweep for E[l(t, X)], so each root costs
 two sweeps. Any other loss takes Howard's policy iteration: a sweep records
 an optimal volatility policy, the root of that policy's classical
@@ -339,14 +343,27 @@ def _howard(phi: Callable, t: float, xi: PathFunctional, loss: LossSpec, tol: fl
 
 def _minimal_shift(
     name: str, t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float, base: float, policy,
+    tol: float, *, start: float = 0.0, nonnegative: bool = False,
 ) -> tuple[float, float]:
-    """Minimal x with E[l(t, x + X)] >= 0, and E[l(t, X + x)] from the last
-    sweep at x, given base = E[l(t, X)] != 0 and, for a loss with c_l < C_l,
-    the policy record of that sweep.
+    """Minimal x with E[l(t, x + X)] >= 0, to absolute tolerance tol, among
+    all x or, with ``nonnegative``, among x >= 0, and E[l(t, X + x)] from the
+    last sweep at x (E[l(t, X)] itself, unshifted, when x is 0.0). It is the
+    one entry of every public root: it checks tol, builds the policy record
+    (``_policy_record``) and makes every sweep.
 
-    For base < 0 the search starts at 0, where phi(0) = base < 0, so the
-    result is positive; for base > 0 it is negative.
+    ``start`` guesses x, say by extrapolating the shifts of earlier grid
+    times. For a loss with c_l < C_l and a usable start (``_usable_start``),
+    Howard's iteration runs from a sweep there, keeping every step above
+    tol, so a root it certifies is also minimal among x >= 0. A step at or
+    below tol, an uncertified root or an error from one of its sweeps or
+    policy steps runs the search from 0, reusing the policy record; so do
+    other starts and affine losses. So a start adds no failure that the
+    search from 0 would not meet.
+
+    The search from 0 sweeps base = E[l(t, X)] and returns 0.0 when base is
+    0, or positive with ``nonnegative``. For base < 0 it starts at 0, where
+    phi(0) = base < 0, so the result is positive; for base > 0 it is
+    negative.
 
     A loss declared with c_l = C_l = c is affine in x, and a G-expectation is
     cash-additive and positively homogeneous, so phi(x) = E[l(t, X + x)] =
@@ -366,7 +383,7 @@ def _minimal_shift(
     and sweeps once at the root x_{j+1} for phi(x_{j+1}) and the next
     policy. It returns x_j once 0 <= phi(x_j) < c_l tol. Nothing here needs
     x_0 = 0, so each property holds from any start x_0 with its sweep and
-    policy (``required_shift``'s ``start``):
+    policy:
 
     * feasible and decreasing: phi >= E_P for every P, so phi(x_{j+1}) >= 0
       whichever side of the root x_j lies on, and x_{j+1} <= x_j once x_j is
@@ -386,6 +403,8 @@ def _minimal_shift(
     hold, at a shift larger than the minimal one. In ``run`` the
     verifier's flat-off residual flags such a shift wherever A rises.
     """
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
     context = f"{name}(t={t:.6g})"
     swept: dict[float, float] = {}
 
@@ -393,6 +412,20 @@ def _minimal_shift(
         swept[x] = expected_loss(t, xi, lattice, loss, shift=x, policy=record)
         return swept[x]
 
+    policy = _policy_record(loss, xi.depth)
+    if policy is not None and _usable_start(start, xi):
+        try:
+            x, f_x, done = _howard(phi, t, xi, loss, tol, context, start,
+                                   phi(start, policy), policy, floor=tol)
+        except (InvalidParameterError, BracketError):
+            # the iteration may visit points above the root that the search
+            # from 0 never reaches; a loss that fails there is its to judge
+            done = False
+        if done and x > tol:
+            return x, f_x
+    base = expected_loss(t, xi, lattice, loss, policy=policy)
+    if base == 0.0 or nonnegative and base > 0.0:
+        return 0.0, base
     lo, hi = _bracket(base, loss.c_l, tol)
     f_hi = None
     if policy is None:
@@ -434,47 +467,15 @@ def required_shift(
     t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
     tol: float = DEFAULT_ROOT_TOL, *, start: float = 0.0, with_value: bool = False,
 ) -> float | tuple[float, float]:
-    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol.
-
-    ``start`` is a guess of x, such as one extrapolated from the shifts of
-    earlier grid times. For a loss with c_l < C_l and a usable start
-    (``_usable_start``), the first sweep is at the start, and Howard's
-    iteration runs from there (``_minimal_shift`` proves it from any start).
-    It keeps every step above tol, so a result it certifies is also minimal
-    among x >= 0. A step at or below tol, a root the iteration does not
-    certify, and an error raised by one of its sweeps or policy steps run
-    the search from 0, reusing the policy record; so does every other start,
-    and every affine loss, whose closed form ignores the start. So a start
-    adds no failure that the search from 0 would not meet. The search from 0
-    is the whole path of a start of 0, and it alone returns 0.0, when
-    E[l(t, X)] >= 0.
+    """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol,
+    found by ``_minimal_shift`` from the guess ``start`` (its docstring says
+    how a start is used). It returns 0.0 when E[l(t, X)] >= 0.
 
     With ``with_value`` it returns (x, E[l(t, X + x)]), the value from the
     last sweep it made at x: E[l(t, X)] itself, unshifted, when x is 0.0.
     """
-    policy = _policy_record(loss, xi.depth)
-    found = None
-    if policy is not None and _usable_start(start, xi):
-        context = f"required_shift(t={t:.6g})"
-
-        def phi(x: float, record=None) -> float:
-            return expected_loss(t, xi, lattice, loss, shift=x, policy=record)
-
-        try:
-            x, f_x, done = _howard(phi, t, xi, loss, tol, context, start,
-                                   phi(start, policy), policy, floor=tol)
-        except (InvalidParameterError, BracketError):
-            # the iteration may visit points above the root that the search
-            # from 0 never reaches; a loss that fails there is its to judge
-            done = False
-        if done and x > tol:
-            found = x, f_x
-    if found is None:
-        base = expected_loss(t, xi, lattice, loss, policy=policy)
-        if base >= 0.0:
-            found = 0.0, base
-        else:
-            found = _minimal_shift("required_shift", t, xi, lattice, loss, tol, base, policy)
+    found = _minimal_shift("required_shift", t, xi, lattice, loss, tol, start=start,
+                           nonnegative=True)
     return found if with_value else found[0]
 
 
@@ -488,11 +489,7 @@ def required_shift_signed(
     measure it is the cash to add so the position is acceptable: nonincreasing
     in X and translation invariant (rho(X+m) = rho(X) - m).
     """
-    policy = _policy_record(loss, xi.depth)
-    base = expected_loss(t, xi, lattice, loss, policy=policy)
-    if base == 0.0:
-        return 0.0
-    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol, base, policy)[0]
+    return _minimal_shift("required_shift_signed", t, xi, lattice, loss, tol)[0]
 
 
 risk_measure = required_shift_signed
@@ -515,13 +512,9 @@ def centered_loss_inverse(
     (within C_l * tol)."""
     ey = upper_expectation(lattice, y)
     centered = PathFunctional(y.depth, y.values - ey)
-    shifted = loss.shifted(-z)  # H(t, x, Y) - z = E[(l - z)(t, x + Y - E[Y])]
-    policy = _policy_record(shifted, y.depth)
-    base = expected_loss(t, centered, lattice, shifted, policy=policy)
-    if base == 0.0:
-        return 0.0
-    return _minimal_shift("centered_loss_inverse", t, centered, lattice, shifted, tol, base,
-                          policy)[0]
+    # H(t, x, Y) - z = E[(l - z)(t, x + Y - E[Y])]
+    return _minimal_shift("centered_loss_inverse", t, centered, lattice, loss.shifted(-z),
+                          tol)[0]
 
 
 def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -606,7 +599,11 @@ def solve_mean_reflection_reduced(
     tol: float = DEFAULT_ROOT_TOL,
 ) -> SkorokhodSolution:
     """Construction via the deterministic Skorokhod problem for E[S_t] against
-    the barrier solving the centered-loss equation."""
+    the barrier solving the centered-loss equation.
+
+    Each level is swept once for its mean, which also centres it: the
+    barrier is ``centered_loss_inverse`` at z = 0, whose loss l - 0.0 is l
+    bit for bit."""
     _check_initial_constraint(loss, S, lattice)
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
@@ -614,9 +611,11 @@ def solve_mean_reflection_reduced(
     means = np.zeros(n)
     barrier = np.zeros(n)
     for k in range(k0, k1 + 1):
-        xi = S.functional_at(k)
-        means[k - k0] = upper_expectation(lattice, xi)
-        barrier[k - k0] = centered_loss_inverse(times[k], 0.0, xi, lattice, loss, tol)
+        i = k - k0
+        means[i] = upper_expectation(lattice, S.functional_at(k))
+        centered = PathFunctional(k, S.at(k) - means[i])
+        barrier[i] = _minimal_shift("centered_loss_inverse", times[k], centered, lattice, loss,
+                                    tol)[0]
     # the initial constraint makes barrier[0] <= means[0] up to root noise
     barrier[0] = min(barrier[0], means[0])
     _, compensator = deterministic_skorokhod(means, barrier)

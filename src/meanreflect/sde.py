@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -162,12 +163,21 @@ class PicardConfig:
     initial_guess: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):
+            raise InvalidParameterError(f"tol must be finite, got {self.tol}")
         if self.tol <= 0.0:
             raise InvalidParameterError(f"tol must be positive, got {self.tol}")
         if not 0.0 < self.contraction_guard < 1.0:
             raise InvalidParameterError(
                 f"contraction_guard must lie in (0,1), got {self.contraction_guard}"
             )
+        counts = {"max_iter": self.max_iter, "delta_min_steps": self.delta_min_steps}
+        if self.delta_initial_steps is not None:
+            counts["delta_initial_steps"] = self.delta_initial_steps
+        for name, value in counts.items():
+            # picard_solve counts with these, so a bool or a float is refused
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         if self.max_iter < 1:
             raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.delta_min_steps < 1:

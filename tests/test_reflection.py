@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from meanreflect import (
     BracketError,
     Coefficients,
     InitialConstraintError,
+    InvalidParameterError,
     LossSpec,
     PathFunctional,
     TimeGrid,
@@ -646,6 +648,67 @@ class TestCenteredLoss:
         assert np.all(slopes <= loss.C_l + 1e-9)
 
 
+REGISTRY_LOSSES = ("linear", "arctan_shift", "smooth_sin")
+
+
+def registry_functionals(lat, depth):
+    """Kinked functionals at ``depth`` whose E[l(0.5, X)] under the registry
+    losses' defaults takes both signs."""
+    b = lat.b[depth]
+    return [PathFunctional(depth, b + 0.5 * np.sin(3.0 * b) + offset)
+            for offset in (-1.0, 0.4, 2.5)]
+
+
+class TestOneEntry:
+    """Every public root is one call of ``reflection._minimal_shift``: the
+    same sweeps give the same bits whichever function asks, and each checks
+    tol before its first sweep."""
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("name", REGISTRY_LOSSES)
+    def test_nonnegative_and_signed_shifts_agree_where_the_constraint_fails(
+            self, lattice6, name, depth):
+        loss = make_loss(name)
+        failing = [xi for xi in registry_functionals(lattice6, depth)
+                   if expected_loss(0.5, xi, lattice6, loss) < 0.0]
+        assert failing
+        for xi in failing:
+            got = required_shift(0.5, xi, lattice6, loss, TOL)
+            assert got > 0.0
+            assert _bits([got]) == _bits([required_shift_signed(0.5, xi, lattice6, loss, TOL)])
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("name", REGISTRY_LOSSES)
+    def test_inverse_is_the_signed_shift_of_the_centred_variable(self, lattice6, name, depth):
+        loss = make_loss(name)
+        for y in registry_functionals(lattice6, depth):
+            centered = PathFunctional(depth, y.values - upper_expectation(lattice6, y))
+            for z in (-0.5, 0.0, 0.7):
+                got = centered_loss_inverse(0.5, z, y, lattice6, loss, TOL)
+                signed = required_shift_signed(0.5, centered, lattice6, loss.shifted(-z), TOL)
+                assert _bits([got]) == _bits([signed])
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("name", ["linear", "smooth_sin"])
+    @pytest.mark.parametrize("root", [
+        lambda xi, lat, loss, tol: required_shift(1.0, xi, lat, loss, tol),
+        lambda xi, lat, loss, tol: required_shift(1.0, xi, lat, loss, tol, start=0.5),
+        lambda xi, lat, loss, tol: required_shift_signed(1.0, xi, lat, loss, tol),
+        lambda xi, lat, loss, tol: centered_loss_inverse(1.0, 0.3, xi, lat, loss, tol),
+    ], ids=["required_shift", "warm_required_shift", "required_shift_signed",
+            "centered_loss_inverse"])
+    def test_tol_is_checked_before_the_first_sweep(self, lattice4, monkeypatch, root, name,
+                                                   tol):
+        xi = lattice4.functional_from_terminal(lambda x: x)  # E[l(1, X)] < 0
+        sweeps = record_sweeps(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidParameterError) as raised:
+                root(xi, lattice4, make_loss(name), tol)
+        assert str(raised.value) == f"tol must be positive and finite, got {tol}"
+        assert sweeps == []
+
+
 class TestDeterministicSkorokhod:
     def test_no_reflection_needed(self):
         s = np.array([1.0, 0.8, 1.2])
@@ -734,6 +797,38 @@ class TestSolvers:
             level = expected_loss(float(times[k]), sol.X.functional_at(k), lattice6, loss)
             recovered = centered_loss_inverse(float(times[k]), level, xi, lattice6, loss, TOL)
             assert recovered == pytest.approx(x_t, abs=10 * TOL)
+
+    @pytest.mark.parametrize("name", REGISTRY_LOSSES)
+    def test_reduced_sweeps_each_level_once_for_its_barrier(self, lattice6, monkeypatch,
+                                                            name):
+        # one leaf-map-free sweep per level, E[S_k], which also centres S_k;
+        # each barrier is bitwise the inverse at z = 0
+        loss = make_loss(name, {"c": 0.0} if name == "arctan_shift" else {"c0": 0.0})
+        s = drifted_process(lattice6, drift=-1.0)
+        plain_sweeps, barriers = [], []
+        sweep, reflect = reflection.upper_expectation, reflection.deterministic_skorokhod
+
+        def counted(lat, xi, **kwargs):
+            if kwargs.get("leaf_map") is None:
+                plain_sweeps.append(xi.depth)
+            return sweep(lat, xi, **kwargs)
+
+        def recorded(means, barrier):
+            barriers.append(barrier.copy())
+            return reflect(means, barrier)
+
+        monkeypatch.setattr(reflection, "upper_expectation", counted)
+        monkeypatch.setattr(reflection, "deterministic_skorokhod", recorded)
+        sol = solve_mean_reflection_reduced(loss, s, lattice6, TOL)
+        monkeypatch.undo()
+        assert plain_sweeps == list(range(7))
+        times = lattice6.grid.times
+        inverses = [centered_loss_inverse(float(times[k]), 0.0, s.functional_at(k), lattice6,
+                                          loss, TOL) for k in range(7)]
+        means = [upper_expectation(lattice6, s.functional_at(k)) for k in range(7)]
+        inverses[0] = min(inverses[0], means[0])
+        assert _bits(barriers[0]) == _bits(inverses)
+        assert np.all(np.diff(sol.A.values) > 0.0)
 
     def test_initial_constraint_violation_raises(self, lattice6):
         loss = make_loss("linear", {"c0": 1.0, "c1": 0.0})

@@ -5,6 +5,7 @@ import pytest
 
 from meanreflect import (
     Coefficients,
+    ConfigError,
     GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
@@ -24,6 +25,7 @@ from meanreflect import (
     expected_loss,
     integrate_forward,
     integrate_sde,
+    load_config,
     picard_solve,
     picard_step,
     required_shift,
@@ -357,6 +359,36 @@ class TestPicardSolve:
         prob = MRSDEProblem(x0=0.0, coeffs=coeffs, loss=loss, band=band, grid=grid6)
         with pytest.raises(SolverError):
             picard_solve(prob, PicardConfig(max_iter=1), lattice=lattice6)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("max_iter", 2.5, "max_iter must be an integer"),
+        ("max_iter", True, "max_iter must be an integer"),
+        ("delta_initial_steps", 1.5, "delta_initial_steps must be an integer"),
+        ("delta_initial_steps", True, "delta_initial_steps must be an integer"),
+        ("delta_min_steps", 1.0, "delta_min_steps must be an integer"),
+        ("tol", float("nan"), "tol must be finite"),
+        ("tol", float("inf"), "tol must be finite"),
+        ("tol", 0.0, "tol must be positive"),
+    ])
+    def test_config_rejects_values_the_solver_cannot_use(self, field, value, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            PicardConfig(**{field: value})
+
+    def test_config_takes_numpy_integers(self):
+        config = PicardConfig(max_iter=np.int64(3), delta_initial_steps=np.int32(2))
+        assert config.max_iter == 3 and config.delta_initial_steps == 2
+
+    @pytest.mark.parametrize("field, raw", [
+        ("max_iter", "2.5"), ("max_iter", "true"), ("delta_initial_steps", "1.5"),
+        ("tol", "NaN"), ("tol", "Infinity"),
+    ])
+    def test_config_file_errors_come_from_the_reader(self, tmp_path, field, raw):
+        # the config reader refuses these values before PicardConfig sees them
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"solver": {{"{field}": {raw}}}}}')
+        with pytest.raises(ConfigError) as raised:
+            load_config(path)
+        assert str(raised.value).startswith(f"solver.{field} must be ")
 
     def test_non_contraction_aborts_at_minimum_delta(self, band, grid6, lattice6):
         # kappa far beyond any contraction radius at one-step subintervals
