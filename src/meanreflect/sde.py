@@ -186,6 +186,9 @@ class PicardConfig:
             )
         if self.delta_initial_steps is not None and self.delta_initial_steps < self.delta_min_steps:
             raise InvalidParameterError("delta_initial_steps below delta_min_steps")
+        if self.initial_guess is not None and not math.isfinite(self.initial_guess):
+            raise InvalidParameterError(
+                f"initial_guess must be finite, got {self.initial_guess}")
 
 
 @dataclass(frozen=True)

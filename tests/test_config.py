@@ -147,6 +147,17 @@ def test_solver_knob_validation(tmp_path):
         load_config(write(tmp_path, {"solver": {"contraction_guard": 1.5}}))
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("max_iter", "2.5"), ("max_iter", "true"), ("delta_initial_steps", "1.5"),
+    ("tol", "NaN"), ("tol", "Infinity"), ("initial_guess", "NaN"),
+])
+def test_solver_reader_refuses_what_picard_config_refuses(tmp_path, field, raw):
+    # the reader's message, not PicardConfig's ("solver: ..."), reaches the user
+    with pytest.raises(ConfigError) as raised:
+        load_config(write(tmp_path, f'{{"solver": {{"{field}": {raw}}}}}'))
+    assert str(raised.value).startswith(f"solver.{field} must be ")
+
+
 def test_loss_constant_overrides_apply():
     config = config_from_dict({
         "problem": {"loss": {"name": "linear", "c_l": 0.5, "C_l": 2.0}}

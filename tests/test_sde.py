@@ -5,7 +5,6 @@ import pytest
 
 from meanreflect import (
     Coefficients,
-    ConfigError,
     GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
@@ -25,7 +24,6 @@ from meanreflect import (
     expected_loss,
     integrate_forward,
     integrate_sde,
-    load_config,
     picard_solve,
     picard_step,
     required_shift,
@@ -369,6 +367,8 @@ class TestPicardSolve:
         ("tol", float("nan"), "tol must be finite"),
         ("tol", float("inf"), "tol must be finite"),
         ("tol", 0.0, "tol must be positive"),
+        ("initial_guess", float("nan"), "initial_guess must be finite"),
+        ("initial_guess", float("-inf"), "initial_guess must be finite"),
     ])
     def test_config_rejects_values_the_solver_cannot_use(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=message):
@@ -377,18 +377,6 @@ class TestPicardSolve:
     def test_config_takes_numpy_integers(self):
         config = PicardConfig(max_iter=np.int64(3), delta_initial_steps=np.int32(2))
         assert config.max_iter == 3 and config.delta_initial_steps == 2
-
-    @pytest.mark.parametrize("field, raw", [
-        ("max_iter", "2.5"), ("max_iter", "true"), ("delta_initial_steps", "1.5"),
-        ("tol", "NaN"), ("tol", "Infinity"),
-    ])
-    def test_config_file_errors_come_from_the_reader(self, tmp_path, field, raw):
-        # the config reader refuses these values before PicardConfig sees them
-        path = tmp_path / "config.json"
-        path.write_text(f'{{"solver": {{"{field}": {raw}}}}}')
-        with pytest.raises(ConfigError) as raised:
-            load_config(path)
-        assert str(raised.value).startswith(f"solver.{field} must be ")
 
     def test_non_contraction_aborts_at_minimum_delta(self, band, grid6, lattice6):
         # kappa far beyond any contraction radius at one-step subintervals
