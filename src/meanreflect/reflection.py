@@ -19,10 +19,12 @@ So every minimal shift, of either sign, goes through one entry,
 for a zero shift and makes every sweep; sweeps alone certify its result. A
 loss declared affine (c_l = C_l) needs no search: its root has a closed form
 that one sweep confirms, after the sweep for E[l(t, X)], so each root costs
-two sweeps. Any other loss takes Howard's policy iteration: a sweep records
-an optimal volatility policy, the root of that policy's classical
-expectation on its 2^k support leaves gives the next shift, and one sweep
-there gives the next policy. Both solvers start each such root at the
+two sweeps. A caller may take the candidate unconfirmed (``confirm=False``)
+and sweep it later: Picard's iterates do, and ``sde.picard_solve`` confirms
+only the roots of the iterate it returns. Any other loss takes Howard's
+policy iteration: a sweep records an optimal volatility policy, the root
+of that policy's classical expectation on its 2^k support leaves gives the
+next shift, and one sweep there gives the next policy. Both solvers start each such root at the
 shift extrapolated from the two grid times before it, so a root near its
 start takes about two sweeps, where a start at 0 takes about three. The
 1-D solve on each support, and the fallback, is one bracketed ITP search:
@@ -318,7 +320,8 @@ def _howard(phi: Callable, t: float, xi: PathFunctional, loss: LossSpec, tol: fl
             context: str, x: float, f_x: float, policy,
             floor: float = -math.inf) -> tuple[float, float, bool]:
     """Howard's policy iteration from x, where the sweep f_x = phi(x) recorded
-    ``policy`` (see ``_minimal_shift``).
+    ``policy`` (see ``_minimal_shift``), with support solves to
+    ``_support_tol(loss, tol)``.
 
     Returns the last iterate whose sweep was feasible (or x itself), that
     sweep's value, and whether it passed the stopping test 0 <= phi < c_l
@@ -330,7 +333,7 @@ def _howard(phi: Callable, t: float, xi: PathFunctional, loss: LossSpec, tol: fl
         if 0.0 <= f_x < loss.c_l * tol:
             return x, f_x, True
         step = _policy_shift(t, xi.values[_policy_support(policy)], x, loss,
-                             0.5 * loss.c_l * tol / loss.C_l, context)
+                             _support_tol(loss, tol), context)
         target = x + step
         if f_x >= 0.0 and step >= 0.0 or target <= floor:
             break
@@ -341,15 +344,22 @@ def _howard(phi: Callable, t: float, xi: PathFunctional, loss: LossSpec, tol: fl
     return x, f_x, 0.0 <= f_x < loss.c_l * tol
 
 
+def _support_tol(loss: LossSpec, tol: float) -> float:
+    """The tolerance c_l tol / (2 C_l) of Howard's support solves."""
+    return 0.5 * loss.c_l * tol / loss.C_l
+
+
 def _minimal_shift(
     name: str, t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
-    tol: float, *, start: float = 0.0, nonnegative: bool = False,
+    tol: float, *, start: float = 0.0, nonnegative: bool = False, confirm: bool = True,
 ) -> tuple[float, float]:
     """Minimal x with E[l(t, x + X)] >= 0, to absolute tolerance tol, among
     all x or, with ``nonnegative``, among x >= 0, and E[l(t, X + x)] from the
     last sweep at x (E[l(t, X)] itself, unshifted, when x is 0.0). It is the
     one entry of every public root: it checks tol, builds the policy record
-    (``_policy_record``) and makes every sweep.
+    (``_policy_record``) and makes every sweep. For a loss with c_l < C_l it
+    refuses a tol so small that Howard's support tolerance
+    (``_support_tol``) underflows to 0.
 
     ``start`` guesses x, say by extrapolating the shifts of earlier grid
     times. For a loss with c_l < C_l and a usable start (``_usable_start``),
@@ -373,6 +383,10 @@ def _minimal_shift(
     * feasible: the sweep checks phi(x) >= 0;
     * minimal within tol: phi(x - tol) <= base + C_l (x - tol) = -C_l tol/2
       < 0 by the declared upper slope, which ``validate_loss`` certifies.
+
+    With ``confirm=False`` the candidate is returned with the value NaN and
+    no confirming sweep, for a caller that confirms it later by a sweep of
+    X + x (``sde.picard_solve``); the other paths ignore the flag.
 
     Any other loss takes Howard's policy iteration (``_howard``). phi is the
     maximum over adapted policies P of the classical E_P[l(t, X + x)], each
@@ -405,6 +419,11 @@ def _minimal_shift(
     """
     if not 0.0 < tol < math.inf:
         raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
+    policy = _policy_record(loss, xi.depth)
+    if policy is not None and _support_tol(loss, tol) == 0.0:
+        raise InvalidParameterError(
+            f"tol={tol} is too small for a loss with c_l={loss.c_l} < C_l={loss.C_l}: "
+            f"policy iteration's tolerance c_l tol / (2 C_l) underflows to 0")
     context = f"{name}(t={t:.6g})"
     swept: dict[float, float] = {}
 
@@ -412,7 +431,6 @@ def _minimal_shift(
         swept[x] = expected_loss(t, xi, lattice, loss, shift=x, policy=record)
         return swept[x]
 
-    policy = _policy_record(loss, xi.depth)
     if policy is not None and _usable_start(start, xi):
         try:
             x, f_x, done = _howard(phi, t, xi, loss, tol, context, start,
@@ -430,6 +448,8 @@ def _minimal_shift(
     f_hi = None
     if policy is None:
         x = -base / loss.c_l + 0.5 * tol
+        if not confirm:
+            return x, math.nan
         f_x = phi(x)
         if f_x >= 0.0:
             return x, f_x
@@ -466,6 +486,7 @@ def _usable_start(start: float, xi: PathFunctional) -> bool:
 def required_shift(
     t: float, xi: PathFunctional, lattice: PathLattice, loss: LossSpec,
     tol: float = DEFAULT_ROOT_TOL, *, start: float = 0.0, with_value: bool = False,
+    confirm: bool = True,
 ) -> float | tuple[float, float]:
     """Minimal x >= 0 with E[l(t, x + X)] >= 0, to absolute tolerance tol,
     found by ``_minimal_shift`` from the guess ``start`` (its docstring says
@@ -473,9 +494,14 @@ def required_shift(
 
     With ``with_value`` it returns (x, E[l(t, X + x)]), the value from the
     last sweep it made at x: E[l(t, X)] itself, unshifted, when x is 0.0.
+
+    With ``confirm=False``, a loss declared with c_l = C_l returns its
+    closed-form candidate unconfirmed, with the value NaN: the same x that a
+    passing confirming sweep gives, one sweep sooner. The caller must sweep
+    X + x itself before it relies on x.
     """
     found = _minimal_shift("required_shift", t, xi, lattice, loss, tol, start=start,
-                           nonnegative=True)
+                           nonnegative=True, confirm=confirm)
     return found if with_value else found[0]
 
 

@@ -21,6 +21,15 @@ equation is causal, iterate j is exact up to step j, and a solve of n steps
 from x0 typically takes n(n+1)/2 Euler steps and root finds where full passes
 take n(n+1); its confirming last iteration recomputes nothing.
 
+Only the fixed point has to carry certified minimal shifts. So the iterates
+take the closed-form root of an affine loss without its confirming sweep,
+and the converged iterate confirms each such root once, by a sweep of X
+where A is that root, which is the skipped sweep bit for bit: a linear-loss
+solve of n steps makes n(n+1)/2 + n root sweeps where confirming every root
+made n(n+1). A candidate that fails its sweep sends the subinterval back
+through the iteration with every root confirmed, so the result is that of
+confirming every root whenever each candidate would pass.
+
 An Euler step runs over blocks of 4^7 parents, whose 4^8 children (512 KiB)
 are one contiguous subtree block of the child level (see ``lattice``): it
 evaluates the coefficients on the block's parents, forms the ``h dQV`` and
@@ -72,6 +81,7 @@ from .reflection import (
     _check_initial_constraint,
     _reusable_losses,
     _shift_guess,
+    expected_loss,
     required_shift,
 )
 
@@ -320,6 +330,8 @@ def picard_step(
     initial: np.ndarray | None = None,
     tol: float = 1e-10,
     previous: PicardStepResult | None = None,
+    *,
+    confirm: bool = True,
 ) -> PicardStepResult:
     """One application of the contraction map: integrate driven by ``driver``,
     then reflect. Its fixed points solve the subinterval problem.
@@ -336,6 +348,16 @@ def picard_step(
     finds above, each from the same start. Every value is the same
     operation on the same inputs as in a full pass. Without ``previous`` the
     step is a full pass.
+
+    ``confirm`` is passed on to ``required_shift``. With ``confirm=False`` a
+    closed-form candidate stays unconfirmed, with the value NaN, where it
+    becomes A: there X is U plus that candidate by the same addition, so a
+    sweep of X confirms it later (``picard_solve``). A candidate below the
+    running max of the shifts before it never becomes A, so it is confirmed
+    at once by a sweep of U + x, while U is live; one that fails that sweep
+    is solved again with ``confirm=True``. Where every candidate would pass
+    its sweep, the step's shifts, X and A are bitwise those of
+    ``confirm=True``.
     """
     k0 = start_step
     loss = problem.loss
@@ -368,12 +390,20 @@ def picard_step(
         fresh = base + 1
     # the shift at start_step is zero by the checked constraint
     root_levels = range(max(fresh, k0 + 1), end_step + 1)
+    running = float(np.max(shifts[: root_levels.start - k0]))
     for k in root_levels:
         i = k - k0
-        shifts[i], losses[i] = required_shift(
-            times[k], PathFunctional(k, u[k - base]), lattice, loss, tol,
-            start=_shift_guess(shifts, i), with_value=True,
-        )
+        xi = PathFunctional(k, u[k - base])
+        start = _shift_guess(shifts, i)
+        shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
+                                      with_value=True, confirm=confirm)
+        if math.isnan(value) and shift < running:
+            value = expected_loss(times[k], xi, lattice, loss, shift=shift)
+            if value < 0.0:
+                shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
+                                              with_value=True)
+        shifts[i], losses[i] = shift, value
+        running = max(running, shift)
     compensator = np.maximum.accumulate(shifts)
     # X at the recomputed levels, and the sup distance and first changed
     # level against the driver, one kernel block at a time. Kept levels equal
@@ -430,6 +460,16 @@ def picard_solve(
     offsets, so the global A is nondecreasing and matches at junctions. The
     converged steps' ``expected_losses`` are pasted with them; each junction
     takes the later subinterval's NaN at its start.
+
+    Only the fixed point has to carry certified minimal shifts, so the
+    iterates take closed-form roots unconfirmed (``picard_step`` with
+    ``confirm=False``), and the converged iterate's candidates are confirmed
+    once, by a sweep of X where A is the candidate (``_confirm_candidates``).
+    That sweep is the skipped confirming sweep bit for bit, and its value is
+    pasted into ``expected_losses``. If one is negative, the subinterval is
+    solved again with every root confirmed, as ``picard_step`` does by
+    default. So the result equals that of confirming every root bit for bit
+    whenever every candidate would pass its sweep.
     """
     config = config or PicardConfig()
     if lattice is None:
@@ -450,6 +490,7 @@ def picard_solve(
     x_vals[0] = np.array([problem.x0])
     initial = np.array([problem.x0])
     diags: list[SubintervalDiagnostics] = []
+    confirm = False
     while pos < n:
         end = min(pos + delta, n)
         driver = constant_process(lattice, guess, pos, end)
@@ -458,7 +499,7 @@ def picard_solve(
         ratios: list[float] = []
         for _ in range(config.max_iter):
             step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol,
-                               previous=step)
+                               previous=step, confirm=confirm)
             d = step.distance
             distances.append(d)
             if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
@@ -484,10 +525,16 @@ def picard_solve(
             delta = max(config.delta_min_steps, delta // 2)
             restarts += 1
             continue
+        losses[pos : end + 1] = step.solution.expected_losses
+        if not confirm and not _confirm_candidates(problem.loss, lattice, step,
+                                                   losses[pos : end + 1]):
+            # a candidate failed its sweep: solve the subinterval again
+            confirm = True
+            continue
+        confirm = False
         diags.append(SubintervalDiagnostics(pos, end, tuple(distances), tuple(ratios)))
         local_a = step.solution.A.values
         a_full[pos : end + 1] = offset + local_a
-        losses[pos : end + 1] = step.solution.expected_losses
         for k in range(pos, end + 1):
             x_vals[k] = step.solution.X.at(k)
         offset += float(local_a[-1])
@@ -500,6 +547,25 @@ def picard_solve(
         restarts=restarts,
         expected_losses=losses,
     )
+
+
+def _confirm_candidates(loss: LossSpec, lattice: PathLattice, step: PicardStepResult,
+                        losses: np.ndarray) -> bool:
+    """Sweep X at each level of ``step`` whose A is a positive shift with no
+    value in ``losses`` (an unconfirmed candidate, see ``picard_step``) and
+    write the value there; False at the first value below 0. X there is U
+    plus that shift by the same addition, so the sweep is the confirming
+    sweep ``required_shift`` skipped, bit for bit."""
+    times = lattice.grid.times
+    k0 = step.solution.X.start_step
+    shifts = step.shifts
+    open_levels = (shifts > 0.0) & (step.solution.A.values == shifts) & np.isnan(losses)
+    for i in np.flatnonzero(open_levels).tolist():
+        losses[i] = expected_loss(times[k0 + i], step.solution.X.functional_at(k0 + i),
+                                  lattice, loss)
+        if losses[i] < 0.0:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

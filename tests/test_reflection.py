@@ -709,6 +709,87 @@ class TestOneEntry:
         assert sweeps == []
 
 
+    @pytest.mark.parametrize("root", [
+        lambda xi, lat, loss, tol: required_shift(1.0, xi, lat, loss, tol),
+        lambda xi, lat, loss, tol: required_shift(1.0, xi, lat, loss, tol, start=0.5),
+        lambda xi, lat, loss, tol: required_shift_signed(1.0, xi, lat, loss, tol),
+        lambda xi, lat, loss, tol: centered_loss_inverse(1.0, 0.3, xi, lat, loss, tol),
+    ], ids=["required_shift", "warm_required_shift", "required_shift_signed",
+            "centered_loss_inverse"])
+    def test_subnormal_tol_is_refused_before_howard(self, lattice4, monkeypatch, root):
+        # c_l tol / (2 C_l) underflows to 0 for the smallest subnormal tol:
+        # the error names the caller's tol, and no sweep is made
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        sweeps = record_sweeps(monkeypatch)
+        with pytest.raises(InvalidParameterError) as raised:
+            root(xi, lattice4, make_loss("smooth_sin"), 5e-324)
+        assert str(raised.value).startswith("tol=5e-324 is too small ")
+        assert sweeps == []
+
+    def test_subnormal_tol_still_serves_an_affine_loss(self, lattice4):
+        xi = lattice4.functional_from_terminal(lambda x: x)
+        loss = make_loss("linear")
+        base = expected_loss(1.0, xi, lattice4, loss)
+        assert base < 0.0
+        got = required_shift(1.0, xi, lattice4, loss, 5e-324)
+        assert _bits([got]) == _bits([-base / loss.c_l + 0.5 * 5e-324])
+        # a subnormal tol that leaves the support tolerance positive is taken
+        assert required_shift(1.0, xi, lattice4, make_loss("smooth_sin"), 1e-320) > 0.0
+
+
+class TestUnconfirmedCandidate:
+    """``required_shift(..., confirm=False)`` skips only the confirming sweep
+    of a closed-form candidate; every other path ignores the flag."""
+
+    @staticmethod
+    def both(monkeypatch, xi, lat, loss, **kwargs):
+        """(result, sweeps) with confirm=True, then with confirm=False."""
+        out = []
+        for confirm in (True, False):
+            sweeps = record_sweeps(monkeypatch)
+            got = required_shift(0.5, xi, lat, loss, TOL, with_value=True, confirm=confirm,
+                                 **kwargs)
+            monkeypatch.undo()
+            out.append((got, sweeps))
+        return out
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_affine_candidate_takes_one_sweep(self, lattice6, monkeypatch, depth):
+        loss = make_loss("linear")
+        failing = [xi for xi in registry_functionals(lattice6, depth)
+                   if expected_loss(0.5, xi, lattice6, loss) < 0.0]
+        assert failing
+        for xi in failing:
+            for start in (0.0, 1.0):
+                ((x, value), sweeps), ((got, nan), one) = self.both(
+                    monkeypatch, xi, lattice6, loss, start=start)
+                assert sweeps == [None, x] and value >= 0.0
+                assert _bits([got]) == _bits([x])
+                assert math.isnan(nan) and one == [None]
+
+    @pytest.mark.parametrize("start", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("name", ["arctan_shift", "smooth_sin"])
+    def test_policy_roots_ignore_the_flag(self, lattice6, monkeypatch, name, depth, start):
+        loss = make_loss(name)
+        for xi in registry_functionals(lattice6, depth):
+            (confirmed, sweeps), (unconfirmed, same) = self.both(
+                monkeypatch, xi, lattice6, loss, start=start)
+            assert _bits(confirmed) == _bits(unconfirmed)
+            assert sweeps == same
+
+    @pytest.mark.parametrize("depth", range(1, 7))
+    def test_zero_shift_is_unchanged(self, lattice6, monkeypatch, depth):
+        loss = make_loss("linear")
+        slack = [xi for xi in registry_functionals(lattice6, depth)
+                 if expected_loss(0.5, xi, lattice6, loss) >= 0.0]
+        assert slack
+        for xi in slack:
+            (confirmed, sweeps), (unconfirmed, same) = self.both(monkeypatch, xi, lattice6, loss)
+            assert confirmed[0] == 0.0 and sweeps == same == [None]
+            assert _bits(confirmed) == _bits(unconfirmed)
+
+
 class TestDeterministicSkorokhod:
     def test_no_reflection_needed(self):
         s = np.array([1.0, 0.8, 1.2])

@@ -8,6 +8,7 @@ from meanreflect import (
     GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
+    LossSpec,
     MRSDEProblem,
     NonContractionError,
     PathFunctional,
@@ -32,7 +33,7 @@ from meanreflect import (
     validate_coefficients,
     verify_mean_reflection,
 )
-from meanreflect import sde
+from meanreflect import reflection, sde
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
@@ -407,12 +408,13 @@ class TestPicardSolve:
 
 def _reference_solve(problem, config, lattice):
     """picard_solve written out with a full pass of picard_step on every
-    iteration and its own sup distance. Returns the pasted solution or how
-    the solve failed."""
+    iteration, every root confirmed, and its own sup distance. Returns the
+    pasted solution or how the solve failed."""
     n = lattice.depth
     delta = config.delta_initial_steps or n
     pos, offset, restarts = 0, 0.0, 0
     a = np.zeros(n + 1)
+    losses = np.full(n + 1, np.nan)
     x = [np.array([problem.x0])] + [None] * n
     initial = np.array([problem.x0])
     diags = []
@@ -422,7 +424,8 @@ def _reference_solve(problem, config, lattice):
         driver = constant_process(lattice, guess, pos, end)
         distances, ratios = [], []
         for _ in range(config.max_iter):
-            step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol)
+            step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol,
+                               confirm=True)
             d = max(float(np.max(np.abs(step.solution.X.at(k) - driver.at(k))))
                     for k in range(pos, end + 1))
             distances.append(d)
@@ -444,16 +447,57 @@ def _reference_solve(problem, config, lattice):
         diags.append((pos, end, distances, ratios))
         local_a = step.solution.A.values
         a[pos : end + 1] = offset + local_a
+        losses[pos : end + 1] = step.solution.expected_losses
         for k in range(pos, end + 1):
             x[k] = step.solution.X.at(k)
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
-    return {"x": x, "a": a, "diags": diags, "restarts": restarts}
+    return {"x": x, "a": a, "losses": losses, "diags": diags, "restarts": restarts}
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _assert_equals_reference(sol, ref):
+    """picard_solve's result equals ``_reference_solve``'s bit for bit."""
+    assert sol.restarts == ref["restarts"]
+    assert _bits(sol.A.values) == _bits(ref["a"])
+    assert _bits(sol.expected_losses) == _bits(ref["losses"])
+    for k in range(len(ref["x"])):
+        assert _bits(sol.X.at(k)) == _bits(ref["x"][k])
+    assert len(sol.diagnostics) == len(ref["diags"])
+    for diag, (start, end, distances, ratios) in zip(sol.diagnostics, ref["diags"]):
+        assert (diag.start_step, diag.end_step) == (start, end)
+        assert _bits(diag.distances) == _bits(distances)
+        assert _bits(diag.ratios) == _bits(ratios)
+
+
+def _binding_problem(grid, loss=None):
+    """A full_sde problem whose constraint binds at every step."""
+    coeffs = Coefficients(b=make_coefficient("ou_drift", {"theta": 0.5}).fn,
+                          h=make_coefficient("zero").fn,
+                          sigma=make_coefficient("linear_sigma", {"a": 1.0, "b": 0.1}).fn,
+                          kappa=0.5)
+    return MRSDEProblem(x0=0.0, coeffs=coeffs,
+                        loss=loss or make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                        band=VolatilityBand(1.0, 4.0), grid=grid)
+
+
+def _record_sweeps(monkeypatch):
+    """The shift of every expected_loss call from now on, through the
+    root finders' and the solver's bindings (None for no shift)."""
+    shifts = []
+    real = reflection.expected_loss
+
+    def recorded(*args, **kwargs):
+        shifts.append(kwargs.get("shift"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(reflection, "expected_loss", recorded)
+    monkeypatch.setattr(sde, "expected_loss", recorded)
+    return shifts
 
 
 class TestLevelReuse:
@@ -503,29 +547,15 @@ class TestLevelReuse:
                 assert f"after {len(ref['distances'])} iterations" in str(info.value)
             return
         sol = picard_solve(prob, config, lattice=lattice6)
-        assert sol.restarts == ref["restarts"]
+        _assert_equals_reference(sol, ref)
         if case == "restart":
             assert sol.restarts >= 1
-        assert _bits(sol.A.values) == _bits(ref["a"])
-        for k in range(7):
-            assert _bits(sol.X.at(k)) == _bits(ref["x"][k])
-        assert len(sol.diagnostics) == len(ref["diags"])
-        for diag, (start, end, distances, ratios) in zip(sol.diagnostics, ref["diags"]):
-            assert (diag.start_step, diag.end_step) == (start, end)
-            assert _bits(diag.distances) == _bits(distances)
-            assert _bits(diag.ratios) == _bits(ratios)
 
-    def test_binding_solve_counts_root_finds_and_euler_steps(self, band, grid6, lattice6,
+    def test_binding_solve_counts_root_finds_and_euler_steps(self, grid6, lattice6,
                                                              monkeypatch):
         # iteration j recomputes levels j..6 only: 6 + 5 + ... + 1 root finds,
         # and the confirming seventh iteration recomputes nothing
-        b = make_coefficient("ou_drift", {"theta": 0.5})
-        coeffs = Coefficients(b=b.fn, h=make_coefficient("zero").fn,
-                              sigma=make_coefficient("linear_sigma", {"a": 1.0, "b": 0.1}).fn,
-                              kappa=0.5)
-        prob = MRSDEProblem(x0=0.0, coeffs=coeffs,
-                            loss=make_loss("linear", {"c0": 0.0, "c1": 1.0}),
-                            band=band, grid=grid6)
+        prob = _binding_problem(grid6)
         per_step = []  # [root finds, Euler steps] per picard_step call
 
         def counted(fn, index):
@@ -548,6 +578,81 @@ class TestLevelReuse:
         assert [c[0] for c in per_step] == [6, 5, 4, 3, 2, 1, 0]
         assert sum(c[0] for c in per_step) == 21
         assert per_step[-1] == [0, 0]
+
+    @staticmethod
+    def sweeps_of(prob, lattice, monkeypatch):
+        """(solution, sweeps) of picard_solve with every root confirmed, then
+        as it runs."""
+        out = []
+        real_step = sde.picard_step
+        for confirm_all in (True, False):
+            sweeps = _record_sweeps(monkeypatch)
+            if confirm_all:
+                monkeypatch.setattr(sde, "picard_step",
+                                    lambda *a, **k: real_step(*a, **{**k, "confirm": True}))
+            out.append((picard_solve(prob, lattice=lattice), sweeps))
+            monkeypatch.undo()
+        return out
+
+    def test_linear_solve_confirms_each_kept_root_once(self, grid6, lattice6, monkeypatch):
+        # the initial constraint's sweep, one sweep of E[l(t, U)] per root find
+        # (21) and one sweep of X per level of the converged iterate (6), none
+        # of them shifted; confirming every root took 21 shifted sweeps more
+        (confirmed, every), (sol, once) = self.sweeps_of(_binding_problem(grid6), lattice6,
+                                                         monkeypatch)
+        assert (len(every), len(once)) == (43, 28)
+        assert once == [None] * 28
+        assert np.all(np.diff(sol.A.values) > 0.0)
+        assert _bits(sol.expected_losses) == _bits(confirmed.expected_losses)
+        assert _bits(sol.A.values) == _bits(confirmed.A.values)
+
+    def test_policy_solve_makes_the_same_sweeps(self, grid6, lattice6, monkeypatch):
+        prob = _binding_problem(grid6, make_loss("smooth_sin", {"c0": 0.0, "c1": 1.0}))
+        (confirmed, every), (sol, sweeps) = self.sweeps_of(prob, lattice6, monkeypatch)
+        assert sweeps == every
+        assert _bits(sol.expected_losses) == _bits(confirmed.expected_losses)
+        assert _bits(sol.A.values) == _bits(confirmed.A.values)
+
+    # losses declared with slope 1 whose true slope is 1/2 somewhere
+    LYING = {
+        # every binding candidate -base + tol/2 fails its sweep, so the
+        # converged unconfirmed iterate is thrown away
+        "every_step": lambda t, x: 0.5 * (x - t),
+        # from t = 3/4 on the candidates fall below the running max, and the
+        # sweep picard_step gives them at once fails; solved again, their
+        # roots lie above it
+        "late_steps": lambda t, x: (1.0 if t < 0.75 else 0.5) * (x - t),
+    }
+
+    @pytest.mark.parametrize("case", sorted(LYING))
+    def test_failed_candidate_takes_the_confirmed_path(self, grid6, lattice6, monkeypatch,
+                                                        case):
+        lying = LossSpec(fn=self.LYING[case], c_l=1.0, C_l=1.0,
+                         time_modulus=lambda d: 0.5 * d, kappa_growth=1.0, name=case)
+        prob = _binding_problem(grid6, lying)
+        steps, roots = [], []
+        real_step, real_shift = sde.picard_step, sde.required_shift
+
+        def step(*args, **kwargs):
+            steps.append(kwargs["confirm"])
+            return real_step(*args, **kwargs)
+
+        def shift(*args, **kwargs):
+            roots.append(kwargs.get("confirm", True))
+            return real_shift(*args, **kwargs)
+
+        monkeypatch.setattr(sde, "picard_step", step)
+        monkeypatch.setattr(sde, "required_shift", shift)
+        sol = picard_solve(prob, lattice=lattice6)
+        monkeypatch.undo()
+        if case == "every_step":
+            first = steps.index(True)
+            assert first > 0 and steps == [False] * first + [True] * (len(steps) - first)
+            assert len(steps) - first == sol.diagnostics[0].iterations
+        else:
+            assert True not in steps and True in roots
+        assert np.all(np.diff(sol.A.values) > 0.0)
+        _assert_equals_reference(sol, _reference_solve(prob, PicardConfig(), lattice6))
 
     def test_previous_must_be_the_step_of_the_driver(self, band, grid6, lattice6):
         prob = MRSDEProblem(x0=0.0, coeffs=const_coeffs(sigma=1.0),
@@ -574,20 +679,37 @@ REUSE_SOLVES = {
 }
 
 
-def _reuse_solve(solve, loss_name, lattice, b=None):
-    """The solution, loss and S of one REUSE_SOLVES case; ``b`` replaces
-    the drift's callable."""
+def _reuse_problem(solve, loss_name, lattice, b=None):
+    """The coefficients, loss, x0 and Picard settings of one REUSE_SOLVES
+    case; ``b`` replaces the drift's callable."""
     (drift, sigma, picard), ((name, params), x0) = REUSE_SOLVES[solve], REUSE_LOSSES[loss_name]
     made_b, made_sigma = make_coefficient(*drift), make_coefficient(*sigma)
     coeffs = Coefficients(b=b or made_b.fn, h=make_coefficient("zero").fn, sigma=made_sigma.fn,
                           kappa=max(made_b.lipschitz, made_sigma.lipschitz, 1e-9))
-    loss = make_loss(name, params)
+    return coeffs, make_loss(name, params), x0, picard
+
+
+def _reuse_solve(solve, loss_name, lattice, b=None):
+    """The solution, loss and S of one REUSE_SOLVES case; ``b`` replaces
+    the drift's callable."""
+    coeffs, loss, x0, picard = _reuse_problem(solve, loss_name, lattice, b)
     if picard is None:
         s = integrate_sde(coeffs, lattice, x0)
         return solve_mean_reflection_direct(loss, s, lattice), loss, s
     prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice.band, grid=lattice.grid)
     sol = picard_solve(prob, PicardConfig(**picard), lattice=lattice)
     return sol, loss, sol.U
+
+
+@pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
+@pytest.mark.parametrize("solve", sorted(k for k, v in REUSE_SOLVES.items() if v[2] is not None))
+def test_picard_solve_equals_confirming_every_root(solve, loss_name, lattice8):
+    coeffs, loss, x0, picard = _reuse_problem(solve, loss_name, lattice8)
+    prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice8.band,
+                        grid=lattice8.grid)
+    config = PicardConfig(**picard)
+    _assert_equals_reference(picard_solve(prob, config, lattice=lattice8),
+                             _reference_solve(prob, config, lattice8))
 
 
 class TestReusedLosses:
@@ -836,7 +958,7 @@ def _guarded(fn, arrays_of, seen):
 
 
 def _step_inputs(problem, lattice, driver, start_step, end_step, initial=None, tol=1e-10,
-                 previous=None):
+                 previous=None, *, confirm=True):
     arrays = [initial, *driver.values]
     if previous is not None:
         arrays += [*previous.solution.X.values, previous.unreflected]
