@@ -22,6 +22,9 @@ kernel at the enumeration cap. The ``picard_*`` configs pin Picard reports
 over several subintervals: after restarts, from a set initial length, and a
 non-contraction failure. ``full_sde_ou_smooth_sin`` pins Picard with a
 nonlinear loss, whose roots take policy iteration from extrapolated starts.
+``full_sde_constant_h`` is the one entry that sets ``h``: constant ``b`` and
+``h`` and the default constant ``sigma``, so every term of its Euler steps
+is a scalar.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -72,6 +75,16 @@ CONFIGS = {
             "b": {"name": "ou_drift", "params": {"theta": 0.5}},
             "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
             "loss": {"name": "smooth_sin", "params": {"c0": 0.0, "c1": 1.0}},
+        },
+    },
+    # constant b and nonzero constant h: the Euler step's scalar terms
+    "full_sde_constant_h": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 8,
+            "b": {"name": "constant_drift", "params": {"c": -0.5}},
+            "h": {"name": "constant_drift", "params": {"c": 0.25}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
         },
     },
     "sp_only_smooth_sin": {
