@@ -137,9 +137,9 @@ class ExperimentConfig:
             selected = getattr(self.problem, key)
             with _field(f"problem.{key}"):
                 terms.append(make_coefficient(selected.name, selected.params))
-        b, h, sigma = terms
-        kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
-        return Coefficients(b=b.fn, h=h.fn, sigma=sigma.fn, kappa=kappa)
+        b, h, sigma = (term.fn if term.constant is None else term.constant for term in terms)
+        kappa = max(sum(term.lipschitz for term in terms), 1e-9)
+        return Coefficients(b=b, h=h, sigma=sigma, kappa=kappa)
 
     @_built_once
     def payoff(self) -> Payoff:

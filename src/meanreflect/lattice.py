@@ -28,6 +28,7 @@ is bitwise the one of a pass over the whole level, whatever the block size.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -127,6 +128,12 @@ class PathFunctional:
 
     Adaptedness is structural: the value can only depend on the first k steps
     because a node *is* its first k steps.
+
+    The constructor takes the values' range in one min and one max pass.
+    A kernel that has already taken the range of a level it made, block by
+    block while each block was in cache, hands it over through
+    ``_with_range`` instead, which makes no pass over the values unless the
+    range is not finite.
     """
 
     depth: int
@@ -136,9 +143,8 @@ class PathFunctional:
     value_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "depth", _depth(self.depth))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.depth < 0:
-            raise InvalidParameterError(f"depth must be nonnegative, got {self.depth}")
         if self.values.shape != (4**self.depth,):
             raise DepthMismatchError(
                 f"functional at depth {self.depth} needs {4**self.depth} values, "
@@ -146,10 +152,38 @@ class PathFunctional:
             )
         # a NaN or an infinity makes the smallest or the largest value non-finite
         with np.errstate(invalid="ignore"):
-            value_range = float(self.values.min()), float(self.values.max())
-        if not (math.isfinite(value_range[0]) and math.isfinite(value_range[1])):
-            _require_finite(self.values)
-        object.__setattr__(self, "value_range", value_range)
+            _set_range(self, (float(self.values.min()), float(self.values.max())))
+
+    @classmethod
+    def _with_range(cls, depth: int, values: np.ndarray,
+                    value_range: tuple[float, float]) -> "PathFunctional":
+        """The functional of the float array ``values`` (4^depth of them),
+        whose smallest and largest values are ``value_range``, with a NaN in
+        the range wherever ``values`` holds one. It raises what the
+        constructor raises for non-finite values."""
+        xi = object.__new__(cls)
+        object.__setattr__(xi, "depth", _depth(depth))
+        object.__setattr__(xi, "values", values)
+        _set_range(xi, value_range)
+        return xi
+
+
+def _depth(depth) -> int:
+    """``depth`` as a Python int: a numpy integer would leak into work
+    figures such as ``4 ** depth`` that must be JSON numbers."""
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise InvalidParameterError(f"depth must be an integer, got {depth!r}") from None
+    if depth < 0:
+        raise InvalidParameterError(f"depth must be nonnegative, got {depth}")
+    return depth
+
+
+def _set_range(xi: PathFunctional, value_range: tuple[float, float]) -> None:
+    if not (math.isfinite(value_range[0]) and math.isfinite(value_range[1])):
+        _require_finite(xi.values)
+    object.__setattr__(xi, "value_range", value_range)
 
 
 def _require_finite(values: np.ndarray) -> None:
@@ -241,11 +275,21 @@ def build_lattice(band: VolatilityBand, grid: TimeGrid) -> PathLattice:
 
 @dataclass(frozen=True)
 class ProcessOnLattice:
-    """An adapted process: one value per node for each depth in a contiguous range."""
+    """An adapted process: one value per node for each depth in a contiguous range.
+
+    ``functional_at`` keeps the functional of each level it reads, so every
+    reader of a level shares one range check. A kernel that took the range
+    of a level it made puts that level's functional in ``_functionals``
+    itself (``_keep_range``), so no reader makes a pass for it; it does so
+    only for a finite range, so a non-finite level raises where it is first
+    read. A level written in place would leave its kept functional stale, so
+    the levels are not written while the process is in use.
+    """
 
     lattice: PathLattice
     start_step: int
     values: tuple
+    _functionals: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.start_step < 0:
@@ -276,7 +320,18 @@ class ProcessOnLattice:
         return self.values[step - self.start_step]
 
     def functional_at(self, step: int) -> PathFunctional:
-        return PathFunctional(step, self.at(step))
+        xi = self._functionals.get(step)
+        if xi is None:
+            xi = self._functionals[step] = PathFunctional(step, self.at(step))
+        return xi
+
+    def _keep_range(self, step: int, value_range: tuple[float, float]) -> None:
+        """Make the functional of level ``step``, whose smallest and largest
+        values its maker took, from that range; a non-finite range is left
+        for ``functional_at`` to check."""
+        if math.isfinite(value_range[0]) and math.isfinite(value_range[1]):
+            self._functionals[step] = PathFunctional._with_range(step, self.at(step),
+                                                                 value_range)
 
     def shifted(self, path_values: np.ndarray) -> "ProcessOnLattice":
         """Add a deterministic per-step scalar to every node (X = S + A)."""
@@ -287,7 +342,18 @@ class ProcessOnLattice:
                 f"expected ({len(self.values)},)"
             )
         shifted = tuple(v + a for v, a in zip(self.values, path_values))
-        return ProcessOnLattice(self.lattice, self.start_step, shifted)
+        process = ProcessOnLattice(self.lattice, self.start_step, shifted)
+        for step, xi in self._functionals.items():
+            process._keep_range(step, _shift_range(xi.value_range,
+                                                   path_values[step - self.start_step]))
+        return process
+
+
+def _shift_range(value_range: tuple[float, float], c: float) -> tuple[float, float]:
+    """The (min, max) of values + c, from the (min, max) of the values:
+    rounding to nearest is monotone, so adding one c moves each extreme by
+    it."""
+    return float(value_range[0] + c), float(value_range[1] + c)
 
 
 def brownian_process(lattice: PathLattice) -> ProcessOnLattice:

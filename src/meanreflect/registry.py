@@ -26,11 +26,17 @@ from .loss import LossSpec
 
 @dataclass(frozen=True)
 class CoefficientTerm:
-    """One named coefficient: the callable plus its Lipschitz constant in x."""
+    """One named coefficient: the callable plus its Lipschitz constant in x.
+
+    A family that is constant in t and x declares its value as ``constant``;
+    ``fn`` still returns an array of x's shape, and a config hands the
+    solver the value itself, which the Euler step keeps as a scalar.
+    """
 
     fn: Callable[[float, np.ndarray], np.ndarray]
     lipschitz: float
     name: str = ""
+    constant: float | None = None
 
 
 def finite_float(value) -> float | None:
@@ -47,11 +53,11 @@ def finite_float(value) -> float | None:
 
 
 def _coeff_zero() -> CoefficientTerm:
-    return CoefficientTerm(lambda t, x: np.zeros_like(x), 0.0)
+    return CoefficientTerm(lambda t, x: np.zeros_like(x), 0.0, constant=0.0)
 
 
 def _coeff_constant_drift(c=1.0) -> CoefficientTerm:
-    return CoefficientTerm(lambda t, x: np.full_like(x, c), 0.0)
+    return CoefficientTerm(lambda t, x: np.full_like(x, c), 0.0, constant=c)
 
 
 def _coeff_ou_drift(theta=1.0, mu=0.0) -> CoefficientTerm:
@@ -59,7 +65,7 @@ def _coeff_ou_drift(theta=1.0, mu=0.0) -> CoefficientTerm:
 
 
 def _coeff_constant_sigma(a=1.0) -> CoefficientTerm:
-    return CoefficientTerm(lambda t, x: np.full_like(x, a), 0.0)
+    return CoefficientTerm(lambda t, x: np.full_like(x, a), 0.0, constant=a)
 
 
 def _coeff_linear_sigma(a=1.0, b=0.1, cap=2.0) -> CoefficientTerm:

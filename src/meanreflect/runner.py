@@ -42,7 +42,7 @@ from .errors import (
     SolverError,
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
-from .lattice import PathFunctional, build_lattice
+from .lattice import build_lattice
 from .loss import validate_loss
 from .reflection import (
     DEFAULT_PRECONDITION_TOL,
@@ -246,7 +246,7 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     for k in range(n + 1):
-        xk = PathFunctional(k, solution.X.at(k))
+        xk = solution.X.functional_at(k)
         e_x[k] = upper_expectation(lattice, xk)
         try:
             e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=lambda v: np.abs(v) ** p)

@@ -71,6 +71,7 @@ from .lattice import (
     VolatilityBand,
     _level_blocks,
     _parent_blocks,
+    _shift_range,
     build_lattice,
     constant_process,
 )
@@ -88,23 +89,42 @@ from .reflection import (
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Coefficient triple (b, h, sigma), each (t, x) -> value, with a shared
-    Lipschitz constant in x. Callables must accept ndarray x and act on it
-    value by value (or return a scalar): the Euler step evaluates them on one
-    block of nodes at a time."""
+    """Coefficient triple (b, h, sigma) with a shared Lipschitz constant in
+    x. Each is a float, for a coefficient constant in t and x, or a callable
+    (t, x) -> value that accepts an ndarray x and acts on it value by value
+    (or returns a scalar): the Euler step evaluates it on one block of nodes
+    at a time, and keeps a constant as a scalar."""
 
-    b: Callable[[float, np.ndarray], np.ndarray]
-    h: Callable[[float, np.ndarray], np.ndarray]
-    sigma: Callable[[float, np.ndarray], np.ndarray]
+    b: Callable[[float, np.ndarray], np.ndarray] | float
+    h: Callable[[float, np.ndarray], np.ndarray] | float
+    sigma: Callable[[float, np.ndarray], np.ndarray] | float
     kappa: float
 
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise InvalidParameterError(f"kappa must be positive, got {self.kappa}")
+        for key in ("b", "h", "sigma"):
+            value = getattr(self, key)
+            if not callable(value):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise InvalidParameterError(
+                        f"coefficient {key} must be callable or a real number, got {value!r}")
+                object.__setattr__(self, key, float(value))
 
 
-def _eval_coeff(fn: Callable, t: float, x: np.ndarray) -> np.ndarray:
+def _coeff_block(fn, t: float, x: np.ndarray) -> np.ndarray | float:
+    """A coefficient on the nodes ``x``: a float where it is constant (a
+    float coefficient, or a callable that returns a scalar), else one value
+    per node."""
+    if not callable(fn):
+        return fn
     out = np.asarray(fn(t, x), dtype=float)
+    return out if out.ndim else float(out)
+
+
+def _eval_coeff(fn, t: float, x: np.ndarray) -> np.ndarray:
+    """A coefficient on the nodes ``x``, one value per node."""
+    out = np.asarray(fn(t, x) if callable(fn) else fn, dtype=float)
     if out.ndim == 0:
         out = np.full_like(x, float(out))
     return out
@@ -227,29 +247,43 @@ class MRSDESolution(SkorokhodSolution):
 
 
 def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
-                cur: np.ndarray, u: np.ndarray) -> np.ndarray:
+                cur: np.ndarray, u: np.ndarray, *, with_range: bool = False):
     """One Euler step from the node values ``cur`` to their children, in child
     order, with the coefficients evaluated at ``u``, one parent block at a
-    time."""
+    time. With ``with_range``, also the children's (min, max), taken per
+    block while the block is in cache; a NaN child makes both NaN."""
     dt = lattice.grid.dt
     dqv, db = lattice.step_dqv, lattice.step_db
     children = np.empty((cur.size, 4))
+    lows, highs = [], []
     for rows in _parent_blocks(cur.size):
         at = u[rows]
-        bv = _eval_coeff(coeffs.b, t, at)
-        hv = _eval_coeff(coeffs.h, t, at)
-        sv = _eval_coeff(coeffs.sigma, t, at)
+        bv, hv, sv = (_coeff_block(fn, t, at) for fn in (coeffs.b, coeffs.h, coeffs.sigma))
         base = cur[rows] + bv * dt
-        # one column per child: a length-4 broadcast would loop 4 wide per node.
         # The two children of a volatility share dqv bit for bit, so they
-        # share its drift term, and db[c + 1] is -db[c], so x + sv * db[c + 1]
-        # is x - sv * db[c] bit for bit
-        for c in (0, 2):
-            drift = base + hv * dqv[c]
+        # share its drift term. A constant h whose terms are equal for both
+        # volatilities (as h = 0 makes them) gives all four children one
+        # drift: both terms carry h's sign, so equal values have equal bits
+        if isinstance(hv, float) and hv * dqv[0] == hv * dqv[2]:
+            drifts = (base + hv * dqv[0],) * 2
+        else:
+            drifts = (base + hv * dqv[0], base + hv * dqv[2])
+        # one column per child: a length-4 broadcast would loop 4 wide per
+        # node. db[c + 1] is -db[c], so x + sv * db[c + 1] is x - sv * db[c]
+        # bit for bit
+        for c, drift in zip((0, 2), drifts):
             noise = sv * db[c]
             np.add(drift, noise, out=children[rows, c])
             np.subtract(drift, noise, out=children[rows, c + 1])
-    return children.ravel()
+        if with_range:
+            block = children[rows]
+            with np.errstate(invalid="ignore"):
+                lows.append(block.min())
+                highs.append(block.max())
+    if not with_range:
+        return children.ravel()
+    # np.min and np.max, unlike Python's, carry a NaN through
+    return children.ravel(), (float(np.min(lows)), float(np.max(highs)))
 
 
 def integrate_forward(
@@ -274,13 +308,7 @@ def integrate_forward(
         raise InvalidParameterError(
             f"initial values need shape ({4**start_step},), got {initial.shape}"
         )
-    times = lattice.grid.times
-    values = [initial]
-    cur = initial
-    for k in range(start_step, end_step):
-        cur = _euler_step(coeffs, lattice, float(times[k]), cur, driver.at(k))
-        values.append(cur)
-    return ProcessOnLattice(lattice, start_step, tuple(values))
+    return _integrate(coeffs, lattice, start_step, end_step, initial, driver.at)
 
 
 def integrate_sde(
@@ -293,13 +321,28 @@ def integrate_sde(
     Each path's recursion is closed-form Euler, so no iteration is needed;
     used for driver processes such as arithmetic paths.
     """
+    return _integrate(coeffs, lattice, 0, lattice.depth, np.array([float(x0)]))
+
+
+def _integrate(coeffs: Coefficients, lattice: PathLattice, start_step: int, end_step: int,
+               initial: np.ndarray, driver_at: Callable | None = None) -> ProcessOnLattice:
+    """Euler steps from ``initial`` at ``start_step`` to ``end_step``, with
+    the coefficients evaluated at ``driver_at(k)`` (at the state itself
+    without one). Each level a step made carries the range the step took
+    (``ProcessOnLattice._keep_range``)."""
     times = lattice.grid.times
-    cur = np.array([float(x0)])
-    values = [cur]
-    for k in range(lattice.depth):
-        cur = _euler_step(coeffs, lattice, float(times[k]), cur, cur)
+    values, ranges = [initial], []
+    cur = initial
+    for k in range(start_step, end_step):
+        at = cur if driver_at is None else driver_at(k)
+        cur, value_range = _euler_step(coeffs, lattice, float(times[k]), cur, at,
+                                       with_range=True)
         values.append(cur)
-    return ProcessOnLattice(lattice, 0, tuple(values))
+        ranges.append(value_range)
+    process = ProcessOnLattice(lattice, start_step, tuple(values))
+    for k, value_range in enumerate(ranges, start_step + 1):
+        process._keep_range(k, value_range)
+    return process
 
 
 @dataclass(frozen=True)
@@ -369,8 +412,8 @@ def picard_step(
             if start_step != 0:
                 raise InvalidParameterError("initial node values required when start_step > 0")
             initial = np.array([problem.x0])
-        u = list(integrate_forward(problem.coeffs, lattice, driver, k0, end_step, initial).values)
-        _check_initial_constraint(loss, ProcessOnLattice(lattice, k0, u[:1]), lattice)
+        forward = integrate_forward(problem.coeffs, lattice, driver, k0, end_step, initial)
+        _check_initial_constraint(loss, forward, lattice)
         shifts = np.zeros(end_step - k0 + 1)
         losses = np.full(end_step - k0 + 1, np.nan)
         x: list[np.ndarray] = []
@@ -380,20 +423,24 @@ def picard_step(
         if driver is not previous.solution.X or not same_range:
             raise InvalidParameterError("previous must be the step whose X is the driver")
         base = min(previous.changed_from, end_step)
-        u = []
+        forward = None
         if base < end_step:
-            u = list(integrate_forward(problem.coeffs, lattice, driver, base, end_step,
-                                       previous.unreflected).values)
+            forward = integrate_forward(problem.coeffs, lattice, driver, base, end_step,
+                                        previous.unreflected)
         shifts = previous.shifts.copy()
         losses = previous.solution.expected_losses.copy()
         x = list(driver.values[: base - k0 + 1])
         fresh = base + 1
+    u = list(forward.values) if forward is not None else []
     # the shift at start_step is zero by the checked constraint
     root_levels = range(max(fresh, k0 + 1), end_step + 1)
     running = float(np.max(shifts[: root_levels.start - k0]))
+    u_ranges = {}
     for k in root_levels:
         i = k - k0
-        xi = PathFunctional(k, u[k - base])
+        # the Euler step took U's range, so the root find makes no pass for it
+        xi = forward.functional_at(k)
+        u_ranges[k] = xi.value_range
         start = _shift_guess(shifts, i)
         shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
                                       with_value=True, confirm=confirm)
@@ -404,6 +451,8 @@ def picard_step(
                                               with_value=True)
         shifts[i], losses[i] = shift, value
         running = max(running, shift)
+    # U's functionals end here: the top U level becomes X in place below
+    forward = xi = None
     compensator = np.maximum.accumulate(shifts)
     # X at the recomputed levels, and the sup distance and first changed
     # level against the driver, one kernel block at a time. Kept levels equal
@@ -428,13 +477,25 @@ def picard_step(
             if k >= fresh:
                 np.add(level[part], compensator[k - k0], out=block)
             gap = np.subtract(block, old[part], out=scratch[: block.size])
-            block_gaps.append(np.max(np.abs(gap, out=gap)))
-            if changed_from > end_step and not np.array_equal(block.view(np.int64),
-                                                              old[part].view(np.int64)):
+            # max |gap| = max(max gap, -min gap), with no pass for |gap|
+            block_gap = np.maximum(gap.max(), -gap.min())
+            block_gaps.append(block_gap)
+            # a positive gap shows a changed value; a block without one (its
+            # gaps all zero, or NaN) may still differ in a sign or a NaN
+            if changed_from > end_step and (block_gap > 0.0 or not np.array_equal(
+                    block.view(np.int64), old[part].view(np.int64))):
                 changed_from = k
-        gaps.append(float(np.max(block_gaps)))
+        # abs makes a zero distance +0.0 and a NaN one positive, as max |gap| is
+        gaps.append(abs(float(np.max(block_gaps))))
+    X = ProcessOnLattice(lattice, k0, tuple(x))
+    # a kept level is the driver's array, so it keeps the driver's functional
+    for k in range(k0, min(fresh, end_step + 1)):
+        if k in driver._functionals:
+            X._functionals[k] = driver._functionals[k]
+    for k, value_range in u_ranges.items():
+        X._keep_range(k, _shift_range(value_range, compensator[k - k0]))
     solution = SkorokhodSolution(
-        X=ProcessOnLattice(lattice, k0, tuple(x)),
+        X=X,
         A=DeterministicPath(times[k0 : end_step + 1], compensator),
         expected_losses=_reusable_losses(losses, shifts, compensator),
     )
@@ -488,6 +549,7 @@ def picard_solve(
     losses = np.full(n + 1, np.nan)
     x_vals: list[np.ndarray | None] = [None] * (n + 1)
     x_vals[0] = np.array([problem.x0])
+    x_functionals: dict[int, PathFunctional | None] = {}
     initial = np.array([problem.x0])
     diags: list[SubintervalDiagnostics] = []
     confirm = False
@@ -537,11 +599,16 @@ def picard_solve(
         a_full[pos : end + 1] = offset + local_a
         for k in range(pos, end + 1):
             x_vals[k] = step.solution.X.at(k)
+            x_functionals[k] = step.solution.X._functionals.get(k)
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
+    X = ProcessOnLattice(lattice, 0, tuple(x_vals))
+    # the functionals that _confirm_candidates read, and the ranges the
+    # steps took, serve the verifier and the CSV pass too
+    X._functionals.update((k, xi) for k, xi in x_functionals.items() if xi is not None)
     return MRSDESolution(
-        X=ProcessOnLattice(lattice, 0, tuple(x_vals)),
+        X=X,
         A=DeterministicPath(problem.grid.times, a_full),
         diagnostics=tuple(diags),
         restarts=restarts,

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -145,6 +146,34 @@ def test_path_functional_validation():
         PathFunctional(2, np.zeros(5))
     with pytest.raises(InvalidParameterError):
         PathFunctional(0, np.array([np.nan]))
+
+
+def test_numpy_integer_depths_become_python_ints(lattice4):
+    # a traced run writes work figures such as 4 ** depth as JSON
+    from meanreflect import make_coefficient
+    from meanreflect.sde import Coefficients, integrate_sde
+
+    made = [PathFunctional(np.int64(2), np.zeros(16)),
+            PathFunctional._with_range(np.int64(2), np.zeros(16), (0.0, 0.0))]
+    zero = make_coefficient("zero").fn
+    euler = integrate_sde(Coefficients(b=zero, h=zero, sigma=1.0, kappa=1.0), lattice4, 0.0)
+    for proc in (brownian_process(lattice4), euler):
+        # the constructor's functional and the one an Euler step's range made
+        made += [proc.functional_at(np.int64(k)) for k in range(proc.lattice.depth + 1)]
+    for xi in made:
+        assert type(xi.depth) is int
+        assert json.dumps({"depth": xi.depth, "work": 4**xi.depth}) == (
+            f'{{"depth": {xi.depth}, "work": {4**xi.depth}}}')
+    with pytest.raises(InvalidParameterError, match="depth must be an integer"):
+        PathFunctional(2.0, np.zeros(16))
+
+
+def test_functionals_are_kept_per_level(lattice4):
+    proc = brownian_process(lattice4)
+    assert proc.functional_at(3) is proc.functional_at(np.int64(3))
+    shifted = proc.shifted(np.full(5, 0.25))
+    xi = shifted.functional_at(3)
+    assert xi.value_range == PathFunctional(3, shifted.at(3)).value_range
 
 
 def test_process_on_lattice_accessors(lattice4):

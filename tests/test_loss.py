@@ -213,3 +213,26 @@ def test_time_modulus_is_called_once_per_unordered_pair():
     # F(0), the 25 monotonicity samples, then 50 * 51 / 2 pairs
     assert len(calls) == 1 + 25 + 50 * 51 // 2
     assert math.isclose(max(calls), 1.0)
+
+
+@pytest.mark.parametrize("name, params", REGISTRY_GRID,
+                         ids=[f"{n}-{'-'.join(map(str, p.values()))}" for n, p in REGISTRY_GRID])
+def test_halved_time_modulus_gives_the_all_pairs_verdict(name, params):
+    made = make_loss(name, params)
+    loss = dataclasses.replace(made, time_modulus=lambda d: 0.5 * made.time_modulus(d))
+    violations = validate_loss(loss).violations
+    assert violations == ref_loss_violations(loss, _SPOT_RTOL)
+    # a loss that moves with t breaks the halved modulus
+    assert violations == (("time modulus F violated on the sample",)
+                          if name != "arctan_shift" and params["c1"] else ())
+
+
+def test_modulus_broken_only_on_the_farthest_pair():
+    # the sample times are k/49 apart; F(d) = d holds every pair of l = x - t
+    # up to 48/49, and F = 0.99 beyond that fails only t_0 and t_49 = 1
+    loss = LossSpec(fn=lambda t, x: x - t, c_l=1.0, C_l=1.0,
+                    time_modulus=lambda d: min(d, 0.99), kappa_growth=6.0)
+    assert validate_loss(loss).violations == ref_loss_violations(loss, _SPOT_RTOL) == (
+        "time modulus F violated on the sample",)
+    near = dataclasses.replace(loss, t_box=48.0 / 49.0)
+    assert validate_loss(near).violations == ref_loss_violations(near, _SPOT_RTOL) == ()

@@ -34,6 +34,7 @@ from meanreflect import (
     verify_mean_reflection,
 )
 from meanreflect import reflection, sde
+from meanreflect.config import config_from_dict
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
@@ -883,6 +884,13 @@ class TestSolutionInvariants:
         assert np.max(np.abs(sol.A.values - expected)) <= 1e-9
 
 
+def _config_coefficients(**terms):
+    """The Coefficients a full_sde config builds from registry ``terms``
+    (name, params) by key, the others at the config defaults."""
+    problem = {key: {"name": name, "params": params} for key, (name, params) in terms.items()}
+    return config_from_dict({"mode": "full_sde", "problem": problem}).coefficients()
+
+
 def _broadcast_euler_step(coeffs, lattice, t, cur, u):
     """The Euler step written out as the (m, 4) broadcast that per-column writes
     replaced."""
@@ -913,7 +921,23 @@ class TestEulerKernel:
         # scalar results take the fill path of _eval_coeff
         "scalar": Coefficients(b=lambda t, x: -0.0, h=lambda t, x: np.float64(np.inf),
                                sigma=lambda t, x: 1.5, kappa=1.0),
+        # a config hands the step a float for each constant registry term
+        "config_zero_h": _config_coefficients(b=("ou_drift", {"theta": 0.5}),
+                                              sigma=("linear_sigma", {"a": 1.0, "b": 0.1})),
+        "config_constant_drift_h": _config_coefficients(b=("constant_drift", {"c": -0.5}),
+                                                        h=("constant_drift", {"c": 0.25})),
+        "config_constant_sigma": _config_coefficients(sigma=("constant_sigma", {"a": 1.5})),
+        # float terms straight from the caller: h = -0.0 shares one drift
+        "floats": Coefficients(b=np.nan, h=-0.0, sigma=-2.5, kappa=1.0),
     }
+    CONSTANT_TERMS = {"config_zero_h": ("h",), "config_constant_drift_h": ("b", "h", "sigma"),
+                      "config_constant_sigma": ("b", "h", "sigma")}
+
+    @pytest.mark.parametrize("case", sorted(CONSTANT_TERMS))
+    def test_config_hands_constant_terms_as_floats(self, case):
+        coeffs = self.CASES[case]
+        for key in ("b", "h", "sigma"):
+            assert isinstance(getattr(coeffs, key), float) == (key in self.CONSTANT_TERMS[case])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("depth", range(5))
@@ -939,6 +963,77 @@ class TestEulerKernel:
             expected.append(cur)
         got = integrate_sde(coeffs, lattice6, 0.3)
         assert [_bits(v) for v in got.values] == [_bits(v) for v in expected]
+
+
+class TestLevelRanges:
+    """Each Euler step takes its level's (min, max) per block, and Picard's
+    X levels carry that range plus their shift: every functional a caller
+    reads has the constructor's value_range, and a non-finite level raises
+    the constructor's error."""
+
+    @pytest.fixture(scope="class")
+    def lattice9(self, band):
+        # the Euler step's top level spans four parent blocks
+        return build_lattice(band, TimeGrid(1.0, 9))
+
+    def test_euler_step_range_over_blocks(self, lattice9):
+        coeffs = TestEulerKernel.CASES["random"]
+        cur = np.random.default_rng(9).normal(size=4**8)
+        plain = sde._euler_step(coeffs, lattice9, 0.5, cur, cur)
+        children, value_range = sde._euler_step(coeffs, lattice9, 0.5, cur, cur,
+                                                with_range=True)
+        assert _bits(children) == _bits(plain)
+        assert value_range == (plain.min(), plain.max())
+        for bad in (np.nan, np.inf, -np.inf):
+            # one bad parent in the last of four blocks
+            poisoned = cur.copy()
+            poisoned[-5] = bad
+            with np.errstate(invalid="ignore"):
+                _, value_range = sde._euler_step(coeffs, lattice9, 0.5, poisoned, cur,
+                                                 with_range=True)
+            assert not all(map(np.isfinite, value_range))
+            if np.isnan(bad):
+                assert all(map(np.isnan, value_range))
+
+    def test_functionals_carry_the_constructor_range(self, lattice9):
+        problem = _binding_problem(lattice9.grid)
+        sol = picard_solve(problem, lattice=lattice9)
+        sp = integrate_sde(problem.coeffs, lattice9, 0.0)
+        for process in (sol.X, sp, solve_mean_reflection_direct(problem.loss, sp, lattice9).X):
+            for k in range(10):
+                xi = process.functional_at(k)
+                assert xi.value_range == PathFunctional(k, process.at(k)).value_range
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_raises_the_constructor_error(self, bad, band, grid6, lattice6):
+        def b(t, x):
+            return np.where((t >= 0.5) & (np.arange(x.size) % 7 == 3), bad, 0.0)
+
+        coeffs = Coefficients(b=b, h=0.0, sigma=1.0, kappa=1.0)
+        prob = MRSDEProblem(x0=0.0, coeffs=coeffs, loss=make_loss("linear"), band=band,
+                            grid=grid6)
+        level = integrate_sde(coeffs, lattice6, 0.0).at(4)
+        with pytest.raises(InvalidParameterError) as expected:
+            PathFunctional(4, level)
+        with np.errstate(invalid="ignore"), pytest.raises(InvalidParameterError) as info:
+            picard_solve(prob, lattice=lattice6)
+        assert str(info.value) == str(expected.value)
+
+    @pytest.mark.parametrize("signed_level", [0, 3, 6])
+    def test_a_zero_of_the_other_sign_changes_the_level_not_the_distance(
+            self, signed_level, band, grid6, lattice6):
+        # zero coefficients and a slack constraint make every X level +0.0
+        prob = MRSDEProblem(x0=0.0, coeffs=Coefficients(b=0.0, h=0.0, sigma=0.0, kappa=1.0),
+                            loss=never_binding_loss(), band=band, grid=grid6)
+        levels = [np.zeros(4**k) for k in range(7)]
+        levels[signed_level][-1] = -0.0
+        driver = ProcessOnLattice(lattice6, 0, tuple(levels))
+        step = picard_step(prob, lattice6, driver, 0, 6)
+        assert _bits([step.distance]) == _bits([0.0])
+        assert step.changed_from == signed_level
+        again = picard_step(prob, lattice6, step.solution.X, 0, 6, previous=step)
+        assert _bits([again.distance]) == _bits([0.0])
+        assert again.changed_from == 7
 
 
 def _guarded(fn, arrays_of, seen):
