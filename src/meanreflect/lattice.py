@@ -23,6 +23,13 @@ Picard step's shift into X) run over blocks of one subtree of 4^8 leaves
 (512 KiB of doubles, which stays in a 2 MiB L2 cache) at a time. Each
 element still sees the same operations in the same order, so every output
 is bitwise the one of a pass over the whole level, whatever the block size.
+
+A ``PathFunctional`` carries its values' (min, max), which the root finds
+read to skip finiteness passes. The constructor takes it in one min and
+one max pass; a kernel that made a level takes it per block while each
+block is in cache and hands it over (``PathFunctional._with_range``,
+``ProcessOnLattice._keep_range``). A process keeps each level's functional,
+so its readers share one.
 """
 
 from __future__ import annotations

@@ -7,6 +7,12 @@ unknown keys so typos fail loudly, passes each value as a finite float and
 names the object after its table key. To add a family, write a factory that
 returns a ``CoefficientTerm``, ``LossSpec`` or ``Payoff`` and list it under
 its name in the table; ``meanreflect list`` and the config parser pick it up.
+
+A coefficient family that is constant in t and x (``zero``,
+``constant_drift``, ``constant_sigma``) declares its value as
+``CoefficientTerm.constant``. Its ``fn`` still returns an array of x's
+shape; ``ExperimentConfig.coefficients`` hands the solver the declared
+float instead, which the Euler step keeps as a scalar.
 """
 
 from __future__ import annotations
@@ -26,12 +32,9 @@ from .loss import LossSpec
 
 @dataclass(frozen=True)
 class CoefficientTerm:
-    """One named coefficient: the callable plus its Lipschitz constant in x.
-
-    A family that is constant in t and x declares its value as ``constant``;
-    ``fn`` still returns an array of x's shape, and a config hands the
-    solver the value itself, which the Euler step keeps as a scalar.
-    """
+    """One named coefficient: the callable plus its Lipschitz constant in x,
+    and its value where it is constant in t and x (see the module
+    docstring)."""
 
     fn: Callable[[float, np.ndarray], np.ndarray]
     lipschitz: float

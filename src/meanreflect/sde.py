@@ -36,12 +36,28 @@ evaluates the coefficients on the block's parents, forms the ``h dQV`` and
 ``sigma dB`` terms once per volatility (the two sign children of a
 volatility share dQV and have opposite dB, bit for bit) and writes each of
 the four child columns of the block in one pass, so the strided column
-writes stay in L2 and no length-4 broadcast is made. A Picard step shifts
-each recomputed U level into X and takes its sup distance and first changed
-level against the driver one such block at a time, through one 4^8 scratch
-buffer, while the block is in L2; the top U level, which its own Euler
-steps produced and no step starts from, becomes X in place. Every value is bitwise that of the plain expression over whole
-levels, and no array a caller passed in is written.
+writes stay in L2 and no length-4 broadcast is made. A coefficient that is
+constant (a float in ``Coefficients``, as a config gives for the registry's
+constant families, or a callable that returns a scalar) stays a scalar, so
+its terms cost no pass; a constant h whose dQV terms have the same bits for
+both volatilities, as h = 0 gives, makes one drift for all four children.
+The step then takes the min and max of each child block while it is in L2,
+and ``integrate_forward`` and ``integrate_sde`` hand each level they make
+its range, so no reader of the level makes a min/max pass for its
+functional.
+
+A Picard step shifts each recomputed U level into X and takes its sup
+distance and first changed level against the driver one such block at a
+time, through one 4^8 scratch buffer, while the block is in L2: the
+distance is max(max gap, -min gap), so |gap| takes no pass, and only a
+block with no positive gap has its bits compared. The top U level, which
+its own Euler steps produced and no step starts from, becomes X in place;
+U's functionals are dropped before that write. Each X level takes its U
+level's range plus its shift (adding one constant is monotone), so the
+confirming sweeps, the verifier and the CSV pass of a run share one
+functional per X level and make no min/max pass. Every value is bitwise
+that of the plain expression over whole levels, and no array a caller
+passed in is written.
 """
 
 from __future__ import annotations
@@ -124,10 +140,8 @@ def _coeff_block(fn, t: float, x: np.ndarray) -> np.ndarray | float:
 
 def _eval_coeff(fn, t: float, x: np.ndarray) -> np.ndarray:
     """A coefficient on the nodes ``x``, one value per node."""
-    out = np.asarray(fn(t, x) if callable(fn) else fn, dtype=float)
-    if out.ndim == 0:
-        out = np.full_like(x, float(out))
-    return out
+    out = _coeff_block(fn, t, x)
+    return np.full_like(x, out) if isinstance(out, float) else out
 
 
 def validate_coefficients(
@@ -401,6 +415,10 @@ def picard_step(
     is solved again with ``confirm=True``. Where every candidate would pass
     its sweep, the step's shifts, X and A are bitwise those of
     ``confirm=True``.
+
+    The root finds read the functionals ``integrate_forward`` made with the
+    Euler steps' ranges, and the solution's X levels carry U's range plus
+    their shift, or, where kept, the driver's functional.
     """
     k0 = start_step
     loss = problem.loss
@@ -435,12 +453,10 @@ def picard_step(
     # the shift at start_step is zero by the checked constraint
     root_levels = range(max(fresh, k0 + 1), end_step + 1)
     running = float(np.max(shifts[: root_levels.start - k0]))
-    u_ranges = {}
     for k in root_levels:
         i = k - k0
         # the Euler step took U's range, so the root find makes no pass for it
         xi = forward.functional_at(k)
-        u_ranges[k] = xi.value_range
         start = _shift_guess(shifts, i)
         shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
                                       with_value=True, confirm=confirm)
@@ -451,7 +467,11 @@ def picard_step(
                                               with_value=True)
         shifts[i], losses[i] = shift, value
         running = max(running, shift)
-    # U's functionals end here: the top U level becomes X in place below
+    # the ranges of the recomputed U levels that were read (every root level,
+    # and start_step's in a full pass); U's functionals end here, since the
+    # top U level becomes X in place below
+    u_ranges = {} if forward is None else {
+        k: xi.value_range for k, xi in forward._functionals.items() if k >= fresh}
     forward = xi = None
     compensator = np.maximum.accumulate(shifts)
     # X at the recomputed levels, and the sup distance and first changed
@@ -531,6 +551,9 @@ def picard_solve(
     solved again with every root confirmed, as ``picard_step`` does by
     default. So the result equals that of confirming every root bit for bit
     whenever every candidate would pass its sweep.
+
+    The solution's X keeps the steps' functionals, so the confirming sweeps,
+    the verifier and the CSV pass share one per level.
     """
     config = config or PicardConfig()
     if lattice is None:

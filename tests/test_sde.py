@@ -939,6 +939,13 @@ class TestEulerKernel:
         for key in ("b", "h", "sigma"):
             assert isinstance(getattr(coeffs, key), float) == (key in self.CONSTANT_TERMS[case])
 
+    def test_constant_terms_are_real_numbers(self):
+        coeffs = Coefficients(b=1, h=np.float32(0.5), sigma=lambda t, x: x, kappa=1.0)
+        assert (type(coeffs.b), type(coeffs.h)) == (float, float)
+        for bad in ("1.0", True, None, 1j):
+            with pytest.raises(InvalidParameterError, match="coefficient h must be callable"):
+                Coefficients(b=0.0, h=bad, sigma=1.0, kappa=1.0)
+
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("depth", range(5))
     def test_euler_step_matches_broadcast(self, case, depth, lattice6):
