@@ -509,7 +509,7 @@ def picard_step(
         gaps.append(abs(float(np.max(block_gaps))))
     X = ProcessOnLattice(lattice, k0, tuple(x))
     # a kept level is the driver's array, so it keeps the driver's functional
-    for k in range(k0, min(fresh, end_step + 1)):
+    for k in range(k0, fresh):
         if k in driver._functionals:
             X._functionals[k] = driver._functionals[k]
     for k, value_range in u_ranges.items():
