@@ -137,9 +137,10 @@ class ExperimentConfig:
             selected = getattr(self.problem, key)
             with _field(f"problem.{key}"):
                 terms.append(make_coefficient(selected.name, selected.params))
-        b, h, sigma = (term.fn if term.constant is None else term.constant for term in terms)
-        kappa = max(sum(term.lipschitz for term in terms), 1e-9)
-        return Coefficients(b=b, h=h, sigma=sigma, kappa=kappa)
+        b, h, sigma = terms
+        kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
+        return Coefficients(b=_solver_fn(b), h=_solver_fn(h), sigma=_solver_fn(sigma),
+                            kappa=kappa)
 
     @_built_once
     def payoff(self) -> Payoff:
@@ -156,6 +157,16 @@ class ExperimentConfig:
         section's fields in place (``_fields``), so no deep copy is made; the
         text is that of ``json.dumps(self.to_dict(), ...)``."""
         return json.dumps(self, default=_fields, sort_keys=True, separators=(",", ":"))
+
+
+def _solver_fn(term) -> typing.Callable:
+    """The callable the solver gets for a registry ``term``: for a declared
+    constant, one that returns it as a scalar, which the Euler step keeps as
+    one (``registry.CoefficientTerm.constant``)."""
+    if term.constant is None:
+        return term.fn
+    c = term.constant
+    return lambda t, x: c
 
 
 def _fields(section) -> dict:

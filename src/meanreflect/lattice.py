@@ -29,7 +29,8 @@ read to skip finiteness passes. The constructor takes it in one min and
 one max pass; a kernel that made a level takes it per block while each
 block is in cache and hands it over (``PathFunctional._with_range``,
 ``ProcessOnLattice._keep_range``). A process keeps each level's functional,
-so its readers share one.
+so its readers share one, and a process made from another takes over its
+kept ranges (``ProcessOnLattice._adopt``).
 """
 
 from __future__ import annotations
@@ -286,9 +287,10 @@ class ProcessOnLattice:
 
     ``functional_at`` keeps the functional of each level it reads, so every
     reader of a level shares one range check. A kernel that took the range
-    of a level it made puts that level's functional in ``_functionals``
-    itself (``_keep_range``), so no reader makes a pass for it; it does so
-    only for a finite range, so a non-finite level raises where it is first
+    of a level it made keeps that level's functional itself
+    (``_keep_range``), and a process made from another takes over its kept
+    functionals (``_adopt``), so no reader makes a pass for them; only a
+    finite range is kept, so a non-finite level raises where it is first
     read. A level written in place would leave its kept functional stale, so
     the levels are not written while the process is in use.
     """
@@ -350,10 +352,26 @@ class ProcessOnLattice:
             )
         shifted = tuple(v + a for v, a in zip(self.values, path_values))
         process = ProcessOnLattice(self.lattice, self.start_step, shifted)
-        for step, xi in self._functionals.items():
-            process._keep_range(step, _shift_range(xi.value_range,
-                                                   path_values[step - self.start_step]))
+        process._adopt(self, range(self.start_step, self.end_step + 1), path_values)
         return process
+
+    def _adopt(self, source: "ProcessOnLattice", steps, shifts=None) -> None:
+        """Take over the functionals ``source`` keeps at ``steps``. Without
+        ``shifts``, a level this process holds as the same array shares
+        source's functional. With ``shifts`` (one per level of this process,
+        as ``shifted`` takes), each level is source's plus its shift and takes
+        source's range moved by it. Only the kept ranges are read, not the
+        values of either process."""
+        for step in steps:
+            xi = source._functionals.get(step)
+            if xi is None:
+                continue
+            if shifts is None:
+                if xi.values is self.at(step):
+                    self._functionals[step] = xi
+            else:
+                self._keep_range(step, _shift_range(xi.value_range,
+                                                    shifts[step - self.start_step]))
 
 
 def _shift_range(value_range: tuple[float, float], c: float) -> tuple[float, float]:

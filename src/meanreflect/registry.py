@@ -11,8 +11,8 @@ its name in the table; ``meanreflect list`` and the config parser pick it up.
 A coefficient family that is constant in t and x (``zero``,
 ``constant_drift``, ``constant_sigma``) declares its value as
 ``CoefficientTerm.constant``. Its ``fn`` still returns an array of x's
-shape; ``ExperimentConfig.coefficients`` hands the solver the declared
-float instead, which the Euler step keeps as a scalar.
+shape; ``ExperimentConfig.coefficients`` hands the solver a callable that
+returns the declared float instead, which the Euler step keeps as a scalar.
 """
 
 from __future__ import annotations

@@ -36,11 +36,11 @@ evaluates the coefficients on the block's parents, forms the ``h dQV`` and
 ``sigma dB`` terms once per volatility (the two sign children of a
 volatility share dQV and have opposite dB, bit for bit) and writes each of
 the four child columns of the block in one pass, so the strided column
-writes stay in L2 and no length-4 broadcast is made. A coefficient that is
-constant (a float in ``Coefficients``, as a config gives for the registry's
-constant families, or a callable that returns a scalar) stays a scalar, so
-its terms cost no pass; a constant h whose dQV terms have the same bits for
-both volatilities, as h = 0 gives, makes one drift for all four children.
+writes stay in L2 and no length-4 broadcast is made. A coefficient that
+returns a scalar, as a config's coefficient does for the registry's
+constant families, stays a scalar, so its terms cost no pass; a constant h
+whose dQV terms have the same bits for both volatilities, as h = 0 gives,
+makes one drift for all four children.
 The step then takes the min and max of each child block while it is in L2,
 and ``integrate_forward`` and ``integrate_sde`` hand each level they make
 its range, so no reader of the level makes a min/max pass for its
@@ -53,7 +53,8 @@ distance is max(max gap, -min gap), so |gap| takes no pass, and only a
 block with no positive gap has its bits compared. The top U level, which
 its own Euler steps produced and no step starts from, becomes X in place;
 U's functionals are dropped before that write. Each X level takes its U
-level's range plus its shift (adding one constant is monotone), so the
+level's range plus its shift (adding one constant is monotone, see
+``ProcessOnLattice._adopt``), so the
 confirming sweeps, the verifier and the CSV pass of a run share one
 functional per X level and make no min/max pass. Every value is bitwise
 that of the plain expression over whole levels, and no array a caller
@@ -87,7 +88,6 @@ from .lattice import (
     VolatilityBand,
     _level_blocks,
     _parent_blocks,
-    _shift_range,
     build_lattice,
     constant_process,
 )
@@ -105,40 +105,29 @@ from .reflection import (
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Coefficient triple (b, h, sigma) with a shared Lipschitz constant in
-    x. Each is a float, for a coefficient constant in t and x, or a callable
-    (t, x) -> value that accepts an ndarray x and acts on it value by value
-    (or returns a scalar): the Euler step evaluates it on one block of nodes
-    at a time, and keeps a constant as a scalar."""
+    """Coefficient triple (b, h, sigma), each (t, x) -> value, with a shared
+    Lipschitz constant in x. Callables must accept ndarray x and act on it
+    value by value (or return a scalar): the Euler step evaluates them on one
+    block of nodes at a time, and keeps a scalar result as a scalar."""
 
-    b: Callable[[float, np.ndarray], np.ndarray] | float
-    h: Callable[[float, np.ndarray], np.ndarray] | float
-    sigma: Callable[[float, np.ndarray], np.ndarray] | float
+    b: Callable[[float, np.ndarray], np.ndarray]
+    h: Callable[[float, np.ndarray], np.ndarray]
+    sigma: Callable[[float, np.ndarray], np.ndarray]
     kappa: float
 
     def __post_init__(self):
         if not self.kappa > 0.0:
             raise InvalidParameterError(f"kappa must be positive, got {self.kappa}")
-        for key in ("b", "h", "sigma"):
-            value = getattr(self, key)
-            if not callable(value):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise InvalidParameterError(
-                        f"coefficient {key} must be callable or a real number, got {value!r}")
-                object.__setattr__(self, key, float(value))
 
 
-def _coeff_block(fn, t: float, x: np.ndarray) -> np.ndarray | float:
-    """A coefficient on the nodes ``x``: a float where it is constant (a
-    float coefficient, or a callable that returns a scalar), else one value
-    per node."""
-    if not callable(fn):
-        return fn
+def _coeff_block(fn: Callable, t: float, x: np.ndarray) -> np.ndarray | float:
+    """A coefficient on the nodes ``x``: a float where ``fn`` returns a
+    scalar, else one value per node."""
     out = np.asarray(fn(t, x), dtype=float)
     return out if out.ndim else float(out)
 
 
-def _eval_coeff(fn, t: float, x: np.ndarray) -> np.ndarray:
+def _eval_coeff(fn: Callable, t: float, x: np.ndarray) -> np.ndarray:
     """A coefficient on the nodes ``x``, one value per node."""
     out = _coeff_block(fn, t, x)
     return np.full_like(x, out) if isinstance(out, float) else out
@@ -261,11 +250,11 @@ class MRSDESolution(SkorokhodSolution):
 
 
 def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
-                cur: np.ndarray, u: np.ndarray, *, with_range: bool = False):
+                cur: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[float, float]]:
     """One Euler step from the node values ``cur`` to their children, in child
     order, with the coefficients evaluated at ``u``, one parent block at a
-    time. With ``with_range``, also the children's (min, max), taken per
-    block while the block is in cache; a NaN child makes both NaN."""
+    time, and the children's (min, max), taken per block while the block is
+    in cache; a NaN child makes both NaN."""
     dt = lattice.grid.dt
     dqv, db = lattice.step_dqv, lattice.step_db
     children = np.empty((cur.size, 4))
@@ -289,13 +278,10 @@ def _euler_step(coeffs: Coefficients, lattice: PathLattice, t: float,
             noise = sv * db[c]
             np.add(drift, noise, out=children[rows, c])
             np.subtract(drift, noise, out=children[rows, c + 1])
-        if with_range:
-            block = children[rows]
-            with np.errstate(invalid="ignore"):
-                lows.append(block.min())
-                highs.append(block.max())
-    if not with_range:
-        return children.ravel()
+        block = children[rows]
+        with np.errstate(invalid="ignore"):
+            lows.append(block.min())
+            highs.append(block.max())
     # np.min and np.max, unlike Python's, carry a NaN through
     return children.ravel(), (float(np.min(lows)), float(np.max(highs)))
 
@@ -349,8 +335,7 @@ def _integrate(coeffs: Coefficients, lattice: PathLattice, start_step: int, end_
     cur = initial
     for k in range(start_step, end_step):
         at = cur if driver_at is None else driver_at(k)
-        cur, value_range = _euler_step(coeffs, lattice, float(times[k]), cur, at,
-                                       with_range=True)
+        cur, value_range = _euler_step(coeffs, lattice, float(times[k]), cur, at)
         values.append(cur)
         ranges.append(value_range)
     process = ProcessOnLattice(lattice, start_step, tuple(values))
@@ -467,13 +452,21 @@ def picard_step(
                                               with_value=True)
         shifts[i], losses[i] = shift, value
         running = max(running, shift)
-    # the ranges of the recomputed U levels that were read (every root level,
-    # and start_step's in a full pass); U's functionals end here, since the
-    # top U level becomes X in place below
-    u_ranges = {} if forward is None else {
-        k: xi.value_range for k, xi in forward._functionals.items() if k >= fresh}
-    forward = xi = None
     compensator = np.maximum.accumulate(shifts)
+    # this step's Euler made the top U level and no step starts from it, so
+    # it becomes X in place; U at base is the caller's array
+    x += [u[k - base] if k == end_step > base else np.empty_like(u[k - base])
+          for k in range(fresh, end_step + 1)]
+    X = ProcessOnLattice(lattice, k0, tuple(x))
+    # X keeps the driver's functionals at the kept levels, which are the
+    # driver's arrays, and takes U's ranges (every root level's, and
+    # start_step's in a full pass) plus the shift above. _adopt reads no
+    # values, so X's are written below; U's functionals end here, before the
+    # write that turns the top U level into X
+    X._adopt(driver, range(k0, fresh))
+    if forward is not None:
+        X._adopt(forward, range(fresh, end_step + 1), compensator)
+    forward = xi = None
     # X at the recomputed levels, and the sup distance and first changed
     # level against the driver, one kernel block at a time. Kept levels equal
     # the driver's; start_step stays in so that a non-finite initial value
@@ -482,20 +475,12 @@ def picard_step(
     changed_from = end_step + 1
     scratch = np.empty(min(4**end_step, 4**_lattice._BLOCK_LEVELS))
     for k in (k0, *root_levels):
-        old = driver.at(k)
-        if k < fresh:
-            new = x[k - k0]
-        else:
-            level = u[k - base]
-            # this step's Euler made the top level and no step starts from
-            # it, so it becomes X in place; U at base is the caller's array
-            new = level if k == end_step > base else np.empty_like(level)
-            x.append(new)
+        old, new = driver.at(k), X.at(k)
         block_gaps = []
         for part in _level_blocks(new.size):
             block = new[part]
             if k >= fresh:
-                np.add(level[part], compensator[k - k0], out=block)
+                np.add(u[k - base][part], compensator[k - k0], out=block)
             gap = np.subtract(block, old[part], out=scratch[: block.size])
             # max |gap| = max(max gap, -min gap), with no pass for |gap|
             block_gap = np.maximum(gap.max(), -gap.min())
@@ -507,13 +492,6 @@ def picard_step(
                 changed_from = k
         # abs makes a zero distance +0.0 and a NaN one positive, as max |gap| is
         gaps.append(abs(float(np.max(block_gaps))))
-    X = ProcessOnLattice(lattice, k0, tuple(x))
-    # a kept level is the driver's array, so it keeps the driver's functional
-    for k in range(k0, fresh):
-        if k in driver._functionals:
-            X._functionals[k] = driver._functionals[k]
-    for k, value_range in u_ranges.items():
-        X._keep_range(k, _shift_range(value_range, compensator[k - k0]))
     solution = SkorokhodSolution(
         X=X,
         A=DeterministicPath(times[k0 : end_step + 1], compensator),
@@ -572,7 +550,7 @@ def picard_solve(
     losses = np.full(n + 1, np.nan)
     x_vals: list[np.ndarray | None] = [None] * (n + 1)
     x_vals[0] = np.array([problem.x0])
-    x_functionals: dict[int, PathFunctional | None] = {}
+    pieces: list[ProcessOnLattice] = []
     initial = np.array([problem.x0])
     diags: list[SubintervalDiagnostics] = []
     confirm = False
@@ -622,14 +600,16 @@ def picard_solve(
         a_full[pos : end + 1] = offset + local_a
         for k in range(pos, end + 1):
             x_vals[k] = step.solution.X.at(k)
-            x_functionals[k] = step.solution.X._functionals.get(k)
+        pieces.append(step.solution.X)
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
     X = ProcessOnLattice(lattice, 0, tuple(x_vals))
     # the functionals that _confirm_candidates read, and the ranges the
-    # steps took, serve the verifier and the CSV pass too
-    X._functionals.update((k, xi) for k, xi in x_functionals.items() if xi is not None)
+    # steps took, serve the verifier and the CSV pass too; a subinterval's
+    # start level is the next one's array, which _adopt shares
+    for piece in pieces:
+        X._adopt(piece, range(piece.start_step, piece.end_step + 1))
     return MRSDESolution(
         X=X,
         A=DeterministicPath(problem.grid.times, a_full),

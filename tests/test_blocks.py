@@ -133,7 +133,8 @@ def _euler_steps(lat):
     for coeffs in COEFFS:
         for k in (lat.depth - 2, lat.depth - 1):
             cur, u = rng.normal(size=(2, 4**k))
-            out.append(sde._euler_step(coeffs, lat, 0.25, cur, u))
+            children, value_range = sde._euler_step(coeffs, lat, 0.25, cur, u)
+            out += [children, np.array(value_range)]
     return out
 
 

@@ -156,7 +156,8 @@ def test_numpy_integer_depths_become_python_ints(lattice4):
     made = [PathFunctional(np.int64(2), np.zeros(16)),
             PathFunctional._with_range(np.int64(2), np.zeros(16), (0.0, 0.0))]
     zero = make_coefficient("zero").fn
-    euler = integrate_sde(Coefficients(b=zero, h=zero, sigma=1.0, kappa=1.0), lattice4, 0.0)
+    euler = integrate_sde(Coefficients(b=zero, h=zero, sigma=lambda t, x: 1.0, kappa=1.0),
+                          lattice4, 0.0)
     for proc in (brownian_process(lattice4), euler):
         # the constructor's functional and the one an Euler step's range made
         made += [proc.functional_at(np.int64(k)) for k in range(proc.lattice.depth + 1)]
@@ -174,6 +175,25 @@ def test_functionals_are_kept_per_level(lattice4):
     shifted = proc.shifted(np.full(5, 0.25))
     xi = shifted.functional_at(3)
     assert xi.value_range == PathFunctional(3, shifted.at(3)).value_range
+
+
+def test_adopt_shares_one_array_and_shifts_a_range(lattice4):
+    proc = brownian_process(lattice4)
+    kept = proc.functional_at(2)
+    same = ProcessOnLattice(lattice4, 0, proc.values)
+    copied = ProcessOnLattice(lattice4, 0, tuple(v.copy() for v in proc.values))
+    for target in (same, copied):
+        target._adopt(proc, range(5))
+    assert same.functional_at(2) is kept
+    # a level held as another array is not taken over, and a level that was
+    # never read has no functional to take
+    assert copied._functionals == {} and 3 not in same._functionals
+    shifts = np.linspace(-1.0, 1.0, 5)
+    moved = ProcessOnLattice(lattice4, 0, tuple(v + c for v, c in zip(proc.values, shifts)))
+    moved._adopt(proc, range(5), shifts)
+    assert list(moved._functionals) == [2]
+    assert moved.functional_at(2).values is moved.at(2)
+    assert moved.functional_at(2).value_range == PathFunctional(2, moved.at(2)).value_range
 
 
 def test_process_on_lattice_accessors(lattice4):

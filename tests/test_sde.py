@@ -921,30 +921,29 @@ class TestEulerKernel:
         # scalar results take the fill path of _eval_coeff
         "scalar": Coefficients(b=lambda t, x: -0.0, h=lambda t, x: np.float64(np.inf),
                                sigma=lambda t, x: 1.5, kappa=1.0),
-        # a config hands the step a float for each constant registry term
+        # a config hands the step a scalar for each constant registry term
         "config_zero_h": _config_coefficients(b=("ou_drift", {"theta": 0.5}),
                                               sigma=("linear_sigma", {"a": 1.0, "b": 0.1})),
         "config_constant_drift_h": _config_coefficients(b=("constant_drift", {"c": -0.5}),
                                                         h=("constant_drift", {"c": 0.25})),
         "config_constant_sigma": _config_coefficients(sigma=("constant_sigma", {"a": 1.5})),
-        # float terms straight from the caller: h = -0.0 shares one drift
-        "floats": Coefficients(b=np.nan, h=-0.0, sigma=-2.5, kappa=1.0),
+        # a scalar h = -0.0 makes one drift for all four children
+        "scalar_zero_h": Coefficients(b=lambda t, x: np.nan, h=lambda t, x: -0.0,
+                                      sigma=lambda t, x: -2.5, kappa=1.0),
     }
     CONSTANT_TERMS = {"config_zero_h": ("h",), "config_constant_drift_h": ("b", "h", "sigma"),
                       "config_constant_sigma": ("b", "h", "sigma")}
 
     @pytest.mark.parametrize("case", sorted(CONSTANT_TERMS))
-    def test_config_hands_constant_terms_as_floats(self, case):
+    def test_config_hands_constant_terms_as_scalars(self, case):
         coeffs = self.CASES[case]
+        x = np.linspace(-1.0, 1.0, 5)
         for key in ("b", "h", "sigma"):
-            assert isinstance(getattr(coeffs, key), float) == (key in self.CONSTANT_TERMS[case])
-
-    def test_constant_terms_are_real_numbers(self):
-        coeffs = Coefficients(b=1, h=np.float32(0.5), sigma=lambda t, x: x, kappa=1.0)
-        assert (type(coeffs.b), type(coeffs.h)) == (float, float)
-        for bad in ("1.0", True, None, 1j):
-            with pytest.raises(InvalidParameterError, match="coefficient h must be callable"):
-                Coefficients(b=0.0, h=bad, sigma=1.0, kappa=1.0)
+            block = sde._coeff_block(getattr(coeffs, key), 0.5, x)
+            if key in self.CONSTANT_TERMS[case]:
+                assert type(block) is float
+            else:
+                assert block.shape == x.shape
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("depth", range(5))
@@ -956,9 +955,13 @@ class TestEulerKernel:
             cur, u = rng.choice(EDGE_VALUES, size=(2, 4**depth))
         coeffs = self.CASES[case]
         with np.errstate(invalid="ignore"):  # inf - inf, inf * 0
-            got = sde._euler_step(coeffs, lattice6, 0.25, cur, u)
+            got, value_range = sde._euler_step(coeffs, lattice6, 0.25, cur, u)
             expected = _broadcast_euler_step(coeffs, lattice6, 0.25, cur, u)
         assert _bits(got) == _bits(expected)
+        if np.isnan(expected).any():
+            assert all(map(np.isnan, value_range))
+        else:
+            assert value_range == (expected.min(), expected.max())
 
     def test_integrate_sde_matches_broadcast(self, lattice6):
         coeffs = self.CASES["random"]
@@ -986,9 +989,8 @@ class TestLevelRanges:
     def test_euler_step_range_over_blocks(self, lattice9):
         coeffs = TestEulerKernel.CASES["random"]
         cur = np.random.default_rng(9).normal(size=4**8)
-        plain = sde._euler_step(coeffs, lattice9, 0.5, cur, cur)
-        children, value_range = sde._euler_step(coeffs, lattice9, 0.5, cur, cur,
-                                                with_range=True)
+        plain = _broadcast_euler_step(coeffs, lattice9, 0.5, cur, cur)
+        children, value_range = sde._euler_step(coeffs, lattice9, 0.5, cur, cur)
         assert _bits(children) == _bits(plain)
         assert value_range == (plain.min(), plain.max())
         for bad in (np.nan, np.inf, -np.inf):
@@ -996,8 +998,7 @@ class TestLevelRanges:
             poisoned = cur.copy()
             poisoned[-5] = bad
             with np.errstate(invalid="ignore"):
-                _, value_range = sde._euler_step(coeffs, lattice9, 0.5, poisoned, cur,
-                                                 with_range=True)
+                _, value_range = sde._euler_step(coeffs, lattice9, 0.5, poisoned, cur)
             assert not all(map(np.isfinite, value_range))
             if np.isnan(bad):
                 assert all(map(np.isnan, value_range))
@@ -1005,10 +1006,14 @@ class TestLevelRanges:
     def test_functionals_carry_the_constructor_range(self, lattice9):
         problem = _binding_problem(lattice9.grid)
         sol = picard_solve(problem, lattice=lattice9)
+        # three subintervals, whose start levels the next one recomputes
+        pieces = picard_solve(problem, PicardConfig(delta_initial_steps=3), lattice=lattice9)
         sp = integrate_sde(problem.coeffs, lattice9, 0.0)
-        for process in (sol.X, sp, solve_mean_reflection_direct(problem.loss, sp, lattice9).X):
+        direct = solve_mean_reflection_direct(problem.loss, sp, lattice9)
+        for process in (sol.X, pieces.X, sp, direct.X):
             for k in range(10):
                 xi = process.functional_at(k)
+                assert xi.values is process.at(k)
                 assert xi.value_range == PathFunctional(k, process.at(k)).value_range
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -1016,7 +1021,7 @@ class TestLevelRanges:
         def b(t, x):
             return np.where((t >= 0.5) & (np.arange(x.size) % 7 == 3), bad, 0.0)
 
-        coeffs = Coefficients(b=b, h=0.0, sigma=1.0, kappa=1.0)
+        coeffs = Coefficients(b=b, h=lambda t, x: 0.0, sigma=lambda t, x: 1.0, kappa=1.0)
         prob = MRSDEProblem(x0=0.0, coeffs=coeffs, loss=make_loss("linear"), band=band,
                             grid=grid6)
         level = integrate_sde(coeffs, lattice6, 0.0).at(4)
@@ -1030,7 +1035,10 @@ class TestLevelRanges:
     def test_a_zero_of_the_other_sign_changes_the_level_not_the_distance(
             self, signed_level, band, grid6, lattice6):
         # zero coefficients and a slack constraint make every X level +0.0
-        prob = MRSDEProblem(x0=0.0, coeffs=Coefficients(b=0.0, h=0.0, sigma=0.0, kappa=1.0),
+        def zero(t, x):
+            return 0.0
+
+        prob = MRSDEProblem(x0=0.0, coeffs=Coefficients(b=zero, h=zero, sigma=zero, kappa=1.0),
                             loss=never_binding_loss(), band=band, grid=grid6)
         levels = [np.zeros(4**k) for k in range(7)]
         levels[signed_level][-1] = -0.0
