@@ -37,6 +37,8 @@ Each root find also returns E[l(t, X + x)] from its last sweep at its
 result x. Where the compensator equals a positive minimal shift, X at that
 grid time is S plus that shift, by the same addition, so the solvers keep
 that value, and ``verify_mean_reflection`` takes it in place of a sweep.
+A run stores S alone: it takes A from ``_reflect_direct``, the root loop of
+``solve_mean_reflection_direct``, and its readers form X_k = S_k + a_k.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -56,7 +58,7 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -124,9 +126,10 @@ class SkorokhodSolution:
 
     A solver may add ``expected_losses``: E[l(t_k, X_k)] for each step of A,
     bitwise the sweep of X_k, where its root find made that sweep
-    (``_reusable_losses``), and NaN elsewhere."""
+    (``_reusable_losses``), and NaN elsewhere. X is None where the solver
+    leaves it as S + A for its readers to form (``_reflect_direct``)."""
 
-    X: ProcessOnLattice
+    X: ProcessOnLattice | None
     A: DeterministicPath
     expected_losses: np.ndarray | None = field(default=None, kw_only=True, repr=False,
                                                compare=False)
@@ -592,13 +595,13 @@ def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
     return np.where((shifts > 0.0) & (compensator == shifts), losses, np.nan)
 
 
-def solve_mean_reflection_direct(
+def _reflect_direct(
     loss: LossSpec,
     S: ProcessOnLattice,
     lattice: PathLattice,
     tol: float = DEFAULT_ROOT_TOL,
 ) -> SkorokhodSolution:
-    """Construction via the running supremum of minimal shifts."""
+    """The direct construction's A and reusable losses; X is None, for S + A."""
     _check_initial_constraint(loss, S, lattice)
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
@@ -612,10 +615,17 @@ def solve_mean_reflection_direct(
                                               start=_shift_guess(shifts, i), with_value=True)
     compensator = np.maximum.accumulate(shifts)
     return SkorokhodSolution(
-        X=S.shifted(compensator),
+        X=None,
         A=DeterministicPath(times[k0 : k1 + 1], compensator),
         expected_losses=_reusable_losses(losses, shifts, compensator),
     )
+
+
+def solve_mean_reflection_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
+                                 tol: float = DEFAULT_ROOT_TOL) -> SkorokhodSolution:
+    """Construction via the running supremum of minimal shifts."""
+    solution = _reflect_direct(loss, S, lattice, tol)
+    return replace(solution, X=S.shifted(solution.A.values))
 
 
 def solve_mean_reflection_reduced(
@@ -642,6 +652,7 @@ def solve_mean_reflection_reduced(
         centered = PathFunctional(k, S.at(k) - means[i])
         barrier[i] = _minimal_shift("centered_loss_inverse", times[k], centered, lattice, loss,
                                     tol)[0]
+    del centered  # the top level's copy would stay alive while X is built
     # the initial constraint makes barrier[0] <= means[0] up to root noise
     barrier[0] = min(barrier[0], means[0])
     _, compensator = deterministic_skorokhod(means, barrier)
@@ -651,10 +662,15 @@ def solve_mean_reflection_reduced(
     )
 
 
+def _formed(block: np.ndarray, shifts: np.ndarray | None, i: int, out: np.ndarray):
+    """A stored block, or the block plus level i's shift written into ``out``."""
+    return block if shifts is None else np.add(block, shifts[i], out=out[: block.size])
+
+
 def verify_mean_reflection(
     solution: SkorokhodSolution,
     loss: LossSpec,
-    S: ProcessOnLattice,
+    S: ProcessOnLattice | None,
     lattice: PathLattice,
     tol: float = DEFAULT_PRECONDITION_TOL,
     *,
@@ -673,27 +689,35 @@ def verify_mean_reflection(
     it is, and only the other steps are swept: the first step, steps where
     the constraint is slack or A carries an earlier, larger shift, and the
     junctions of Picard's subintervals.
+
+    A run stores one process: a solution with no X is read as S + A, and S
+    None as U = X + (-A), the addition ``MRSDESolution.U`` makes, each
+    formed one block at a time, bitwise as the whole process.
     """
     times = lattice.grid.times
-    k0, k1 = S.start_step, S.end_step
     a = solution.A.values
+    x_proc, x_shift = (S, a) if solution.X is None else (solution.X, None)
+    s_proc, s_shift = (solution.X, -a) if S is None else (S, None)
+    k0, k1 = s_proc.start_step, s_proc.end_step
     identity = 0.0
     constraint = np.empty(k1 - k0 + 1)
     scratch = np.empty(min(4**k1, 4**_lattice._BLOCK_LEVELS))
+    x_scratch = None if x_shift is None else np.empty_like(scratch)
     for k in range(k0, k1 + 1):
         i = k - k0
-        s, x = S.at(k), solution.X.at(k)
-        # one block at a time through one scratch buffer: the same
+        s, x = s_proc.at(k), x_proc.at(k)
+        # one block at a time through the scratch buffers: the same
         # operations per element as |X_k - (S_k + a_i)|
         for part in _level_blocks(s.size):
-            block = s[part]
+            block = _formed(s[part], s_shift, i, scratch)
             gap = np.add(block, a[i], out=scratch[: block.size])
-            np.subtract(x[part], gap, out=gap)
+            np.subtract(_formed(x[part], x_shift, i, x_scratch), gap, out=gap)
             identity = max(identity, float(np.max(np.abs(gap, out=gap))))
         if expected_losses is not None and not math.isnan(expected_losses[i]):
             constraint[i] = expected_losses[i]
         else:
-            constraint[i] = expected_loss(times[k], solution.X.functional_at(k), lattice, loss)
+            constraint[i] = expected_loss(times[k], x_proc.functional_at(k), lattice, loss,
+                                          shift=None if x_shift is None else x_shift[i])
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(
         identity <= IDENTITY_TOL

@@ -5,6 +5,10 @@ A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
 net signed counts of low- and high-volatility steps, and builds no lattice;
 the config's n_steps cap holds for every mode.
 
+A solving run stores one process besides A, S in ``sp_only`` and X in
+``full_sde``; the verifier and the CSV pass form X = S + A or U = X - A one
+leaf block at a time where they read it.
+
 All output is deterministic: repeated runs of one config produce
 byte-identical files. Floats are serialized with their shortest round-trip
 representation and the report carries the config hash for provenance.
@@ -42,13 +46,13 @@ from .errors import (
     SolverError,
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
-from .lattice import build_lattice
+from .lattice import ProcessOnLattice, build_lattice
 from .loss import validate_loss
 from .reflection import (
     DEFAULT_PRECONDITION_TOL,
     IDENTITY_TOL,
     SkorokhodSolution,
-    solve_mean_reflection_direct,
+    _reflect_direct,
     verify_mean_reflection,
 )
 from .sde import (
@@ -237,19 +241,25 @@ def _csv_from_columns(header: str, columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float) -> str:
+def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float,
+                  S: ProcessOnLattice | None = None) -> str:
     """The CSV trace; e_l is E[l(t_k, X_k)] for every step, as the verifier
-    computed it."""
+    computed it. A solution with no X is read as S + A: the sweeps add a_k
+    to each leaf block of S_k, bitwise X_k's values."""
     times = lattice.grid.times
     n = lattice.depth
     a = solution.A.values
+    stored, shifts = (S, a) if solution.X is None else (solution.X, None)
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     for k in range(n + 1):
-        xk = solution.X.functional_at(k)
-        e_x[k] = upper_expectation(lattice, xk)
+        xk = stored.functional_at(k)
+        shift = None if shifts is None else shifts[k]
+        e_x[k] = upper_expectation(lattice, xk,
+                                   leaf_map=None if shift is None else lambda v: v + shift)
         try:
-            e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=lambda v: np.abs(v) ** p)
+            e_abs_p[k] = upper_expectation(
+                lattice, xk, leaf_map=lambda v: np.abs(v if shift is None else v + shift) ** p)
         except InvalidParameterError:
             raise InvalidParameterError(
                 f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"
@@ -316,13 +326,12 @@ def run_experiment(
                 lattice = build_lattice(config.band(), config.grid())
                 if config.mode == "sp_only":
                     S = integrate_sde(coeffs, lattice, config.problem.x0)
-                    solution = solve_mean_reflection_direct(loss, S, lattice,
-                                                            tol=config.solver.tol)
+                    solution = _reflect_direct(loss, S, lattice, tol=config.solver.tol)
                 else:
                     problem = MRSDEProblem(x0=config.problem.x0, coeffs=coeffs, loss=loss,
                                            band=lattice.band, grid=lattice.grid, p=config.problem.p)
                     solution = picard_solve(problem, config.solver, lattice=lattice)
-                    S = solution.U
+                    S = None
                 verification = verify_mean_reflection(
                     solution, loss, S, lattice, expected_losses=solution.expected_losses)
                 if config.mode == "full_sde":
@@ -344,7 +353,7 @@ def run_experiment(
                     }
                 checks.extend(_verification_checks(verification, solution.A.values))
                 csv_text = _solution_csv(lattice, solution, verification.expected_losses,
-                                         config.problem.p)
+                                         config.problem.p, S)
             else:
                 diagnostics["solve_skipped"] = "validation checks failed"
     except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:

@@ -1,0 +1,232 @@
+"""A solving run stores one process: S in ``sp_only``, where X = S + A, and
+X in ``full_sde``, where S is U = X - A. The verifier and the CSV pass form
+the other process one leaf block at a time, so every value they report must
+be bitwise the one that a materialised ``solution.X`` or ``solution.U``
+gives, and no whole-level copy of either may be built during a run.
+"""
+
+import dataclasses
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from meanreflect import (
+    DeterministicPath,
+    InvalidParameterError,
+    MRSDEProblem,
+    MRSDESolution,
+    ProcessOnLattice,
+    SkorokhodSolution,
+    TimeGrid,
+    VolatilityBand,
+    build_lattice,
+    integrate_sde,
+    make_loss,
+    picard_solve,
+    reflection,
+    runner,
+    solve_mean_reflection_direct,
+    solve_mean_reflection_reduced,
+    verify_mean_reflection,
+)
+from meanreflect.config import config_from_dict
+
+# bytes of one kernel block of 4^8 doubles
+BLOCK_BYTES = 8 * 4**8
+
+# registry problems whose initial constraint holds. In "slack" the
+# constraint never binds, so every shift is 0.0, and S_0 is x0 = -0.0, which
+# X_0 = S_0 + 0.0 turns into +0.0
+PROBLEMS = {
+    "ou_linear": ({"name": "ou_drift", "params": {"theta": 0.5}},
+                  {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+                  {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}, 0.0),
+    "constant_sin": ({"name": "constant_drift", "params": {"c": -1.0}},
+                     {"name": "constant_sigma", "params": {"a": 1.0}},
+                     {"name": "smooth_sin"}, 0.0),
+    "zero_arctan": ({"name": "zero"}, {"name": "constant_sigma", "params": {"a": 0.5}},
+                    {"name": "arctan_shift", "params": {"c": 5.0}}, 2.0),
+    "slack": ({"name": "ou_drift", "params": {"theta": 0.5}},
+              {"name": "constant_sigma", "params": {"a": 1.0}},
+              {"name": "linear", "params": {"c0": -10.0, "c1": 0.0}}, -0.0),
+}
+
+
+def _bits(values) -> list:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _config(problem: str, mode: str, n_steps: int):
+    b, sigma, loss, x0 = PROBLEMS[problem]
+    return config_from_dict({"mode": mode, "problem": {"n_steps": n_steps, "b": b,
+                                                       "sigma": sigma, "loss": loss, "x0": x0}})
+
+
+def _solve(config):
+    """The lattice, the loss, the solution and S as a run reads them, with
+    one process stored, and the same with X and S both materialised."""
+    loss = config.loss_spec()
+    lat = build_lattice(config.band(), config.grid())
+    if config.mode == "sp_only":
+        S = integrate_sde(config.coefficients(), lat, config.problem.x0)
+        stored = reflection._reflect_direct(loss, S, lat, config.solver.tol)
+        return lat, loss, (stored, S), (solve_mean_reflection_direct(loss, S, lat,
+                                                                     config.solver.tol), S)
+    problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
+                           band=lat.band, grid=lat.grid, p=config.problem.p)
+    solution = picard_solve(problem, config.solver, lattice=lat)
+    return lat, loss, (solution, None), (solution, solution.U)
+
+
+def _assert_same_reports(read, whole):
+    for name in ("identity_residual", "constraint_min", "flatoff_residual"):
+        assert _bits(getattr(read, name)) == _bits(getattr(whole, name)), name
+    assert _bits(read.expected_losses) == _bits(whole.expected_losses)
+    assert read.passed == whole.passed
+
+
+def _assert_readers_match(lat, loss, stored, whole):
+    """The verifier's residuals, with and without the kept losses, and the
+    CSV text, read through the stored process and from whole processes."""
+    (solution, S), (whole_solution, whole_S) = stored, whole
+    kept = whole_solution.expected_losses
+    read = verify_mean_reflection(solution, loss, S, lat, expected_losses=kept)
+    _assert_same_reports(read, verify_mean_reflection(whole_solution, loss, whole_S, lat,
+                                                      expected_losses=kept))
+    _assert_same_reports(verify_mean_reflection(solution, loss, S, lat),
+                         verify_mean_reflection(whole_solution, loss, whole_S, lat))
+    assert (runner._solution_csv(lat, solution, read.expected_losses, 2.0, S)
+            == runner._solution_csv(lat, whole_solution, read.expected_losses, 2.0))
+
+
+@pytest.mark.parametrize("n_steps", range(1, 7))
+@pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_readers_match_materialised_processes_bitwise(problem, mode, n_steps):
+    lat, loss, stored, whole = _solve(_config(problem, mode, n_steps))
+    solution, whole_solution = stored[0], whole[0]
+    assert _bits(solution.A.values) == _bits(whole_solution.A.values)
+    assert _bits(solution.expected_losses) == _bits(whole_solution.expected_losses)
+    if mode == "sp_only":
+        assert solution.X is None
+    _assert_readers_match(lat, loss, stored, whole)
+
+
+def test_slack_problem_takes_zero_shifts_onto_a_negative_zero():
+    lat, _, (solution, S), _ = _solve(_config("slack", "sp_only", 3))
+    assert not solution.A.values.any()
+    assert _bits(S.at(0)) == _bits([-0.0])
+    csv = runner._solution_csv(lat, solution, np.zeros(4), 2.0, S)
+    assert csv.splitlines()[1].split(",")[3] == "0.0"
+
+
+@pytest.fixture(scope="module")
+def lattice5():
+    return build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 5))
+
+
+def _signed_zeros(lat) -> ProcessOnLattice:
+    """Levels of signed zeros and ones, with -0.0 at the root."""
+    rng = np.random.default_rng(5)
+    levels = [np.array([-0.0])]
+    levels += [rng.choice([0.0, -0.0, 1.0, -1.0], size=4**k) for k in range(1, lat.depth + 1)]
+    return ProcessOnLattice(lat, 0, tuple(levels))
+
+
+@pytest.mark.parametrize("rise", [0.0, 0.25])
+def test_readers_form_signed_zeros_as_the_whole_addition_does(lattice5, rise):
+    # l(t, x) = x - 0.0 keeps the sign of a zero, so E[l] and E[X] both see
+    # whether a reader added the zero shift
+    lat, loss = lattice5, make_loss("linear", {"c0": 0.0, "c1": 0.0})
+    A = DeterministicPath(lat.grid.times, rise * np.arange(lat.depth + 1.0))
+    stored = _signed_zeros(lat)
+    # S stored, X = S + A
+    _assert_readers_match(lat, loss, (SkorokhodSolution(None, A), stored),
+                          (SkorokhodSolution(stored.shifted(A.values), A), stored))
+    # X stored, S = X + (-A)
+    _assert_readers_match(lat, loss, (SkorokhodSolution(stored, A), None),
+                          (SkorokhodSolution(stored, A), stored.shifted(-A.values)))
+
+
+def test_overflowing_x_raises_at_the_same_step(lattice5):
+    """X_3 = S_3 + a_3 overflows: both readers raise the finiteness error
+    after the same loss evaluations, those of steps 0-2."""
+    lat = lattice5
+    levels = [np.ones(4**k) for k in range(lat.depth + 1)]
+    levels[3] = np.full(4**3, 1.5e308)
+    S = ProcessOnLattice(lat, 0, tuple(levels))
+    A = DeterministicPath(lat.grid.times, np.array([0.0, 0.0, 0.0, 1e308, 1e308, 1e308]))
+    base = make_loss("linear", {"c0": 0.0, "c1": 0.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        whole = SkorokhodSolution(S.shifted(A.values), A)
+    for solution in (SkorokhodSolution(None, A), whole):
+        seen = []
+        loss = dataclasses.replace(base, fn=lambda t, x: seen.append(t) or base.fn(t, x))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidParameterError) as info:
+            verify_mean_reflection(solution, loss, S, lat)
+        assert str(info.value) == "functional values must be finite"
+        assert seen == list(lat.grid.times[:3])
+
+
+@pytest.mark.parametrize("mode, n_steps", [("sp_only", 5), ("sp_only", 9), ("full_sde", 5)])
+def test_run_builds_no_whole_shifted_process(tmp_path, monkeypatch, mode, n_steps):
+    config = _config("ou_linear", mode, n_steps)
+    lat, loss, _, (whole_solution, whole_S) = _solve(config)
+    whole = verify_mean_reflection(whole_solution, loss, whole_S, lat,
+                                   expected_losses=whole_solution.expected_losses)
+    want = runner._solution_csv(lat, whole_solution, whole.expected_losses, config.problem.p)
+
+    def refuse(*args):
+        raise AssertionError("a run built a whole shifted process")
+
+    monkeypatch.setattr(ProcessOnLattice, "shifted", refuse)
+    monkeypatch.setattr(MRSDESolution, "U", property(refuse))
+    result = runner.run_experiment(config, output_dir=str(tmp_path))
+    assert result.exit_code == runner.EXIT_PASS
+    assert result.csv_text == want
+
+
+@pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
+def test_abs_power_overflow_still_names_the_csv_column(tmp_path, mode):
+    config = config_from_dict({"mode": mode, "problem": {"n_steps": 4, "x0": 1e300}})
+    result = runner.run_experiment(config, output_dir=str(tmp_path))
+    assert result.exit_code == runner.EXIT_SOLVER_FAILURE
+    assert "CSV column E_absX_p at t=0.0" in result.report["diagnostics"]["solver_error"]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _process_bytes(depth: int) -> int:
+    return sum(8 * 4**k for k in range(depth + 1))
+
+
+def test_sp_only_run_peak_is_s_plus_a_few_blocks(tmp_path):
+    """An n=8 run holds S and a few blocks of temporaries: a root find's
+    shifted block and loss values, or the CSV's |X|^p temporaries, plus the
+    sweep's buffers, about 2.75 blocks. A whole X would add 1.33 blocks."""
+    config = _config("constant_sin", "sp_only", 8)
+    runner.run_experiment(config, output_dir=str(tmp_path))
+    peak = _traced_peak(lambda: runner.run_experiment(config, output_dir=str(tmp_path)))
+    assert peak < _process_bytes(8) + 3.5 * BLOCK_BYTES
+
+
+def test_reduced_construction_drops_its_last_centred_level():
+    """At depth 10 the peak is S and X plus under a block: the top level's
+    centred copy (16 blocks) is gone before X is built."""
+    config = _config("ou_linear", "sp_only", 10)
+    lat = build_lattice(config.band(), config.grid())
+
+    def solve():
+        S = integrate_sde(config.coefficients(), lat, config.problem.x0)
+        solve_mean_reflection_reduced(config.loss_spec(), S, lat, config.solver.tol)
+
+    assert _traced_peak(solve) < 2 * _process_bytes(10) + BLOCK_BYTES
