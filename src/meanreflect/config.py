@@ -56,6 +56,11 @@ class LossConfig(SelectorConfig):
 
 @dataclass(frozen=True)
 class ProblemConfig:
+    """The ``problem`` section: initial value, horizon and steps, the
+    variance band, the moment order p of the CSV's E|X|^p, the registry
+    selections of b, h, sigma and the loss, and the payoff of a
+    ``gexp_probe`` run."""
+
     x0: float = 0.0
     horizon: float = 1.0
     n_steps: int = 8
@@ -73,6 +78,8 @@ class ProblemConfig:
 
 @dataclass(frozen=True)
 class OutputsConfig:
+    """The ``outputs`` section: the CSV trace and JSON report paths."""
+
     csv: str = "trace.csv"
     report: str = "report.json"
 
@@ -95,6 +102,9 @@ def _built_once(builder):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One parsed config file: the mode and its problem, solver and outputs
+    sections, with builders for the objects a run needs."""
+
     mode: str = "full_sde"
     problem: ProblemConfig = field(default_factory=ProblemConfig)
     solver: PicardConfig = field(default_factory=PicardConfig)

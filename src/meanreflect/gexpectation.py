@@ -30,14 +30,16 @@ A terminal payoff phi(B_T) needs no tree. B at a depth-k node is
 i sigma_low sqrt(dt) + j sigma_high sqrt(dt), where i and j are the net
 signed counts of low- and high-volatility steps on its path, and the
 backward value of phi(B_T) at the node depends only on (i, j): the four
-children of (i, j) are (i +- 1, j) and (i, j +- 1). So
-``terminal_upper_expectation`` evaluates phi once, on the (n+1)^2 reachable
-terminal states (|i| + |j| <= n and i + j = n mod 2), and sweeps the
-recombining (i, j) grid in n steps of the tree's arithmetic, average first
-and then max: O(n^3) work and (2n+1)^2 values instead of 4^n leaves. Only B
-differs from the tree's leaves, which sum it in path order, so the value
-moves by rounding alone (at most 2.2e-16 relative for the registry payoffs
-at n <= 10).
+children of (i, j) are (i +- 1, j) and (i, j +- 1). The depth-k states are
+indexed by the rotated counts p, q in [0, k], with i = p + q - k and
+j = p - q, so the low children of (p, q) are (p+1, q+1) and (p, q) and its
+high children (p+1, q) and (p, q+1). ``terminal_upper_expectation``
+evaluates phi once, on the (n+1)^2 terminal states, and sweeps the (k+1)^2
+grid down to k = 0 in n steps of the tree's arithmetic, average first and
+then max, each sum taking its two children in the tree's order: O(n^3) work
+and (n+1)^2 values instead of 4^n leaves. Only B differs from the tree's
+leaves, which sum it in path order, so the value moves by rounding alone
+(at most 2.2e-16 relative for the registry payoffs at n <= 10).
 """
 
 from __future__ import annotations
@@ -164,28 +166,24 @@ def terminal_upper_expectation(band: VolatilityBand, grid: TimeGrid, fn) -> floa
     """Upper expectation of the terminal payoff fn(B_T) on the lattice of
     ``band`` over ``grid``, by the recombining sweep (module docstring).
 
-    ``fn`` is called once, on a 1-d array of the reachable values of B_T,
-    and must return one value per value it is given; a non-finite one
-    raises InvalidParameterError. Unreachable grid cells hold 0 and never
-    reach a reachable one. The grid has no enumeration cap.
+    ``fn`` is called once, on a 1-d array of the (n+1)^2 values of B_T, and
+    must return one value per value it is given; a non-finite one raises
+    InvalidParameterError. The grid has no enumeration cap.
     """
     n = grid.n_steps
-    counts = np.arange(-n, n + 1.0)
-    i, j = counts[:, None], counts[None, :]
-    reachable = (np.abs(i) + np.abs(j) <= n) & ((i + j + n) % 2 == 0)
+    p, q = np.arange(n + 1.0)[:, None], np.arange(n + 1.0)[None, :]
     root_dt = math.sqrt(grid.dt)
-    b = (i * (band.sigma_low * root_dt) + j * (band.sigma_high * root_dt))[reachable]
-    payoff = np.asarray(fn(b), dtype=float)
-    if payoff.shape != b.shape:
+    b = ((p + q - n) * (band.sigma_low * root_dt) + (p - q) * (band.sigma_high * root_dt)).ravel()
+    v = np.asarray(fn(b), dtype=float)
+    if v.shape != b.shape:
         raise InvalidParameterError(
-            f"payoff must return one value per state: {b.size} states, got shape {payoff.shape}"
+            f"payoff must return one value per state: {b.size} states, got shape {v.shape}"
         )
-    _require_finite(payoff)
-    v = np.zeros((2 * n + 1, 2 * n + 1))
-    v[reachable] = payoff
-    # each step drops the outer ring: a depth-k state has |i|, |j| <= k
+    _require_finite(v)
+    v = v.reshape(n + 1, n + 1)
+    # low children (p+1, q+1), (p, q); high children (p+1, q), (p, q+1)
     for _ in range(n):
-        v = np.maximum(0.5 * (v[2:, 1:-1] + v[:-2, 1:-1]), 0.5 * (v[1:-1, 2:] + v[1:-1, :-2]))
+        v = np.maximum(0.5 * (v[1:, 1:] + v[:-1, :-1]), 0.5 * (v[1:, :-1] + v[:-1, 1:]))
     return float(v[0, 0])
 
 

@@ -72,6 +72,9 @@ class SpaceGrid:
 
 @dataclass(frozen=True)
 class HeatSolution:
+    """The G-heat solution at time 0 on the grid ``xs``, its value at the
+    origin, and the time step and number of steps of the march."""
+
     xs: np.ndarray
     u: np.ndarray
     value_at_origin: float

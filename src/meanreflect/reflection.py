@@ -137,6 +137,8 @@ class SkorokhodSolution:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The residuals of ``verify_mean_reflection`` and their verdict."""
+
     identity_residual: float
     constraint_min: float
     flatoff_residual: float
@@ -693,6 +695,12 @@ def verify_mean_reflection(
     A run stores one process: a solution with no X is read as S + A, and S
     None as U = X + (-A), the addition ``MRSDESolution.U`` makes, each
     formed one block at a time, bitwise as the whole process.
+
+    So ``identity_residual`` is no check of a solver. With no X (a
+    ``sp_only`` run) it compares S + A with itself and is 0, even where the
+    addition overflows: the NaN of ``inf - inf`` drops out of the running
+    max, and the constraint sweep of that X raises instead. With S None (a
+    ``full_sde`` run) it is the round trip of X against (X - A) + A.
     """
     times = lattice.grid.times
     a = solution.A.values

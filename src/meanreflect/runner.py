@@ -2,8 +2,8 @@
 
 A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
 ``gexpectation.terminal_upper_expectation``, the recombining sweep over the
-net signed counts of low- and high-volatility steps, and builds no lattice;
-the config's n_steps cap holds for every mode.
+(n+1)^2 reachable pairs of net signed counts of low- and high-volatility
+steps, and builds no lattice; the config's n_steps cap holds for every mode.
 
 A solving run stores one process besides A, S in ``sp_only`` and X in
 ``full_sde``; the verifier and the CSV pass form X = S + A or U = X - A one
@@ -46,7 +46,7 @@ from .errors import (
     SolverError,
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
-from .lattice import ProcessOnLattice, build_lattice
+from .lattice import _BLOCK_LEVELS, ProcessOnLattice, build_lattice
 from .loss import validate_loss
 from .reflection import (
     DEFAULT_PRECONDITION_TOL,
@@ -74,6 +74,9 @@ EXIT_SOLVER_FAILURE = 3
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One named check of the report: its measured value, threshold and
+    verdict."""
+
     name: str
     measured: float
     threshold: float
@@ -90,6 +93,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RunResult:
+    """What ``run_experiment`` made: the report, the exit code, the CSV
+    text and the paths written (None where nothing was)."""
+
     report: dict
     exit_code: int
     csv_text: str | None
@@ -245,21 +251,31 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
                   S: ProcessOnLattice | None = None) -> str:
     """The CSV trace; e_l is E[l(t_k, X_k)] for every step, as the verifier
     computed it. A solution with no X is read as S + A: the sweeps add a_k
-    to each leaf block of S_k, bitwise X_k's values."""
+    to each leaf block of S_k, bitwise X_k's values. The leaf maps write
+    into one reused buffer of a block, with ``**=`` taking the same power
+    as ``** p``."""
     times = lattice.grid.times
     n = lattice.depth
     a = solution.A.values
     stored, shifts = (S, a) if solution.X is None else (solution.X, None)
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
+    buffer = np.empty(min(4**n, 4**_BLOCK_LEVELS))
+
+    def shifted(v):
+        return np.add(v, shift, out=buffer[: v.size])
+
+    def abs_p(v):
+        out = np.abs(v if shift is None else shifted(v), out=buffer[: v.size])
+        out **= p
+        return out
+
     for k in range(n + 1):
         xk = stored.functional_at(k)
         shift = None if shifts is None else shifts[k]
-        e_x[k] = upper_expectation(lattice, xk,
-                                   leaf_map=None if shift is None else lambda v: v + shift)
+        e_x[k] = upper_expectation(lattice, xk, leaf_map=None if shift is None else shifted)
         try:
-            e_abs_p[k] = upper_expectation(
-                lattice, xk, leaf_map=lambda v: np.abs(v if shift is None else v + shift) ** p)
+            e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=abs_p)
         except InvalidParameterError:
             raise InvalidParameterError(
                 f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"

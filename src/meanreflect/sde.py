@@ -188,6 +188,11 @@ class MRSDEProblem:
 
 @dataclass(frozen=True)
 class PicardConfig:
+    """Settings of ``picard_solve``: the sup-distance tolerance, the
+    iteration cap, the contraction-ratio guard that halves a subinterval,
+    the first and smallest subinterval lengths in steps, and the constant
+    first driver (x0 when None)."""
+
     tol: float = 1e-10
     max_iter: int = 60
     contraction_guard: float = 0.5
@@ -226,6 +231,9 @@ class PicardConfig:
 
 @dataclass(frozen=True)
 class SubintervalDiagnostics:
+    """One converged subinterval of ``picard_solve``: its steps, the sup
+    distance of each iteration and the observed contraction ratios."""
+
     start_step: int
     end_step: int
     distances: tuple[float, ...]

@@ -7,9 +7,11 @@ exceptions are ``ref_loss_violations`` and ``ref_coefficient_violations``,
 the all-pairs spot checks of a loss and of coefficients that
 ``validate_loss`` and ``sde.validate_coefficients`` certify in O(n), and the
 ``ref_*`` expectations of a whole-level array at the end, which map a level
-first and then sweep it with the library's plain sweep. They are kept as
-written before the certificates and before the per-block leaf maps, since
-those must reproduce their exact floating-point results.
+first and then sweep it with the library's plain sweep, and
+``ref_terminal_upper_expectation``, the masked square-grid sweep of a
+terminal payoff. They are kept as written before the certificates, the
+per-block leaf maps and the rotated count grid, since those must reproduce
+their exact floating-point results.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import math
 
 import numpy as np
 
-from meanreflect import PathFunctional, upper_expectation
+from meanreflect import InvalidParameterError, PathFunctional, upper_expectation
+from meanreflect.lattice import _require_finite
 
 
 def ref_upper_expectation(values, depth: int) -> float:
@@ -207,3 +210,33 @@ def ref_lower_expectation(lattice, xi) -> float:
     """``lower_expectation`` as written before the leaf map: -E[-xi] with -xi
     built whole."""
     return -upper_expectation(lattice, PathFunctional(xi.depth, -xi.values))
+
+
+def ref_terminal_upper_expectation(band, grid, fn) -> float:
+    """``terminal_upper_expectation`` as written before the rotated count
+    grid: phi(B_T) on the (2n+1)^2 square of net signed counts (i, j), with
+    the unreachable cells held at 0 by a reachability mask.
+
+    ``fn`` is called once, on a 1-d array of the reachable values of B_T,
+    and must return one value per value it is given; a non-finite one
+    raises InvalidParameterError. Unreachable grid cells hold 0 and never
+    reach a reachable one. The grid has no enumeration cap.
+    """
+    n = grid.n_steps
+    counts = np.arange(-n, n + 1.0)
+    i, j = counts[:, None], counts[None, :]
+    reachable = (np.abs(i) + np.abs(j) <= n) & ((i + j + n) % 2 == 0)
+    root_dt = math.sqrt(grid.dt)
+    b = (i * (band.sigma_low * root_dt) + j * (band.sigma_high * root_dt))[reachable]
+    payoff = np.asarray(fn(b), dtype=float)
+    if payoff.shape != b.shape:
+        raise InvalidParameterError(
+            f"payoff must return one value per state: {b.size} states, got shape {payoff.shape}"
+        )
+    _require_finite(payoff)
+    v = np.zeros((2 * n + 1, 2 * n + 1))
+    v[reachable] = payoff
+    # each step drops the outer ring: a depth-k state has |i|, |j| <= k
+    for _ in range(n):
+        v = np.maximum(0.5 * (v[2:, 1:-1] + v[:-2, 1:-1]), 0.5 * (v[1:-1, 2:] + v[1:-1, :-2]))
+    return float(v[0, 0])

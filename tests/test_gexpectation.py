@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,12 @@ from meanreflect.config import ProblemConfig
 from meanreflect.gexpectation import _policy_support, _sweep
 from meanreflect.registry import LOSSES, PAYOFFS, make_loss, make_payoff
 from meanreflect.reflection import expected_loss
-from oracles import ref_enumerated_supremum, ref_fixed_policy_expectation, ref_upper_expectation
+from oracles import (
+    ref_enumerated_supremum,
+    ref_fixed_policy_expectation,
+    ref_terminal_upper_expectation,
+    ref_upper_expectation,
+)
 
 
 class TestGFunction:
@@ -346,6 +353,46 @@ class TestTerminalKernel:
         # classical band: the binomial second moment, exactly horizon
         assert terminal_upper_expectation(band, TimeGrid(1.0, 64), lambda x: x**2) == (
             pytest.approx(1.0, rel=1e-12))
+
+    @pytest.mark.parametrize("low_sq, high_sq, classical",
+                             [(lo, hi, False) for lo, hi in KERNEL_BANDS] + [(1.0, 1.0, True)])
+    def test_bitwise_equal_to_the_square_grid(self, low_sq, high_sq, classical):
+        band = VolatilityBand(low_sq, high_sq, classical=classical)
+        for n in [*range(11), 17, 64]:
+            grid = TimeGrid(1.0 if n else 0.0, n)
+            for name, params in KERNEL_PAYOFFS:
+                fn = make_payoff(name, params).fn
+                value = terminal_upper_expectation(band, grid, fn)
+                assert _same_bits(value, ref_terminal_upper_expectation(band, grid, fn)), (
+                    n, name, params)
+
+    @pytest.mark.parametrize("name, params", [("abs", {}), ("neg_square", {}),
+                                              ("call", {"strike": 0.5})])
+    def test_bitwise_equal_to_the_square_grid_at_n_200(self, name, params):
+        grid = TimeGrid(1.0, 200)
+        fn = make_payoff(name, params).fn
+        for low_sq, high_sq in KERNEL_BANDS:
+            band = VolatilityBand(low_sq, high_sq)
+            value = terminal_upper_expectation(band, grid, fn)
+            assert _same_bits(value, ref_terminal_upper_expectation(band, grid, fn)), band
+
+    @pytest.mark.parametrize("low_sq, high_sq", KERNEL_BANDS)
+    @pytest.mark.parametrize("name, params, branch", [
+        ("square", {}, "high"), ("abs", {}, "high"), ("call", {}, "high"),
+        ("call", {"strike": 0.5}, "high"), ("neg_square", {}, "low")])
+    def test_binomial_sum_of_the_winning_branch_at_n_200(self, low_sq, high_sq, name,
+                                                          params, branch):
+        # a convex payoff takes the high branch at every node, a concave one
+        # the low branch: the value is a binomial sum of B_T = sigma sqrt(dt) S_n
+        n = 200
+        band = VolatilityBand(low_sq, high_sq)
+        grid = TimeGrid(1.0, n)
+        sigma = band.sigma_high if branch == "high" else band.sigma_low
+        fn = make_payoff(name, params).fn
+        b = (2.0 * np.arange(n + 1) - n) * (sigma * np.sqrt(grid.dt))
+        binomial = math.fsum(math.comb(n, m) / 2**n * v for m, v in enumerate(fn(b)))
+        value = terminal_upper_expectation(band, grid, fn)
+        assert value == pytest.approx(binomial, rel=1e-12, abs=0.0)
 
 
 def _empty_policy(depth):
