@@ -664,11 +664,6 @@ def solve_mean_reflection_reduced(
     )
 
 
-def _formed(block: np.ndarray, shifts: np.ndarray | None, i: int, out: np.ndarray):
-    """A stored block, or the block plus level i's shift written into ``out``."""
-    return block if shifts is None else np.add(block, shifts[i], out=out[: block.size])
-
-
 def verify_mean_reflection(
     solution: SkorokhodSolution,
     loss: LossSpec,
@@ -692,40 +687,43 @@ def verify_mean_reflection(
     the constraint is slack or A carries an earlier, larger shift, and the
     junctions of Picard's subintervals.
 
-    A run stores one process: a solution with no X is read as S + A, and S
-    None as U = X + (-A), the addition ``MRSDESolution.U`` makes, each
-    formed one block at a time, bitwise as the whole process.
-
-    So ``identity_residual`` is no check of a solver. With no X (a
-    ``sp_only`` run) it compares S + A with itself and is 0, even where the
-    addition overflows: the NaN of ``inf - inf`` drops out of the running
-    max, and the constraint sweep of that X raises instead. With S None (a
-    ``full_sde`` run) it is the round trip of X against (X - A) + A.
+    A run stores one process. A solution with no X (a ``sp_only`` run) is
+    S + A by definition: its ``identity_residual`` is 0, read from no level,
+    or NaN where S_k's kept range plus a_k is not finite (rounding is
+    monotone, as in ``expected_loss``). A solution with an X is compared
+    with S + A one 4^8 block at a time, and a NaN in any block carries
+    through. With S None (a ``full_sde`` run), S is X + (-A), the addition
+    ``MRSDESolution.U`` makes, so the residual is a computed round trip,
+    which rounding can move off 0.
     """
     times = lattice.grid.times
     a = solution.A.values
-    x_proc, x_shift = (S, a) if solution.X is None else (solution.X, None)
-    s_proc, s_shift = (solution.X, -a) if S is None else (S, None)
-    k0, k1 = s_proc.start_step, s_proc.end_step
+    X = solution.X
+    stored = X if S is None else S
+    steps = range(stored.start_step, stored.end_step + 1)
     identity = 0.0
-    constraint = np.empty(k1 - k0 + 1)
-    scratch = np.empty(min(4**k1, 4**_lattice._BLOCK_LEVELS))
-    x_scratch = None if x_shift is None else np.empty_like(scratch)
-    for k in range(k0, k1 + 1):
-        i = k - k0
-        s, x = s_proc.at(k), x_proc.at(k)
-        # one block at a time through the scratch buffers: the same
-        # operations per element as |X_k - (S_k + a_i)|
-        for part in _level_blocks(s.size):
-            block = _formed(s[part], s_shift, i, scratch)
-            gap = np.add(block, a[i], out=scratch[: block.size])
-            np.subtract(_formed(x[part], x_shift, i, x_scratch), gap, out=gap)
-            identity = max(identity, float(np.max(np.abs(gap, out=gap))))
+    if X is None:
+        if not all(math.isfinite(v + float(a[i]))
+                   for i, k in enumerate(steps) for v in S.functional_at(k).value_range):
+            identity = math.nan
+    else:
+        scratch = np.empty(min(4**steps[-1], 4**_lattice._BLOCK_LEVELS))
+        for i, k in enumerate(steps):
+            x = X.at(k)
+            # the same operations per element as |X_k - (S_k + a_i)|
+            for part in _level_blocks(x.size):
+                gap = scratch[: x[part].size]
+                s = np.add(x[part], -a[i], out=gap) if S is None else S.at(k)[part]
+                np.add(s, a[i], out=gap)
+                np.subtract(x[part], gap, out=gap)
+                identity = float(np.max((identity, np.max(np.abs(gap, out=gap)))))
+    constraint = np.empty(len(steps))
+    for i, k in enumerate(steps):
         if expected_losses is not None and not math.isnan(expected_losses[i]):
             constraint[i] = expected_losses[i]
         else:
-            constraint[i] = expected_loss(times[k], x_proc.functional_at(k), lattice, loss,
-                                          shift=None if x_shift is None else x_shift[i])
+            constraint[i] = expected_loss(times[k], (S if X is None else X).functional_at(k),
+                                          lattice, loss, shift=a[i] if X is None else None)
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     passed = bool(
         identity <= IDENTITY_TOL

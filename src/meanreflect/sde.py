@@ -556,8 +556,6 @@ def picard_solve(
     restarts = 0
     a_full = np.zeros(n + 1)
     losses = np.full(n + 1, np.nan)
-    x_vals: list[np.ndarray | None] = [None] * (n + 1)
-    x_vals[0] = np.array([problem.x0])
     pieces: list[ProcessOnLattice] = []
     initial = np.array([problem.x0])
     diags: list[SubintervalDiagnostics] = []
@@ -606,16 +604,16 @@ def picard_solve(
         diags.append(SubintervalDiagnostics(pos, end, tuple(distances), tuple(ratios)))
         local_a = step.solution.A.values
         a_full[pos : end + 1] = offset + local_a
-        for k in range(pos, end + 1):
-            x_vals[k] = step.solution.X.at(k)
         pieces.append(step.solution.X)
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
-    X = ProcessOnLattice(lattice, 0, tuple(x_vals))
-    # the functionals that _confirm_candidates read, and the ranges the
-    # steps took, serve the verifier and the CSV pass too; a subinterval's
-    # start level is the next one's array, which _adopt shares
+    # each junction takes the later subinterval's level. The functionals
+    # that _confirm_candidates read, and the ranges the steps took, serve
+    # the verifier and the CSV pass too; _adopt shares those of the levels
+    # X holds
+    X = ProcessOnLattice(lattice, 0, tuple(v for piece in pieces[:-1] for v in piece.values[:-1])
+                         + pieces[-1].values)
     for piece in pieces:
         X._adopt(piece, range(piece.start_step, piece.end_step + 1))
     return MRSDESolution(

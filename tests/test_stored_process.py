@@ -170,6 +170,62 @@ def test_overflowing_x_raises_at_the_same_step(lattice5):
         assert seen == list(lat.grid.times[:3])
 
 
+@pytest.mark.parametrize("n_steps", range(1, 7))
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_verifier_reads_no_level_of_a_solution_with_no_x(monkeypatch, problem, n_steps):
+    """X = S + A by definition, so the identity residual of a ``sp_only``
+    solution takes no block pass, and the report is the materialised X's."""
+    lat, loss, (solution, S), (whole_solution, _) = _solve(_config(problem, "sp_only", n_steps))
+    kept = whole_solution.expected_losses
+    want = [verify_mean_reflection(whole_solution, loss, S, lat, expected_losses=losses)
+            for losses in (kept, None)]
+
+    def refuse(*args):
+        raise AssertionError("the verifier passed over a level's blocks")
+
+    monkeypatch.setattr(reflection, "_level_blocks", refuse)
+    for losses, whole in zip((kept, None), want):
+        read = verify_mean_reflection(solution, loss, S, lat, expected_losses=losses)
+        assert read.identity_residual == 0.0
+        _assert_same_reports(read, whole)
+
+
+def test_overflowing_s_plus_a_gives_a_nan_identity_residual():
+    """S + A overflows to inf, so X - (S + A) is inf - inf: the residual is
+    NaN in both forms of the solution, and the verdict fails."""
+    lat = build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 2))
+    S = ProcessOnLattice(lat, 0, tuple(np.full(4**k, 1.7e308) for k in range(3)))
+    A = DeterministicPath(lat.grid.times, np.array([0.0, 5e307, 1e308]))
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    with np.errstate(over="ignore", invalid="ignore"):
+        for X in (None, S.shifted(A.values)):
+            report = verify_mean_reflection(SkorokhodSolution(X, A), loss, S, lat,
+                                            expected_losses=np.zeros(3))
+            assert np.isnan(report.identity_residual)
+            assert not report.passed
+
+
+@pytest.mark.parametrize("stored_s", [True, False])
+def test_nan_block_survives_an_earlier_positive_block(stored_s):
+    """Level 9 has four blocks: the first is off by 2^-10 and the last
+    holds a NaN, which must carry through the running max. The losses are
+    given, so no functional of the NaN level is built."""
+    lat = build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 9))
+    rng = np.random.default_rng(9)
+    S = ProcessOnLattice(lat, 0, tuple(rng.normal(size=4**k) for k in range(10)))
+    A = DeterministicPath(lat.grid.times, np.linspace(0.0, 0.5, 10))
+    levels = list(S.shifted(A.values).values)
+    levels[9] = levels[9].copy()
+    levels[9][0] += 2.0**-10
+    levels[9][-1] = np.nan
+    X = ProcessOnLattice(lat, 0, tuple(levels))
+    report = verify_mean_reflection(SkorokhodSolution(X, A),
+                                    make_loss("linear", {"c0": 0.0, "c1": 1.0}),
+                                    S if stored_s else None, lat, expected_losses=np.zeros(10))
+    assert np.isnan(report.identity_residual)
+    assert not report.passed
+
+
 @pytest.mark.parametrize("mode, n_steps", [("sp_only", 5), ("sp_only", 9), ("full_sde", 5)])
 def test_run_builds_no_whole_shifted_process(tmp_path, monkeypatch, mode, n_steps):
     config = _config("ou_linear", mode, n_steps)
