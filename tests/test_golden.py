@@ -25,6 +25,9 @@ nonlinear loss, whose roots take policy iteration from extrapolated starts.
 ``full_sde_constant_h`` is the one entry that sets ``h``: constant ``b`` and
 ``h`` and the default constant ``sigma``, so every term of its Euler steps
 is a scalar.
+``full_sde_falling_barrier`` is the one ``full_sde`` entry whose constraint
+goes slack after binding: its minimal shifts fall below the running max of
+those before them, so A carries an earlier, larger shift there.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -137,6 +140,17 @@ CONFIGS = {
         "mode": "full_sde",
         "problem": {"n_steps": 8, "b": {"name": "ou_drift", "params": {"theta": 0.7}}},
         "solver": {"delta_initial_steps": 3},
+    },
+    # a falling barrier: the constraint binds for three steps, then goes
+    # slack, so the later minimal shifts fall below the running max
+    "full_sde_falling_barrier": {
+        "mode": "full_sde",
+        "problem": {
+            "x0": 1.0, "n_steps": 8,
+            "b": {"name": "ou_drift", "params": {"theta": 1.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "linear", "params": {"c0": 1.0, "c1": -1.0}},
+        },
     },
     # no contraction at the minimum length: exit 3
     "picard_no_contraction": {
