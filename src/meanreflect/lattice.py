@@ -36,6 +36,7 @@ kept ranges (``ProcessOnLattice._adopt``).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -106,7 +107,12 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if self.n_steps < 0 or self.n_steps != int(self.n_steps):
+        # the lattice counts with n_steps, so a bool or a float is refused; a
+        # numpy integer is kept as an int, as _depth does
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise InvalidParameterError(f"n_steps must be an integer, got {self.n_steps!r}")
+        object.__setattr__(self, "n_steps", int(self.n_steps))
+        if self.n_steps < 0:
             raise InvalidParameterError(f"n_steps must be a nonnegative integer, got {self.n_steps}")
         if self.n_steps == 0:
             if self.horizon != 0.0:

@@ -49,6 +49,20 @@ def test_time_grid_invariants():
         TimeGrid(1.0, -2)
 
 
+@pytest.mark.parametrize("n_steps", [1.0, 2.0, 2.5, True, np.float64(4.0), np.bool_(True), "4"],
+                         ids=["float", "float_2", "fraction", "bool", "numpy_float",
+                              "numpy_bool", "str"])
+def test_time_grid_refuses_a_step_count_that_is_not_an_integer(n_steps):
+    with pytest.raises(InvalidParameterError, match="n_steps must be an integer"):
+        TimeGrid(1.0, n_steps)
+
+
+def test_time_grid_stores_a_numpy_step_count_as_int():
+    g = TimeGrid(1.0, np.int64(4))
+    assert type(g.n_steps) is int and g == TimeGrid(1.0, 4)
+    assert type(build_lattice(VolatilityBand(1.0, 4.0), g).depth) is int
+
+
 def test_degenerate_grid_needs_zero_horizon():
     g = TimeGrid(0.0, 0)
     assert list(g.times) == [0.0]
