@@ -126,8 +126,10 @@ class SkorokhodSolution:
 
     A solver may add ``expected_losses``: E[l(t_k, X_k)] for each step of A,
     bitwise the sweep of X_k, where its root find made that sweep
-    (``_reusable_losses``), and NaN elsewhere. X is None where the solver
-    leaves it as S + A for its readers to form (``_reflect_direct``)."""
+    (``_reusable_losses``) or, in ``sde.picard_solve``, where the converged
+    iterate swept X at a level with a positive shift, and NaN elsewhere. X
+    is None where the solver leaves it as S + A for its readers to form
+    (``_reflect_direct``)."""
 
     X: ProcessOnLattice | None
     A: DeterministicPath
@@ -682,10 +684,15 @@ def verify_mean_reflection(
     ``expected_losses`` may give E[l(t_k, X_k)] for the checked steps, NaN
     where unknown, as a solver's ``SkorokhodSolution.expected_losses`` does
     for the loss it solved with: the root finds' last sweeps, at every step
-    where A equals a positive minimal shift. Each known value is taken as
-    it is, and only the other steps are swept: the first step, steps where
-    the constraint is slack or A carries an earlier, larger shift, and the
-    junctions of Picard's subintervals.
+    where A equals a positive minimal shift, and Picard's sweeps of X at its
+    other steps with a positive shift. Each known value is taken as it is,
+    and only the other steps are swept: the first step, steps where the
+    constraint is slack, the junctions of Picard's subintervals, and the
+    steps where A carries an earlier, larger shift in a direct construction
+    or in a Picard subinterval solved with every root confirmed.
+
+    The stored process fixes the checked steps: A needs one value per step,
+    and an X given with an S must share its lattice and steps.
 
     A run stores one process. A solution with no X (a ``sp_only`` run) is
     S + A by definition: its ``identity_residual`` is 0, read from no level,
@@ -699,8 +706,15 @@ def verify_mean_reflection(
     times = lattice.grid.times
     a = solution.A.values
     X = solution.X
+    if X is None and S is None:
+        raise InvalidParameterError("verify_mean_reflection needs the solution's X or S")
+    if X is not None and S is not None:
+        _require_same_range(X, S)
     stored = X if S is None else S
     steps = range(stored.start_step, stored.end_step + 1)
+    if a.size != len(steps):
+        raise GridMismatchError(
+            f"A has {a.size} values for the {len(steps)} steps {steps[0]}..{steps[-1]}")
     identity = 0.0
     if X is None:
         if not all(math.isfinite(v + float(a[i]))
@@ -741,7 +755,7 @@ def verify_mean_reflection(
 
 def _require_same_range(s1: ProcessOnLattice, s2: ProcessOnLattice) -> None:
     if s1.lattice is not s2.lattice or s1.start_step != s2.start_step or s1.end_step != s2.end_step:
-        raise GridMismatchError("both solutions must live on the same lattice and step range")
+        raise GridMismatchError("both processes must live on the same lattice and step range")
 
 
 def stability_gap(

@@ -23,12 +23,15 @@ take n(n+1); its confirming last iteration recomputes nothing.
 
 Only the fixed point has to carry certified minimal shifts. So the iterates
 take the closed-form root of an affine loss without its confirming sweep,
-and the converged iterate confirms each such root once, by a sweep of X
-where A is that root, which is the skipped sweep bit for bit: a linear-loss
-solve of n steps makes n(n+1)/2 + n root sweeps where confirming every root
-made n(n+1). A candidate that fails its sweep sends the subinterval back
-through the iteration with every root confirmed, so the result is that of
-confirming every root whenever each candidate would pass.
+and the converged iterate sweeps X once at each level with a positive shift
+and no known value. A is the running max of the shifts. Where A is the
+level's shift, X is U plus that shift by the same addition, so the sweep is
+the skipped one bit for bit; where A carries an earlier, larger shift, a
+value >= 0 shows that the level's root does not exceed A, so it moves no A.
+A linear-loss solve of n steps makes n(n+1)/2 + n root sweeps where
+confirming every root made n(n+1). A negative value sends the subinterval
+back through the iteration with every root confirmed, so the result is that
+of confirming every root whenever each candidate would pass its own sweep.
 
 An Euler step runs over blocks of 4^7 parents, whose 4^8 children (512 KiB)
 are one contiguous subtree block of the child level (see ``lattice``): it
@@ -399,15 +402,12 @@ def picard_step(
     operation on the same inputs as in a full pass. Without ``previous`` the
     step is a full pass.
 
-    ``confirm`` is passed on to ``required_shift``. With ``confirm=False`` a
-    closed-form candidate stays unconfirmed, with the value NaN, where it
-    becomes A: there X is U plus that candidate by the same addition, so a
-    sweep of X confirms it later (``picard_solve``). A candidate below the
-    running max of the shifts before it never becomes A, so it is confirmed
-    at once by a sweep of U + x, while U is live; one that fails that sweep
-    is solved again with ``confirm=True``. Where every candidate would pass
-    its sweep, the step's shifts, X and A are bitwise those of
-    ``confirm=True``.
+    Each root is one call of ``required_shift``, which takes ``confirm``.
+    With ``confirm=False`` a closed-form candidate stays unconfirmed, with
+    the value NaN, and ``picard_solve`` checks the converged iterate's
+    candidates by sweeps of X (``_confirm_candidates``). Where every
+    candidate would pass its sweep, the step's shifts, X and A are bitwise
+    those of ``confirm=True``.
 
     The root finds read the functionals ``integrate_forward`` made with the
     Euler steps' ranges, and the solution's X levels carry U's range plus
@@ -445,21 +445,12 @@ def picard_step(
     u = list(forward.values) if forward is not None else []
     # the shift at start_step is zero by the checked constraint
     root_levels = range(max(fresh, k0 + 1), end_step + 1)
-    running = float(np.max(shifts[: root_levels.start - k0]))
     for k in root_levels:
         i = k - k0
         # the Euler step took U's range, so the root find makes no pass for it
-        xi = forward.functional_at(k)
-        start = _shift_guess(shifts, i)
-        shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
-                                      with_value=True, confirm=confirm)
-        if math.isnan(value) and shift < running:
-            value = expected_loss(times[k], xi, lattice, loss, shift=shift)
-            if value < 0.0:
-                shift, value = required_shift(times[k], xi, lattice, loss, tol, start=start,
-                                              with_value=True)
-        shifts[i], losses[i] = shift, value
-        running = max(running, shift)
+        shifts[i], losses[i] = required_shift(
+            times[k], forward.functional_at(k), lattice, loss, tol,
+            start=_shift_guess(shifts, i), with_value=True, confirm=confirm)
     compensator = np.maximum.accumulate(shifts)
     # this step's Euler made the top U level and no step starts from it, so
     # it becomes X in place; U at base is the caller's array
@@ -474,7 +465,7 @@ def picard_step(
     X._adopt(driver, range(k0, fresh))
     if forward is not None:
         X._adopt(forward, range(fresh, end_step + 1), compensator)
-    forward = xi = None
+    forward = None
     # X at the recomputed levels, and the sup distance and first changed
     # level against the driver, one kernel block at a time. Kept levels equal
     # the driver's; start_step stays in so that a non-finite initial value
@@ -530,13 +521,14 @@ def picard_solve(
 
     Only the fixed point has to carry certified minimal shifts, so the
     iterates take closed-form roots unconfirmed (``picard_step`` with
-    ``confirm=False``), and the converged iterate's candidates are confirmed
-    once, by a sweep of X where A is the candidate (``_confirm_candidates``).
-    That sweep is the skipped confirming sweep bit for bit, and its value is
-    pasted into ``expected_losses``. If one is negative, the subinterval is
-    solved again with every root confirmed, as ``picard_step`` does by
-    default. So the result equals that of confirming every root bit for bit
-    whenever every candidate would pass its sweep.
+    ``confirm=False``), and the converged iterate sweeps X once at every
+    level with a positive shift and no known value (``_confirm_candidates``).
+    Where A is the level's shift, that sweep is the skipped confirming sweep
+    bit for bit; where A is larger, it shows that the level's root does not
+    exceed A. Each value is pasted into ``expected_losses``. If one is
+    negative, the subinterval is solved again with every root confirmed, as
+    ``picard_step`` does by default. So the result equals that of confirming
+    every root bit for bit whenever every candidate would pass its sweep.
 
     The solution's X keeps the steps' functionals, so the confirming sweeps,
     the verifier and the CSV pass share one per level.
@@ -627,15 +619,16 @@ def picard_solve(
 
 def _confirm_candidates(loss: LossSpec, lattice: PathLattice, step: PicardStepResult,
                         losses: np.ndarray) -> bool:
-    """Sweep X at each level of ``step`` whose A is a positive shift with no
-    value in ``losses`` (an unconfirmed candidate, see ``picard_step``) and
-    write the value there; False at the first value below 0. X there is U
-    plus that shift by the same addition, so the sweep is the confirming
-    sweep ``required_shift`` skipped, bit for bit."""
+    """Sweep X at each level of ``step`` with a positive shift and no value in
+    ``losses`` and write the value there; False at the first value below 0.
+    Where A is the level's shift, an unconfirmed candidate (see
+    ``picard_step``), X is U plus that shift by the same addition, so the
+    sweep is the confirming sweep ``required_shift`` skipped, bit for bit.
+    Where A carries an earlier, larger shift, A_k = max(A_{k-1}, root), so a
+    value >= 0 shows that the root, confirmed or not, moves no A."""
     times = lattice.grid.times
     k0 = step.solution.X.start_step
-    shifts = step.shifts
-    open_levels = (shifts > 0.0) & (step.solution.A.values == shifts) & np.isnan(losses)
+    open_levels = (step.shifts > 0.0) & np.isnan(losses)
     for i in np.flatnonzero(open_levels).tolist():
         losses[i] = expected_loss(times[k0 + i], step.solution.X.functional_at(k0 + i),
                                   lattice, loss)

@@ -9,10 +9,12 @@ import pytest
 from meanreflect import (
     BracketError,
     Coefficients,
+    GridMismatchError,
     InitialConstraintError,
     InvalidParameterError,
     LossSpec,
     PathFunctional,
+    ProcessOnLattice,
     TimeGrid,
     brownian_process,
     build_lattice,
@@ -984,6 +986,34 @@ class TestVerifier:
         report = verify_mean_reflection(bad, loss, s, lattice6, tol=1e-8)
         assert not report.passed
         assert report.constraint_min < -1e-8
+
+    def test_needs_x_or_s(self, lattice6, solved):
+        loss, _, sol = solved
+        with pytest.raises(InvalidParameterError, match="X or S"):
+            verify_mean_reflection(SkorokhodSolution(None, sol.A), loss, None, lattice6)
+
+    @pytest.mark.parametrize("differs", ["steps", "lattice"])
+    def test_x_and_s_share_lattice_and_steps(self, band, grid6, lattice6, solved, differs):
+        # S and A on steps 0..2; an X on steps 0..4 would leave its levels
+        # 3 and 4 unread, and an X on another lattice is not S + A
+        loss, s, sol = solved
+        short_s = ProcessOnLattice(lattice6, 0, s.values[:3])
+        a = DeterministicPath(sol.A.times[:3], sol.A.values[:3])
+        if differs == "steps":
+            x = ProcessOnLattice(lattice6, 0, sol.X.values[:5])
+        else:
+            x = ProcessOnLattice(build_lattice(band, grid6), 0, sol.X.values[:3])
+        with pytest.raises(GridMismatchError):
+            verify_mean_reflection(SkorokhodSolution(x, a), loss, short_s, lattice6)
+
+    @pytest.mark.parametrize("stored", ["X", "S", "both"])
+    def test_a_has_one_value_per_stored_step(self, lattice6, solved, stored):
+        loss, s, sol = solved
+        a = DeterministicPath(sol.A.times[:4], sol.A.values[:4])
+        x = None if stored == "S" else sol.X
+        with pytest.raises(GridMismatchError, match="A has 4 values for the 7 steps 0..6"):
+            verify_mean_reflection(SkorokhodSolution(x, a), loss,
+                                   None if stored == "X" else s, lattice6)
 
 
 class TestStability:

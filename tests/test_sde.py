@@ -454,7 +454,8 @@ def _reference_solve(problem, config, lattice):
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
-    return {"x": x, "a": a, "losses": losses, "diags": diags, "restarts": restarts}
+    return {"x": x, "a": a, "losses": losses, "diags": diags, "restarts": restarts,
+            "loss": problem.loss}
 
 
 def _bits(values):
@@ -462,10 +463,19 @@ def _bits(values):
 
 
 def _assert_equals_reference(sol, ref):
-    """picard_solve's result equals ``_reference_solve``'s bit for bit."""
+    """picard_solve's result equals ``_reference_solve``'s bit for bit. Its
+    ``expected_losses`` may also know a level where A carries an earlier,
+    larger shift, which the converged iterate's sweep of X checked; each such
+    value is the sweep of that X level."""
     assert sol.restarts == ref["restarts"]
     assert _bits(sol.A.values) == _bits(ref["a"])
-    assert _bits(sol.expected_losses) == _bits(ref["losses"])
+    known = ~np.isnan(ref["losses"])
+    assert _bits(sol.expected_losses[known]) == _bits(ref["losses"][known])
+    for k in np.flatnonzero(~known & ~np.isnan(sol.expected_losses)).tolist():
+        assert sol.A.values[k] > 0.0
+        fresh = expected_loss(float(sol.A.times[k]), PathFunctional(k, ref["x"][k]),
+                              sol.X.lattice, ref["loss"])
+        assert _bits([sol.expected_losses[k]]) == _bits([fresh])
     for k in range(len(ref["x"])):
         assert _bits(sol.X.at(k)) == _bits(ref["x"][k])
     assert len(sol.diagnostics) == len(ref["diags"])
@@ -619,9 +629,10 @@ class TestLevelReuse:
         # every binding candidate -base + tol/2 fails its sweep, so the
         # converged unconfirmed iterate is thrown away
         "every_step": lambda t, x: 0.5 * (x - t),
-        # from t = 3/4 on the candidates fall below the running max, and the
-        # sweep picard_step gives them at once fails; solved again, their
-        # roots lie above it
+        # from t = 3/4 on the candidates fall below the running max, so A
+        # carries an earlier shift there; their roots lie above it, so the
+        # sweep of X at those levels fails, and the subinterval is solved
+        # again with every root confirmed
         "late_steps": lambda t, x: (1.0 if t < 0.75 else 0.5) * (x - t),
     }
 
@@ -631,28 +642,48 @@ class TestLevelReuse:
         lying = LossSpec(fn=self.LYING[case], c_l=1.0, C_l=1.0,
                          time_modulus=lambda d: 0.5 * d, kappa_growth=1.0, name=case)
         prob = _binding_problem(grid6, lying)
-        steps, roots = [], []
-        real_step, real_shift = sde.picard_step, sde.required_shift
+        steps = []  # (confirm, result) per picard_step call
+        real_step = sde.picard_step
 
         def step(*args, **kwargs):
-            steps.append(kwargs["confirm"])
-            return real_step(*args, **kwargs)
-
-        def shift(*args, **kwargs):
-            roots.append(kwargs.get("confirm", True))
-            return real_shift(*args, **kwargs)
+            steps.append((kwargs["confirm"], real_step(*args, **kwargs)))
+            return steps[-1][1]
 
         monkeypatch.setattr(sde, "picard_step", step)
-        monkeypatch.setattr(sde, "required_shift", shift)
         sol = picard_solve(prob, lattice=lattice6)
         monkeypatch.undo()
-        if case == "every_step":
-            first = steps.index(True)
-            assert first > 0 and steps == [False] * first + [True] * (len(steps) - first)
-            assert len(steps) - first == sol.diagnostics[0].iterations
-        else:
-            assert True not in steps and True in roots
+        confirms = [confirm for confirm, _ in steps]
+        first = confirms.index(True)
+        assert first > 0 and confirms == [False] * first + [True] * (len(steps) - first)
+        assert len(steps) - first == sol.diagnostics[0].iterations
+        # the thrown-away iterate: below the running max from t = 3/4 on
+        # (levels 5 and 6) in the late case, nowhere in the other
+        thrown = steps[first - 1][1]
+        below = (thrown.shifts < thrown.solution.A.values).tolist()
+        assert below == [False] * 5 + [case == "late_steps"] * 2
         assert np.all(np.diff(sol.A.values) > 0.0)
+        _assert_equals_reference(sol, _reference_solve(prob, PicardConfig(), lattice6))
+
+    def test_falling_barrier_confirms_every_open_level(self, grid6, lattice6, monkeypatch):
+        # l = x - 2 min(t, 1 - t): the barrier rises to t = 1/2, then falls,
+        # so from level 4 on the minimal shifts lie below the running max and
+        # A carries the shift of level 3. The converged iterate sweeps X at
+        # every level with a positive shift, and the verifier reuses each
+        # value: solve and verify make 29 sweeps where a sweep of U + x in
+        # every iterate and the verifier's own sweeps of levels 4-6 made 43
+        tent = LossSpec(fn=lambda t, x: x - 2.0 * min(t, 1.0 - t), c_l=1.0, C_l=1.0,
+                        time_modulus=lambda d: 2.0 * d, kappa_growth=1.0, name="tent")
+        prob = _binding_problem(grid6, tent)
+        sweeps = _record_sweeps(monkeypatch)
+        sol = picard_solve(prob, lattice=lattice6)
+        ver = verify_mean_reflection(sol, tent, None, lattice6,
+                                     expected_losses=sol.expected_losses)
+        monkeypatch.undo()
+        assert len(sweeps) == 29 and ver.passed
+        a = sol.A.values
+        assert np.all(np.diff(a)[:3] > 0.0) and np.all(np.diff(a)[3:] == 0.0)
+        known = TestReusedLosses.assert_reuse_is_bitwise(sol, tent, sol.U, lattice6)
+        assert known.tolist() == [False] + [True] * 6
         _assert_equals_reference(sol, _reference_solve(prob, PicardConfig(), lattice6))
 
     def test_previous_must_be_the_step_of_the_driver(self, band, grid6, lattice6):
