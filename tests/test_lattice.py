@@ -49,9 +49,8 @@ def test_time_grid_invariants():
         TimeGrid(1.0, -2)
 
 
-@pytest.mark.parametrize("n_steps", [1.0, 2.0, 2.5, True, np.float64(4.0), np.bool_(True), "4"],
-                         ids=["float", "float_2", "fraction", "bool", "numpy_float",
-                              "numpy_bool", "str"])
+@pytest.mark.parametrize("n_steps", [2.0, 2.5, True, np.float64(4.0), np.bool_(True), "4"],
+                         ids=["float", "fraction", "bool", "numpy_float", "numpy_bool", "str"])
 def test_time_grid_refuses_a_step_count_that_is_not_an_integer(n_steps):
     with pytest.raises(InvalidParameterError, match="n_steps must be an integer"):
         TimeGrid(1.0, n_steps)
