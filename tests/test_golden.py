@@ -28,6 +28,8 @@ is a scalar.
 ``full_sde_falling_barrier`` is the one ``full_sde`` entry whose constraint
 goes slack after binding: its minimal shifts fall below the running max of
 those before them, so A carries an earlier, larger shift there.
+``full_sde_large_compensator`` pins a run whose A reaches 1e5 over four
+subintervals, where X - A + A rounds off X by more than 1e-12.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -151,6 +153,17 @@ CONFIGS = {
             "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
             "loss": {"name": "linear", "params": {"c0": 1.0, "c1": -1.0}},
         },
+    },
+    # a drift of -1e5 against E[X] >= 0 over subintervals 0-2, 2-4, 4-6 and
+    # 6-8: A reaches 1e5
+    "full_sde_large_compensator": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 8,
+            "b": {"name": "constant_drift", "params": {"c": -1e5}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 0.0}},
+        },
+        "solver": {"delta_initial_steps": 2},
     },
     # no contraction at the minimum length: exit 3
     "picard_no_contraction": {
