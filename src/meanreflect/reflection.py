@@ -112,6 +112,8 @@ class DeterministicPath:
                 f"path needs matching 1-d times/values, got {self.times.shape} "
                 f"and {self.values.shape}"
             )
+        if not np.all(np.isfinite(self.times)):
+            raise InvalidParameterError("path times must be finite")
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise InvalidParameterError("path times must be strictly increasing")
 
@@ -694,14 +696,14 @@ def verify_mean_reflection(
     The stored process fixes the checked steps: A needs one value per step,
     and an X given with an S must share its lattice and steps.
 
-    A run stores one process. A solution with no X (a ``sp_only`` run) is
-    S + A by definition: its ``identity_residual`` is 0, read from no level,
-    or NaN where S_k's kept range plus a_k is not finite (rounding is
-    monotone, as in ``expected_loss``). A solution with an X is compared
-    with S + A one 4^8 block at a time, and a NaN in any block carries
-    through. With S None (a ``full_sde`` run), S is X + (-A), the addition
-    ``MRSDESolution.U`` makes, so the residual is a computed round trip,
-    which rounding can move off 0.
+    A run stores one process, and the other is defined from it: X = S + A
+    with no X (a ``sp_only`` run), S = X - A with S None (a ``full_sde``
+    run). Such a solution's ``identity_residual`` is 0, read from no level,
+    or NaN where some stored level's kept range plus a_k (minus a_k for a
+    stored X) is not finite; rounding is monotone, as in ``expected_loss``.
+    Only a caller that passes both X and S has them compared, |X_k - (S_k +
+    a_k)| one 4^8 block at a time, with a NaN in any block carried through.
+    ``expected_losses``, if given, holds one value per checked step.
     """
     times = lattice.grid.times
     a = solution.A.values
@@ -715,10 +717,15 @@ def verify_mean_reflection(
     if a.size != len(steps):
         raise GridMismatchError(
             f"A has {a.size} values for the {len(steps)} steps {steps[0]}..{steps[-1]}")
+    if expected_losses is not None and np.shape(expected_losses) != (len(steps),):
+        raise GridMismatchError(
+            f"expected_losses has shape {np.shape(expected_losses)} for the {len(steps)} "
+            f"steps {steps[0]}..{steps[-1]}")
     identity = 0.0
-    if X is None:
-        if not all(math.isfinite(v + float(a[i]))
-                   for i, k in enumerate(steps) for v in S.functional_at(k).value_range):
+    if X is None or S is None:
+        sign = 1.0 if X is None else -1.0
+        if not all(math.isfinite(v + sign * float(a[i]))
+                   for i, k in enumerate(steps) for v in stored.functional_at(k).value_range):
             identity = math.nan
     else:
         scratch = np.empty(min(4**steps[-1], 4**_lattice._BLOCK_LEVELS))
@@ -727,8 +734,7 @@ def verify_mean_reflection(
             # the same operations per element as |X_k - (S_k + a_i)|
             for part in _level_blocks(x.size):
                 gap = scratch[: x[part].size]
-                s = np.add(x[part], -a[i], out=gap) if S is None else S.at(k)[part]
-                np.add(s, a[i], out=gap)
+                np.add(S.at(k)[part], a[i], out=gap)
                 np.subtract(x[part], gap, out=gap)
                 identity = float(np.max((identity, np.max(np.abs(gap, out=gap)))))
     constraint = np.empty(len(steps))

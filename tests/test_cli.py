@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 import meanreflect
 from conftest import child_env
 from meanreflect import cli, registry, runner
+from meanreflect.config import config_from_dict
+from meanreflect.reflection import VerificationReport
 
 CRITERION8 = {
     "mode": "full_sde",
@@ -157,6 +159,53 @@ def test_exit_code_1_on_failed_check(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["overall_pass"] is False
     assert report["diagnostics"]["solve_skipped"]
+
+
+# an n=6 run whose constraint binds at every step
+BINDING6 = {
+    "problem": {
+        "n_steps": 6,
+        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
+    },
+}
+
+
+@pytest.mark.parametrize("mode, loss, tol", [
+    ("full_sde", "linear", 1e-7), ("full_sde", "linear", 1e-6),
+    ("sp_only", "linear", 1e-7), ("sp_only", "linear", 1e-6),
+    ("full_sde", "smooth_sin", 1e-5),
+])
+def test_flatoff_limit_follows_the_solver_tol(tmp_path, mode, loss, tol):
+    # each root is minimal within solver.tol, so E[l] reaches C_l tol where
+    # A rises, above the fixed 1e-8 (1 + A_T - A_0) of the default tol
+    payload = copy.deepcopy(BINDING6)
+    payload["mode"] = mode
+    payload["solver"] = {"tol": tol}
+    if loss != "linear":
+        payload["problem"]["loss"] = {"name": loss}
+    config = config_from_dict(payload)
+    result = runner.run_experiment(config, output_dir=str(tmp_path))
+    [flatoff] = [c for c in result.report["checks"] if c["name"] == "flatoff_residual"]
+    assert result.exit_code == runner.EXIT_PASS, result.report["checks"]
+    total_a = float(result.csv_text.splitlines()[-1].split(",")[1])
+    limit = config.loss_spec().C_l * tol * (1.0 + total_a)
+    assert flatoff["threshold"] == limit
+    assert 1e-8 * (1.0 + total_a) < flatoff["measured"] <= limit
+
+
+@pytest.mark.parametrize("flatoff_tol", [1e-8, 1e-6])
+def test_flatoff_above_the_limit_fails(flatoff_tol):
+    a = np.array([0.0, 0.5, 1.0])
+    limit = flatoff_tol * 2.0
+    for measured, passed in ((limit, True), (np.nextafter(limit, 1.0), False)):
+        report = VerificationReport(
+            identity_residual=0.0, constraint_min=0.0, flatoff_residual=measured,
+            passed=passed, expected_losses=np.zeros(3))
+        [flatoff] = [c for c in runner._verification_checks(report, a, flatoff_tol)
+                     if c.name == "flatoff_residual"]
+        assert (flatoff.threshold, flatoff.passed) == (limit, passed)
 
 
 def test_exit_code_3_on_solver_failure(tmp_path):

@@ -29,7 +29,8 @@ is a scalar.
 goes slack after binding: its minimal shifts fall below the running max of
 those before them, so A carries an earlier, larger shift there.
 ``full_sde_large_compensator`` pins a run whose A reaches 1e5 over four
-subintervals, where X - A + A rounds off X by more than 1e-12.
+subintervals: its identity residual is 0.0 by definition, where the round
+trip (X - A) + A would leave X by 7.3e-12, above the 1e-12 threshold.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 

@@ -1015,6 +1015,31 @@ class TestVerifier:
             verify_mean_reflection(SkorokhodSolution(x, a), loss,
                                    None if stored == "X" else s, lattice6)
 
+    @pytest.mark.parametrize("length", [2, 9])
+    def test_expected_losses_have_one_value_per_checked_step(self, band, length):
+        # a depth-4 direct solution checks five steps; a longer array would
+        # have its extra values ignored and a shorter one would be overrun
+        lattice = build_lattice(band, TimeGrid(1.0, 4))
+        loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+        s = drifted_process(lattice)
+        sol = solve_mean_reflection_direct(loss, s, lattice, TOL)
+        with pytest.raises(GridMismatchError, match=f"shape \\({length},\\) for the 5 steps"):
+            verify_mean_reflection(sol, loss, s, lattice, expected_losses=np.zeros(length))
+
+
+class TestDeterministicPath:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_times_must_be_finite(self, bad):
+        # NaN compares false, so the increasing-times check alone lets it in
+        with pytest.raises(InvalidParameterError, match="path times must be finite"):
+            DeterministicPath([0.0, bad], [0.0, 1.0])
+        with pytest.raises(InvalidParameterError, match="path times must be finite"):
+            DeterministicPath([bad], [0.0])
+
+    def test_times_must_increase(self):
+        with pytest.raises(InvalidParameterError, match="strictly increasing"):
+            DeterministicPath([0.0, 0.0], [0.0, 1.0])
+
 
 class TestStability:
     def test_identical_inputs_give_zero_gap(self, lattice6):

@@ -16,6 +16,7 @@ from meanreflect import (
     InvalidParameterError,
     MRSDEProblem,
     MRSDESolution,
+    PathFunctional,
     ProcessOnLattice,
     SkorokhodSolution,
     TimeGrid,
@@ -208,8 +209,11 @@ def test_overflowing_s_plus_a_gives_a_nan_identity_residual():
 @pytest.mark.parametrize("stored_s", [True, False])
 def test_nan_block_survives_an_earlier_positive_block(stored_s):
     """Level 9 has four blocks: the first is off by 2^-10 and the last
-    holds a NaN, which must carry through the running max. The losses are
-    given, so no functional of the NaN level is built."""
+    holds a NaN. With S given, X is compared with S + A block by block, the
+    NaN must carry through the running max, and, the losses being given, no
+    functional of the NaN level is built. With S None, S is X - A by
+    definition and the verifier reads X's ranges, so the NaN level raises
+    the functional's finiteness error, as a NaN level of a stored S does."""
     lat = build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 9))
     rng = np.random.default_rng(9)
     S = ProcessOnLattice(lat, 0, tuple(rng.normal(size=4**k) for k in range(10)))
@@ -219,11 +223,79 @@ def test_nan_block_survives_an_earlier_positive_block(stored_s):
     levels[9][0] += 2.0**-10
     levels[9][-1] = np.nan
     X = ProcessOnLattice(lat, 0, tuple(levels))
-    report = verify_mean_reflection(SkorokhodSolution(X, A),
-                                    make_loss("linear", {"c0": 0.0, "c1": 1.0}),
-                                    S if stored_s else None, lat, expected_losses=np.zeros(10))
+    loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
+    if not stored_s:
+        with pytest.raises(InvalidParameterError, match="functional values must be finite"):
+            verify_mean_reflection(SkorokhodSolution(X, A), loss, None, lat,
+                                   expected_losses=np.zeros(10))
+        return
+    report = verify_mean_reflection(SkorokhodSolution(X, A), loss, S, lat,
+                                    expected_losses=np.zeros(10))
     assert np.isnan(report.identity_residual)
     assert not report.passed
+
+
+def _subinterval_config(n_steps: int, subintervals: int, b: dict | None = None,
+                        loss: dict | None = None, mode: str = "full_sde"):
+    """An "ou_linear" config, or one with the given b and loss, whose Picard
+    solve starts from ``subintervals`` subintervals of equal length."""
+    b_default, sigma, loss_default, x0 = PROBLEMS["ou_linear"]
+    problem = {"n_steps": n_steps, "b": b or b_default, "sigma": sigma,
+               "loss": loss or loss_default, "x0": x0}
+    solver = {} if subintervals == 1 else {"delta_initial_steps": n_steps // subintervals}
+    return config_from_dict({"mode": mode, "problem": problem, "solver": solver})
+
+
+@pytest.mark.parametrize("n_steps, subintervals", [(1, 1), (5, 1), (6, 2), (6, 3), (8, 4)])
+def test_verifier_reads_no_level_of_a_full_sde_solution(monkeypatch, n_steps, subintervals):
+    """S = X - A by definition, so a Picard solution verified with S None
+    takes no block pass and builds no functional: every level it reads keeps
+    the range its maker took. Its residuals other than the identity are
+    those of the materialised U."""
+    config = _subinterval_config(n_steps, subintervals)
+    lat, loss, (solution, _), (_, whole_S) = _solve(config)
+    assert len(solution.diagnostics) == subintervals
+    kept = solution.expected_losses
+    want = [verify_mean_reflection(solution, loss, whole_S, lat, expected_losses=losses)
+            for losses in (kept, None)]
+
+    def refuse(*args):
+        raise AssertionError("the verifier passed over a level's blocks")
+
+    built = []
+    check = PathFunctional.__post_init__
+    monkeypatch.setattr(reflection, "_level_blocks", refuse)
+    monkeypatch.setattr(PathFunctional, "__post_init__",
+                        lambda xi: built.append(xi.depth) or check(xi))
+    for losses, whole in zip((kept, None), want):
+        read = verify_mean_reflection(solution, loss, None, lat, expected_losses=losses)
+        assert read.identity_residual == 0.0
+        for name in ("constraint_min", "flatoff_residual"):
+            assert _bits(getattr(read, name)) == _bits(getattr(whole, name)), name
+        assert _bits(read.expected_losses) == _bits(whole.expected_losses)
+    assert built == []
+
+
+@pytest.mark.parametrize("subintervals", [1, 2, 4, "sp_only"])
+@pytest.mark.parametrize("c", [-1.0, -1e5, -1e7])
+def test_constant_drift_runs_pass_with_a_zero_identity_residual(tmp_path, c, subintervals):
+    """A drift c against E[X] >= 0 makes A_T about -c. Half an ulp of A_T
+    passes the 1e-12 identity threshold once -c passes about 3e4, so a
+    recomputed (X - A) + A could fail such a run over several
+    subintervals. Stored X and stored S both give 0.0, and every run
+    passes."""
+    mode = "sp_only" if subintervals == "sp_only" else "full_sde"
+    config = _subinterval_config(8, 1 if mode == "sp_only" else subintervals,
+                                 b={"name": "constant_drift", "params": {"c": c}},
+                                 loss={"name": "linear", "params": {"c0": 0.0, "c1": 0.0}},
+                                 mode=mode)
+    result = runner.run_experiment(config, output_dir=str(tmp_path))
+    checks = {check["name"]: check for check in result.report["checks"]}
+    assert result.exit_code == runner.EXIT_PASS, checks
+    assert checks["identity_residual"]["measured"] == 0.0
+    assert checks["compensator_nondecreasing"]["measured"] > 0.0
+    if mode == "full_sde":
+        assert len(result.report["diagnostics"]["picard"]["subintervals"]) == subintervals
 
 
 @pytest.mark.parametrize("mode, n_steps", [("sp_only", 5), ("sp_only", 9), ("full_sde", 5)])
