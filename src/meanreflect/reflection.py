@@ -84,7 +84,7 @@ from .loss import LossSpec
 
 DEFAULT_ROOT_TOL = 1e-10
 # how far below zero the initial constraint may sit before we refuse to solve;
-# also the verifier's constraint and flat-off tolerance
+# also the verifier's constraint limit and the floor of its flat-off limit
 DEFAULT_PRECONDITION_TOL = 1e-8
 IDENTITY_TOL = 1e-12  # X = S + A is one addition per node: rounding only
 
@@ -140,8 +140,32 @@ class SkorokhodSolution:
 
 
 @dataclass(frozen=True)
+class CheckResult:
+    """One named check of a report: its measured value, threshold and verdict."""
+
+    name: str
+    measured: float
+    threshold: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "measured": float(self.measured),
+            "threshold": float(self.threshold),
+            "pass": bool(self.passed),
+        }
+
+
+@dataclass(frozen=True)
 class VerificationReport:
-    """The residuals of ``verify_mean_reflection`` and their verdict."""
+    """The residuals of ``verify_mean_reflection`` and its five ``checks``,
+    in the report's order, with their limits for a solve to root tolerance
+    tol: ``identity_residual`` <= ``IDENTITY_TOL``, ``constraint_min`` >=
+    -``DEFAULT_PRECONDITION_TOL``, ``flatoff_residual`` <= max(1e-8, C_l
+    tol) (1 + A_T - A_0), ``compensator_nondecreasing`` (A's smallest step,
+    0.0 for one value, >= 0) and ``compensator_starts_at_zero`` (A_0 == 0).
+    ``passed`` is their conjunction."""
 
     identity_residual: float
     constraint_min: float
@@ -149,6 +173,7 @@ class VerificationReport:
     passed: bool
     # E[l(t_k, X_k)] at each step k of the checked range
     expected_losses: np.ndarray
+    checks: tuple[CheckResult, ...] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -426,8 +451,7 @@ def _minimal_shift(
     hold, at a shift larger than the minimal one. In ``run`` the
     verifier's flat-off residual flags such a shift wherever A rises.
     """
-    if not 0.0 < tol < math.inf:
-        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
+    _require_tol(tol)
     policy = _policy_record(loss, xi.depth)
     if policy is not None and _support_tol(loss, tol) == 0.0:
         raise InvalidParameterError(
@@ -473,6 +497,11 @@ def _minimal_shift(
     x = _smallest_nonneg_point(phi, lo, hi, tol, context, f_zero=base, f_hi=f_hi)
     # only a search from base > 0 can return its bracket end 0, never swept
     return x, swept.get(x, base)
+
+
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise InvalidParameterError(f"tol must be positive and finite, got {tol}")
 
 
 def _policy_record(loss: LossSpec, depth: int) -> list | None:
@@ -673,15 +702,19 @@ def verify_mean_reflection(
     loss: LossSpec,
     S: ProcessOnLattice | None,
     lattice: PathLattice,
-    tol: float = DEFAULT_PRECONDITION_TOL,
+    tol: float = DEFAULT_ROOT_TOL,
     *,
     expected_losses: np.ndarray | None = None,
 ) -> VerificationReport:
-    """Check the three solution conditions and report residuals.
+    """Check the three solution conditions of a solve to the positive, finite
+    root tolerance ``tol`` by the five checks of ``VerificationReport``,
+    which ``run`` writes as they are.
 
     flat-off uses the value at the step where the supremum increase lands
     (right endpoint of each increment), which is the one the construction
-    drives to zero.
+    drives to zero. Each root is minimal only within tol, so E[l] may reach
+    C_l tol where A rises: hence the limit max(1e-8, C_l tol) (1 + A_T -
+    A_0), 1e-8 (1 + A_T - A_0) at the default tol for any C_l up to 100.
 
     ``expected_losses`` may give E[l(t_k, X_k)] for the checked steps, NaN
     where unknown, as a solver's ``SkorokhodSolution.expected_losses`` does
@@ -705,6 +738,7 @@ def verify_mean_reflection(
     a_k)| one 4^8 block at a time, with a NaN in any block carried through.
     ``expected_losses``, if given, holds one value per checked step.
     """
+    _require_tol(tol)
     times = lattice.grid.times
     a = solution.A.values
     X = solution.X
@@ -744,18 +778,25 @@ def verify_mean_reflection(
         else:
             constraint[i] = expected_loss(times[k], (S if X is None else X).functional_at(k),
                                           lattice, loss, shift=a[i] if X is None else None)
+    constraint_min = float(constraint.min())
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
-    passed = bool(
-        identity <= IDENTITY_TOL
-        and constraint.min() >= -tol
-        and flatoff <= tol * (a[-1] - a[0] + 1.0)
+    flatoff_limit = max(DEFAULT_PRECONDITION_TOL, loss.C_l * tol) * (1.0 + float(a[-1] - a[0]))
+    min_step = float(np.min(np.diff(a))) if a.size > 1 else 0.0
+    checks = (
+        CheckResult("identity_residual", identity, IDENTITY_TOL, identity <= IDENTITY_TOL),
+        CheckResult("constraint_min", constraint_min, -DEFAULT_PRECONDITION_TOL,
+                    constraint_min >= -DEFAULT_PRECONDITION_TOL),
+        CheckResult("flatoff_residual", flatoff, flatoff_limit, flatoff <= flatoff_limit),
+        CheckResult("compensator_nondecreasing", min_step, 0.0, min_step >= 0.0),
+        CheckResult("compensator_starts_at_zero", float(a[0]), 0.0, bool(a[0] == 0.0)),
     )
     return VerificationReport(
         identity_residual=identity,
-        constraint_min=float(constraint.min()),
+        constraint_min=constraint_min,
         flatoff_residual=flatoff,
-        passed=passed,
+        passed=all(check.passed for check in checks),
         expected_losses=constraint,
+        checks=checks,
     )
 
 

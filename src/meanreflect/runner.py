@@ -50,8 +50,7 @@ from .gexpectation import terminal_upper_expectation, upper_expectation
 from .lattice import _BLOCK_LEVELS, ProcessOnLattice, build_lattice
 from .loss import validate_loss
 from .reflection import (
-    DEFAULT_PRECONDITION_TOL,
-    IDENTITY_TOL,
+    CheckResult,
     SkorokhodSolution,
     _reflect_direct,
     verify_mean_reflection,
@@ -71,25 +70,6 @@ EXIT_PASS = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_SOLVER_FAILURE = 3
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """One named check of the report: its measured value, threshold and
-    verdict."""
-
-    name: str
-    measured: float
-    threshold: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": float(self.measured),
-            "threshold": float(self.threshold),
-            "pass": bool(self.passed),
-        }
 
 
 @dataclass(frozen=True)
@@ -284,25 +264,6 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
     return _csv_from_columns(CSV_HEADER, [times, a, e_l, e_x, e_abs_p])
 
 
-def _verification_checks(report, a_values, flatoff_tol: float) -> list[CheckResult]:
-    """The report's checks of a solution; ``flatoff_tol`` scales the
-    flat-off limit ``flatoff_tol * (1 + A_T - A_0)``."""
-    total_a = float(a_values[-1] - a_values[0])
-    min_step = float(np.min(np.diff(a_values))) if len(a_values) > 1 else 0.0
-    flatoff_limit = flatoff_tol * (1.0 + total_a)
-    return [
-        CheckResult("identity_residual", report.identity_residual, IDENTITY_TOL,
-                    report.identity_residual <= IDENTITY_TOL),
-        CheckResult("constraint_min", report.constraint_min, -DEFAULT_PRECONDITION_TOL,
-                    report.constraint_min >= -DEFAULT_PRECONDITION_TOL),
-        CheckResult("flatoff_residual", report.flatoff_residual, flatoff_limit,
-                    report.flatoff_residual <= flatoff_limit),
-        CheckResult("compensator_nondecreasing", min_step, 0.0, min_step >= 0.0),
-        CheckResult("compensator_starts_at_zero", float(a_values[0]), 0.0,
-                    a_values[0] == 0.0),
-    ]
-
-
 # overflow and invalid operations surface as non-finite values, which the
 # finiteness checks turn into exit 3; numpy's warnings about them are noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -352,7 +313,8 @@ def run_experiment(
                     solution = picard_solve(problem, config.solver, lattice=lattice)
                     S = None
                 verification = verify_mean_reflection(
-                    solution, loss, S, lattice, expected_losses=solution.expected_losses)
+                    solution, loss, S, lattice, tol=config.solver.tol,
+                    expected_losses=solution.expected_losses)
                 if config.mode == "full_sde":
                     # picard_solve raises unless every subinterval converged
                     checks.append(CheckResult("picard_converged", 1.0, 1.0, True))
@@ -370,11 +332,7 @@ def run_experiment(
                             for d in solution.diagnostics
                         ],
                     }
-                # each root is minimal within solver.tol, so E[l] < C_l tol
-                # wherever A rises
-                flatoff_tol = max(DEFAULT_PRECONDITION_TOL, loss.C_l * config.solver.tol)
-                checks.extend(_verification_checks(verification, solution.A.values,
-                                                   flatoff_tol))
+                checks.extend(verification.checks)
                 csv_text = _solution_csv(lattice, solution, verification.expected_losses,
                                          config.problem.p, S)
             else:

@@ -2,12 +2,25 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import meanreflect
-from meanreflect import TimeGrid, VolatilityBand, build_lattice
+from meanreflect import (
+    DeterministicPath,
+    MRSDEProblem,
+    ProcessOnLattice,
+    SkorokhodSolution,
+    TimeGrid,
+    VolatilityBand,
+    build_lattice,
+    integrate_sde,
+    picard_solve,
+    verify_mean_reflection,
+)
+from meanreflect.reflection import _reflect_direct
 
 PACKAGE_PARENT = str(Path(meanreflect.__file__).resolve().parents[1])
 
@@ -27,6 +40,40 @@ def child_env(extra=None):
         p for p in (PACKAGE_PARENT, os.environ.get("PYTHONPATH")) if p
     )
     return env
+
+
+def verify_as_run(config):
+    """The library verifier's report on the solution that ``run`` makes of
+    a solving ``config``, at the solve's tol."""
+    loss = config.loss_spec()
+    lattice = build_lattice(config.band(), config.grid())
+    if config.mode == "sp_only":
+        S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
+        solution = _reflect_direct(loss, S, lattice, config.solver.tol)
+    else:
+        S = None
+        problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
+                               band=lattice.band, grid=lattice.grid, p=config.problem.p)
+        solution = picard_solve(problem, config.solver, lattice=lattice)
+    return verify_mean_reflection(solution, loss, S, lattice, tol=config.solver.tol,
+                                  expected_losses=solution.expected_losses)
+
+
+def zero_s_with(band, a_values):
+    """A depth-2 lattice, S = 0 on it and the solution (S + A, A) with A
+    taking ``a_values``."""
+    lattice = build_lattice(band, TimeGrid(1.0, 2))
+    S = ProcessOnLattice(lattice, 0, tuple(np.zeros(4**k) for k in range(3)))
+    return lattice, S, SkorokhodSolution(None, DeterministicPath(lattice.grid.times, a_values))
+
+
+def check_bits(checks) -> list:
+    """Report checks, as dicts or ``CheckResult``s, as (name, bits of the
+    measured value, bits of the threshold, verdict): equal only where every
+    float is the same bit for bit."""
+    rows = [c if isinstance(c, dict) else c.to_dict() for c in checks]
+    return [(c["name"], *np.array([c["measured"], c["threshold"]]).view(np.int64).tolist(),
+             c["pass"]) for c in rows]
 
 
 @pytest.fixture(scope="session")

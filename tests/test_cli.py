@@ -13,10 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import meanreflect
-from conftest import child_env
-from meanreflect import cli, registry, runner
+from conftest import check_bits, child_env, verify_as_run, zero_s_with
+from meanreflect import SkorokhodSolution, cli, registry, runner, verify_mean_reflection
 from meanreflect.config import config_from_dict
-from meanreflect.reflection import VerificationReport
 
 CRITERION8 = {
     "mode": "full_sde",
@@ -179,7 +178,8 @@ BINDING6 = {
 ])
 def test_flatoff_limit_follows_the_solver_tol(tmp_path, mode, loss, tol):
     # each root is minimal within solver.tol, so E[l] reaches C_l tol where
-    # A rises, above the fixed 1e-8 (1 + A_T - A_0) of the default tol
+    # A rises, above the fixed 1e-8 (1 + A_T - A_0) of the default tol; the
+    # library verifier at the solve's tol writes the same five checks
     payload = copy.deepcopy(BINDING6)
     payload["mode"] = mode
     payload["solver"] = {"tol": tol}
@@ -193,19 +193,54 @@ def test_flatoff_limit_follows_the_solver_tol(tmp_path, mode, loss, tol):
     limit = config.loss_spec().C_l * tol * (1.0 + total_a)
     assert flatoff["threshold"] == limit
     assert 1e-8 * (1.0 + total_a) < flatoff["measured"] <= limit
+    verification = verify_as_run(config)
+    assert check_bits(verification.checks) == check_bits(result.report["checks"][-5:])
+    assert verification.passed
 
 
-@pytest.mark.parametrize("flatoff_tol", [1e-8, 1e-6])
-def test_flatoff_above_the_limit_fails(flatoff_tol):
-    a = np.array([0.0, 0.5, 1.0])
-    limit = flatoff_tol * 2.0
+def _constant_s_run(tmp_path, monkeypatch, solution, tol=1e-10, c0=0.0):
+    """A depth-2 ``sp_only`` run of the constant S = c0 against l = x - c0
+    whose solve returns ``solution``."""
+    monkeypatch.setattr(runner, "_reflect_direct", lambda *args, **kwargs: solution)
+    config = config_from_dict({
+        "mode": "sp_only", "solver": {"tol": tol},
+        "problem": {"n_steps": 2, "x0": c0,
+                    "sigma": {"name": "constant_sigma", "params": {"a": 0.0}},
+                    "loss": {"name": "linear", "params": {"c0": c0, "c1": 0.0}}},
+    })
+    return runner.run_experiment(config, output_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6])
+def test_flatoff_above_the_limit_fails(tmp_path, monkeypatch, band, tol):
+    # A rises by 0.5 to step 2 only, where E[l] is given as twice the
+    # flat-off: the limit tol (1 + A_T - A_0) itself passes, one float
+    # above it fails, in the library and in the run
+    lattice, s, solution = zero_s_with(band, [0.0, 0.5, 1.0])
+    loss = registry.make_loss("linear", {"c0": 0.0, "c1": 0.0})
+    limit = tol * 2.0
     for measured, passed in ((limit, True), (np.nextafter(limit, 1.0), False)):
-        report = VerificationReport(
-            identity_residual=0.0, constraint_min=0.0, flatoff_residual=measured,
-            passed=passed, expected_losses=np.zeros(3))
-        [flatoff] = [c for c in runner._verification_checks(report, a, flatoff_tol)
-                     if c.name == "flatoff_residual"]
-        assert (flatoff.threshold, flatoff.passed) == (limit, passed)
+        given = np.array([0.0, 0.0, 2.0 * measured])
+        report = verify_mean_reflection(solution, loss, s, lattice, tol=tol,
+                                        expected_losses=given)
+        [flatoff] = [c for c in report.checks if c.name == "flatoff_residual"]
+        assert (flatoff.measured, flatoff.threshold, flatoff.passed) == (measured, limit, passed)
+        assert report.passed == passed
+        result = _constant_s_run(tmp_path, monkeypatch,
+                                 SkorokhodSolution(None, solution.A, expected_losses=given), tol)
+        assert check_bits(result.report["checks"][-5:]) == check_bits(report.checks)
+        assert result.exit_code == (runner.EXIT_PASS if passed else runner.EXIT_CHECK_FAILED)
+
+
+def test_non_compensator_fails_in_the_run(tmp_path, monkeypatch, band):
+    # A = 0.1 from the start meets E[l] >= 0 for l = x - 0.1 with no
+    # flat-off residual, but does not start at 0 (the library's verdict is
+    # TestVerifier.test_non_compensator_fails)
+    _, _, solution = zero_s_with(band, [0.1, 0.1, 0.1])
+    result = _constant_s_run(tmp_path, monkeypatch, solution, c0=0.1)
+    assert [c["name"] for c in result.report["checks"] if not c["pass"]] == [
+        "compensator_starts_at_zero"]
+    assert result.exit_code == runner.EXIT_CHECK_FAILED
 
 
 def test_exit_code_3_on_solver_failure(tmp_path):

@@ -49,7 +49,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import check_bits, verify_as_run
 from meanreflect import VolatilityBand, cli, pde
+from meanreflect.config import config_from_dict
+from meanreflect.runner import run_experiment
 
 GOLDEN = Path(__file__).parent / "golden" / "golden.json"
 FILES = ("trace.csv", "report.json")
@@ -174,6 +177,12 @@ CONFIGS = {
     },
 }
 
+# the solving configs whose run stops before the verifier: a failed spot
+# check, or a solver error (exit 3)
+UNVERIFIED = {"spotcheck_failed", "max_iter_1", "picard_no_contraction"}
+VERIFIED = sorted(name for name, c in CONFIGS.items()
+                  if c.get("mode") != "gexp_probe" and name not in UNVERIFIED)
+
 # compared value by value: np.sin and np.arctan are not bitwise portable
 BY_VALUE = {"full_sde_ou_smooth_sin", "sp_only_smooth_sin", "sp_only_smooth_sin_n9",
             "sp_only_arctan_shift"}
@@ -264,6 +273,17 @@ def test_outputs_match_golden(name, tmp_path):
                              "trace.csv")
     _assert_values_close(json.loads(got["report.json"]), json.loads(want["report.json"]),
                          "report.json")
+
+
+@pytest.mark.parametrize("name", VERIFIED)
+def test_library_verifier_writes_the_runs_checks(name, tmp_path):
+    """The library verifier at the solve's tol returns the report's last five
+    checks bit for bit, and its verdict is their conjunction."""
+    config = config_from_dict(CONFIGS[name])
+    report = run_experiment(config, output_dir=str(tmp_path), write_csv=False).report
+    verification = verify_as_run(config)
+    assert check_bits(verification.checks) == check_bits(report["checks"][-5:])
+    assert verification.passed == all(c.passed for c in verification.checks)
 
 
 def test_pde_matches_golden():

@@ -36,6 +36,7 @@ from meanreflect import (
 from meanreflect import cli, reflection, registry
 from meanreflect.reflection import DeterministicPath, SkorokhodSolution, _smallest_nonneg_point
 from meanreflect.registry import make_loss
+from conftest import zero_s_with
 from oracles import ref_bisect, ref_upper_expectation
 
 TOL = 1e-10
@@ -1025,6 +1026,43 @@ class TestVerifier:
         sol = solve_mean_reflection_direct(loss, s, lattice, TOL)
         with pytest.raises(GridMismatchError, match=f"shape \\({length},\\) for the 5 steps"):
             verify_mean_reflection(sol, loss, s, lattice, expected_losses=np.zeros(length))
+
+    def test_reports_the_five_checks_in_order(self, lattice6, solved):
+        loss, s, sol = solved
+        report = verify_mean_reflection(sol, loss, s, lattice6)
+        a = sol.A.values
+        assert [(c.name, c.measured, c.threshold, c.passed) for c in report.checks] == [
+            ("identity_residual", report.identity_residual, 1e-12, True),
+            ("constraint_min", report.constraint_min, -1e-8, True),
+            ("flatoff_residual", report.flatoff_residual, 1e-8 * (1.0 + (a[-1] - a[0])), True),
+            ("compensator_nondecreasing", float(np.diff(a).min()), 0.0, True),
+            ("compensator_starts_at_zero", 0.0, 0.0, True),
+        ]
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1e-8, 0.0])
+    def test_tol_must_be_positive_and_finite(self, band, tol):
+        # an infinite tol would pass this inflated A, whose flat-off is 3.0,
+        # and a NaN or negative one would fail every solution
+        lattice, s, inflated = zero_s_with(band, [0.0, 1.0, 2.0])
+        loss = make_loss("linear", {"c0": 0.0, "c1": 0.0})
+        assert verify_mean_reflection(inflated, loss, s, lattice).flatoff_residual == 3.0
+        with pytest.raises(InvalidParameterError, match="tol must be positive and finite"):
+            verify_mean_reflection(inflated, loss, s, lattice, tol=tol)
+
+    @pytest.mark.parametrize("a_values, c0, failed, measured", [
+        ([0.1, 0.1, 0.1], 0.1, "compensator_starts_at_zero", 0.1),
+        ([0.0, 0.0, -0.25], -0.25, "compensator_nondecreasing", -0.25),
+    ])
+    def test_non_compensator_fails(self, band, a_values, c0, failed, measured):
+        # X = S + A meets E[l] >= 0 for l = x - c0 with no flat-off residual,
+        # but A does not start at 0 or falls
+        lattice, s, sol = zero_s_with(band, a_values)
+        report = verify_mean_reflection(sol, make_loss("linear", {"c0": c0, "c1": 0.0}), s,
+                                        lattice)
+        assert (report.constraint_min, report.flatoff_residual) == (0.0, 0.0)
+        assert [(c.name, c.measured) for c in report.checks if not c.passed] == [
+            (failed, measured)]
+        assert not report.passed
 
 
 class TestDeterministicPath:
