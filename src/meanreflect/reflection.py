@@ -117,10 +117,6 @@ class DeterministicPath:
         if len(self.times) > 1 and np.any(np.diff(self.times) <= 0.0):
             raise InvalidParameterError("path times must be strictly increasing")
 
-    @property
-    def is_compensator(self) -> bool:
-        return self.values[0] == 0.0 and not np.any(np.diff(self.values) < 0.0)
-
 
 @dataclass(frozen=True)
 class SkorokhodSolution:

@@ -530,6 +530,12 @@ def picard_solve(
     ``picard_step`` does by default. So the result equals that of confirming
     every root bit for bit whenever every candidate would pass its sweep.
 
+    Each root is minimal within ``tol`` given its own U, but the tol/2 pads
+    of affine roots feed forward through the drift: A exceeds the exact
+    discrete A by about (tol/2)(1 + theta (t_k - t_1)) for a drift of
+    Lipschitz constant theta, 1.0625 tol at step 10 with theta = 1/2 and
+    dt = 1/4.
+
     The solution's X keeps the steps' functionals, so the confirming sweeps,
     the verifier and the CSV pass share one per level.
     """

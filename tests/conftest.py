@@ -42,19 +42,23 @@ def child_env(extra=None):
     return env
 
 
-def verify_as_run(config):
-    """The library verifier's report on the solution that ``run`` makes of
-    a solving ``config``, at the solve's tol."""
+def solve_as_run(config):
+    """The lattice, loss, S (None in ``full_sde``) and solution that ``run``
+    makes of a solving ``config``."""
     loss = config.loss_spec()
     lattice = build_lattice(config.band(), config.grid())
     if config.mode == "sp_only":
         S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
-        solution = _reflect_direct(loss, S, lattice, config.solver.tol)
-    else:
-        S = None
-        problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
-                               band=lattice.band, grid=lattice.grid, p=config.problem.p)
-        solution = picard_solve(problem, config.solver, lattice=lattice)
+        return lattice, loss, S, _reflect_direct(loss, S, lattice, config.solver.tol)
+    problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
+                           band=lattice.band, grid=lattice.grid, p=config.problem.p)
+    return lattice, loss, None, picard_solve(problem, config.solver, lattice=lattice)
+
+
+def verify_as_run(config):
+    """The library verifier's report on the solution that ``run`` makes of
+    a solving ``config``, at the solve's tol."""
+    lattice, loss, S, solution = solve_as_run(config)
     return verify_mean_reflection(solution, loss, S, lattice, tol=config.solver.tol,
                                   expected_losses=solution.expected_losses)
 

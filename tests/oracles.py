@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -240,3 +241,31 @@ def ref_terminal_upper_expectation(band, grid, fn) -> float:
     for _ in range(n):
         v = np.maximum(0.5 * (v[2:, 1:-1] + v[:-2, 1:-1]), 0.5 * (v[1:-1, 2:] + v[1:-1, :-2]))
     return float(v[0, 0])
+
+
+def exact_affine_compensator(n_steps: int, full_sde: bool) -> list:
+    """The exact A of the discrete scheme on the dyadic config, as
+    ``fractions.Fraction``s, by brute force over the leaves.
+
+    The config: band (1, 4), dt = 1/4 (horizon n/4), x0 = 0, b = ``ou_drift``
+    with theta 1/2, sigma = ``linear_sigma`` with a 1, b 1/8 and cap 2, h = 0
+    and the ``linear`` loss l(t, x) = x - t. Then sqrt(dt) = 1/2, so every dB
+    is one of +-1/2 (low) and +-1 (high), and every node value, every
+    G-expectation (a max of pair averages) and every minimal shift
+    max(0, t - E[U]) is a dyadic rational. Each step takes U_{k+1} = U_k +
+    b(X_k) dt + sigma(X_k) dB with X = U + A in ``full_sde`` and X = U in
+    ``sp_only``; A is the running max of the minimal shifts.
+    """
+    dt = Fraction(1, 4)
+    db = (Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))  # child order
+    u, a = [Fraction(0)], [Fraction(0)]
+    for k in range(1, n_steps + 1):
+        x = [v + a[-1] for v in u] if full_sde else u
+        u = [v + (-xi / 2) * dt + min(1 + abs(xi) / 8, Fraction(2)) * d
+             for v, xi in zip(u, x) for d in db]
+        mean = u
+        while len(mean) > 1:
+            mean = [max((mean[i] + mean[i + 1]) / 2, (mean[i + 2] + mean[i + 3]) / 2)
+                    for i in range(0, len(mean), 4)]
+        a.append(max(a[-1], k * dt - mean[0], Fraction(0)))
+    return a

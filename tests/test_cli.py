@@ -1,10 +1,12 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -160,14 +162,12 @@ def test_exit_code_1_on_failed_check(tmp_path):
     assert report["diagnostics"]["solve_skipped"]
 
 
+OU = {"b": {"name": "ou_drift", "params": {"theta": 0.5}},
+      "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}}}
+
 # an n=6 run whose constraint binds at every step
 BINDING6 = {
-    "problem": {
-        "n_steps": 6,
-        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
-        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
-        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
-    },
+    "problem": {"n_steps": 6, **OU, "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}},
 }
 
 
@@ -358,7 +358,8 @@ def test_overflow_at_config_load_is_solver_failure(tmp_path, capsys):
                                               "loss": {"name": "arctan_shift",
                                                        "params": {"c": 5.0}}}})
     assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 3
-    assert "RuntimeWarning" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
 
 
 def test_unwritable_output_dir_is_config_error(tmp_path, capsys):
@@ -379,7 +380,10 @@ def test_csv_overflow_names_column_and_time(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "CSV column E_absX_p at t=0.0" in report["diagnostics"]["solver_error"]
     assert all(check["pass"] for check in report["checks"])
-    assert "E_absX_p" in capsys.readouterr().out
+    assert not (tmp_path / "out" / "trace.csv").exists()
+    out, err = capsys.readouterr()
+    assert "CSV column E_absX_p at t=0.0" in out
+    assert "Traceback" not in out + err
 
 
 @pytest.mark.parametrize("payoff", ["square", "neg_square"])
@@ -638,8 +642,71 @@ def test_chmod_read_only_report_writes_nothing(tmp_path, capsys):
     report.chmod(0o444)
     cfg = write_config(tmp_path, {"problem": {"n_steps": 3}})
     assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
-    assert capsys.readouterr().err.endswith(f"{report} is not writable\n")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: outputs.report: ")
+    assert err.endswith(f"{report} is not writable\n")
     assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
+# the console contract past the golden configs: more leaf blocks, Picard's
+# Howard roots, a barrier that goes slack over three subintervals, A at 1e5
+# and a solver tol of 1e-6 in both solving modes, and the probe kernel's
+# high and low branches (E[B_T^2] = 4 T, E[-B_T^2] = -0.7 T) at the cap
+CONSOLE = {
+    "full_sde_n9": {"mode": "full_sde", "problem": {
+        "n_steps": 9, **OU, "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}}},
+    "full_sde_smooth_sin_n9": {"mode": "full_sde",
+                               "problem": {"n_steps": 9, **OU, "loss": {"name": "smooth_sin"}}},
+    "falling_barrier_n9": {"mode": "full_sde", "problem": {
+        "x0": 1.0, "n_steps": 9, "b": {"name": "ou_drift", "params": {"theta": 1.5}},
+        "sigma": OU["sigma"], "loss": {"name": "linear", "params": {"c0": 1.0, "c1": -1.0}}}},
+    **{f"large_compensator_{mode}": {"mode": mode, "solver": {"delta_initial_steps": 2}, "problem": {
+        "n_steps": 8, "b": {"name": "constant_drift", "params": {"c": -1e5}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 0.0}}}}
+       for mode in ("full_sde", "sp_only")},
+    **{f"tol_1e-6_{mode}": {**BINDING6, "mode": mode, "solver": {"tol": 1e-6}}
+       for mode in ("full_sde", "sp_only")},
+    "sp_only_smooth_sin_n10": {"mode": "sp_only",
+                               "problem": {"n_steps": 10, **OU, "loss": {"name": "smooth_sin"}}},
+    **{f"probe_{payoff}_n10": {"mode": "gexp_probe", "problem": {
+        "n_steps": 10, "sigma_low_sq": low, "sigma_high_sq": 4.0, "horizon": 1.0,
+        "payoff": {"name": payoff}}} for payoff, low in (("square", 1.0), ("neg_square", 0.7))},
+}
+PROBE_VALUES = {"probe_square_n10": 4.0, "probe_neg_square_n10": -0.7}
+# S alone is 10.7 MiB; a whole X would add another 10.7
+PEAK_BYTES = {"sp_only_smooth_sin_n10": 14 * 2**20}
+
+
+@pytest.mark.parametrize("name", sorted(CONSOLE))
+def test_console_runs_and_verifies_byte_for_byte(tmp_path, capsys, name):
+    # a fresh interpreter that makes any RuntimeWarning an error runs the
+    # config; a traced second run (a probe for a probe config) writes the
+    # same bytes, and verify the same report and no CSV
+    cfg = write_config(tmp_path, CONSOLE[name])
+    proc = run_cli(["run", str(cfg), "--output-dir", "first"], cwd=tmp_path,
+                   env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    again = "probe" if name in PROBE_VALUES else "run"
+    tracemalloc.start()
+    try:
+        assert cli.main([again, str(cfg), "--output-dir", str(tmp_path / "again")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_BYTES.get(name, math.inf)
+    assert cli.main(["verify", str(cfg), "--output-dir", str(tmp_path / "verify")]) == 0
+    assert capsys.readouterr().err == ""
+    first = {f: (tmp_path / "first" / f).read_bytes() for f in ("trace.csv", "report.json")}
+    assert (tmp_path / "again" / "trace.csv").read_bytes() == first["trace.csv"]
+    for out in ("again", "verify"):
+        assert (tmp_path / out / "report.json").read_bytes() == first["report.json"]
+    assert not (tmp_path / "verify" / "trace.csv").exists()
+    if name in PROBE_VALUES:
+        value = float(first["trace.csv"].decode().splitlines()[1].split(",")[1])
+        assert math.isclose(value, PROBE_VALUES[name], rel_tol=1e-12, abs_tol=0.0)
+    else:
+        checks = {c["name"]: c["measured"] for c in json.loads(first["report.json"])["checks"]}
+        assert checks["identity_residual"] == 0.0
 
 
 PATH_TEXT = st.text(alphabet="/.ab", max_size=8)

@@ -924,7 +924,10 @@ class TestSolvers:
         loss = make_loss("smooth_sin", {"c0": 0.0, "c1": 1.0})
         s = drifted_process(lattice6, drift=-1.0)
         sol = solve_mean_reflection_direct(loss, s, lattice6, TOL)
-        assert sol.A.is_compensator
+        report = verify_mean_reflection(sol, loss, s, lattice6, TOL,
+                                        expected_losses=sol.expected_losses)
+        checks = {c.name: c.passed for c in report.checks}
+        assert checks["compensator_starts_at_zero"] and checks["compensator_nondecreasing"]
 
     def test_flat_off_complementarity_at_increase_steps(self, lattice6):
         # wherever the supremum increases, the newly attained constraint value

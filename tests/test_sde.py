@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from meanreflect.config import config_from_dict
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
-from oracles import ref_coefficient_violations
+from conftest import solve_as_run
+from oracles import exact_affine_compensator, ref_coefficient_violations
 
 
 def const_coeffs(b=0.0, h=0.0, sigma=0.0):
@@ -744,6 +746,41 @@ def test_picard_solve_equals_confirming_every_root(solve, loss_name, lattice8):
                              _reference_solve(prob, config, lattice8))
 
 
+@pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
+def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name, lattice6,
+                                                                      monkeypatch):
+    # picard_step and _reflect_direct keep two copies of the root loop: a
+    # full and a previous= confirming step give the shifts, A and kept
+    # losses of _reflect_direct on integrate_forward's U from the same
+    # driver and initial level, bit for bit
+    coeffs, loss, x0, _ = _reuse_problem("full_sde", loss_name, lattice6)
+    prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice6.band, grid=lattice6.grid)
+    direct_shifts, required = [0.0], reflection.required_shift
+
+    def recorded(*args, **kwargs):
+        shift, value = required(*args, **kwargs)
+        direct_shifts.append(shift)
+        return shift, value
+
+    monkeypatch.setattr(reflection, "required_shift", recorded)
+    initial = np.array([x0])
+    driver, step, reused = constant_process(lattice6, x0), None, []
+    for _ in range(3):
+        full = picard_step(prob, lattice6, driver, 0, 6, initial, confirm=True)
+        step = picard_step(prob, lattice6, driver, 0, 6, initial, previous=step, confirm=True)
+        del direct_shifts[1:]
+        direct = reflection._reflect_direct(
+            loss, integrate_forward(coeffs, lattice6, driver, 0, 6, initial), lattice6)
+        for got in (full, step):
+            assert _bits(got.shifts) == _bits(direct_shifts)
+            assert _bits(got.solution.A.values) == _bits(direct.A.values)
+            assert _bits(got.solution.expected_losses) == _bits(direct.expected_losses)
+        reused.append(step.changed_from)
+        driver = step.solution.X
+    # the previous= steps kept levels below the first changed one
+    assert reused[-2] > 1
+
+
 class TestReusedLosses:
     """Each solver keeps its root finds' last sweeps as E[l(t_k, X_k)] where
     A_k is the minimal shift; each kept value must be the sweep of X_k bit
@@ -1185,3 +1222,32 @@ class TestInputsUnchanged:
         assert required_shift_signed(0.0, xi, lattice6, loss) < 0.0
         assert xi.values is values
         assert _bits(values) == _bits(before)
+
+
+@pytest.mark.parametrize("n_steps", [3, 4, 5, 6])
+@pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
+def test_compensator_against_the_exact_discrete_one(mode, n_steps):
+    """A - A* against the exact rational A* of the dyadic config. Each
+    affine root is -base/c + tol/2, minimal within tol given its own U, so
+    in ``sp_only`` 0 <= A - A* <= tol. In ``full_sde`` the tol/2 pads feed
+    forward through the drift, whose Lipschitz constant is theta = 1/2, so
+    the excess follows (tol/2)(1 + theta (t_k - t_1)). The slack, 2e-5 tol
+    (nine ulps of 1.0), covers the rounding of the float scheme's node
+    values and sweeps, which are of order 1; it measured 1.2e-6 tol."""
+    # the dyadic config of oracles.exact_affine_compensator
+    config = config_from_dict({"mode": mode, "problem": {
+        "x0": 0.0, "horizon": n_steps / 4, "n_steps": n_steps,
+        "sigma_low_sq": 1.0, "sigma_high_sq": 4.0,
+        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.125, "cap": 2.0}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}}})
+    solution = solve_as_run(config)[3]
+    tol = Fraction(config.solver.tol)
+    exact = exact_affine_compensator(n_steps, full_sde=mode == "full_sde")
+    for k, (a, a_star) in enumerate(zip(solution.A.values.tolist(), exact)):
+        if mode == "sp_only":
+            bound = tol
+        else:
+            bound = tol / 2 * (1 + Fraction(1, 2) * Fraction(k - 1, 4)) + Fraction(2, 10**5) * tol
+        excess = Fraction(a) - a_star
+        assert 0 <= excess <= bound, (k, float(excess / tol))
