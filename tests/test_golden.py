@@ -31,6 +31,7 @@ those before them, so A carries an earlier, larger shift there.
 ``full_sde_large_compensator`` pins a run whose A reaches 1e5 over four
 subintervals: its identity residual is 0.0 by definition, where the round
 trip (X - A) + A would leave X by 7.3e-12, above the 1e-12 threshold.
+``full_sde_x0_negative_zero`` starts from x0 = -0.0, whose X_0 is +0.0.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -168,6 +169,16 @@ CONFIGS = {
             "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 0.0}},
         },
         "solver": {"delta_initial_steps": 2},
+    },
+    # x0 = -0.0: X_0 is +0.0, as x0 + A_0 is
+    "full_sde_x0_negative_zero": {
+        "mode": "full_sde",
+        "problem": {
+            "x0": -0.0, "n_steps": 6,
+            "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
+        },
     },
     # no contraction at the minimum length: exit 3
     "picard_no_contraction": {
