@@ -125,7 +125,8 @@ class SkorokhodSolution:
     A solver may add ``expected_losses``: E[l(t_k, X_k)] for each step of A,
     bitwise the sweep of X_k, where its root find made that sweep
     (``_reusable_losses``) or, in ``sde.picard_solve``, where the converged
-    iterate swept X at a level with a positive shift, and NaN elsewhere. X
+    iterate swept X at a level with a positive shift or a subinterval's
+    initial check swept its start level, and NaN elsewhere. X
     is None where the solver leaves it as S + A for its readers to form
     (``_reflect_direct``)."""
 
@@ -597,13 +598,16 @@ def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndar
     return s + compensator, compensator
 
 
-def _check_initial_constraint(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice) -> None:
+def _check_initial_constraint(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice) -> float:
+    """E[l(t0, S_t0)], the sweep of S's first level; raises where it is
+    below -``DEFAULT_PRECONDITION_TOL``."""
     t0 = lattice.grid.times[S.start_step]
     e0 = expected_loss(t0, S.functional_at(S.start_step), lattice, loss)
     if e0 < -DEFAULT_PRECONDITION_TOL:
         raise InitialConstraintError(
             f"E[l(t0, S_t0)] = {e0} < 0 at the initial time t0={t0}"
         )
+    return e0
 
 
 def _shift_guess(shifts: np.ndarray, i: int) -> float:
@@ -622,8 +626,12 @@ def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
     the point of the root's last sweep, formed by the same addition, so its
     sweep would give the same bits. A zero shift's value is the sweep of S
     itself, which S + 0.0 matches only where S holds no -0.0, so it is not
-    kept."""
-    return np.where((shifts > 0.0) & (compensator == shifts), losses, np.nan)
+    kept. The start level's value is kept as given: ``sde.picard_step``
+    gives its check's sweep of X's start level, which it keeps as the
+    swept array, and ``_reflect_direct`` gives NaN."""
+    kept = (shifts > 0.0) & (compensator == shifts)
+    kept[0] = True
+    return np.where(kept, losses, np.nan)
 
 
 def _reflect_direct(
@@ -716,9 +724,9 @@ def verify_mean_reflection(
     where unknown, as a solver's ``SkorokhodSolution.expected_losses`` does
     for the loss it solved with: the root finds' last sweeps, at every step
     where A equals a positive minimal shift, and Picard's sweeps of X at its
-    other steps with a positive shift. Each known value is taken as it is,
-    and only the other steps are swept: the first step, steps where the
-    constraint is slack, the junctions of Picard's subintervals, and the
+    other steps with a positive shift and start levels. Each known value is
+    taken as it is, and only the other steps are swept: the first step of a
+    direct construction, steps where the constraint is slack, and the
     steps where A carries an earlier, larger shift in a direct construction
     or in a Picard subinterval solved with every root confirmed.
 

@@ -400,7 +400,9 @@ def picard_step(
     values and the X levels there and recomputes the Euler steps and root
     finds above, each from the same start. Every value is the same
     operation on the same inputs as in a full pass. Without ``previous`` the
-    step is a full pass.
+    step is a full pass, which keeps its start level alike: X's level
+    ``start_step`` is the array it starts from (``initial``, or ``[x0 +
+    0.0]``), and its ``expected_losses`` value is the initial check's sweep.
 
     Each root is one call of ``required_shift``, which takes ``confirm``.
     With ``confirm=False`` a closed-form candidate stays unconfirmed, with
@@ -411,40 +413,37 @@ def picard_step(
 
     The root finds read the functionals ``integrate_forward`` made with the
     Euler steps' ranges, and the solution's X levels carry U's range plus
-    their shift, or, where kept, the driver's functional.
+    their shift, or, where kept, the kept array's functional.
     """
     k0 = start_step
     loss = problem.loss
     times = lattice.grid.times
-    # u holds U from level base on; below level fresh, X and the shifts are
-    # the previous step's
+    # X keeps its levels up to base, and U from level base on gives the rest
     if previous is None:
         if initial is None:
             if start_step != 0:
                 raise InvalidParameterError("initial node values required when start_step > 0")
-            initial = np.array([problem.x0])
-        forward = integrate_forward(problem.coeffs, lattice, driver, k0, end_step, initial)
-        _check_initial_constraint(loss, forward, lattice)
+            initial = np.array([problem.x0 + 0.0])
+        base, start = k0, initial
         shifts = np.zeros(end_step - k0 + 1)
         losses = np.full(end_step - k0 + 1, np.nan)
-        x: list[np.ndarray] = []
-        base = fresh = k0
     else:
         same_range = (driver.start_step, driver.end_step) == (k0, end_step)
         if driver is not previous.solution.X or not same_range:
             raise InvalidParameterError("previous must be the step whose X is the driver")
-        base = min(previous.changed_from, end_step)
-        forward = None
-        if base < end_step:
-            forward = integrate_forward(problem.coeffs, lattice, driver, base, end_step,
-                                        previous.unreflected)
+        base, start = min(previous.changed_from, end_step), previous.unreflected
         shifts = previous.shifts.copy()
         losses = previous.solution.expected_losses.copy()
-        x = list(driver.values[: base - k0 + 1])
-        fresh = base + 1
+    fresh = base + 1
+    forward = None
+    if start is not None:
+        forward = integrate_forward(problem.coeffs, lattice, driver, base, end_step, start)
+    # a full pass keeps the level it starts from, which its check sweeps
+    kept = driver if previous is not None else forward
+    if previous is None:
+        losses[0] = _check_initial_constraint(loss, forward, lattice)
     u = list(forward.values) if forward is not None else []
-    # the shift at start_step is zero by the checked constraint
-    root_levels = range(max(fresh, k0 + 1), end_step + 1)
+    root_levels = range(fresh, end_step + 1)
     for k in root_levels:
         i = k - k0
         # the Euler step took U's range, so the root find makes no pass for it
@@ -453,23 +452,22 @@ def picard_step(
             start=_shift_guess(shifts, i), with_value=True, confirm=confirm)
     compensator = np.maximum.accumulate(shifts)
     # this step's Euler made the top U level and no step starts from it, so
-    # it becomes X in place; U at base is the caller's array
-    x += [u[k - base] if k == end_step > base else np.empty_like(u[k - base])
-          for k in range(fresh, end_step + 1)]
+    # it becomes X in place
+    x = [*kept.values[: base - k0 + 1],
+         *(u[k - base] if k == end_step else np.empty_like(u[k - base]) for k in root_levels)]
     X = ProcessOnLattice(lattice, k0, tuple(x))
-    # X keeps the driver's functionals at the kept levels, which are the
-    # driver's arrays, and takes U's ranges (every root level's, and
-    # start_step's in a full pass) plus the shift above. _adopt reads no
-    # values, so X's are written below; U's functionals end here, before the
-    # write that turns the top U level into X
-    X._adopt(driver, range(k0, fresh))
+    # X shares the kept levels' functionals and takes U's ranges plus the
+    # shift above. _adopt reads no values, so X's are written below; U's
+    # functionals end here, before the write that turns the top U level into X
+    X._adopt(kept, range(k0, fresh))
     if forward is not None:
-        X._adopt(forward, range(fresh, end_step + 1), compensator)
+        X._adopt(forward, root_levels, compensator)
     forward = None
     # X at the recomputed levels, and the sup distance and first changed
-    # level against the driver, one kernel block at a time. Kept levels equal
-    # the driver's; start_step stays in so that a non-finite initial value
-    # gives the distance NaN, as a full pass does
+    # level against the driver, one kernel block at a time. Kept levels above
+    # start_step are the driver's; start_step stays in, so that a full pass
+    # compares its start level and a non-finite initial value gives the
+    # distance NaN
     gaps = []
     changed_from = end_step + 1
     scratch = np.empty(min(4**end_step, 4**_lattice._BLOCK_LEVELS))
@@ -516,8 +514,9 @@ def picard_solve(
     above the guard halves the subinterval length (in steps) and restarts the
     current subinterval. Compensators are pasted by accumulating terminal
     offsets, so the global A is nondecreasing and matches at junctions. The
-    converged steps' ``expected_losses`` are pasted with them; each junction
-    takes the later subinterval's NaN at its start.
+    converged steps' ``expected_losses`` are pasted with them. A later
+    subinterval starts from the array the earlier one ends with, so a
+    junction is one level of X, whose value is the later step's check.
 
     Only the fixed point has to carry certified minimal shifts, so the
     iterates take closed-form roots unconfirmed (``picard_step`` with
@@ -555,7 +554,7 @@ def picard_solve(
     a_full = np.zeros(n + 1)
     losses = np.full(n + 1, np.nan)
     pieces: list[ProcessOnLattice] = []
-    initial = np.array([problem.x0])
+    initial = np.array([problem.x0 + 0.0])
     diags: list[SubintervalDiagnostics] = []
     confirm = False
     while pos < n:
@@ -606,12 +605,11 @@ def picard_solve(
         offset += float(local_a[-1])
         initial = step.solution.X.at(end)
         pos = end
-    # each junction takes the later subinterval's level. The functionals
-    # that _confirm_candidates read, and the ranges the steps took, serve
-    # the verifier and the CSV pass too; _adopt shares those of the levels
-    # X holds
-    X = ProcessOnLattice(lattice, 0, tuple(v for piece in pieces[:-1] for v in piece.values[:-1])
-                         + pieces[-1].values)
+    # a subinterval starts from the array its predecessor ends with. The
+    # functionals that _confirm_candidates read, and the ranges the steps
+    # took, serve the verifier and the CSV pass too
+    X = ProcessOnLattice(lattice, 0, pieces[0].values[:1]
+                         + tuple(v for piece in pieces for v in piece.values[1:]))
     for piece in pieces:
         X._adopt(piece, range(piece.start_step, piece.end_step + 1))
     return MRSDESolution(

@@ -44,14 +44,15 @@ changed entry is named in CHANGES.md.
 
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import check_bits, verify_as_run
-from meanreflect import VolatilityBand, cli, pde
+from conftest import check_bits, solve_as_run, verify_as_run
+from meanreflect import PathFunctional, VolatilityBand, cli, expected_loss, pde, reflection, sde
 from meanreflect.config import config_from_dict
 from meanreflect.runner import run_experiment
 
@@ -295,6 +296,54 @@ def test_library_verifier_writes_the_runs_checks(name, tmp_path):
     verification = verify_as_run(config)
     assert check_bits(verification.checks) == check_bits(report["checks"][-5:])
     assert verification.passed == all(c.passed for c in verification.checks)
+
+
+# the verified full_sde runs pasted from several subintervals
+PASTED = ("full_sde_large_compensator", "picard_delta_initial_steps", "picard_restart")
+
+
+@pytest.mark.parametrize("name", PASTED)
+def test_each_junction_is_one_swept_array(name, monkeypatch):
+    """A later subinterval starts from the array the earlier one ends with,
+    so the pasted X holds one array per level. Every start level and
+    junction keeps a value in ``expected_losses``, each known value is a
+    fresh sweep bit for bit, and the verifier sweeps none of those levels."""
+    steps, swept = [], []
+    real_step, real_loss = sde.picard_step, reflection.expected_loss
+
+    def recorded_step(*args, **kwargs):
+        result = real_step(*args, **kwargs)
+        steps.append(result.solution.X)
+        return result
+
+    def recorded_loss(t, *args, **kwargs):
+        swept.append(t)
+        return real_loss(t, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "picard_step", recorded_step)
+    config = config_from_dict(CONFIGS[name])
+    lattice, loss, _, solution = solve_as_run(config)
+    monkeypatch.setattr(reflection, "expected_loss", recorded_loss)
+    assert reflection.verify_mean_reflection(solution, loss, None, lattice, tol=config.solver.tol,
+                                             expected_losses=solution.expected_losses).passed
+    monkeypatch.undo()
+    # the last step over a subinterval's steps is the one picard_solve kept
+    ranges = [(d.start_step, d.end_step) for d in solution.diagnostics]
+    pieces = [next(x for x in reversed(steps) if (x.start_step, x.end_step) == r)
+              for r in ranges]
+    assert len(pieces) > 1
+    for piece in pieces:
+        for k in range(piece.start_step, piece.end_step + 1):
+            assert solution.X.at(k) is piece.at(k)
+    times = lattice.grid.times
+    starts = [start for start, _ in ranges]
+    assert not set(swept) & set(times[starts].tolist())
+    for k, value in enumerate(solution.expected_losses.tolist()):
+        assert k not in starts or not math.isnan(value)
+        if not math.isnan(value):
+            fresh = expected_loss(float(times[k]), PathFunctional(k, solution.X.at(k)), lattice,
+                                  loss)
+            assert value.hex() == fresh.hex(), k
 
 
 def test_pde_matches_golden():

@@ -671,8 +671,9 @@ class TestLevelReuse:
         # so from level 4 on the minimal shifts lie below the running max and
         # A carries the shift of level 3. The converged iterate sweeps X at
         # every level with a positive shift, and the verifier reuses each
-        # value: solve and verify make 29 sweeps where a sweep of U + x in
-        # every iterate and the verifier's own sweeps of levels 4-6 made 43
+        # value and the initial check's sweep of X_0: solve and verify make 28
+        # sweeps where a sweep of U + x in every iterate and the verifier's
+        # own sweeps of levels 0 and 4-6 made 43
         tent = LossSpec(fn=lambda t, x: x - 2.0 * min(t, 1.0 - t), c_l=1.0, C_l=1.0,
                         time_modulus=lambda d: 2.0 * d, kappa_growth=1.0, name="tent")
         prob = _binding_problem(grid6, tent)
@@ -681,11 +682,11 @@ class TestLevelReuse:
         ver = verify_mean_reflection(sol, tent, None, lattice6,
                                      expected_losses=sol.expected_losses)
         monkeypatch.undo()
-        assert len(sweeps) == 29 and ver.passed
+        assert len(sweeps) == 28 and ver.passed
         a = sol.A.values
         assert np.all(np.diff(a)[:3] > 0.0) and np.all(np.diff(a)[3:] == 0.0)
         known = TestReusedLosses.assert_reuse_is_bitwise(sol, tent, sol.U, lattice6)
-        assert known.tolist() == [False] + [True] * 6
+        assert known.tolist() == [True] * 7
         _assert_equals_reference(sol, _reference_solve(prob, PicardConfig(), lattice6))
 
     def test_previous_must_be_the_step_of_the_driver(self, band, grid6, lattice6):
@@ -752,7 +753,9 @@ def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name
     # picard_step and _reflect_direct keep two copies of the root loop: a
     # full and a previous= confirming step give the shifts, A and kept
     # losses of _reflect_direct on integrate_forward's U from the same
-    # driver and initial level, bit for bit
+    # driver and initial level, bit for bit. picard_step's X_0 is the
+    # initial array, and it keeps its check's sweep there, where
+    # _reflect_direct's X_0 = S_0 + 0.0 keeps none
     coeffs, loss, x0, _ = _reuse_problem("full_sde", loss_name, lattice6)
     prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice6.band, grid=lattice6.grid)
     direct_shifts, required = [0.0], reflection.required_shift
@@ -771,10 +774,14 @@ def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name
         del direct_shifts[1:]
         direct = reflection._reflect_direct(
             loss, integrate_forward(coeffs, lattice6, driver, 0, 6, initial), lattice6)
+        fresh_x0 = expected_loss(0.0, PathFunctional(0, initial), lattice6, loss)
+        assert np.isnan(direct.expected_losses[0])
         for got in (full, step):
             assert _bits(got.shifts) == _bits(direct_shifts)
             assert _bits(got.solution.A.values) == _bits(direct.A.values)
-            assert _bits(got.solution.expected_losses) == _bits(direct.expected_losses)
+            assert got.solution.X.at(0) is initial
+            assert _bits(got.solution.expected_losses) == _bits(
+                [fresh_x0, *direct.expected_losses[1:]])
         reused.append(step.changed_from)
         driver = step.solution.X
     # the previous= steps kept levels below the first changed one
@@ -805,10 +812,9 @@ class TestReusedLosses:
     def test_kept_values_equal_fresh_sweeps(self, solve, loss_name, lattice8):
         sol, loss, s = _reuse_solve(solve, loss_name, lattice8)
         known = self.assert_reuse_is_bitwise(sol, loss, s, lattice8)
-        # every level binds on these draws; level 0 and Picard's subinterval
-        # junctions are swept
-        junctions = {d.start_step for d in getattr(sol, "diagnostics", ())}
-        assert known.tolist() == [k not in junctions | {0} for k in range(9)]
+        # every level binds on these draws; only sp_only's level 0 is swept,
+        # since Picard keeps each subinterval's check of its start level
+        assert known.tolist() == [k > 0 or solve != "sp_only" for k in range(9)]
         if solve == "restart":
             assert sol.restarts >= 1
         if solve == "delta_initial_steps":
@@ -1192,6 +1198,8 @@ class TestInputsUnchanged:
         step = None
         for _ in range(4):
             step = guarded(prob, lattice6, driver, start_step, end_step, initial, previous=step)
+            # every pass keeps the array it started from as X's start level
+            assert step.solution.X.at(start_step) is initial
             driver = step.solution.X
         assert len(seen) == 4
         if start_step < end_step:
