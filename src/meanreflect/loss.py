@@ -172,12 +172,6 @@ def _pair_bound_sides(xs: np.ndarray, rows, low: float, high: float,
         yield "lower" if np.any(dv < bounds[0]) else "upper" if np.any(dv > bounds[1]) else None
 
 
-def _band_certified(loss: LossSpec, xs: np.ndarray, lv_by_t: np.ndarray,
-                    d: np.ndarray) -> np.ndarray:
-    """Per sample time, whether ``_adjacent_certified`` proves the band."""
-    return _adjacent_certified(xs, lv_by_t, loss.c_l, loss.C_l, d)
-
-
 def validate_loss(loss: LossSpec) -> LossValidationReport:
     """Spot-check the declared constants on a 50 x 200 grid over the boxes.
 
@@ -215,7 +209,7 @@ def validate_loss(loss: LossSpec) -> LossValidationReport:
         decreasing = np.any(d <= 0.0, axis=1)
         beyond_growth = np.any(np.abs(lv_by_t) > growth_bound, axis=1)
     sides = _pair_bound_sides(xs, lv_by_t, loss.c_l, loss.C_l,
-                              _band_certified(loss, xs, lv_by_t, d))
+                              _adjacent_certified(xs, lv_by_t, loss.c_l, loss.C_l, d))
     for i, t in enumerate(ts):
         if decreasing[i]:
             bad.append(f"l(t={t:.4g}, .) is not strictly increasing on the sample")

@@ -43,7 +43,6 @@ from .errors import (
     BracketError,
     ConfigError,
     InvalidParameterError,
-    NonContractionError,
     SolverError,
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
@@ -337,7 +336,7 @@ def run_experiment(
                                          config.problem.p, S)
             else:
                 diagnostics["solve_skipped"] = "validation checks failed"
-    except (SolverError, NonContractionError, BracketError, InvalidParameterError) as exc:
+    except (SolverError, BracketError, InvalidParameterError) as exc:
         diagnostics["solver_error"] = f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_SOLVER_FAILURE
 

@@ -96,6 +96,7 @@ from .lattice import (
 )
 from .loss import LossSpec, LossValidationReport, _adjacent_certified, _pair_bound_sides
 from .reflection import (
+    DEFAULT_ROOT_TOL,
     DeterministicPath,
     SkorokhodSolution,
     _check_initial_constraint,
@@ -196,7 +197,7 @@ class PicardConfig:
     the first and smallest subinterval lengths in steps, and the constant
     first driver (x0 when None)."""
 
-    tol: float = 1e-10
+    tol: float = DEFAULT_ROOT_TOL
     max_iter: int = 60
     contraction_guard: float = 0.5
     delta_initial_steps: int | None = None
@@ -381,7 +382,7 @@ def picard_step(
     start_step: int,
     end_step: int,
     initial: np.ndarray | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_ROOT_TOL,
     previous: PicardStepResult | None = None,
     *,
     confirm: bool = True,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from meanreflect import InvalidParameterError, LossSpec, validate_loss
-from meanreflect.loss import _SPOT_RTOL, _band_certified, require_valid_loss
+from meanreflect.loss import _SPOT_RTOL, _adjacent_certified, require_valid_loss
 from meanreflect.errors import ValidationError
 from meanreflect.registry import make_loss
 from oracles import ref_loss_violations
@@ -121,7 +121,7 @@ def _certified(loss):
     ts = np.linspace(0.0, loss.t_box, 50)
     xs = np.linspace(loss.x_box[0], loss.x_box[1], 200)
     lv_by_t = np.stack([loss(float(t), xs) for t in ts])
-    return bool(_band_certified(loss, xs, lv_by_t, np.diff(lv_by_t, axis=1)).all())
+    return bool(_adjacent_certified(xs, lv_by_t, loss.c_l, loss.C_l).all())
 
 
 REGISTRY_GRID = [
