@@ -42,10 +42,11 @@ def child_env(extra=None):
     return env
 
 
-def solve_as_run(config):
+def solve_as_run(config, loss=None):
     """The lattice, loss, S (None in ``full_sde``) and solution that ``run``
-    makes of a solving ``config``."""
-    loss = config.loss_spec()
+    makes of a solving ``config``, with ``loss`` in place of its loss if
+    given."""
+    loss = loss or config.loss_spec()
     lattice = build_lattice(config.band(), config.grid())
     if config.mode == "sp_only":
         S = integrate_sde(config.coefficients(), lattice, config.problem.x0)

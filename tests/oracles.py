@@ -243,29 +243,94 @@ def ref_terminal_upper_expectation(band, grid, fn) -> float:
     return float(v[0, 0])
 
 
-def exact_affine_compensator(n_steps: int, full_sde: bool) -> list:
-    """The exact A of the discrete scheme on the dyadic config, as
-    ``fractions.Fraction``s, by brute force over the leaves.
+# A test-only loss for Howard's path on the dyadic config: l(t, x) = g(x - t)
+# with g(y) = y + sum of jump * max(y - kink, 0) over (kink, jump). Its slopes
+# are 1, 5/4, 3/2 and 1 between the dyadic kinks -1/2, 0 and 1/2, so it has
+# c_l = 1 and C_l = 3/2. No kinks give the linear loss x - t.
+PIECEWISE_KINKS = ((Fraction(-1, 2), Fraction(1, 4)), (Fraction(0), Fraction(1, 4)),
+                   (Fraction(1, 2), Fraction(-1, 2)))
+
+
+def piecewise_linear(y, kinks=PIECEWISE_KINKS, maximum=max):
+    """g(y) = y + the sum of jump * maximum(y - kink, 0) over ``kinks``:
+    slope 1 below the first kink, changing by jump at each. With float kinks
+    and ``maximum=np.maximum`` it is the float loss of an array."""
+    return y + sum(jump * maximum(y - kink, 0) for kink, jump in kinks)
+
+
+def _exact_sweep(values) -> tuple:
+    """The G-expectation of leaf ``values`` (lattice child order), a max of
+    pair averages, and the leaves an optimal policy reaches: at each node
+    the high volatility where its average is larger, else the low one."""
+    level = [(v, (i,)) for i, v in enumerate(values)]
+    while len(level) > 1:
+        parents = []
+        for i in range(0, len(level), 4):
+            (v0, s0), (v1, s1), (v2, s2), (v3, s3) = level[i : i + 4]
+            low, high = (v0 + v1) / 2, (v2 + v3) / 2
+            parents.append((high, s2 + s3) if high > low else (low, s0 + s1))
+        level = parents
+    return level[0]
+
+
+def _exact_policy_root(ys, kinks):
+    """The x with mean(g(y + x) over ``ys``) = 0. The mean is increasing and
+    piecewise linear in x, with kinks at kink - y, so the root is linear
+    interpolation on the segment whose ends change sign, or beyond the
+    outer kinks, where the slopes are 1 and 1 + the sum of the jumps."""
+
+    def mean(x):
+        return sum(piecewise_linear(y + x, kinks) for y in ys) / len(ys)
+
+    points = sorted({kink - y for y in ys for kink, _ in kinks}) or [Fraction(0)]
+    if mean(points[0]) >= 0:
+        return points[0] - mean(points[0])
+    if mean(points[-1]) < 0:
+        return points[-1] - mean(points[-1]) / (1 + sum(jump for _, jump in kinks))
+    lo, hi = 0, len(points) - 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mean(points[mid]) < 0 else (lo, mid)
+    (a, fa), (b, fb) = ((x, mean(x)) for x in (points[lo], points[hi]))
+    return a - fa * (b - a) / (fb - fa)
+
+
+def _exact_minimal_shift(t, u, kinks):
+    """The smallest x >= 0 with E[g(U + x - t)] >= 0, by Howard's policy
+    iteration in Fractions: each step takes the exact root of the policy
+    the last sweep found optimal. Its root is feasible, and the next root
+    is no larger; a repeated policy would repeat a root, so the iteration
+    ends, at E[g(U + x - t)] = 0."""
+    x = Fraction(0)
+    value, support = _exact_sweep([piecewise_linear(v - t, kinks) for v in u])
+    while value < 0 or x > 0 and value > 0:
+        x = _exact_policy_root([u[i] - t for i in support], kinks)
+        value, support = _exact_sweep([piecewise_linear(v - t + x, kinks) for v in u])
+    return x
+
+
+def exact_dyadic_solution(n_steps: int, full_sde: bool, kinks=()) -> tuple[list, list]:
+    """The exact A of the discrete scheme on the dyadic config and the exact
+    E[l(t_k, X_k)] at each step, as ``fractions.Fraction``s, by brute force
+    over the leaves, for the loss l(t, x) = g(x - t) of ``kinks`` (see
+    ``piecewise_linear``; none give the ``linear`` loss).
 
     The config: band (1, 4), dt = 1/4 (horizon n/4), x0 = 0, b = ``ou_drift``
-    with theta 1/2, sigma = ``linear_sigma`` with a 1, b 1/8 and cap 2, h = 0
-    and the ``linear`` loss l(t, x) = x - t. Then sqrt(dt) = 1/2, so every dB
-    is one of +-1/2 (low) and +-1 (high), and every node value, every
-    G-expectation (a max of pair averages) and every minimal shift
-    max(0, t - E[U]) is a dyadic rational. Each step takes U_{k+1} = U_k +
-    b(X_k) dt + sigma(X_k) dB with X = U + A in ``full_sde`` and X = U in
-    ``sp_only``; A is the running max of the minimal shifts.
+    with theta 1/2, sigma = ``linear_sigma`` with a 1, b 1/8 and cap 2 and
+    h = 0. Then sqrt(dt) = 1/2, so every dB is one of +-1/2 (low) and +-1
+    (high), and every node value, every G-expectation (a max of pair
+    averages) and every minimal shift is rational. Each step takes U_{k+1} =
+    U_k + b(X_k) dt + sigma(X_k) dB with X = U + A in ``full_sde`` and X = U
+    in ``sp_only``; A is the running max of the minimal shifts.
     """
     dt = Fraction(1, 4)
     db = (Fraction(1, 2), Fraction(-1, 2), Fraction(1), Fraction(-1))  # child order
     u, a = [Fraction(0)], [Fraction(0)]
+    values = [_exact_sweep([piecewise_linear(Fraction(0), kinks)])[0]]
     for k in range(1, n_steps + 1):
         x = [v + a[-1] for v in u] if full_sde else u
         u = [v + (-xi / 2) * dt + min(1 + abs(xi) / 8, Fraction(2)) * d
              for v, xi in zip(u, x) for d in db]
-        mean = u
-        while len(mean) > 1:
-            mean = [max((mean[i] + mean[i + 1]) / 2, (mean[i + 2] + mean[i + 3]) / 2)
-                    for i in range(0, len(mean), 4)]
-        a.append(max(a[-1], k * dt - mean[0], Fraction(0)))
-    return a
+        a.append(max(a[-1], _exact_minimal_shift(k * dt, u, kinks)))
+        values.append(_exact_sweep([piecewise_linear(v + a[-1] - k * dt, kinks) for v in u])[0])
+    return a, values

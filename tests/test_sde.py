@@ -31,7 +31,9 @@ from meanreflect import (
     required_shift,
     required_shift_signed,
     solve_mean_reflection_direct,
+    solve_mean_reflection_reduced,
     validate_coefficients,
+    validate_loss,
     verify_mean_reflection,
 )
 from meanreflect import reflection, sde
@@ -40,7 +42,12 @@ from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
 from conftest import solve_as_run
-from oracles import exact_affine_compensator, ref_coefficient_violations
+from oracles import (
+    PIECEWISE_KINKS,
+    exact_dyadic_solution,
+    piecewise_linear,
+    ref_coefficient_violations,
+)
 
 
 def const_coeffs(b=0.0, h=0.0, sigma=0.0):
@@ -1232,6 +1239,17 @@ class TestInputsUnchanged:
         assert _bits(values) == _bits(before)
 
 
+def _dyadic_config(mode, n_steps):
+    """The dyadic config of ``oracles.exact_dyadic_solution``, with the
+    ``linear`` loss."""
+    return config_from_dict({"mode": mode, "problem": {
+        "x0": 0.0, "horizon": n_steps / 4, "n_steps": n_steps,
+        "sigma_low_sq": 1.0, "sigma_high_sq": 4.0,
+        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.125, "cap": 2.0}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}}})
+
+
 @pytest.mark.parametrize("n_steps", [3, 4, 5, 6])
 @pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
 def test_compensator_against_the_exact_discrete_one(mode, n_steps):
@@ -1242,16 +1260,10 @@ def test_compensator_against_the_exact_discrete_one(mode, n_steps):
     the excess follows (tol/2)(1 + theta (t_k - t_1)). The slack, 2e-5 tol
     (nine ulps of 1.0), covers the rounding of the float scheme's node
     values and sweeps, which are of order 1; it measured 1.2e-6 tol."""
-    # the dyadic config of oracles.exact_affine_compensator
-    config = config_from_dict({"mode": mode, "problem": {
-        "x0": 0.0, "horizon": n_steps / 4, "n_steps": n_steps,
-        "sigma_low_sq": 1.0, "sigma_high_sq": 4.0,
-        "b": {"name": "ou_drift", "params": {"theta": 0.5}},
-        "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.125, "cap": 2.0}},
-        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}}})
+    config = _dyadic_config(mode, n_steps)
     solution = solve_as_run(config)[3]
     tol = Fraction(config.solver.tol)
-    exact = exact_affine_compensator(n_steps, full_sde=mode == "full_sde")
+    exact = exact_dyadic_solution(n_steps, full_sde=mode == "full_sde")[0]
     for k, (a, a_star) in enumerate(zip(solution.A.values.tolist(), exact)):
         if mode == "sp_only":
             bound = tol
@@ -1259,3 +1271,58 @@ def test_compensator_against_the_exact_discrete_one(mode, n_steps):
             bound = tol / 2 * (1 + Fraction(1, 2) * Fraction(k - 1, 4)) + Fraction(2, 10**5) * tol
         excess = Fraction(a) - a_star
         assert 0 <= excess <= bound, (k, float(excess / tol))
+
+
+FLOAT_KINKS = tuple((float(kink), float(jump)) for kink, jump in PIECEWISE_KINKS)
+# oracles.piecewise_linear in floats: slopes 1 to 3/2, so its roots take
+# Howard's policy iteration
+PIECEWISE_LOSS = LossSpec(fn=lambda t, x: piecewise_linear(x - t, FLOAT_KINKS, np.maximum),
+                          c_l=1.0, C_l=1.5, time_modulus=lambda d: 1.5 * d, kappa_growth=1.5,
+                          name="piecewise_linear")
+
+
+@pytest.mark.parametrize("n_steps", [3, 4, 5, 6])
+@pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
+def test_howard_compensator_against_the_exact_discrete_one(mode, n_steps):
+    """A, the reduced construction's A and the verifier's E[l(t_k, X_k)]
+    against the exact rationals A* and c* of the dyadic config with the
+    piecewise-linear loss, whose roots Howard's iteration finds.
+
+    Howard stops at 0 <= phi < c_l tol, so each root lies less than tol
+    above the exact one for its own U. In ``sp_only`` U = S is exact, so
+    0 <= A - A* < tol. X = S + A, and l's slopes lie in [c_l, C_l] = [1,
+    3/2], so c* + (A - A*) <= c <= c* + 3/2 (A - A*).
+
+    In ``full_sde`` an excess E_k of A_k moves X_k, and the Euler step
+    U_{k+1} = U_k - X_k/8 + sigma(X_k) dB, with sigma of slope 1/8 and |dB|
+    <= 1, passes at most E_k/4 of it on to every node of U_{k+1}; a shift D
+    of U moves its root by at most D. So D_{k+1} <= D_k + E_k/4 and E_k <=
+    D_k + tol, which gives E_k <= tol (5/4)^(k-1), D_k <= E_k - tol and
+    |c - c*| <= 3/2 (D_k + E_k). The lower side 0 <= A - A* is measured, as
+    for the affine loss.
+
+    Each side takes the affine test's slack, 2e-5 tol: Howard certifies phi
+    >= 0 by a float sweep, so a root can sit an ulp below the exact one
+    (-2.2e-6 tol at sp_only step 6)."""
+    lattice, loss, S, solution = solve_as_run(_dyadic_config(mode, n_steps), PIECEWISE_LOSS)
+    assert validate_loss(loss).ok
+    verified = verify_mean_reflection(solution, loss, S, lattice,
+                                      expected_losses=solution.expected_losses)
+    assert verified.passed
+    tol = Fraction(reflection.DEFAULT_ROOT_TOL)
+    slack = Fraction(2, 10**5) * tol
+    a_star, c_star = exact_dyadic_solution(n_steps, mode == "full_sde", PIECEWISE_KINKS)
+    if mode == "sp_only":
+        reduced = solve_mean_reflection_reduced(loss, S, lattice)
+    for k, (a, c) in enumerate(zip(solution.A.values.tolist(),
+                                   verified.expected_losses.tolist())):
+        excess, gap = Fraction(a) - a_star[k], Fraction(c) - c_star[k]
+        if mode == "sp_only":
+            assert -slack <= excess < tol, (k, float(excess / tol))
+            assert excess - slack <= gap <= Fraction(3, 2) * excess + slack, (k, float(gap / tol))
+            assert -slack <= Fraction(reduced.A.values[k]) - a_star[k] < tol, k
+        else:
+            bound = tol * Fraction(5, 4) ** (k - 1) if k else Fraction(0)
+            assert -slack <= excess <= bound + slack, (k, float(excess / tol))
+            shift = 2 * bound - tol if k else Fraction(0)
+            assert abs(gap) <= Fraction(3, 2) * shift + slack, (k, float(gap / tol))
