@@ -439,9 +439,10 @@ def picard_step(
     forward = None
     if start is not None:
         forward = integrate_forward(problem.coeffs, lattice, driver, base, end_step, start)
-    # a full pass keeps the level it starts from, which its check sweeps
-    kept = driver if previous is not None else forward
+    kept = driver
     if previous is None:
+        # a full pass keeps the level it starts from, which its check sweeps
+        kept = forward
         losses[0] = _check_initial_constraint(loss, forward, lattice)
     u = list(forward.values) if forward is not None else []
     root_levels = range(fresh, end_step + 1)
