@@ -32,6 +32,7 @@ those before them, so A carries an earlier, larger shift there.
 subintervals: its identity residual is 0.0 by definition, where the round
 trip (X - A) + A would leave X by 7.3e-12, above the 1e-12 threshold.
 ``full_sde_x0_negative_zero`` starts from x0 = -0.0, whose X_0 is +0.0.
+``full_sde_classical_band`` has equal band ends, the classical case.
 
 A change that moves outputs on purpose regenerates the entries it moves with
 
@@ -176,6 +177,16 @@ CONFIGS = {
         "mode": "full_sde",
         "problem": {
             "x0": -0.0, "n_steps": 6,
+            "b": {"name": "ou_drift", "params": {"theta": 0.5}},
+            "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
+            "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
+        },
+    },
+    # equal band ends: classical Brownian motion, one volatility at every step
+    "full_sde_classical_band": {
+        "mode": "full_sde",
+        "problem": {
+            "n_steps": 6, "sigma_low_sq": 2.0, "sigma_high_sq": 2.0,
             "b": {"name": "ou_drift", "params": {"theta": 0.5}},
             "sigma": {"name": "linear_sigma", "params": {"a": 1.0, "b": 0.1}},
             "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0}},
