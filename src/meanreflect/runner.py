@@ -47,7 +47,7 @@ from .errors import (
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
 from .lattice import _BLOCK_LEVELS, ProcessOnLattice, build_lattice
-from .loss import validate_loss
+from .loss import LossSpec, validate_loss
 from .reflection import (
     CheckResult,
     SkorokhodSolution,
@@ -263,6 +263,19 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
     return _csv_from_columns(CSV_HEADER, [times, a, e_l, e_x, e_abs_p])
 
 
+def _solve(config: ExperimentConfig, loss: LossSpec):
+    """The lattice, S (None in ``full_sde``) and solution that a solving run
+    makes of ``config`` with the loss ``loss``: one stored process besides A
+    (see the module docstring)."""
+    lattice = build_lattice(config.band(), config.grid())
+    if config.mode == "sp_only":
+        S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
+        return lattice, S, _reflect_direct(loss, S, lattice, tol=config.solver.tol)
+    problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
+                           band=lattice.band, grid=lattice.grid, p=config.problem.p)
+    return lattice, None, picard_solve(problem, config.solver, lattice=lattice)
+
+
 # overflow and invalid operations surface as non-finite values, which the
 # finiteness checks turn into exit 3; numpy's warnings about them are noise
 @np.errstate(over="ignore", invalid="ignore")
@@ -302,15 +315,7 @@ def run_experiment(
                     diagnostics[key] = list(spot.violations)
 
             if all(spot.ok for *_, spot in spot_checks):
-                lattice = build_lattice(config.band(), config.grid())
-                if config.mode == "sp_only":
-                    S = integrate_sde(coeffs, lattice, config.problem.x0)
-                    solution = _reflect_direct(loss, S, lattice, tol=config.solver.tol)
-                else:
-                    problem = MRSDEProblem(x0=config.problem.x0, coeffs=coeffs, loss=loss,
-                                           band=lattice.band, grid=lattice.grid, p=config.problem.p)
-                    solution = picard_solve(problem, config.solver, lattice=lattice)
-                    S = None
+                lattice, S, solution = _solve(config, loss)
                 verification = verify_mean_reflection(
                     solution, loss, S, lattice, tol=config.solver.tol,
                     expected_losses=solution.expected_losses)

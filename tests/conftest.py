@@ -10,17 +10,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 import meanreflect
 from meanreflect import (
     DeterministicPath,
-    MRSDEProblem,
     ProcessOnLattice,
     SkorokhodSolution,
     TimeGrid,
     VolatilityBand,
     build_lattice,
-    integrate_sde,
-    picard_solve,
+    runner,
     verify_mean_reflection,
 )
-from meanreflect.reflection import _reflect_direct
 
 PACKAGE_PARENT = str(Path(meanreflect.__file__).resolve().parents[1])
 
@@ -45,15 +42,10 @@ def child_env(extra=None):
 def solve_as_run(config, loss=None):
     """The lattice, loss, S (None in ``full_sde``) and solution that ``run``
     makes of a solving ``config``, with ``loss`` in place of its loss if
-    given."""
+    given: the runner's own solve."""
     loss = loss or config.loss_spec()
-    lattice = build_lattice(config.band(), config.grid())
-    if config.mode == "sp_only":
-        S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
-        return lattice, loss, S, _reflect_direct(loss, S, lattice, config.solver.tol)
-    problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
-                           band=lattice.band, grid=lattice.grid, p=config.problem.p)
-    return lattice, loss, None, picard_solve(problem, config.solver, lattice=lattice)
+    lattice, S, solution = runner._solve(config, loss)
+    return lattice, loss, S, solution
 
 
 def verify_as_run(config):

@@ -14,7 +14,6 @@ import pytest
 from meanreflect import (
     DeterministicPath,
     InvalidParameterError,
-    MRSDEProblem,
     MRSDESolution,
     PathFunctional,
     ProcessOnLattice,
@@ -24,7 +23,6 @@ from meanreflect import (
     build_lattice,
     integrate_sde,
     make_loss,
-    picard_solve,
     reflection,
     runner,
     solve_mean_reflection_direct,
@@ -66,18 +64,14 @@ def _config(problem: str, mode: str, n_steps: int):
 
 def _solve(config):
     """The lattice, the loss, the solution and S as a run reads them, with
-    one process stored, and the same with X and S both materialised."""
+    one process stored (the runner's own solve), and the same with X and S
+    both materialised."""
     loss = config.loss_spec()
-    lat = build_lattice(config.band(), config.grid())
+    lat, S, stored = runner._solve(config, loss)
     if config.mode == "sp_only":
-        S = integrate_sde(config.coefficients(), lat, config.problem.x0)
-        stored = reflection._reflect_direct(loss, S, lat, config.solver.tol)
         return lat, loss, (stored, S), (solve_mean_reflection_direct(loss, S, lat,
                                                                      config.solver.tol), S)
-    problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
-                           band=lat.band, grid=lat.grid, p=config.problem.p)
-    solution = picard_solve(problem, config.solver, lattice=lat)
-    return lat, loss, (solution, None), (solution, solution.U)
+    return lat, loss, (stored, None), (stored, stored.U)
 
 
 def _assert_same_reports(read, whole):
