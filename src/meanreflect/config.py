@@ -116,7 +116,7 @@ class ExperimentConfig:
     def band(self) -> VolatilityBand:
         low, high = self.problem.sigma_low_sq, self.problem.sigma_high_sq
         with _field(f"problem.sigma_low_sq={low} / problem.sigma_high_sq={high}"):
-            return VolatilityBand(low, high, classical=low == high)
+            return VolatilityBand(low, high)
 
     @_built_once
     def grid(self) -> TimeGrid:
@@ -148,9 +148,9 @@ class ExperimentConfig:
             with _field(f"problem.{key}"):
                 terms.append(make_coefficient(selected.name, selected.params))
         b, h, sigma = terms
-        kappa = max(b.lipschitz + h.lipschitz + sigma.lipschitz, 1e-9)
-        return Coefficients(b=_solver_fn(b), h=_solver_fn(h), sigma=_solver_fn(sigma),
-                            kappa=kappa)
+        with _field("problem.b/problem.h/problem.sigma"):
+            return Coefficients(b=_solver_fn(b), h=_solver_fn(h), sigma=_solver_fn(sigma),
+                                kappa=b.lipschitz + h.lipschitz + sigma.lipschitz)
 
     @_built_once
     def payoff(self) -> Payoff:

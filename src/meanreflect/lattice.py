@@ -57,15 +57,12 @@ CHILD_SIGN = np.array([1.0, -1.0, 1.0, -1.0])
 
 @dataclass(frozen=True)
 class VolatilityBand:
-    """The admissible variance band [sigma_low_sq, sigma_high_sq].
-
-    Strict inequality is required; equality is the classical (single-measure)
-    limit and must be requested explicitly via ``classical=True``.
-    """
+    """The admissible variance band [sigma_low_sq, sigma_high_sq], with
+    0 < sigma_low_sq <= sigma_high_sq < inf; equal ends are the classical
+    (single-measure) case, Brownian motion of variance sigma_low_sq."""
 
     sigma_low_sq: float
     sigma_high_sq: float
-    classical: bool = False
 
     def __post_init__(self):
         if not (self.sigma_low_sq > 0.0 and math.isfinite(self.sigma_low_sq)):
@@ -76,15 +73,6 @@ class VolatilityBand:
             raise InvalidParameterError(
                 f"need 0 < sigma_low_sq <= sigma_high_sq, got "
                 f"sigma_low_sq={self.sigma_low_sq}, sigma_high_sq={self.sigma_high_sq}"
-            )
-        if self.sigma_low_sq == self.sigma_high_sq and not self.classical:
-            raise InvalidParameterError(
-                "sigma_low_sq == sigma_high_sq is the classical limit; "
-                "construct with classical=True to allow it"
-            )
-        if self.classical and self.sigma_low_sq != self.sigma_high_sq:
-            raise InvalidParameterError(
-                "classical=True requires sigma_low_sq == sigma_high_sq"
             )
 
     @property

@@ -110,7 +110,8 @@ from .reflection import (
 @dataclass(frozen=True)
 class Coefficients:
     """Coefficient triple (b, h, sigma), each (t, x) -> value, with a shared
-    Lipschitz constant in x. Callables must accept ndarray x and act on it
+    Lipschitz constant kappa in x, any real in [0, inf): 0 for constant
+    coefficients. Callables must accept ndarray x and act on it
     value by value (or return a scalar): the Euler step evaluates them on one
     block of nodes at a time, and keeps a scalar result as a scalar."""
 
@@ -120,8 +121,8 @@ class Coefficients:
     kappa: float
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise InvalidParameterError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise InvalidParameterError(f"kappa must be finite and >= 0, got {self.kappa}")
 
 
 def _coeff_block(fn: Callable, t: float, x: np.ndarray) -> np.ndarray | float:

@@ -63,7 +63,7 @@ def const_coeffs(b=0.0, h=0.0, sigma=0.0):
         b=lambda t, x: np.full_like(x, b),
         h=lambda t, x: np.full_like(x, h),
         sigma=lambda t, x: np.full_like(x, sigma),
-        kappa=1e-9,
+        kappa=0.0,
     )
 
 
@@ -194,13 +194,13 @@ def _equivalence_instances():
         b=lambda t, x: np.full_like(x, -1.0),
         h=lambda t, x: np.zeros_like(x),
         sigma=lambda t, x: np.ones_like(x),
-        kappa=1e-9,
+        kappa=0.0,
     )
     qv_drain = Coefficients(
         b=lambda t, x: np.zeros_like(x),
         h=lambda t, x: np.full_like(x, -0.5),
         sigma=lambda t, x: np.ones_like(x),
-        kappa=1e-9,
+        kappa=0.0,
     )
     arith_half = integrate_sde(drift_down, LAT6, 0.5)
     arith_zero = integrate_sde(drift_down, LAT6, 0.0)
@@ -283,7 +283,7 @@ def test_criterion_9_stability_inequality():
         s1 = integrate_sde(
             Coefficients(b=lambda t, x: np.full_like(x, -1.0),
                          h=lambda t, x: np.zeros_like(x),
-                         sigma=lambda t, x: np.ones_like(x), kappa=1e-9),
+                         sigma=lambda t, x: np.ones_like(x), kappa=0.0),
             LAT6, 0.0,
         )
         sol1 = solve_mean_reflection_direct(base_loss, s1, LAT6, ROOT_TOL)
@@ -314,7 +314,7 @@ def test_criterion_10_modulus_of_A():
     s = integrate_sde(
         Coefficients(b=lambda t, x: np.full_like(x, -0.5),
                      h=lambda t, x: np.zeros_like(x),
-                     sigma=lambda t, x: np.ones_like(x), kappa=1e-9),
+                     sigma=lambda t, x: np.ones_like(x), kappa=0.0),
         LAT6, 0.0,
     )
     sol = solve_mean_reflection_direct(nonlinear, s, LAT6, ROOT_TOL)

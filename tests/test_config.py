@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from meanreflect import ExperimentConfig, load_config
+from meanreflect import ExperimentConfig, VolatilityBand, load_config
 from meanreflect.config import ProblemConfig, config_from_dict
 from meanreflect.errors import ConfigError
 
@@ -92,6 +92,22 @@ def test_band_inversion_names_both_fields(tmp_path):
     payload = {"problem": {"sigma_low_sq": 4.0, "sigma_high_sq": 1.0}}
     with pytest.raises(ConfigError, match="sigma_low_sq"):
         load_config(write(tmp_path, payload))
+
+
+def test_equal_band_ends_build_the_classical_band():
+    config = config_from_dict({"problem": {"sigma_low_sq": 2.0, "sigma_high_sq": 2.0}})
+    assert config.band() == VolatilityBand(2.0, 2.0)
+
+
+def test_constant_coefficients_take_kappa_zero():
+    assert config_from_dict({}).coefficients().kappa == 0.0
+
+
+def test_kappa_sum_that_overflows_is_config_error(tmp_path):
+    # two finite constants whose sum is not: no Lipschitz constant is declared
+    drift = {"name": "ou_drift", "params": {"theta": 1e308}}
+    with pytest.raises(ConfigError, match="problem.b/problem.h/problem.sigma: kappa"):
+        load_config(write(tmp_path, {"problem": {"b": drift, "h": drift}}))
 
 
 def test_unknown_loss_lists_available(tmp_path):

@@ -199,7 +199,7 @@ class TestStrictComparison:
 def test_classical_reduction_matches_binomial_exactly():
     # equal band endpoints and a payoff of the path: both vol branches carry
     # identical values, so sup = inf = plain binomial average, bitwise
-    band = VolatilityBand(2.25, 2.25, classical=True)
+    band = VolatilityBand(2.25, 2.25)
     lat = build_lattice(band, TimeGrid(1.0, 5))
     values = np.sin(lat.b[5]) + 0.25 * lat.b[5] ** 2
     xi = PathFunctional(5, values)
@@ -349,15 +349,14 @@ class TestTerminalKernel:
             terminal_upper_expectation(band, TimeGrid(1.0, 3), lambda x: 1.0)
 
     def test_runs_past_the_enumeration_cap(self):
-        band = VolatilityBand(1.0, 1.0, classical=True)
+        band = VolatilityBand(1.0, 1.0)
         # classical band: the binomial second moment, exactly horizon
         assert terminal_upper_expectation(band, TimeGrid(1.0, 64), lambda x: x**2) == (
             pytest.approx(1.0, rel=1e-12))
 
-    @pytest.mark.parametrize("low_sq, high_sq, classical",
-                             [(lo, hi, False) for lo, hi in KERNEL_BANDS] + [(1.0, 1.0, True)])
-    def test_bitwise_equal_to_the_square_grid(self, low_sq, high_sq, classical):
-        band = VolatilityBand(low_sq, high_sq, classical=classical)
+    @pytest.mark.parametrize("low_sq, high_sq", [*KERNEL_BANDS, (1.0, 1.0)])
+    def test_bitwise_equal_to_the_square_grid(self, low_sq, high_sq):
+        band = VolatilityBand(low_sq, high_sq)
         for n in [*range(11), 17, 64]:
             grid = TimeGrid(1.0 if n else 0.0, n)
             for name, params in KERNEL_PAYOFFS:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -26,15 +27,13 @@ def test_band_requires_strict_inequality():
         VolatilityBand(2.0, 1.0)
     with pytest.raises(InvalidParameterError):
         VolatilityBand(0.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        VolatilityBand(1.0, 1.0)  # equality only in classical mode
 
 
-def test_band_classical_mode():
-    b = VolatilityBand(2.0, 2.0, classical=True)
-    assert b.sigma_low == b.sigma_high
-    with pytest.raises(InvalidParameterError):
-        VolatilityBand(1.0, 2.0, classical=True)
+def test_band_with_equal_ends_is_the_classical_case():
+    band = VolatilityBand(2.0, 2.0)
+    assert band.sigma_low == band.sigma_high
+    assert [f.name for f in dataclasses.fields(VolatilityBand)] == ["sigma_low_sq",
+                                                                    "sigma_high_sq"]
 
 
 def test_time_grid_invariants():
@@ -87,7 +86,7 @@ def test_root_only_lattice():
 
 def test_two_step_classical_collapses_to_binomial():
     # sigma_low = sigma_high = 1, T=1: 16 leaves carry the +-sqrt(0.5) walk
-    lat = build_lattice(VolatilityBand(1.0, 1.0, classical=True), TimeGrid(1.0, 2))
+    lat = build_lattice(VolatilityBand(1.0, 1.0), TimeGrid(1.0, 2))
     step = np.sqrt(0.5)
     unique = sorted(set(np.round(lat.b[2], 12).tolist()))
     expected = sorted({round(v, 12) for v in (-2 * step, 0.0, 2 * step)})

@@ -118,7 +118,7 @@ def test_batched_march_equals_one_row_marches_bitwise(march_band):
     _assert_rows_march_alone(rows, march_band, dx, dx * dx / march_band.sigma_high_sq, 40)
 
 
-@pytest.mark.parametrize("march_band", [VolatilityBand(1.0, 4.0), VolatilityBand(0.5, 0.5, classical=True)])
+@pytest.mark.parametrize("march_band", [VolatilityBand(1.0, 4.0), VolatilityBand(0.5, 0.5)])
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_rows_of_far_apart_scales_do_not_leak_across_row_ends(march_band, order):
     # rows from 1e-300 to 1e300 laid end to end, with signed zeros and
@@ -163,8 +163,7 @@ def test_march_equals_reference_bitwise(seed, shape, classical, dt_share, n_step
     # form may differ by one subnormal ulp (see the _march_backward docstring)
     rng = np.random.default_rng(seed)
     sl = float(rng.uniform(0.05, 3.0))
-    band = (VolatilityBand(sl, sl, classical=True) if classical
-            else VolatilityBand(sl, sl * float(rng.uniform(1.01, 20.0))))
+    band = VolatilityBand(sl, sl if classical else sl * float(rng.uniform(1.01, 20.0)))
     dx = float(rng.uniform(0.01, 1.0))
     dt = dt_share * dx * dx / band.sigma_high_sq
     scale = 10.0 ** rng.uniform(-150.0, 150.0, size=shape[:-1] + (1,))

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -50,12 +51,12 @@ from oracles import (
 )
 
 
-def const_coeffs(b=0.0, h=0.0, sigma=0.0):
+def const_coeffs(b=0.0, h=0.0, sigma=0.0, kappa=0.0):
     return Coefficients(
         b=lambda t, x: np.full_like(x, b),
         h=lambda t, x: np.full_like(x, h),
         sigma=lambda t, x: np.full_like(x, sigma),
-        kappa=1e-9,
+        kappa=kappa,
     )
 
 
@@ -117,8 +118,18 @@ class TestValidateCoefficients:
         b = make_coefficient("ou_drift", {"theta": 0.5})
         coeffs = Coefficients(b=b.fn, h=make_coefficient("zero").fn,
                               sigma=make_coefficient("constant_sigma").fn,
-                              kappa=max(b.lipschitz, 1e-9))
+                              kappa=b.lipschitz)
         assert validate_coefficients(coeffs).ok
+
+    def test_constant_coefficients_take_kappa_zero(self):
+        coeffs = const_coeffs(b=-0.5, h=0.25, sigma=1.0)
+        assert coeffs.kappa == 0.0
+        assert validate_coefficients(coeffs).violations == ()
+
+    @pytest.mark.parametrize("kappa", [math.inf, math.nan, -1.0])
+    def test_kappa_outside_zero_to_infinity_refused(self, kappa):
+        with pytest.raises(InvalidParameterError, match="kappa"):
+            const_coeffs(kappa=kappa)
 
     def test_wrong_kappa_caught(self):
         coeffs = Coefficients(b=lambda t, x: 3.0 * x, h=lambda t, x: np.zeros_like(x),
@@ -162,7 +173,7 @@ def _registry_family(seed):
                                               "cap": a + rng.uniform(0.1, 3.0)})
     h = make_coefficient("zero")
     terms = (b.lipschitz, h.lipschitz, sigma.lipschitz)
-    return b.fn, h.fn, sigma.fn, max(sum(terms), 1e-9), max(*terms, 1e-9)
+    return b.fn, h.fn, sigma.fn, sum(terms), max(terms)
 
 
 # factors on the tight kappa: a clear pass, a pass that only the pairs can
@@ -550,7 +561,7 @@ class TestLevelReuse:
         parts.update(terms)
         made = {key: make_coefficient(name, params) for key, (name, params) in parts.items()}
         coeffs = Coefficients(b=made["b"].fn, h=made["h"].fn, sigma=made["sigma"].fn,
-                              kappa=max(max(m.lipschitz for m in made.values()), 1e-9))
+                              kappa=max(m.lipschitz for m in made.values()))
         loss_name, loss_params = problem_args.get("loss", ("linear", {"c0": 0.0, "c1": 1.0}))
         prob = MRSDEProblem(x0=problem_args.get("x0", 0.0), coeffs=coeffs,
                             loss=make_loss(loss_name, loss_params), band=band, grid=grid6)
@@ -727,7 +738,7 @@ def _reuse_problem(solve, loss_name, lattice, b=None):
     (drift, sigma, picard), ((name, params), x0) = REUSE_SOLVES[solve], REUSE_LOSSES[loss_name]
     made_b, made_sigma = make_coefficient(*drift), make_coefficient(*sigma)
     coeffs = Coefficients(b=b or made_b.fn, h=make_coefficient("zero").fn, sigma=made_sigma.fn,
-                          kappa=max(made_b.lipschitz, made_sigma.lipschitz, 1e-9))
+                          kappa=max(made_b.lipschitz, made_sigma.lipschitz))
     return coeffs, make_loss(name, params), x0, picard
 
 
@@ -950,7 +961,7 @@ class TestSolutionInvariants:
     def test_classical_limit_matches_binomial_formula(self):
         # equal band endpoints with a linear loss: A equals the classical
         # running supremum of (c(u) - E[S_u])^+ on the same binomial tree
-        band = VolatilityBand(1.0, 1.0, classical=True)
+        band = VolatilityBand(1.0, 1.0)
         grid = TimeGrid(1.0, 6)
         lattice = build_lattice(band, grid)
         loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
