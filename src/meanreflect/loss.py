@@ -8,6 +8,7 @@ brackets), so ``validate_loss`` spot-checks them on a sampling grid first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -25,7 +26,8 @@ class LossSpec:
 
     fn must accept a scalar t and an ndarray x and return an ndarray of x's
     shape, value by value: the expected loss evaluates it on one leaf block
-    at a time (see ``reflection.expected_loss``). The validation box bounds
+    at a time (see ``reflection.expected_loss``). The validation box, x_box
+    by [0, t_box] and finite like every declared constant, bounds
     the region on which the declared constants are certified; solvers may
     leave it for pathological inputs, which is the caller's risk (the growth
     bound keeps brackets finite regardless).
@@ -42,16 +44,15 @@ class LossSpec:
     t_box: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.c_l <= self.C_l):
+        if not 0.0 < self.c_l <= self.C_l < math.inf:
             raise InvalidParameterError(
-                f"need 0 < c_l <= C_l, got c_l={self.c_l}, C_l={self.C_l}"
+                f"need 0 < c_l <= C_l < inf, got c_l={self.c_l}, C_l={self.C_l}"
             )
-        if not self.kappa_growth > 0.0:
+        if not 0.0 < self.kappa_growth < math.inf:
             raise InvalidParameterError(
-                f"kappa_growth must be positive, got {self.kappa_growth}"
+                f"kappa_growth must be finite and positive, got {self.kappa_growth}"
             )
-        if self.x_box[0] >= self.x_box[1]:
-            raise InvalidParameterError(f"empty validation box {self.x_box}")
+        _check_sample_box(self.x_box, self.t_box, "t_box")
 
     def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(t, np.asarray(x, dtype=float)), dtype=float)
@@ -70,6 +71,17 @@ class LossSpec:
             x_box=self.x_box,
             t_box=self.t_box,
         )
+
+
+def _check_sample_box(x_box: tuple[float, float], t_end: float, t_name: str) -> None:
+    """Refuse a spot check's sampling box on which a violation could hide:
+    x_box must be two finite increasing values and the time span [0, t_end]
+    finite."""
+    if not (len(x_box) == 2 and -math.inf < x_box[0] < x_box[1] < math.inf):
+        raise InvalidParameterError(
+            f"x_box must be two finite increasing values, got {x_box}")
+    if not 0.0 <= t_end < math.inf:
+        raise InvalidParameterError(f"{t_name} must be finite and >= 0, got {t_end}")
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,13 @@ from .lattice import (
     build_lattice,
     constant_process,
 )
-from .loss import LossSpec, LossValidationReport, _adjacent_certified, _pair_bound_sides
+from .loss import (
+    LossSpec,
+    LossValidationReport,
+    _adjacent_certified,
+    _check_sample_box,
+    _pair_bound_sides,
+)
 from .reflection import (
     DEFAULT_ROOT_TOL,
     DeterministicPath,
@@ -149,8 +155,10 @@ def validate_coefficients(
     Each coefficient is evaluated at every sample time before its pairs are
     checked. Where the adjacent differences certify a time
     (``loss._adjacent_certified``, with low = 0 and high = kappa), the
-    (80, 80) pair matrix is not built.
+    (80, 80) pair matrix is not built. The boxes must be finite, as a
+    ``LossSpec``'s are.
     """
+    _check_sample_box(x_box, t_max, "t_max")
     bad: list[str] = []
     ts = np.linspace(0.0, t_max, 20)
     xs = np.linspace(x_box[0], x_box[1], 80)

@@ -21,6 +21,28 @@ def test_constructor_rejects_bad_constants():
                  time_modulus=lambda d: 0.0, kappa_growth=0.0)
 
 
+# 100 x above 0 and x / 100 below, declared c_l = C_l = 1, and a time term
+# that no modulus F = 0 allows: the default boxes show both violations
+KINKED = LossSpec(fn=lambda t, x: np.where(x > 0.0, 100.0 * x, 0.01 * x) + t, c_l=1.0,
+                  C_l=1.0, time_modulus=lambda d: 0.0, kappa_growth=200.0)
+
+
+def test_kinked_loss_fails_on_the_default_boxes():
+    assert validate_loss(KINKED).violations == (
+        "lower Lipschitz bound c_l=1.0 violated at t=0", "time modulus F violated on the sample")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x_box", (math.nan, 1.0)), ("x_box", (-math.inf, 1.0)), ("x_box", (-1.0, math.inf)),
+    ("x_box", (1.0, 1.0)), ("x_box", (-1.0, 0.0, 1.0)),
+    ("t_box", math.nan), ("t_box", math.inf), ("t_box", -1.0),
+    ("C_l", math.inf), ("kappa_growth", math.inf), ("kappa_growth", math.nan),
+])
+def test_constructor_rejects_boxes_and_constants_that_hide_violations(field, value):
+    with pytest.raises(InvalidParameterError, match=field):
+        dataclasses.replace(KINKED, **{field: value})
+
+
 def test_builtin_losses_pass_validation():
     for name, params in (
         ("linear", {"c0": 0.0, "c1": 1.0}),

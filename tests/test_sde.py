@@ -131,6 +131,20 @@ class TestValidateCoefficients:
         with pytest.raises(InvalidParameterError, match="kappa"):
             const_coeffs(kappa=kappa)
 
+    @pytest.mark.parametrize("t_max, x_box", [
+        (1.0, (math.nan, 1.0)), (1.0, (-math.inf, 1.0)), (1.0, (-1.0, math.inf)),
+        (1.0, (1.0, -1.0)), (math.nan, (-5.0, 5.0)), (math.inf, (-5.0, 5.0)),
+        (-1.0, (-5.0, 5.0)),
+    ])
+    def test_boxes_that_hide_violations_refused(self, t_max, x_box):
+        # a drift of 50 t x declared kappa = 1 fails on the default boxes
+        coeffs = Coefficients(b=lambda t, x: 50.0 * t * x, h=lambda t, x: 0.0,
+                              sigma=lambda t, x: 1.0, kappa=1.0)
+        assert validate_coefficients(coeffs).violations == (
+            "coefficient b violates the Lipschitz bound kappa=1.0 at t=0.05263",)
+        with pytest.raises(InvalidParameterError, match="x_box|t_max"):
+            validate_coefficients(coeffs, t_max=t_max, x_box=x_box)
+
     def test_wrong_kappa_caught(self):
         coeffs = Coefficients(b=lambda t, x: 3.0 * x, h=lambda t, x: np.zeros_like(x),
                               sigma=lambda t, x: np.zeros_like(x), kappa=1.0)
