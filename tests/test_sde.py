@@ -42,6 +42,7 @@ from meanreflect.config import config_from_dict
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
 from meanreflect.sde import running_abs_max
+# runner._solve, the one solve that ``run`` makes of a config
 from conftest import solve_as_run
 from oracles import (
     PIECEWISE_KINKS,
