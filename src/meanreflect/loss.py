@@ -26,8 +26,8 @@ class LossSpec:
 
     fn must accept a scalar t and an ndarray x and return an ndarray of x's
     shape, value by value: the expected loss evaluates it on one leaf block
-    at a time (see ``reflection.expected_loss``). The validation box, x_box
-    by [0, t_box] and finite like every declared constant, bounds
+    at a time (see ``reflection.expected_loss``). The validation box x_box x
+    [0, t_box], finite as every declared constant is, bounds
     the region on which the declared constants are certified; solvers may
     leave it for pathological inputs, which is the caller's risk (the growth
     bound keeps brackets finite regardless).
