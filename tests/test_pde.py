@@ -155,15 +155,15 @@ def test_data_up_to_1e300_march_without_runtime_warning():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1),
        shape=st.sampled_from([(3,), (17,), (64,), (1, 9), (4, 12), (2, 3, 7)]),
-       classical=st.booleans(),
+       equal_ends=st.booleans(),
        dt_share=st.sampled_from([1.0, 0.999, 0.5, 0.1]),
        n_steps=st.integers(1, 25))
-def test_march_equals_reference_bitwise(seed, shape, classical, dt_share, n_steps):
+def test_march_equals_reference_bitwise(seed, shape, equal_ends, dt_share, n_steps):
     # data and products stay clear of the subnormal range, where the max
     # form may differ by one subnormal ulp (see the _march_backward docstring)
     rng = np.random.default_rng(seed)
     sl = float(rng.uniform(0.05, 3.0))
-    band = VolatilityBand(sl, sl if classical else sl * float(rng.uniform(1.01, 20.0)))
+    band = VolatilityBand(sl, sl if equal_ends else sl * float(rng.uniform(1.01, 20.0)))
     dx = float(rng.uniform(0.01, 1.0))
     dt = dt_share * dx * dx / band.sigma_high_sq
     scale = 10.0 ** rng.uniform(-150.0, 150.0, size=shape[:-1] + (1,))
