@@ -145,6 +145,18 @@ def test_step_cap_enforced(tmp_path):
         load_config(write(tmp_path, {"problem": {"n_steps": 11}}))
 
 
+@pytest.mark.parametrize("field, value", [("horizon", 0.0), ("horizon", -1.0), ("p", 0.5)],
+                         ids=["horizon_zero", "horizon_negative", "p_below_one"])
+def test_problem_bounds_exit_2_naming_the_field(tmp_path, capsys, field, value):
+    from meanreflect import cli
+
+    cfg = write(tmp_path, {"problem": {field: value}})
+    assert cli.main(["run", str(cfg), "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: problem.{field}") and f"got {value}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
 def test_probe_mode_requires_payoff(tmp_path):
     with pytest.raises(ConfigError, match="payoff"):
         load_config(write(tmp_path, {"mode": "gexp_probe"}))
