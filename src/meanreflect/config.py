@@ -275,8 +275,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _validate_semantics(config: ExperimentConfig) -> None:
     p = config.problem
-    if not p.horizon > 0.0:
-        raise ConfigError(f"problem.horizon must be positive, got {p.horizon}")
     if not 1 <= p.n_steps <= DEFAULT_ENUMERATION_CAP:
         raise ConfigError(
             f"problem.n_steps must lie in [1, {DEFAULT_ENUMERATION_CAP}], got {p.n_steps}"

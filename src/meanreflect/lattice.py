@@ -375,6 +375,13 @@ def _shift_range(value_range: tuple[float, float], c: float) -> tuple[float, flo
     return float(value_range[0] + c), float(value_range[1] + c)
 
 
+def _shift_stays_finite(value_range: tuple[float, float], c: float) -> bool:
+    """Whether values + c are all finite, from the (min, max) of the values:
+    by monotone rounding, exactly when both extremes shift to finite
+    values."""
+    return all(math.isfinite(v) for v in _shift_range(value_range, c))
+
+
 def brownian_process(lattice: PathLattice) -> ProcessOnLattice:
     """The canonical path itself, as a process (S = B)."""
     return ProcessOnLattice(lattice, 0, lattice.b)

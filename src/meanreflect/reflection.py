@@ -37,8 +37,11 @@ Each root find also returns E[l(t, X + x)] from its last sweep at its
 result x. Where the compensator equals a positive minimal shift, X at that
 grid time is S plus that shift, by the same addition, so the solvers keep
 that value, and ``verify_mean_reflection`` takes it in place of a sweep.
-A run stores S alone: it takes A from ``_reflect_direct``, the root loop of
-``solve_mean_reflection_direct``, and its readers form X_k = S_k + a_k.
+``_reflect_levels`` is the one loop over levels that does this, for the
+direct construction and for each Picard iterate of ``sde.picard_step``. A
+run stores S alone: it takes A from ``_reflect_direct``, which
+``solve_mean_reflection_direct`` wraps, and its readers form X_k = S_k + a_k
+(``_stored_x``).
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -78,6 +81,7 @@ from .lattice import (
     ProcessOnLattice,
     _level_blocks,
     _require_finite,
+    _shift_stays_finite,
     lift_values,
 )
 from .loss import LossSpec
@@ -206,11 +210,11 @@ def expected_loss(t: float, xi: PathFunctional, lattice: PathLattice, loss: Loss
     shifted values, one loss value per point and finite loss values, with
     the same errors. Rounding is monotone, so every shifted value is finite
     when X's smallest and largest values (``value_range``, which the
-    functional's own finiteness check takes) shift to finite values; only
-    otherwise is each shifted block checked. The sweep checks the loss values (see ``gexpectation._sweep``).
+    functional's own finiteness check takes) shift to finite values
+    (``lattice._shift_stays_finite``); only otherwise is each shifted block
+    checked. The sweep checks the loss values (see ``gexpectation._sweep``).
     """
-    check_shifted = shift is not None and not all(
-        math.isfinite(v + float(shift)) for v in xi.value_range)
+    check_shifted = shift is not None and not _shift_stays_finite(xi.value_range, float(shift))
 
     def leaf_map(block: np.ndarray) -> np.ndarray:
         if check_shifted:
@@ -511,11 +515,9 @@ def _policy_record(loss: LossSpec, depth: int) -> list | None:
 
 
 def _usable_start(start: float, xi: PathFunctional) -> bool:
-    """Whether ``start`` is positive and finite and shifts X's smallest and
-    largest values, and so by monotone rounding all of them, to finite
-    values."""
-    shifted = (start, *(v + start for v in xi.value_range))
-    return start > 0.0 and all(math.isfinite(v) for v in shifted)
+    """Whether ``start`` is positive and shifts every value of X to a finite
+    value, which an infinite start does not."""
+    return start > 0.0 and _shift_stays_finite(xi.value_range, start)
 
 
 def required_shift(
@@ -634,30 +636,40 @@ def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
     return np.where(kept, losses, np.nan)
 
 
-def _reflect_direct(
-    loss: LossSpec,
-    S: ProcessOnLattice,
-    lattice: PathLattice,
-    tol: float = DEFAULT_ROOT_TOL,
-) -> SkorokhodSolution:
+def _reflect_levels(loss: LossSpec, U: ProcessOnLattice | None, lattice: PathLattice,
+                    tol: float, levels: range, shifts: np.ndarray, losses: np.ndarray,
+                    *, confirm: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The Skorokhod step at ``levels`` of U: each level's minimal shift,
+    ``required_shift`` from ``_shift_guess`` with ``confirm``, and the value
+    of that root's last sweep, written into ``shifts`` and ``losses``. These
+    hold one value per step of A, whose last step is the last of ``levels``;
+    the steps below ``levels`` keep theirs. Returns A, the running max of the
+    shifts, and ``_reusable_losses``. U may be None where ``levels`` is
+    empty."""
+    times = lattice.grid.times
+    k0 = levels.stop - shifts.size
+    for k in levels:
+        i = k - k0
+        shifts[i], losses[i] = required_shift(times[k], U.functional_at(k), lattice, loss, tol,
+                                              start=_shift_guess(shifts, i), with_value=True,
+                                              confirm=confirm)
+    # A is the classical reflection of the zero path above the shifts: their
+    # running max, since every shift is >= 0
+    _, compensator = deterministic_skorokhod(np.zeros(shifts.size), shifts)
+    return compensator, _reusable_losses(losses, shifts, compensator)
+
+
+def _reflect_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
+                    tol: float = DEFAULT_ROOT_TOL) -> SkorokhodSolution:
     """The direct construction's A and reusable losses; X is None, for S + A."""
     _check_initial_constraint(loss, S, lattice)
-    times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
-    shifts = np.zeros(k1 - k0 + 1)
-    losses = np.full(k1 - k0 + 1, np.nan)
     # the initial shift is zero by the checked constraint; rounding noise there
     # would otherwise break A(0) = 0 exactly
-    for k in range(k0 + 1, k1 + 1):
-        i = k - k0
-        shifts[i], losses[i] = required_shift(times[k], S.functional_at(k), lattice, loss, tol,
-                                              start=_shift_guess(shifts, i), with_value=True)
-    compensator = np.maximum.accumulate(shifts)
-    return SkorokhodSolution(
-        X=None,
-        A=DeterministicPath(times[k0 : k1 + 1], compensator),
-        expected_losses=_reusable_losses(losses, shifts, compensator),
-    )
+    compensator, losses = _reflect_levels(loss, S, lattice, tol, range(k0 + 1, k1 + 1),
+                                          np.zeros(k1 - k0 + 1), np.full(k1 - k0 + 1, np.nan))
+    A = DeterministicPath(lattice.grid.times[k0 : k1 + 1], compensator)
+    return SkorokhodSolution(X=None, A=A, expected_losses=losses)
 
 
 def solve_mean_reflection_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
@@ -699,6 +711,13 @@ def solve_mean_reflection_reduced(
         X=S.shifted(compensator),
         A=DeterministicPath(times[k0 : k1 + 1], compensator),
     )
+
+
+def _stored_x(solution: SkorokhodSolution, S: ProcessOnLattice | None
+              ) -> tuple[ProcessOnLattice, np.ndarray | None]:
+    """The process a solution stores for X and the per-step shift that forms
+    X from it: (S, a) where X is None, X = S + A, and (X, None) otherwise."""
+    return (S, solution.A.values) if solution.X is None else (solution.X, None)
 
 
 def verify_mean_reflection(
@@ -750,8 +769,8 @@ def verify_mean_reflection(
         raise InvalidParameterError("verify_mean_reflection needs the solution's X or S")
     if X is not None and S is not None:
         _require_same_range(X, S)
-    stored = X if S is None else S
-    steps = range(stored.start_step, stored.end_step + 1)
+    x_process, x_shifts = _stored_x(solution, S)
+    steps = range(x_process.start_step, x_process.end_step + 1)
     if a.size != len(steps):
         raise GridMismatchError(
             f"A has {a.size} values for the {len(steps)} steps {steps[0]}..{steps[-1]}")
@@ -762,8 +781,8 @@ def verify_mean_reflection(
     identity = 0.0
     if X is None or S is None:
         sign = 1.0 if X is None else -1.0
-        if not all(math.isfinite(v + sign * float(a[i]))
-                   for i, k in enumerate(steps) for v in stored.functional_at(k).value_range):
+        if not all(_shift_stays_finite(x_process.functional_at(k).value_range, sign * float(a[i]))
+                   for i, k in enumerate(steps)):
             identity = math.nan
     else:
         scratch = np.empty(min(4**steps[-1], 4**_lattice._BLOCK_LEVELS))
@@ -780,8 +799,8 @@ def verify_mean_reflection(
         if expected_losses is not None and not math.isnan(expected_losses[i]):
             constraint[i] = expected_losses[i]
         else:
-            constraint[i] = expected_loss(times[k], (S if X is None else X).functional_at(k),
-                                          lattice, loss, shift=a[i] if X is None else None)
+            constraint[i] = expected_loss(times[k], x_process.functional_at(k), lattice, loss,
+                                          shift=None if x_shifts is None else x_shifts[i])
     constraint_min = float(constraint.min())
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     flatoff_limit = max(DEFAULT_PRECONDITION_TOL, loss.C_l * tol) * (1.0 + float(a[-1] - a[0]))

@@ -52,6 +52,7 @@ from .reflection import (
     CheckResult,
     SkorokhodSolution,
     _reflect_direct,
+    _stored_x,
     verify_mean_reflection,
 )
 from .sde import (
@@ -236,8 +237,7 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
     as ``** p``."""
     times = lattice.grid.times
     n = lattice.depth
-    a = solution.A.values
-    stored, shifts = (S, a) if solution.X is None else (solution.X, None)
+    stored, shifts = _stored_x(solution, S)
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     buffer = np.empty(min(4**n, 4**_BLOCK_LEVELS))
@@ -260,7 +260,7 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
             raise InvalidParameterError(
                 f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"
             ) from None
-    return _csv_from_columns(CSV_HEADER, [times, a, e_l, e_x, e_abs_p])
+    return _csv_from_columns(CSV_HEADER, [times, solution.A.values, e_l, e_x, e_abs_p])
 
 
 def _solve(config: ExperimentConfig, loss: LossSpec):

@@ -106,10 +106,8 @@ from .reflection import (
     DeterministicPath,
     SkorokhodSolution,
     _check_initial_constraint,
-    _reusable_losses,
-    _shift_guess,
+    _reflect_levels,
     expected_loss,
-    required_shift,
 )
 
 
@@ -399,9 +397,10 @@ def picard_step(
     """One application of the contraction map: integrate driven by ``driver``,
     then reflect. Its fixed points solve the subinterval problem.
 
-    Each root find starts from the line through the two minimal shifts below
-    it (``reflection._shift_guess``), and the solution keeps the value of
-    each root's last sweep where A is that root
+    The roots are those of ``reflection._reflect_levels``, the direct
+    construction's level loop: each starts from the line through the two
+    minimal shifts below it (``reflection._shift_guess``), and the solution
+    keeps the value of each root's last sweep where A is that root
     (``SkorokhodSolution.expected_losses``).
 
     ``previous`` is the step whose X is ``driver``. U at a level depends only
@@ -455,13 +454,9 @@ def picard_step(
         losses[0] = _check_initial_constraint(loss, forward, lattice)
     u = list(forward.values) if forward is not None else []
     root_levels = range(fresh, end_step + 1)
-    for k in root_levels:
-        i = k - k0
-        # the Euler step took U's range, so the root find makes no pass for it
-        shifts[i], losses[i] = required_shift(
-            times[k], forward.functional_at(k), lattice, loss, tol,
-            start=_shift_guess(shifts, i), with_value=True, confirm=confirm)
-    compensator = np.maximum.accumulate(shifts)
+    # the Euler step took U's range, so the root finds make no pass for it
+    compensator, losses = _reflect_levels(loss, forward, lattice, tol, root_levels, shifts,
+                                          losses, confirm=confirm)
     # this step's Euler made the top U level and no step starts from it, so
     # it becomes X in place
     x = [*kept.values[: base - k0 + 1],
@@ -503,7 +498,7 @@ def picard_step(
     solution = SkorokhodSolution(
         X=X,
         A=DeterministicPath(times[k0 : end_step + 1], compensator),
-        expected_losses=_reusable_losses(losses, shifts, compensator),
+        expected_losses=losses,
     )
     return PicardStepResult(
         solution=solution,

@@ -616,7 +616,8 @@ class TestLevelReuse:
 
         real_step = sde.picard_step
         monkeypatch.setattr(sde, "picard_step", step)
-        monkeypatch.setattr(sde, "required_shift", counted(sde.required_shift, 0))
+        # every root of picard_step is one required_shift call of reflection's level loop
+        monkeypatch.setattr(reflection, "required_shift", counted(reflection.required_shift, 0))
         monkeypatch.setattr(sde, "_euler_step", counted(sde._euler_step, 1))
         sol = picard_solve(prob, lattice=lattice6)
         assert sol.A.values[-1] > 0.0
@@ -783,12 +784,12 @@ def test_picard_solve_equals_confirming_every_root(solve, loss_name, lattice8):
 @pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
 def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name, lattice6,
                                                                       monkeypatch):
-    # picard_step and _reflect_direct keep two copies of the root loop: a
-    # full and a previous= confirming step give the shifts, A and kept
-    # losses of _reflect_direct on integrate_forward's U from the same
-    # driver and initial level, bit for bit. picard_step's X_0 is the
-    # initial array, and it keeps its check's sweep there, where
-    # _reflect_direct's X_0 = S_0 + 0.0 keeps none
+    # picard_step and _reflect_direct share one root loop
+    # (reflection._reflect_levels): a full and a previous= confirming step
+    # give the shifts, A and kept losses of _reflect_direct on
+    # integrate_forward's U from the same driver and initial level, bit for
+    # bit. picard_step's X_0 is the initial array, and it keeps its check's
+    # sweep there, where _reflect_direct's X_0 = S_0 + 0.0 keeps none
     coeffs, loss, x0, _ = _reuse_problem("full_sde", loss_name, lattice6)
     prob = MRSDEProblem(x0=x0, coeffs=coeffs, loss=loss, band=lattice6.band, grid=lattice6.grid)
     direct_shifts, required = [0.0], reflection.required_shift
