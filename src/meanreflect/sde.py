@@ -202,7 +202,14 @@ class PicardConfig:
     """Settings of ``picard_solve``: the sup-distance tolerance, the
     iteration cap, the contraction-ratio guard that halves a subinterval,
     the first and smallest subinterval lengths in steps, and the constant
-    first driver (x0 when None)."""
+    first driver (x0 when None).
+
+    ``max_iter`` only truncates. The map is causal, so each iteration makes
+    at least one more level of X final: an m-step subinterval reaches its
+    fixed point, at distance 0, within m + 1 iterations when the driver's
+    start level is X's (the default guess x0 on the first subinterval) and
+    within m + 2 otherwise, unless the guard restarts it. A cap below that
+    can only stop a solve early, with ``SolverError``."""
 
     tol: float = DEFAULT_ROOT_TOL
     max_iter: int = 60

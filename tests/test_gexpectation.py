@@ -189,6 +189,12 @@ class TestStrictComparison:
         assert report.e_eta == 0.5
         assert report.passed
 
+    def test_rejects_a_pair_at_two_depths(self, lattice4):
+        with pytest.raises(DepthMismatchError) as raised:
+            strict_comparison_check(lattice4, PathFunctional(2, np.zeros(16)),
+                                    PathFunctional(3, np.ones(64)))
+        assert str(raised.value) == "functionals live at different depths: 2 vs 3"
+
     def test_rejects_undominated_pair(self, lattice4):
         xi = lattice4.functional_from_terminal(lambda x: x)
         eta = lattice4.functional_from_terminal(lambda x: -x)

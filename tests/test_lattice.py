@@ -158,6 +158,16 @@ def test_path_functional_validation():
         PathFunctional(2, np.zeros(5))
     with pytest.raises(InvalidParameterError):
         PathFunctional(0, np.array([np.nan]))
+    with pytest.raises(InvalidParameterError, match="^depth must be nonnegative, got -1$"):
+        PathFunctional(-1, np.zeros(1))
+
+
+def test_process_must_lie_inside_the_lattice(lattice4):
+    with pytest.raises(InvalidParameterError, match="^start_step must be nonnegative$"):
+        ProcessOnLattice(lattice4, -1, (np.zeros(1),))
+    with pytest.raises(DepthMismatchError,
+                       match=r"^process spans steps 2\.\.5, lattice depth is 4$"):
+        ProcessOnLattice(lattice4, 2, tuple(np.zeros(4**k) for k in range(2, 6)))
 
 
 def test_numpy_integer_depths_become_python_ints(lattice4):

@@ -83,6 +83,23 @@ def test_missing_time_modulus_is_caught():
     assert any("modulus" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("modulus, violations", [
+    (lambda d: d + 0.5, ("time modulus F(0)=0.5, expected 0",)),
+    (lambda d: d * (1.0 - d), ("time modulus F is not nondecreasing on the sample",)),
+    # F(0) = 0 and nondecreasing would make F >= 0, so a negative F breaks
+    # one of those rules as well, and the pair check with it
+    (lambda d: -d, ("time modulus F is not nondecreasing on the sample",
+                    "time modulus F takes negative values",
+                    "time modulus F violated on the sample")),
+], ids=["F0_positive", "F_decreasing", "F_negative"])
+def test_time_modulus_rules_name_the_broken_one(modulus, violations):
+    # l = x does not move with t, so only the rules on F itself can fail
+    loss = LossSpec(fn=lambda t, x: x, c_l=1.0, C_l=1.0, time_modulus=modulus,
+                    kappa_growth=1.0)
+    assert validate_loss(loss).violations == violations
+    assert ref_loss_violations(loss, _SPOT_RTOL) == violations
+
+
 def test_growth_violation_is_caught():
     bad = LossSpec(fn=lambda t, x: 2.0 * x, c_l=1.9, C_l=2.1,
                    time_modulus=lambda d: 0.0, kappa_growth=0.5, name="bad")

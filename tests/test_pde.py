@@ -240,6 +240,20 @@ def test_non_finite_horizon_or_dt_is_a_parameter_error(band, bad):
         nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, bad, n_inner=3)
 
 
+@pytest.mark.parametrize("half_width, dx", [(1.0, 0.0), (1.0, -0.1), (0.05, 0.1),
+                                            (1.0, float("nan"))])
+def test_dx_outside_zero_to_half_width_is_a_parameter_error(half_width, dx):
+    with pytest.raises(InvalidParameterError) as raised:
+        SpaceGrid(half_width=half_width, dx=dx)
+    assert str(raised.value) == f"need 0 < dx <= half_width, got dx={dx}, half_width={half_width}"
+
+
+def test_nested_needs_three_inner_points(band):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    with pytest.raises(InvalidParameterError, match="^n_inner must be at least 3$"):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5, n_inner=2)
+
+
 def test_infinite_half_width_is_a_parameter_error():
     with pytest.raises(InvalidParameterError, match="half_width"):
         SpaceGrid(half_width=float("inf"), dx=0.1)

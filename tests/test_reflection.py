@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -123,6 +124,43 @@ class TestRootFinder:
             got = required_shift(1.0, xi, lattice6, loss, TOL)
             assert got == pytest.approx(c - upper_expectation(lattice6, xi), abs=2 * TOL)
             assert len(calls) <= 4
+
+
+class TestBracketExpansion:
+    """The search widens a bracket whose feasible end is not feasible
+    upwards, and one whose infeasible end is feasible downwards; the
+    brackets come from the declared lower slope c_l (``_bracket``), so a
+    loss flatter than its declaration takes the downward expansion."""
+
+    def test_flatter_than_declared_expands_downwards(self):
+        # phi = 1 + x/2 declared with c_l = 1: the bracket [-1 - tol, 0]
+        # holds no sign change, and one doubling finds phi(-2 - 2 tol) < 0
+        calls = []
+
+        def phi(x):
+            calls.append(x)
+            return 1.0 + 0.5 * x
+
+        lo, hi = reflection._bracket(1.0, 1.0, TOL)
+        assert (lo, hi) == (-1.0 - TOL, 0.0)
+        got = _smallest_nonneg_point(phi, lo, hi, TOL, "flat", f_zero=1.0)
+        assert calls[:2] == [lo, lo - (1.0 + TOL)]
+        assert -2.0 <= got <= -2.0 + TOL and phi(got) >= 0.0
+
+    def test_phi_that_stays_nonnegative_is_a_bracket_error(self):
+        # slope 1e-3 against a declared c_l = 1: eight doublings of the
+        # bracket [-1.5, 0] reach -1.5 * 256 = -384 with phi still positive
+        lo, hi = reflection._bracket(1.0, 1.0, 0.5)
+        with pytest.raises(BracketError) as raised:
+            _smallest_nonneg_point(lambda x: 1.0 + 1e-3 * x, lo, hi, 0.5, "flat(t=1)",
+                                   f_zero=1.0)
+        assert str(raised.value) == "flat(t=1): phi stays nonnegative down to x=-384.0"
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10])
+    def test_tol_must_be_positive(self, tol):
+        with pytest.raises(InvalidParameterError) as raised:
+            _smallest_nonneg_point(lambda x: x, -1.0, 1.0, tol, "ctx", f_zero=0.0)
+        assert str(raised.value) == f"tol must be positive, got {tol}"
 
 
 class TestRequiredShift:
@@ -824,6 +862,14 @@ class TestDeterministicSkorokhod:
         with pytest.raises(InitialConstraintError):
             deterministic_skorokhod(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
 
+    def test_path_and_barrier_must_share_a_1d_grid(self):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "path and barrier must share a 1-d grid, got (3,) vs (2,)")):
+            deterministic_skorokhod(np.zeros(3), np.zeros(2))
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "path and barrier must share a 1-d grid, got (2, 2) vs (2, 2)")):
+            deterministic_skorokhod(np.zeros((2, 2)), np.zeros((2, 2)))
+
     def test_complementarity_on_grid(self):
         rng = np.random.default_rng(2)
         s = np.cumsum(rng.normal(scale=0.3, size=50))
@@ -1080,6 +1126,14 @@ class TestDeterministicPath:
     def test_times_must_increase(self):
         with pytest.raises(InvalidParameterError, match="strictly increasing"):
             DeterministicPath([0.0, 0.0], [0.0, 1.0])
+
+    def test_times_and_values_must_match_in_one_dimension(self):
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "path needs matching 1-d times/values, got (3,) and (2,)")):
+            DeterministicPath([0.0, 0.5, 1.0], [0.0, 1.0])
+        with pytest.raises(InvalidParameterError, match=re.escape(
+                "path needs matching 1-d times/values, got (1, 2) and (1, 2)")):
+            DeterministicPath([[0.0, 1.0]], [[0.0, 1.0]])
 
 
 class TestStability:

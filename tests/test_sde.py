@@ -406,10 +406,38 @@ class TestPicardSolve:
         ("tol", 0.0, "tol must be positive"),
         ("initial_guess", float("nan"), "initial_guess must be finite"),
         ("initial_guess", float("-inf"), "initial_guess must be finite"),
+        ("max_iter", 0, "^max_iter must be >= 1, got 0$"),
+        ("delta_min_steps", 0, "^delta_min_steps must be >= 1, got 0$"),
+        ("delta_initial_steps", 0, "^delta_initial_steps below delta_min_steps$"),
     ])
     def test_config_rejects_values_the_solver_cannot_use(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=message):
             PicardConfig(**{field: value})
+
+    def test_delta_initial_steps_below_a_larger_minimum_refused(self):
+        with pytest.raises(InvalidParameterError,
+                           match="^delta_initial_steps below delta_min_steps$"):
+            PicardConfig(delta_initial_steps=2, delta_min_steps=3)
+
+    def test_solver_entries_refuse_ranges_they_cannot_solve(self, grid6, lattice6):
+        prob = _binding_problem(grid6)
+        coeffs = prob.coeffs
+        short = constant_process(lattice6, 0.0, 0, 3)
+        with pytest.raises(InvalidParameterError,
+                           match="^driver process does not cover the integration range$"):
+            integrate_forward(coeffs, lattice6, short, 0, 6, np.zeros(1))
+        late = constant_process(lattice6, 0.0, 2, 6)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^initial node values required when start_step > 0$"):
+            picard_step(prob, lattice6, late, 2, 6)
+        point = TimeGrid(0.0, 0)
+        degenerate = dataclasses.replace(prob, grid=point)
+        with pytest.raises(InvalidParameterError,
+                           match="^picard_solve needs at least one time step$"):
+            picard_solve(degenerate)
+        with pytest.raises(InvalidParameterError,
+                           match="^picard_solve needs at least one time step$"):
+            picard_solve(degenerate, lattice=build_lattice(prob.band, point))
 
     def test_config_takes_numpy_integers(self):
         config = PicardConfig(max_iter=np.int64(3), delta_initial_steps=np.int32(2))
