@@ -414,18 +414,12 @@ class TestPicardSolve:
         with pytest.raises(InvalidParameterError, match=message):
             PicardConfig(**{field: value})
 
-    def test_delta_initial_steps_below_a_larger_minimum_refused(self):
-        with pytest.raises(InvalidParameterError,
-                           match="^delta_initial_steps below delta_min_steps$"):
-            PicardConfig(delta_initial_steps=2, delta_min_steps=3)
-
     def test_solver_entries_refuse_ranges_they_cannot_solve(self, grid6, lattice6):
         prob = _binding_problem(grid6)
-        coeffs = prob.coeffs
         short = constant_process(lattice6, 0.0, 0, 3)
         with pytest.raises(InvalidParameterError,
                            match="^driver process does not cover the integration range$"):
-            integrate_forward(coeffs, lattice6, short, 0, 6, np.zeros(1))
+            integrate_forward(prob.coeffs, lattice6, short, 0, 6, np.zeros(1))
         late = constant_process(lattice6, 0.0, 2, 6)
         with pytest.raises(InvalidParameterError,
                            match=r"^initial node values required when start_step > 0$"):
