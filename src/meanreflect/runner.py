@@ -56,6 +56,7 @@ from .reflection import (
     verify_mean_reflection,
 )
 from .sde import (
+    CONTRACTION_GUARD,
     MRSDEProblem,
     integrate_sde,
     picard_solve,
@@ -326,8 +327,7 @@ def run_experiment(
                         (r for d in solution.diagnostics for r in d.ratios), default=0.0
                     )
                     checks.append(CheckResult("contraction_ratio_max", max_ratio,
-                                              config.solver.contraction_guard,
-                                              max_ratio < config.solver.contraction_guard))
+                                              CONTRACTION_GUARD, max_ratio < CONTRACTION_GUARD))
                     diagnostics["picard"] = {
                         "restarts": solution.restarts,
                         "subintervals": [

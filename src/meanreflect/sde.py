@@ -110,6 +110,11 @@ from .reflection import (
     expected_loss,
 )
 
+# an observed Picard ratio at or above the guard halves the subinterval, and a
+# subinterval of the minimum length in steps that reaches it fails
+CONTRACTION_GUARD = 0.5
+MIN_SUBINTERVAL_STEPS = 1
+
 
 @dataclass(frozen=True)
 class Coefficients:
@@ -199,23 +204,20 @@ class MRSDEProblem:
 
 @dataclass(frozen=True)
 class PicardConfig:
-    """Settings of ``picard_solve``: the sup-distance tolerance, the
-    iteration cap, the contraction-ratio guard that halves a subinterval,
-    the first and smallest subinterval lengths in steps, and the constant
-    first driver (x0 when None).
+    """Settings of ``picard_solve``: the sup-distance tolerance, the first
+    subinterval length in steps (the whole horizon when None) and the
+    constant first driver (x0 when None).
 
-    ``max_iter`` only truncates. The map is causal, so each iteration makes
-    at least one more level of X final: an m-step subinterval reaches its
-    fixed point, at distance 0, within m + 1 iterations when the driver's
-    start level is X's (the default guess x0 on the first subinterval) and
-    within m + 2 otherwise, unless the guard restarts it. A cap below that
-    can only stop a solve early, with ``SolverError``."""
+    The iteration needs no configured cap. The map is causal, so each
+    iteration makes at least one more level of X final: an m-step
+    subinterval reaches its fixed point, at distance 0, within m + 1
+    iterations when the driver's start level is X's (the default guess x0 on
+    the first subinterval) and within m + 2 otherwise, unless
+    ``CONTRACTION_GUARD`` restarts it. ``picard_solve`` stops each attempt
+    at m + 2 iterations."""
 
     tol: float = DEFAULT_ROOT_TOL
-    max_iter: int = 60
-    contraction_guard: float = 0.5
     delta_initial_steps: int | None = None
-    delta_min_steps: int = 1
     initial_guess: float | None = None
 
     def __post_init__(self):
@@ -223,25 +225,15 @@ class PicardConfig:
             raise InvalidParameterError(f"tol must be finite, got {self.tol}")
         if self.tol <= 0.0:
             raise InvalidParameterError(f"tol must be positive, got {self.tol}")
-        if not 0.0 < self.contraction_guard < 1.0:
-            raise InvalidParameterError(
-                f"contraction_guard must lie in (0,1), got {self.contraction_guard}"
-            )
-        counts = {"max_iter": self.max_iter, "delta_min_steps": self.delta_min_steps}
-        if self.delta_initial_steps is not None:
-            counts["delta_initial_steps"] = self.delta_initial_steps
-        for name, value in counts.items():
-            # picard_solve counts with these, so a bool or a float is refused
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-        if self.max_iter < 1:
-            raise InvalidParameterError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.delta_min_steps < 1:
-            raise InvalidParameterError(
-                f"delta_min_steps must be >= 1, got {self.delta_min_steps}"
-            )
-        if self.delta_initial_steps is not None and self.delta_initial_steps < self.delta_min_steps:
-            raise InvalidParameterError("delta_initial_steps below delta_min_steps")
+        steps = self.delta_initial_steps
+        if steps is not None:
+            # picard_solve counts with it, so a bool or a float is refused
+            if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+                raise InvalidParameterError(
+                    f"delta_initial_steps must be an integer, got {steps!r}")
+            if steps < MIN_SUBINTERVAL_STEPS:
+                raise InvalidParameterError(
+                    f"delta_initial_steps must be >= {MIN_SUBINTERVAL_STEPS}, got {steps}")
         if self.initial_guess is not None and not math.isfinite(self.initial_guess):
             raise InvalidParameterError(
                 f"initial_guess must be finite, got {self.initial_guess}")
@@ -509,7 +501,8 @@ def picard_step(
     )
     return PicardStepResult(
         solution=solution,
-        distance=max(gaps),
+        # np.max carries a NaN level gap, where max would keep an earlier one
+        distance=float(np.max(gaps)),
         changed_from=changed_from,
         shifts=shifts,
         unreflected=u[changed_from - base] if changed_from < end_step else None,
@@ -523,9 +516,14 @@ def picard_solve(
 ) -> MRSDESolution:
     """Solve the mean-reflected equation by subinterval fixed-point iteration.
 
-    Subintervals start at the full horizon; an observed iteration ratio at or
-    above the guard halves the subinterval length (in steps) and restarts the
-    current subinterval. Compensators are pasted by accumulating terminal
+    Subintervals start at the full horizon (or ``delta_initial_steps``); an
+    observed iteration ratio at or above ``CONTRACTION_GUARD`` halves the
+    subinterval length (in steps) and restarts the current subinterval, and
+    at ``MIN_SUBINTERVAL_STEPS`` raises ``NonContractionError``. An attempt
+    on an m-step subinterval runs at most m + 2 iterations, the causal bound
+    of ``PicardConfig``; one that ends there above ``tol``, as a NaN distance
+    does, raises ``SolverError``, so a returned solution converged on every
+    subinterval. Compensators are pasted by accumulating terminal
     offsets, so the global A is nondecreasing and matches at junctions. The
     converged steps' ``expected_losses`` are pasted with them. A later
     subinterval starts from the array the earlier one ends with, so a
@@ -567,7 +565,8 @@ def picard_solve(
     a_full = np.zeros(n + 1)
     losses = np.full(n + 1, np.nan)
     pieces: list[ProcessOnLattice] = []
-    initial = np.array([problem.x0 + 0.0])
+    # picard_step forms the x0 start level of the first subinterval
+    initial = None
     diags: list[SubintervalDiagnostics] = []
     confirm = False
     while pos < n:
@@ -576,32 +575,34 @@ def picard_solve(
         step = None
         distances: list[float] = []
         ratios: list[float] = []
-        for _ in range(config.max_iter):
+        bound = end - pos + 2
+        for _ in range(bound):
             step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol,
                                previous=step, confirm=confirm)
             d = step.distance
             distances.append(d)
             if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
                 ratios.append(d / distances[-2])
-                if ratios[-1] >= config.contraction_guard:
+                if ratios[-1] >= CONTRACTION_GUARD:
                     break
             if d <= config.tol:
                 break
             driver = step.solution.X
         else:
+            # the causal bound is a postcondition: the fixed point lies within it
             raise SolverError(
-                f"Picard iteration exceeded max_iter={config.max_iter} on steps "
+                f"Picard iteration did not converge within {bound} iterations on steps "
                 f"{pos}..{end}; last distance {distances[-1]}"
             )
         if d > config.tol:
             # the ratio reached the guard: restart on a shorter subinterval
-            if delta <= config.delta_min_steps:
+            if delta <= MIN_SUBINTERVAL_STEPS:
                 raise NonContractionError(
                     f"no contraction at the minimum subinterval length "
-                    f"{config.delta_min_steps}: observed ratio {ratios[-1]} on steps "
+                    f"{MIN_SUBINTERVAL_STEPS}: observed ratio {ratios[-1]} on steps "
                     f"{pos}..{end} after {len(distances)} iterations"
                 )
-            delta = max(config.delta_min_steps, delta // 2)
+            delta = max(MIN_SUBINTERVAL_STEPS, delta // 2)
             restarts += 1
             continue
         losses[pos : end + 1] = step.solution.expected_losses

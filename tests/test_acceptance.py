@@ -441,9 +441,10 @@ def test_criterion_14_cli_end_to_end(tmp_path):
     proc = _cli(["run", str(cfg3)], tmp_path, out_dir=tmp_path / "c")
     ok &= proc.returncode == 1 and "FAIL loss_spotcheck_violations" in proc.stdout
 
+    # the golden picard_no_contraction problem: no contraction at one step
     stuck = json.loads(json.dumps(CRITERION8_CONFIG))
-    stuck["problem"]["b"] = {"name": "ou_drift", "params": {"theta": 0.5}}
-    stuck["solver"] = {"max_iter": 1}
+    stuck["problem"]["n_steps"] = 4
+    stuck["problem"]["b"] = {"name": "ou_drift", "params": {"theta": 60.0}}
     cfg4 = tmp_path / "stuck.json"
     cfg4.write_text(json.dumps(stuck))
     proc = _cli(["run", str(cfg4)], tmp_path, out_dir=tmp_path / "d")

@@ -244,14 +244,26 @@ def test_non_compensator_fails_in_the_run(tmp_path, monkeypatch, band):
 
 
 def test_exit_code_3_on_solver_failure(tmp_path):
+    # the golden picard_no_contraction problem: no contraction at one step
     payload = json.loads(json.dumps(CRITERION8))
-    payload["problem"]["b"] = {"name": "ou_drift", "params": {"theta": 0.5}}
-    payload["solver"] = {"max_iter": 1}
+    payload["problem"]["n_steps"] = 4
+    payload["problem"]["b"] = {"name": "ou_drift", "params": {"theta": 60.0}}
     cfg = write_config(tmp_path, payload)
     proc = run_cli(["run", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert "solver_error" in report["diagnostics"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 60), ("contraction_guard", 0.5), ("delta_min_steps", 1),
+])
+def test_removed_solver_field_is_config_error(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, {"solver": {field: value}})
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfg), "--output-dir", str(out)]) == 2
+    assert f"solver: unknown field(s) ['{field}']" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 LIST_STDOUT = """\
@@ -735,8 +747,7 @@ FUZZ_BASE = {
                  "c_l": None, "C_l": None, "kappa_growth": None},
         "payoff": {"name": "call", "params": {"strike": 0.5}},
     },
-    "solver": {"tol": 1e-10, "max_iter": 60, "contraction_guard": 0.5,
-               "delta_initial_steps": None, "delta_min_steps": 1, "initial_guess": None},
+    "solver": {"tol": 1e-10, "delta_initial_steps": None, "initial_guess": None},
     "outputs": {"csv": "trace.csv", "report": "report.json"},
 }
 

@@ -18,7 +18,7 @@ def test_minimal_config_fills_defaults(tmp_path):
     config = load_config(write(tmp_path, {}))
     assert config.mode == "full_sde"
     assert config.solver.tol == 1e-10
-    assert config.solver.contraction_guard == 0.5
+    assert config.solver.delta_initial_steps is None
     assert config.problem.p == 2.0
     assert config.problem.loss.name == "linear"
     assert config.outputs.csv == "trace.csv"
@@ -171,12 +171,23 @@ def test_initial_constraint_checked_eagerly(tmp_path):
 def test_solver_knob_validation(tmp_path):
     with pytest.raises(ConfigError, match="tol"):
         load_config(write(tmp_path, {"solver": {"tol": -1.0}}))
-    with pytest.raises(ConfigError, match="contraction_guard"):
-        load_config(write(tmp_path, {"solver": {"contraction_guard": 1.5}}))
+    with pytest.raises(ConfigError, match="delta_initial_steps"):
+        load_config(write(tmp_path, {"solver": {"delta_initial_steps": 0}}))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 60), ("contraction_guard", 0.5), ("delta_min_steps", 1),
+])
+def test_removed_solver_fields_are_unknown(field, value):
+    # picard_solve derives its iteration bound and fixes the guard and the
+    # minimum subinterval length, so a config that sets them is refused
+    with pytest.raises(ConfigError) as raised:
+        config_from_dict({"solver": {field: value}})
+    assert str(raised.value) == f"solver: unknown field(s) ['{field}']"
 
 
 @pytest.mark.parametrize("field, raw", [
-    ("max_iter", "2.5"), ("max_iter", "true"), ("delta_initial_steps", "1.5"),
+    ("delta_initial_steps", "true"), ("delta_initial_steps", "1.5"),
     ("tol", "NaN"), ("tol", "Infinity"), ("initial_guess", "NaN"),
 ])
 def test_solver_reader_refuses_what_picard_config_refuses(tmp_path, field, raw):
@@ -227,8 +238,7 @@ EVERY_SECTION = {
                  "kappa_growth": 5},
         "payoff": {"name": "call", "params": {"strike": 1}},
     },
-    "solver": {"tol": 1e-9, "max_iter": 30, "contraction_guard": 0.6,
-               "delta_initial_steps": 2, "delta_min_steps": 1, "initial_guess": 0.0},
+    "solver": {"tol": 1e-9, "delta_initial_steps": 2, "initial_guess": 0.0},
     "outputs": {"csv": "t.csv", "report": "r.json"},
 }
 
@@ -236,7 +246,7 @@ EVERY_SECTION = {
 def test_canonical_json_is_pinned():
     default = ExperimentConfig().canonical_json()
     assert hashlib.sha256(default.encode()).hexdigest() == (
-        "b41c6e513b4b3e073f6b6b89572c0e23354e4c738f2e693f455945617f4be0e4"
+        "6ddd0bca54382413bd00c22932f818e12688952e2bb6f4dd1be94ad0c986f68c"
     )
     config = config_from_dict(EVERY_SECTION)
     assert config.canonical_json() == (
@@ -248,7 +258,6 @@ def test_canonical_json_is_pinned():
         '"payoff":{"name":"call","params":{"strike":1}},'
         '"sigma":{"name":"linear_sigma","params":{"a":1.0,"b":0.1}},'
         '"sigma_high_sq":0.5,"sigma_low_sq":0.5,"x0":0.5},'
-        '"solver":{"contraction_guard":0.6,"delta_initial_steps":2,"delta_min_steps":1,'
-        '"initial_guess":0.0,"max_iter":30,"tol":1e-09}}'
+        '"solver":{"delta_initial_steps":2,"initial_guess":0.0,"tol":1e-09}}'
     )
     assert config_from_dict(config.to_dict()) == config

@@ -133,16 +133,10 @@ CONFIGS = {
                     "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 1.0},
                              "c_l": 5.0, "C_l": 5.0}},
     },
-    "max_iter_1": {
-        "mode": "full_sde",
-        "problem": {"n_steps": 4, "b": {"name": "ou_drift", "params": {"theta": 0.5}}},
-        "solver": {"max_iter": 1},
-    },
     # two restarts, then subintervals 0-3, 3-4, 4-5 and 5-6
     "picard_restart": {
         "mode": "full_sde",
         "problem": {"n_steps": 6, "b": {"name": "ou_drift", "params": {"theta": 3.0}}},
-        "solver": {"max_iter": 120},
     },
     # subintervals 0-3, 3-6 and 6-8 from the first length
     "picard_delta_initial_steps": {
@@ -196,13 +190,12 @@ CONFIGS = {
     "picard_no_contraction": {
         "mode": "full_sde",
         "problem": {"n_steps": 4, "b": {"name": "ou_drift", "params": {"theta": 60.0}}},
-        "solver": {"max_iter": 200},
     },
 }
 
 # the solving configs whose run stops before the verifier: a failed spot
 # check, or a solver error (exit 3)
-UNVERIFIED = {"spotcheck_failed", "max_iter_1", "picard_no_contraction"}
+UNVERIFIED = {"spotcheck_failed", "picard_no_contraction"}
 VERIFIED = sorted(name for name, c in CONFIGS.items()
                   if c.get("mode") != "gexp_probe" and name not in UNVERIFIED)
 

@@ -37,7 +37,7 @@ from meanreflect import (
     validate_loss,
     verify_mean_reflection,
 )
-from meanreflect import reflection, sde
+from meanreflect import reflection, runner, sde
 from meanreflect.config import config_from_dict
 from meanreflect.reflection import SkorokhodSolution
 from meanreflect.registry import make_coefficient, make_loss
@@ -303,6 +303,13 @@ class TestPicardStep:
         )
         assert gap < eps  # observed contraction factor C*delta below one
 
+    def test_distance_carries_a_nan_level_gap(self, lattice4):
+        # max() would keep an earlier level's gap over level 4's NaN one
+        prob = _binding_problem(lattice4.grid)
+        driver = constant_process(lattice4, 0.0)
+        driver.values[4][:] = np.nan
+        assert math.isnan(picard_step(prob, lattice4, driver, 0, 4).distance)
+
 
 class TestPicardSolve:
     def test_x_independent_converges_in_one_iteration(self, band, grid8):
@@ -372,9 +379,9 @@ class TestPicardSolve:
                               sigma=make_coefficient("constant_sigma").fn, kappa=0.8)
         loss = make_loss("smooth_sin", {"c0": 0.0, "c1": 1.0})
         prob = MRSDEProblem(x0=0.0, coeffs=coeffs, loss=loss, band=band, grid=grid6)
-        sol = picard_solve(prob, PicardConfig(contraction_guard=0.5), lattice=lattice6)
+        sol = picard_solve(prob, lattice=lattice6)
         for d in sol.diagnostics:
-            assert all(r < 0.5 for r in d.ratios)
+            assert all(r < sde.CONTRACTION_GUARD for r in d.ratios)
 
     def test_compensator_pasting_is_monotone_and_matched(self, band, grid8, lattice8):
         loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
@@ -386,29 +393,36 @@ class TestPicardSolve:
         assert np.all(np.diff(sol.A.values) >= 0.0)
         assert np.allclose(sol.A.values, grid8.times, atol=1e-9)
 
-    def test_max_iter_exceeded_is_solver_error(self, band, grid6, lattice6):
-        b = make_coefficient("ou_drift", {"theta": 0.5})
-        coeffs = Coefficients(b=b.fn, h=make_coefficient("zero").fn,
-                              sigma=make_coefficient("constant_sigma").fn, kappa=0.5)
-        loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
-        prob = MRSDEProblem(x0=0.0, coeffs=coeffs, loss=loss, band=band, grid=grid6)
-        with pytest.raises(SolverError):
-            picard_solve(prob, PicardConfig(max_iter=1), lattice=lattice6)
+    def test_causal_bound_is_a_postcondition(self, grid6, lattice6, monkeypatch, tmp_path):
+        # distances 1, 0.4, 0.16, ...: each ratio is below the guard, and
+        # none reaches tol within the bound of 6 + 2 iterations
+        calls = []
+        real_step = sde.picard_step
+
+        def slow(*args, **kwargs):
+            calls.append(None)
+            step = real_step(*args, **kwargs)
+            return dataclasses.replace(step, distance=0.4 ** (len(calls) - 1))
+
+        monkeypatch.setattr(sde, "picard_step", slow)
+        with pytest.raises(SolverError, match=r"within 8 iterations on steps 0\.\.6;"):
+            picard_solve(_binding_problem(grid6), lattice=lattice6)
+        assert len(calls) == 8
+        config = config_from_dict({"mode": "full_sde", "problem": {"n_steps": 6}})
+        result = runner.run_experiment(config, output_dir=str(tmp_path))
+        assert result.exit_code == runner.EXIT_SOLVER_FAILURE
+        assert result.report["diagnostics"]["solver_error"].startswith(
+            "SolverError: Picard iteration did not converge within 8 iterations on steps 0..6;")
 
     @pytest.mark.parametrize("field, value, message", [
-        ("max_iter", 2.5, "max_iter must be an integer"),
-        ("max_iter", True, "max_iter must be an integer"),
         ("delta_initial_steps", 1.5, "delta_initial_steps must be an integer"),
         ("delta_initial_steps", True, "delta_initial_steps must be an integer"),
-        ("delta_min_steps", 1.0, "delta_min_steps must be an integer"),
         ("tol", float("nan"), "tol must be finite"),
         ("tol", float("inf"), "tol must be finite"),
         ("tol", 0.0, "tol must be positive"),
         ("initial_guess", float("nan"), "initial_guess must be finite"),
         ("initial_guess", float("-inf"), "initial_guess must be finite"),
-        ("max_iter", 0, "^max_iter must be >= 1, got 0$"),
-        ("delta_min_steps", 0, "^delta_min_steps must be >= 1, got 0$"),
-        ("delta_initial_steps", 0, "^delta_initial_steps below delta_min_steps$"),
+        ("delta_initial_steps", 0, "^delta_initial_steps must be >= 1, got 0$"),
     ])
     def test_config_rejects_values_the_solver_cannot_use(self, field, value, message):
         with pytest.raises(InvalidParameterError, match=message):
@@ -434,8 +448,7 @@ class TestPicardSolve:
             picard_solve(degenerate, lattice=build_lattice(prob.band, point))
 
     def test_config_takes_numpy_integers(self):
-        config = PicardConfig(max_iter=np.int64(3), delta_initial_steps=np.int32(2))
-        assert config.max_iter == 3 and config.delta_initial_steps == 2
+        assert PicardConfig(delta_initial_steps=np.int32(2)).delta_initial_steps == 2
 
     def test_non_contraction_aborts_at_minimum_delta(self, band, grid6, lattice6):
         # kappa far beyond any contraction radius at one-step subintervals
@@ -444,7 +457,7 @@ class TestPicardSolve:
         loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
         prob = MRSDEProblem(x0=0.0, coeffs=wild, loss=loss, band=band, grid=grid6)
         with pytest.raises(NonContractionError):
-            picard_solve(prob, PicardConfig(max_iter=200), lattice=lattice6)
+            picard_solve(prob, lattice=lattice6)
 
     def test_delta_halving_settles_then_converges(self, band, grid8, lattice8):
         # feedback strong enough to defeat the full horizon but not short ones
@@ -452,7 +465,7 @@ class TestPicardSolve:
                               sigma=lambda t, x: np.ones_like(x), kappa=3.0)
         loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
         prob = MRSDEProblem(x0=0.0, coeffs=strong, loss=loss, band=band, grid=grid8)
-        sol = picard_solve(prob, PicardConfig(max_iter=120), lattice=lattice8)
+        sol = picard_solve(prob, lattice=lattice8)
         assert sol.restarts >= 1
         assert len(sol.diagnostics) >= 2
         assert all(r < 0.5 for d in sol.diagnostics for r in d.ratios)
@@ -467,7 +480,7 @@ class TestPicardSolve:
 def _reference_solve(problem, config, lattice):
     """picard_solve written out with a full pass of picard_step on every
     iteration, every root confirmed, and its own sup distance. Returns the
-    pasted solution or how the solve failed."""
+    pasted solution or how the guard failed it; asserts the causal bound."""
     n = lattice.depth
     delta = config.delta_initial_steps or n
     pos, offset, restarts = 0, 0.0, 0
@@ -481,7 +494,7 @@ def _reference_solve(problem, config, lattice):
         guess = problem.x0 if config.initial_guess is None else config.initial_guess
         driver = constant_process(lattice, guess, pos, end)
         distances, ratios = [], []
-        for _ in range(config.max_iter):
+        for _ in range(end - pos + 2):
             step = picard_step(problem, lattice, driver, pos, end, initial, tol=config.tol,
                                confirm=True)
             d = max(float(np.max(np.abs(step.solution.X.at(k) - driver.at(k))))
@@ -489,17 +502,17 @@ def _reference_solve(problem, config, lattice):
             distances.append(d)
             if len(distances) >= 2 and distances[-2] > config.tol and d > config.tol:
                 ratios.append(d / distances[-2])
-                if ratios[-1] >= config.contraction_guard:
+                if ratios[-1] >= sde.CONTRACTION_GUARD:
                     break
             if d <= config.tol:
                 break
             driver = step.solution.X
         else:
-            return {"failed": "max_iter", "distances": distances}
+            raise AssertionError(f"no fixed point within the bound on steps {pos}..{end}")
         if d > config.tol:
-            if delta <= config.delta_min_steps:
+            if delta <= sde.MIN_SUBINTERVAL_STEPS:
                 return {"failed": "contraction", "distances": distances, "ratio": ratios[-1]}
-            delta = max(config.delta_min_steps, delta // 2)
+            delta = max(sde.MIN_SUBINTERVAL_STEPS, delta // 2)
             restarts += 1
             continue
         diags.append((pos, end, distances, ratios))
@@ -586,9 +599,8 @@ class TestLevelReuse:
         "arctan_shift": ({"b": ("ou_drift", {"theta": 1.0})},
                          {"loss": ("arctan_shift", {"c": 5.0}), "x0": 2.5}, {}),
         "constant": ({}, {}, {}),
-        "restart": ({"b": ("ou_drift", {"theta": 3.0})}, {}, {"max_iter": 120}),
-        "max_iter": ({"b": ("ou_drift", {"theta": 0.5})}, {}, {"max_iter": 2}),
-        "no_contraction": ({"b": ("ou_drift", {"theta": 60.0})}, {}, {"max_iter": 200}),
+        "restart": ({"b": ("ou_drift", {"theta": 3.0})}, {}, {}),
+        "no_contraction": ({"b": ("ou_drift", {"theta": 60.0})}, {}, {}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -605,14 +617,10 @@ class TestLevelReuse:
         config = PicardConfig(**solver)
         ref = _reference_solve(prob, config, lattice6)
         if "failed" in ref:
-            error = SolverError if ref["failed"] == "max_iter" else NonContractionError
-            with pytest.raises(error) as info:
+            with pytest.raises(NonContractionError) as info:
                 picard_solve(prob, config, lattice=lattice6)
-            if ref["failed"] == "max_iter":
-                assert str(info.value).endswith(f"last distance {ref['distances'][-1]}")
-            else:
-                assert f"observed ratio {ref['ratio']} " in str(info.value)
-                assert f"after {len(ref['distances'])} iterations" in str(info.value)
+            assert f"observed ratio {ref['ratio']} " in str(info.value)
+            assert f"after {len(ref['distances'])} iterations" in str(info.value)
             return
         sol = picard_solve(prob, config, lattice=lattice6)
         _assert_equals_reference(sol, ref)
@@ -764,7 +772,7 @@ REUSE_LOSSES = {
 REUSE_SOLVES = {
     "sp_only": (("ou_drift", {"theta": 1.0}), ("linear_sigma", {"a": 1.0, "b": 0.1}), None),
     "full_sde": (("ou_drift", {"theta": 0.5}), ("linear_sigma", {"a": 1.0, "b": 0.1}), {}),
-    "restart": (("ou_drift", {"theta": 3.0}), ("constant_sigma", {}), {"max_iter": 120}),
+    "restart": (("ou_drift", {"theta": 3.0}), ("constant_sigma", {}), {}),
     "delta_initial_steps": (("ou_drift", {"theta": 0.7}), ("constant_sigma", {}),
                             {"delta_initial_steps": 3}),
 }
