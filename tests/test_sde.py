@@ -414,6 +414,26 @@ class TestPicardSolve:
         assert result.report["diagnostics"]["solver_error"].startswith(
             "SolverError: Picard iteration did not converge within 8 iterations on steps 0..6;")
 
+    @pytest.mark.parametrize("theta, solver", [
+        (0.5, {}), (3.0, {}), (3.0, {"initial_guess": 2.0}), (0.5, {"delta_initial_steps": 4}),
+    ])
+    def test_fixed_point_lies_within_the_causal_bound(self, band, grid6, lattice6, theta,
+                                                      solver):
+        # with a tol far below any gap only the exact fixed point stops an
+        # attempt: an m-step subinterval reaches it within m + 1 iterations
+        # from X's start level (x0 on the first), within m + 2 otherwise
+        coeffs = Coefficients(b=make_coefficient("ou_drift", {"theta": theta}).fn,
+                              h=make_coefficient("zero").fn,
+                              sigma=make_coefficient("constant_sigma").fn, kappa=0.5)
+        prob = MRSDEProblem(x0=0.0, coeffs=coeffs,
+                            loss=make_loss("smooth_sin", {"c0": 0.0, "c1": 1.0}),
+                            band=band, grid=grid6)
+        sol = picard_solve(prob, PicardConfig(tol=1e-300, **solver), lattice=lattice6)
+        for d in sol.diagnostics:
+            from_x = d.start_step == 0 and "initial_guess" not in solver
+            assert d.distances[-1] == 0.0
+            assert d.iterations <= d.end_step - d.start_step + (1 if from_x else 2)
+
     @pytest.mark.parametrize("field, value, message", [
         ("delta_initial_steps", 1.5, "delta_initial_steps must be an integer"),
         ("delta_initial_steps", True, "delta_initial_steps must be an integer"),
