@@ -286,7 +286,8 @@ class ProcessOnLattice:
     functionals (``_adopt``), so no reader makes a pass for them; only a
     finite range is kept, so a non-finite level raises where it is first
     read. A level written in place would leave its kept functional stale, so
-    the levels are not written while the process is in use.
+    the levels are not written while the process is in use; a run that forms
+    X = S + A in S's arrays reads S no more and hands X the moved ranges.
     """
 
     lattice: PathLattice

@@ -38,10 +38,11 @@ result x. Where the compensator equals a positive minimal shift, X at that
 grid time is S plus that shift, by the same addition, so the solvers keep
 that value, and ``verify_mean_reflection`` takes it in place of a sweep.
 ``_reflect_levels`` is the one loop over levels that does this, for the
-direct construction and for each Picard iterate of ``sde.picard_step``. A
-run stores S alone: it takes A from ``_reflect_direct``, which
-``solve_mean_reflection_direct`` wraps, and its readers form X_k = S_k + a_k
-(``_stored_x``).
+direct construction and for each Picard iterate of ``sde.picard_step``.
+``_reflect_direct`` gives A and those values, and each of its two callers
+forms X = S + A by the same addition per node: ``solve_mean_reflection_direct``
+as a new process (``ProcessOnLattice.shifted``), leaving S as it is, and a
+run (``runner._solve``) in S's own arrays, which it reads no more.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -61,7 +62,7 @@ finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -130,11 +131,9 @@ class SkorokhodSolution:
     bitwise the sweep of X_k, where its root find made that sweep
     (``_reusable_losses``) or, in ``sde.picard_solve``, where the converged
     iterate swept X at a level with a positive shift or a subinterval's
-    initial check swept its start level, and NaN elsewhere. X
-    is None where the solver leaves it as S + A for its readers to form
-    (``_reflect_direct``)."""
+    initial check swept its start level, and NaN elsewhere."""
 
-    X: ProcessOnLattice | None
+    X: ProcessOnLattice
     A: DeterministicPath
     expected_losses: np.ndarray | None = field(default=None, kw_only=True, repr=False,
                                                compare=False)
@@ -624,13 +623,14 @@ def _shift_guess(shifts: np.ndarray, i: int) -> float:
 def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
                      compensator: np.ndarray) -> np.ndarray:
     """``losses`` (each root find's E[l(t, S + shift)]) where the compensator
-    equals a positive shift, and NaN elsewhere. There X = S + compensator is
-    the point of the root's last sweep, formed by the same addition, so its
-    sweep would give the same bits. A zero shift's value is the sweep of S
-    itself, which S + 0.0 matches only where S holds no -0.0, so it is not
-    kept. The start level's value is kept as given: ``sde.picard_step``
-    gives its check's sweep of X's start level, which it keeps as the
-    swept array, and ``_reflect_direct`` gives NaN."""
+    equals a positive shift, and NaN elsewhere. There X = S + compensator,
+    whether formed as a new process or in S's own arrays, is the point of
+    the root's last sweep, formed by the same addition, so its sweep would
+    give the same bits. A zero shift's value is the sweep of S itself, which
+    S + 0.0 matches only where S holds no -0.0, so it is not kept. The start
+    level's value is kept as given: ``sde.picard_step`` gives its check's
+    sweep of X's start level, which it keeps as the swept array, and
+    ``_reflect_direct`` gives NaN."""
     kept = (shifts > 0.0) & (compensator == shifts)
     kept[0] = True
     return np.where(kept, losses, np.nan)
@@ -660,23 +660,24 @@ def _reflect_levels(loss: LossSpec, U: ProcessOnLattice | None, lattice: PathLat
 
 
 def _reflect_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
-                    tol: float = DEFAULT_ROOT_TOL) -> SkorokhodSolution:
-    """The direct construction's A and reusable losses; X is None, for S + A."""
+                    tol: float = DEFAULT_ROOT_TOL) -> tuple[DeterministicPath, np.ndarray]:
+    """The direct construction's A and reusable losses, for its caller to
+    form X = S + A."""
     _check_initial_constraint(loss, S, lattice)
     k0, k1 = S.start_step, S.end_step
     # the initial shift is zero by the checked constraint; rounding noise there
     # would otherwise break A(0) = 0 exactly
     compensator, losses = _reflect_levels(loss, S, lattice, tol, range(k0 + 1, k1 + 1),
                                           np.zeros(k1 - k0 + 1), np.full(k1 - k0 + 1, np.nan))
-    A = DeterministicPath(lattice.grid.times[k0 : k1 + 1], compensator)
-    return SkorokhodSolution(X=None, A=A, expected_losses=losses)
+    return DeterministicPath(lattice.grid.times[k0 : k1 + 1], compensator), losses
 
 
 def solve_mean_reflection_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
                                  tol: float = DEFAULT_ROOT_TOL) -> SkorokhodSolution:
-    """Construction via the running supremum of minimal shifts."""
-    solution = _reflect_direct(loss, S, lattice, tol)
-    return replace(solution, X=S.shifted(solution.A.values))
+    """Construction via the running supremum of minimal shifts; X = S + A
+    is a new process, and S is not written."""
+    A, losses = _reflect_direct(loss, S, lattice, tol)
+    return SkorokhodSolution(X=S.shifted(A.values), A=A, expected_losses=losses)
 
 
 def solve_mean_reflection_reduced(
@@ -713,13 +714,6 @@ def solve_mean_reflection_reduced(
     )
 
 
-def _stored_x(solution: SkorokhodSolution, S: ProcessOnLattice | None
-              ) -> tuple[ProcessOnLattice, np.ndarray | None]:
-    """The process a solution stores for X and the per-step shift that forms
-    X from it: (S, a) where X is None, X = S + A, and (X, None) otherwise."""
-    return (S, solution.A.values) if solution.X is None else (solution.X, None)
-
-
 def verify_mean_reflection(
     solution: SkorokhodSolution,
     loss: LossSpec,
@@ -749,28 +743,24 @@ def verify_mean_reflection(
     steps where A carries an earlier, larger shift in a direct construction
     or in a Picard subinterval solved with every root confirmed.
 
-    The stored process fixes the checked steps: A needs one value per step,
-    and an X given with an S must share its lattice and steps.
+    X fixes the checked steps: A needs one value per step, and an S given
+    with X must share its lattice and steps.
 
-    A run stores one process, and the other is defined from it: X = S + A
-    with no X (a ``sp_only`` run), S = X - A with S None (a ``full_sde``
-    run). Such a solution's ``identity_residual`` is 0, read from no level,
-    or NaN where some stored level's kept range plus a_k (minus a_k for a
-    stored X) is not finite; rounding is monotone, as in ``expected_loss``.
-    Only a caller that passes both X and S has them compared, |X_k - (S_k +
-    a_k)| one 4^8 block at a time, with a NaN in any block carried through.
-    ``expected_losses``, if given, holds one value per checked step.
+    A run passes S as None: S = X - A by definition, so the
+    ``identity_residual`` is 0, read from no level, or NaN where some level's
+    kept range minus a_k is not finite; rounding is monotone, as in
+    ``expected_loss``. Only a caller that passes S has X compared with it,
+    |X_k - (S_k + a_k)| one 4^8 block at a time, with a NaN in any block
+    carried through. ``expected_losses``, if given, holds one value per
+    checked step.
     """
     _require_tol(tol)
     times = lattice.grid.times
     a = solution.A.values
     X = solution.X
-    if X is None and S is None:
-        raise InvalidParameterError("verify_mean_reflection needs the solution's X or S")
-    if X is not None and S is not None:
+    if S is not None:
         _require_same_range(X, S)
-    x_process, x_shifts = _stored_x(solution, S)
-    steps = range(x_process.start_step, x_process.end_step + 1)
+    steps = range(X.start_step, X.end_step + 1)
     if a.size != len(steps):
         raise GridMismatchError(
             f"A has {a.size} values for the {len(steps)} steps {steps[0]}..{steps[-1]}")
@@ -779,9 +769,8 @@ def verify_mean_reflection(
             f"expected_losses has shape {np.shape(expected_losses)} for the {len(steps)} "
             f"steps {steps[0]}..{steps[-1]}")
     identity = 0.0
-    if X is None or S is None:
-        sign = 1.0 if X is None else -1.0
-        if not all(_shift_stays_finite(x_process.functional_at(k).value_range, sign * float(a[i]))
+    if S is None:
+        if not all(_shift_stays_finite(X.functional_at(k).value_range, -float(a[i]))
                    for i, k in enumerate(steps)):
             identity = math.nan
     else:
@@ -799,8 +788,7 @@ def verify_mean_reflection(
         if expected_losses is not None and not math.isnan(expected_losses[i]):
             constraint[i] = expected_losses[i]
         else:
-            constraint[i] = expected_loss(times[k], x_process.functional_at(k), lattice, loss,
-                                          shift=None if x_shifts is None else x_shifts[i])
+            constraint[i] = expected_loss(times[k], X.functional_at(k), lattice, loss)
     constraint_min = float(constraint.min())
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     flatoff_limit = max(DEFAULT_PRECONDITION_TOL, loss.C_l * tol) * (1.0 + float(a[-1] - a[0]))

@@ -5,10 +5,12 @@ A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
 (n+1)^2 reachable pairs of net signed counts of low- and high-volatility
 steps, and builds no lattice; the config's n_steps cap holds for every mode.
 
-A solving run stores one process besides A, S in ``sp_only`` and X in
-``full_sde``; the verifier takes the other one as defined from it, and
-where an ``sp_only`` run reads X, the verifier and the CSV pass form
-X = S + A one leaf block at a time.
+A solving run holds the Skorokhod pair (X, A) and no other process: the
+verifier takes S as X - A by definition. ``full_sde`` takes X from
+``picard_solve``. ``sp_only`` takes A from ``reflection._reflect_direct``
+and forms X = S + A in S's own arrays, which it reads no more, with S's
+kept ranges moved by each a_k (``ProcessOnLattice._adopt``): the addition
+per node of ``S.shifted(A)``, with no second process allocated.
 
 All output is deterministic: repeated runs of one config produce
 byte-identical files. Floats are serialized with their shortest round-trip
@@ -52,7 +54,6 @@ from .reflection import (
     CheckResult,
     SkorokhodSolution,
     _reflect_direct,
-    _stored_x,
     verify_mean_reflection,
 )
 from .sde import (
@@ -229,32 +230,24 @@ def _csv_from_columns(header: str, columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float,
-                  S: ProcessOnLattice | None = None) -> str:
+def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float) -> str:
     """The CSV trace; e_l is E[l(t_k, X_k)] for every step, as the verifier
-    computed it. A solution with no X is read as S + A: the sweeps add a_k
-    to each leaf block of S_k, bitwise X_k's values. The leaf maps write
-    into one reused buffer of a block, with ``**=`` taking the same power
-    as ``** p``."""
+    computed it. The |X|^p leaf map writes into one reused buffer of a
+    block, with ``**=`` taking the same power as ``** p``."""
     times = lattice.grid.times
     n = lattice.depth
-    stored, shifts = _stored_x(solution, S)
     e_x = np.empty(n + 1)
     e_abs_p = np.empty(n + 1)
     buffer = np.empty(min(4**n, 4**_BLOCK_LEVELS))
 
-    def shifted(v):
-        return np.add(v, shift, out=buffer[: v.size])
-
     def abs_p(v):
-        out = np.abs(v if shift is None else shifted(v), out=buffer[: v.size])
+        out = np.abs(v, out=buffer[: v.size])
         out **= p
         return out
 
     for k in range(n + 1):
-        xk = stored.functional_at(k)
-        shift = None if shifts is None else shifts[k]
-        e_x[k] = upper_expectation(lattice, xk, leaf_map=None if shift is None else shifted)
+        xk = solution.X.functional_at(k)
+        e_x[k] = upper_expectation(lattice, xk)
         try:
             e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=abs_p)
         except InvalidParameterError:
@@ -265,16 +258,21 @@ def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: floa
 
 
 def _solve(config: ExperimentConfig, loss: LossSpec):
-    """The lattice, S (None in ``full_sde``) and solution that a solving run
-    makes of ``config`` with the loss ``loss``: one stored process besides A
-    (see the module docstring)."""
+    """The lattice and solution that a solving run makes of ``config`` with
+    the loss ``loss``; an ``sp_only`` X is formed in S's own arrays (see the
+    module docstring)."""
     lattice = build_lattice(config.band(), config.grid())
     if config.mode == "sp_only":
         S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
-        return lattice, S, _reflect_direct(loss, S, lattice, tol=config.solver.tol)
+        A, losses = _reflect_direct(loss, S, lattice, tol=config.solver.tol)
+        for level, a in zip(S.values, A.values):
+            level += a
+        X = ProcessOnLattice(lattice, S.start_step, S.values)
+        X._adopt(S, range(S.start_step, S.end_step + 1), A.values)
+        return lattice, SkorokhodSolution(X, A, expected_losses=losses)
     problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
                            band=lattice.band, grid=lattice.grid, p=config.problem.p)
-    return lattice, None, picard_solve(problem, config.solver, lattice=lattice)
+    return lattice, picard_solve(problem, config.solver, lattice=lattice)
 
 
 # overflow and invalid operations surface as non-finite values, which the
@@ -316,9 +314,9 @@ def run_experiment(
                     diagnostics[key] = list(spot.violations)
 
             if all(spot.ok for *_, spot in spot_checks):
-                lattice, S, solution = _solve(config, loss)
+                lattice, solution = _solve(config, loss)
                 verification = verify_mean_reflection(
-                    solution, loss, S, lattice, tol=config.solver.tol,
+                    solution, loss, None, lattice, tol=config.solver.tol,
                     expected_losses=solution.expected_losses)
                 if config.mode == "full_sde":
                     # picard_solve raises unless every subinterval converged
@@ -338,7 +336,7 @@ def run_experiment(
                     }
                 checks.extend(verification.checks)
                 csv_text = _solution_csv(lattice, solution, verification.expected_losses,
-                                         config.problem.p, S)
+                                         config.problem.p)
             else:
                 diagnostics["solve_skipped"] = "validation checks failed"
     except (SolverError, BracketError, InvalidParameterError) as exc:

@@ -183,7 +183,8 @@ def validate_coefficients(
 
 @dataclass(frozen=True)
 class MRSDEProblem:
-    """Problem data for the mean-reflected equation; requires l(0, x0) >= 0."""
+    """Problem data for the mean-reflected equation; requires a finite x0
+    with l(0, x0) >= 0 and a finite moment order p >= 1."""
 
     x0: float
     coeffs: Coefficients
@@ -193,8 +194,10 @@ class MRSDEProblem:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise InvalidParameterError(f"moment order p must be >= 1, got {self.p}")
+        if not math.isfinite(self.x0):
+            raise InvalidParameterError(f"x0 must be finite, got {self.x0}")
+        if not 1.0 <= self.p < math.inf:
+            raise InvalidParameterError(f"moment order p must be finite and >= 1, got {self.p}")
         l0 = float(self.loss(0.0, np.array([self.x0]))[0])
         if l0 < 0.0:
             raise InitialConstraintError(
@@ -387,7 +390,7 @@ def picard_step(
     driver: ProcessOnLattice,
     start_step: int,
     end_step: int,
-    initial: np.ndarray | None = None,
+    initial: np.ndarray | PathFunctional | None = None,
     tol: float = DEFAULT_ROOT_TOL,
     previous: PicardStepResult | None = None,
     *,
@@ -411,6 +414,8 @@ def picard_step(
     step is a full pass, which keeps its start level alike: X's level
     ``start_step`` is the array it starts from (``initial``, or ``[x0 +
     0.0]``), and its ``expected_losses`` value is the initial check's sweep.
+    Given as a functional, ``initial`` hands its kept range to that check, as
+    ``picard_solve`` passes the last X level of the previous subinterval.
 
     Each root is one call of ``required_shift``, which takes ``confirm``.
     With ``confirm=False`` a closed-form candidate stays unconfirmed, with
@@ -426,6 +431,9 @@ def picard_step(
     k0 = start_step
     loss = problem.loss
     times = lattice.grid.times
+    kept_start = None
+    if isinstance(initial, PathFunctional):
+        kept_start, initial = initial, initial.values
     # X keeps its levels up to base, and U from level base on gives the rest
     if previous is None:
         if initial is None:
@@ -450,6 +458,8 @@ def picard_step(
     if previous is None:
         # a full pass keeps the level it starts from, which its check sweeps
         kept = forward
+        if kept_start is not None:
+            forward._keep_range(k0, kept_start.value_range)
         losses[0] = _check_initial_constraint(loss, forward, lattice)
     u = list(forward.values) if forward is not None else []
     root_levels = range(fresh, end_step + 1)
@@ -527,7 +537,8 @@ def picard_solve(
     offsets, so the global A is nondecreasing and matches at junctions. The
     converged steps' ``expected_losses`` are pasted with them. A later
     subinterval starts from the array the earlier one ends with, so a
-    junction is one level of X, whose value is the later step's check.
+    junction is one level of X, whose value is the later step's check; that
+    check takes the range the earlier X level keeps.
 
     Only the fixed point has to carry certified minimal shifts, so the
     iterates take closed-form roots unconfirmed (``picard_step`` with
@@ -617,7 +628,7 @@ def picard_solve(
         a_full[pos : end + 1] = offset + local_a
         pieces.append(step.solution.X)
         offset += float(local_a[-1])
-        initial = step.solution.X.at(end)
+        initial = step.solution.X.functional_at(end)
         pos = end
     # a subinterval starts from the array its predecessor ends with. The
     # functionals that _confirm_candidates read, and the ranges the steps

@@ -40,19 +40,19 @@ def child_env(extra=None):
 
 
 def solve_as_run(config, loss=None):
-    """The lattice, loss, S (None in ``full_sde``) and solution that ``run``
-    makes of a solving ``config``, with ``loss`` in place of its loss if
-    given: the runner's own solve."""
+    """The lattice, loss and solution that ``run`` makes of a solving
+    ``config``, with ``loss`` in place of its loss if given: the runner's
+    own solve."""
     loss = loss or config.loss_spec()
-    lattice, S, solution = runner._solve(config, loss)
-    return lattice, loss, S, solution
+    lattice, solution = runner._solve(config, loss)
+    return lattice, loss, solution
 
 
 def verify_as_run(config):
     """The library verifier's report on the solution that ``run`` makes of
-    a solving ``config``, at the solve's tol."""
-    lattice, loss, S, solution = solve_as_run(config)
-    return verify_mean_reflection(solution, loss, S, lattice, tol=config.solver.tol,
+    a solving ``config``, at the solve's tol, with S = X - A as in a run."""
+    lattice, loss, solution = solve_as_run(config)
+    return verify_mean_reflection(solution, loss, None, lattice, tol=config.solver.tol,
                                   expected_losses=solution.expected_losses)
 
 
@@ -61,7 +61,8 @@ def zero_s_with(band, a_values):
     taking ``a_values``."""
     lattice = build_lattice(band, TimeGrid(1.0, 2))
     S = ProcessOnLattice(lattice, 0, tuple(np.zeros(4**k) for k in range(3)))
-    return lattice, S, SkorokhodSolution(None, DeterministicPath(lattice.grid.times, a_values))
+    A = DeterministicPath(lattice.grid.times, a_values)
+    return lattice, S, SkorokhodSolution(S.shifted(A.values), A)
 
 
 def check_bits(checks) -> list:

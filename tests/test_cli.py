@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import meanreflect
 from conftest import check_bits, child_env, verify_as_run, zero_s_with
-from meanreflect import SkorokhodSolution, cli, registry, runner, verify_mean_reflection
+from meanreflect import cli, registry, runner, verify_mean_reflection
 from meanreflect.config import config_from_dict
 
 CRITERION8 = {
@@ -198,10 +198,10 @@ def test_flatoff_limit_follows_the_solver_tol(tmp_path, mode, loss, tol):
     assert verification.passed
 
 
-def _constant_s_run(tmp_path, monkeypatch, solution, tol=1e-10, c0=0.0):
+def _constant_s_run(tmp_path, monkeypatch, A, losses=None, tol=1e-10, c0=0.0):
     """A depth-2 ``sp_only`` run of the constant S = c0 against l = x - c0
-    whose solve returns ``solution``."""
-    monkeypatch.setattr(runner, "_reflect_direct", lambda *args, **kwargs: solution)
+    whose direct construction returns A and the kept ``losses``."""
+    monkeypatch.setattr(runner, "_reflect_direct", lambda *args, **kwargs: (A, losses))
     config = config_from_dict({
         "mode": "sp_only", "solver": {"tol": tol},
         "problem": {"n_steps": 2, "x0": c0,
@@ -226,8 +226,7 @@ def test_flatoff_above_the_limit_fails(tmp_path, monkeypatch, band, tol):
         [flatoff] = [c for c in report.checks if c.name == "flatoff_residual"]
         assert (flatoff.measured, flatoff.threshold, flatoff.passed) == (measured, limit, passed)
         assert report.passed == passed
-        result = _constant_s_run(tmp_path, monkeypatch,
-                                 SkorokhodSolution(None, solution.A, expected_losses=given), tol)
+        result = _constant_s_run(tmp_path, monkeypatch, solution.A, given, tol)
         assert check_bits(result.report["checks"][-5:]) == check_bits(report.checks)
         assert result.exit_code == (runner.EXIT_PASS if passed else runner.EXIT_CHECK_FAILED)
 
@@ -237,7 +236,7 @@ def test_non_compensator_fails_in_the_run(tmp_path, monkeypatch, band):
     # flat-off residual, but does not start at 0 (the library's verdict is
     # TestVerifier.test_non_compensator_fails)
     _, _, solution = zero_s_with(band, [0.1, 0.1, 0.1])
-    result = _constant_s_run(tmp_path, monkeypatch, solution, c0=0.1)
+    result = _constant_s_run(tmp_path, monkeypatch, solution.A, c0=0.1)
     assert [c["name"] for c in result.report["checks"] if not c["pass"]] == [
         "compensator_starts_at_zero"]
     assert result.exit_code == runner.EXIT_CHECK_FAILED

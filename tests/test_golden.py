@@ -326,7 +326,7 @@ def test_each_junction_is_one_swept_array(name, monkeypatch):
 
     monkeypatch.setattr(sde, "picard_step", recorded_step)
     config = config_from_dict(CONFIGS[name])
-    lattice, loss, _, solution = solve_as_run(config)
+    lattice, loss, solution = solve_as_run(config)
     monkeypatch.setattr(reflection, "expected_loss", recorded_loss)
     assert reflection.verify_mean_reflection(solution, loss, None, lattice, tol=config.solver.tol,
                                              expected_losses=solution.expected_losses).passed

@@ -1037,11 +1037,6 @@ class TestVerifier:
         assert not report.passed
         assert report.constraint_min < -1e-8
 
-    def test_needs_x_or_s(self, lattice6, solved):
-        loss, _, sol = solved
-        with pytest.raises(InvalidParameterError, match="X or S"):
-            verify_mean_reflection(SkorokhodSolution(None, sol.A), loss, None, lattice6)
-
     @pytest.mark.parametrize("differs", ["steps", "lattice"])
     def test_x_and_s_share_lattice_and_steps(self, band, grid6, lattice6, solved, differs):
         # S and A on steps 0..2; an X on steps 0..4 would leave its levels
@@ -1056,14 +1051,13 @@ class TestVerifier:
         with pytest.raises(GridMismatchError):
             verify_mean_reflection(SkorokhodSolution(x, a), loss, short_s, lattice6)
 
-    @pytest.mark.parametrize("stored", ["X", "S", "both"])
-    def test_a_has_one_value_per_stored_step(self, lattice6, solved, stored):
+    @pytest.mark.parametrize("with_s", [False, True])
+    def test_a_has_one_value_per_step_of_x(self, lattice6, solved, with_s):
         loss, s, sol = solved
         a = DeterministicPath(sol.A.times[:4], sol.A.values[:4])
-        x = None if stored == "S" else sol.X
         with pytest.raises(GridMismatchError, match="A has 4 values for the 7 steps 0..6"):
-            verify_mean_reflection(SkorokhodSolution(x, a), loss,
-                                   None if stored == "X" else s, lattice6)
+            verify_mean_reflection(SkorokhodSolution(sol.X, a), loss, s if with_s else None,
+                                   lattice6)
 
     @pytest.mark.parametrize("length", [2, 9])
     def test_expected_losses_have_one_value_per_checked_step(self, band, length):

@@ -267,10 +267,20 @@ class TestProblem:
         with pytest.raises(InitialConstraintError):
             MRSDEProblem(x0=0.0, coeffs=const_coeffs(), loss=loss, band=band, grid=grid8)
 
-    def test_moment_order_checked(self, band, grid8):
-        with pytest.raises(InvalidParameterError):
-            MRSDEProblem(x0=0.0, coeffs=const_coeffs(), loss=never_binding_loss(),
-                         band=band, grid=grid8, p=0.5)
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", 0.5, "moment order p must be finite and >= 1, got 0.5"),
+        ("p", math.nan, "moment order p must be finite and >= 1, got nan"),
+        ("p", math.inf, "moment order p must be finite and >= 1, got inf"),
+        ("x0", math.nan, "x0 must be finite, got nan"),
+        ("x0", math.inf, "x0 must be finite, got inf"),
+        ("x0", -math.inf, "x0 must be finite, got -inf"),
+    ])
+    def test_moment_order_checked(self, band, grid8, field, value, message):
+        # NaN compares false, so a NaN p or x0 would pass p < 1 and l0 < 0
+        data = {"x0": 0.0, "p": 2.0, field: value}
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+            MRSDEProblem(coeffs=const_coeffs(), loss=never_binding_loss(), band=band,
+                         grid=grid8, **data)
 
 
 class TestPicardStep:
@@ -856,16 +866,16 @@ def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name
         full = picard_step(prob, lattice6, driver, 0, 6, initial, confirm=True)
         step = picard_step(prob, lattice6, driver, 0, 6, initial, previous=step, confirm=True)
         del direct_shifts[1:]
-        direct = reflection._reflect_direct(
+        direct_a, direct_losses = reflection._reflect_direct(
             loss, integrate_forward(coeffs, lattice6, driver, 0, 6, initial), lattice6)
         fresh_x0 = expected_loss(0.0, PathFunctional(0, initial), lattice6, loss)
-        assert np.isnan(direct.expected_losses[0])
+        assert np.isnan(direct_losses[0])
         for got in (full, step):
             assert _bits(got.shifts) == _bits(direct_shifts)
-            assert _bits(got.solution.A.values) == _bits(direct.A.values)
+            assert _bits(got.solution.A.values) == _bits(direct_a.values)
             assert got.solution.X.at(0) is initial
             assert _bits(got.solution.expected_losses) == _bits(
-                [fresh_x0, *direct.expected_losses[1:]])
+                [fresh_x0, *direct_losses[1:]])
         reused.append(step.changed_from)
         driver = step.solution.X
     # the previous= steps kept levels below the first changed one
@@ -893,8 +903,12 @@ class TestReusedLosses:
 
     @pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
     @pytest.mark.parametrize("solve", sorted(REUSE_SOLVES))
-    def test_kept_values_equal_fresh_sweeps(self, solve, loss_name, lattice8):
+    def test_kept_values_equal_fresh_sweeps(self, solve, loss_name, lattice8, monkeypatch):
+        built, check = [], PathFunctional.__post_init__
+        monkeypatch.setattr(PathFunctional, "__post_init__",
+                            lambda xi: built.append(xi.depth) or check(xi))
         sol, loss, s = _reuse_solve(solve, loss_name, lattice8)
+        monkeypatch.undo()
         known = self.assert_reuse_is_bitwise(sol, loss, s, lattice8)
         # every level binds on these draws; only sp_only's level 0 is swept,
         # since Picard keeps each subinterval's check of its start level
@@ -903,6 +917,9 @@ class TestReusedLosses:
             assert sol.restarts >= 1
         if solve == "delta_initial_steps":
             assert len(sol.diagnostics) == 3
+            # only step 0's check takes a range with its own pass: the checks
+            # at steps 3 and 6 take the range of the X level before them
+            assert built == [0]
 
     def test_compensator_above_the_shift_is_swept(self, lattice8):
         # the drift pulls S down, then up: after the turn the minimal shifts
@@ -1227,7 +1244,8 @@ def _guarded(fn, arrays_of, seen):
 
 def _step_inputs(problem, lattice, driver, start_step, end_step, initial=None, tol=1e-10,
                  previous=None, *, confirm=True):
-    arrays = [initial, *driver.values]
+    # picard_solve gives a later subinterval its start level as a functional
+    arrays = [getattr(initial, "values", initial), *driver.values]
     if previous is not None:
         arrays += [*previous.solution.X.values, previous.unreflected]
     return arrays
@@ -1338,7 +1356,7 @@ def test_compensator_against_the_exact_discrete_one(mode, n_steps):
     (nine ulps of 1.0), covers the rounding of the float scheme's node
     values and sweeps, which are of order 1; it measured 1.2e-6 tol."""
     config = _dyadic_config(mode, n_steps)
-    solution = solve_as_run(config)[3]
+    solution = solve_as_run(config)[2]
     tol = Fraction(config.solver.tol)
     exact = exact_dyadic_solution(n_steps, full_sde=mode == "full_sde")[0]
     for k, (a, a_star) in enumerate(zip(solution.A.values.tolist(), exact)):
@@ -1381,15 +1399,17 @@ def test_howard_compensator_against_the_exact_discrete_one(mode, n_steps):
     Each side takes the affine test's slack, 2e-5 tol: Howard certifies phi
     >= 0 by a float sweep, so a root can sit an ulp below the exact one
     (-2.2e-6 tol at sp_only step 6)."""
-    lattice, loss, S, solution = solve_as_run(_dyadic_config(mode, n_steps), PIECEWISE_LOSS)
+    config = _dyadic_config(mode, n_steps)
+    lattice, loss, solution = solve_as_run(config, PIECEWISE_LOSS)
     assert validate_loss(loss).ok
-    verified = verify_mean_reflection(solution, loss, S, lattice,
+    verified = verify_mean_reflection(solution, loss, None, lattice,
                                       expected_losses=solution.expected_losses)
     assert verified.passed
     tol = Fraction(reflection.DEFAULT_ROOT_TOL)
     slack = Fraction(2, 10**5) * tol
     a_star, c_star = exact_dyadic_solution(n_steps, mode == "full_sde", PIECEWISE_KINKS)
     if mode == "sp_only":
+        S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
         reduced = solve_mean_reflection_reduced(loss, S, lattice)
     for k, (a, c) in enumerate(zip(solution.A.values.tolist(),
                                    verified.expected_losses.tolist())):

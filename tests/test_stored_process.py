@@ -1,11 +1,13 @@
-"""A solving run stores one process: S in ``sp_only``, where X = S + A, and
-X in ``full_sde``, where S is U = X - A. The verifier and the CSV pass form
-the other process one leaf block at a time, so every value they report must
-be bitwise the one that a materialised ``solution.X`` or ``solution.U``
-gives, and no whole-level copy of either may be built during a run.
+"""A solving run holds the Skorokhod pair (X, A) and no other process.
+``full_sde`` takes X from Picard's iterates, and ``sp_only`` forms X = S + A
+in S's own arrays, the addition per node that ``solve_mean_reflection_direct``
+makes in a new process, so the run's X must be the library's bit for bit,
+-0.0 + 0.0 = +0.0 included, and the library must leave its caller's S as it
+was. The verifier takes S as X - A by definition, so every value a run
+reports must be bitwise the one that a materialised S gives, and no
+whole-level copy of a process may be built during a run.
 """
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -63,15 +65,16 @@ def _config(problem: str, mode: str, n_steps: int):
 
 
 def _solve(config):
-    """The lattice, the loss, the solution and S as a run reads them, with
-    one process stored (the runner's own solve), and the same with X and S
-    both materialised."""
+    """The lattice, the loss and the solution of the runner's own solve, and
+    the same pair with S materialised beside it: for ``sp_only`` the
+    library's direct construction on a fresh S, for ``full_sde`` U."""
     loss = config.loss_spec()
-    lat, S, stored = runner._solve(config, loss)
+    lat, solution = runner._solve(config, loss)
     if config.mode == "sp_only":
-        return lat, loss, (stored, S), (solve_mean_reflection_direct(loss, S, lat,
-                                                                     config.solver.tol), S)
-    return lat, loss, (stored, None), (stored, stored.U)
+        S = integrate_sde(config.coefficients(), lat, config.problem.x0)
+        return lat, loss, solution, (solve_mean_reflection_direct(loss, S, lat,
+                                                                  config.solver.tol), S)
+    return lat, loss, solution, (solution, solution.U)
 
 
 def _assert_same_reports(read, whole):
@@ -81,17 +84,18 @@ def _assert_same_reports(read, whole):
     assert read.passed == whole.passed
 
 
-def _assert_readers_match(lat, loss, stored, whole):
+def _assert_readers_match(lat, loss, solution, whole):
     """The verifier's residuals, with and without the kept losses, and the
-    CSV text, read through the stored process and from whole processes."""
-    (solution, S), (whole_solution, whole_S) = stored, whole
+    CSV text, read as a run reads them, with S = X - A, and with the whole
+    S given."""
+    whole_solution, whole_S = whole
     kept = whole_solution.expected_losses
-    read = verify_mean_reflection(solution, loss, S, lat, expected_losses=kept)
+    read = verify_mean_reflection(solution, loss, None, lat, expected_losses=kept)
     _assert_same_reports(read, verify_mean_reflection(whole_solution, loss, whole_S, lat,
                                                       expected_losses=kept))
-    _assert_same_reports(verify_mean_reflection(solution, loss, S, lat),
+    _assert_same_reports(verify_mean_reflection(solution, loss, None, lat),
                          verify_mean_reflection(whole_solution, loss, whole_S, lat))
-    assert (runner._solution_csv(lat, solution, read.expected_losses, 2.0, S)
+    assert (runner._solution_csv(lat, solution, read.expected_losses, 2.0)
             == runner._solution_csv(lat, whole_solution, read.expected_losses, 2.0))
 
 
@@ -99,21 +103,36 @@ def _assert_readers_match(lat, loss, stored, whole):
 @pytest.mark.parametrize("mode", ["sp_only", "full_sde"])
 @pytest.mark.parametrize("problem", sorted(PROBLEMS))
 def test_readers_match_materialised_processes_bitwise(problem, mode, n_steps):
-    lat, loss, stored, whole = _solve(_config(problem, mode, n_steps))
-    solution, whole_solution = stored[0], whole[0]
+    lat, loss, solution, whole = _solve(_config(problem, mode, n_steps))
+    whole_solution = whole[0]
     assert _bits(solution.A.values) == _bits(whole_solution.A.values)
     assert _bits(solution.expected_losses) == _bits(whole_solution.expected_losses)
-    if mode == "sp_only":
-        assert solution.X is None
-    _assert_readers_match(lat, loss, stored, whole)
+    for k in range(n_steps + 1):
+        x = solution.X.at(k)
+        assert _bits(x) == _bits(whole_solution.X.at(k))
+        # a kept range is that of the level's values
+        assert solution.X.functional_at(k).value_range == (x.min(), x.max())
+    _assert_readers_match(lat, loss, solution, whole)
 
 
 def test_slack_problem_takes_zero_shifts_onto_a_negative_zero():
-    lat, _, (solution, S), _ = _solve(_config("slack", "sp_only", 3))
+    lat, _, solution, (_, S) = _solve(_config("slack", "sp_only", 3))
     assert not solution.A.values.any()
     assert _bits(S.at(0)) == _bits([-0.0])
-    csv = runner._solution_csv(lat, solution, np.zeros(4), 2.0, S)
+    assert _bits(solution.X.at(0)) == _bits([0.0])
+    csv = runner._solution_csv(lat, solution, np.zeros(4), 2.0)
     assert csv.splitlines()[1].split(",")[3] == "0.0"
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_direct_construction_leaves_the_callers_s_unchanged(problem):
+    config = _config(problem, "sp_only", 5)
+    lat = build_lattice(config.band(), config.grid())
+    S = integrate_sde(config.coefficients(), lat, config.problem.x0)
+    before = [_bits(level) for level in S.values]
+    solution = solve_mean_reflection_direct(config.loss_spec(), S, lat, config.solver.tol)
+    assert [_bits(level) for level in S.values] == before
+    assert not any(x is s for x, s in zip(solution.X.values, S.values))
 
 
 @pytest.fixture(scope="module")
@@ -132,72 +151,94 @@ def _signed_zeros(lat) -> ProcessOnLattice:
 @pytest.mark.parametrize("rise", [0.0, 0.25])
 def test_readers_form_signed_zeros_as_the_whole_addition_does(lattice5, rise):
     # l(t, x) = x - 0.0 keeps the sign of a zero, so E[l] and E[X] both see
-    # whether a reader added the zero shift
+    # whether a reader subtracted the zero shift: S = X + (-A)
     lat, loss = lattice5, make_loss("linear", {"c0": 0.0, "c1": 0.0})
     A = DeterministicPath(lat.grid.times, rise * np.arange(lat.depth + 1.0))
     stored = _signed_zeros(lat)
-    # S stored, X = S + A
-    _assert_readers_match(lat, loss, (SkorokhodSolution(None, A), stored),
-                          (SkorokhodSolution(stored.shifted(A.values), A), stored))
-    # X stored, S = X + (-A)
-    _assert_readers_match(lat, loss, (SkorokhodSolution(stored, A), None),
+    _assert_readers_match(lat, loss, SkorokhodSolution(stored, A),
                           (SkorokhodSolution(stored, A), stored.shifted(-A.values)))
 
 
-def test_overflowing_x_raises_at_the_same_step(lattice5):
-    """X_3 = S_3 + a_3 overflows: both readers raise the finiteness error
-    after the same loss evaluations, those of steps 0-2."""
-    lat = lattice5
-    levels = [np.ones(4**k) for k in range(lat.depth + 1)]
-    levels[3] = np.full(4**3, 1.5e308)
-    S = ProcessOnLattice(lat, 0, tuple(levels))
+def test_overflowing_x_raises_where_its_range_is_first_read(tmp_path, monkeypatch):
+    """X_3 = S_3 + a_3 overflows. A run forms X in S's arrays, where level 3
+    then keeps no range, so its verifier raises the finiteness error where
+    it first reads that range, before any loss evaluation, and the run exits
+    3. A caller that passes S has X compared with S + A first, and raises
+    after the loss evaluations of steps 0-2."""
+    config = config_from_dict({"mode": "sp_only", "problem": {
+        "n_steps": 5, "x0": 1.5e308, "sigma": {"name": "constant_sigma", "params": {"a": 0.0}},
+        "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 0.0}}}})
+    lat = build_lattice(config.band(), config.grid())
     A = DeterministicPath(lat.grid.times, np.array([0.0, 0.0, 0.0, 1e308, 1e308, 1e308]))
-    base = make_loss("linear", {"c0": 0.0, "c1": 0.0})
-    with np.errstate(over="ignore", invalid="ignore"):
-        whole = SkorokhodSolution(S.shifted(A.values), A)
-    for solution in (SkorokhodSolution(None, A), whole):
-        seen = []
-        loss = dataclasses.replace(base, fn=lambda t, x: seen.append(t) or base.fn(t, x))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(InvalidParameterError) as info:
-            verify_mean_reflection(solution, loss, S, lat)
-        assert str(info.value) == "functional values must be finite"
-        assert seen == list(lat.grid.times[:3])
+    seen, real = [], reflection.expected_loss
+    monkeypatch.setattr(reflection, "expected_loss",
+                        lambda t, *args, **kwargs: seen.append(t) or real(t, *args, **kwargs))
+    monkeypatch.setattr(runner, "_reflect_direct",
+                        lambda *args, **kwargs: (A, np.full(lat.depth + 1, np.nan)))
+    result = runner.run_experiment(config, output_dir=str(tmp_path))
+    assert result.exit_code == runner.EXIT_SOLVER_FAILURE
+    assert (result.report["diagnostics"]["solver_error"]
+            == "InvalidParameterError: functional values must be finite")
+    assert seen == []
+    S = integrate_sde(config.coefficients(), lat, config.problem.x0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(InvalidParameterError) as info:
+        verify_mean_reflection(SkorokhodSolution(S.shifted(A.values), A), config.loss_spec(),
+                               S, lat)
+    assert str(info.value) == "functional values must be finite"
+    assert seen == list(lat.grid.times[:3])
 
 
-@pytest.mark.parametrize("n_steps", range(1, 7))
-@pytest.mark.parametrize("problem", sorted(PROBLEMS))
-def test_verifier_reads_no_level_of_a_solution_with_no_x(monkeypatch, problem, n_steps):
-    """X = S + A by definition, so the identity residual of a ``sp_only``
-    solution takes no block pass, and the report is the materialised X's."""
-    lat, loss, (solution, S), (whole_solution, _) = _solve(_config(problem, "sp_only", n_steps))
-    kept = whole_solution.expected_losses
-    want = [verify_mean_reflection(whole_solution, loss, S, lat, expected_losses=losses)
+def _assert_verifier_reads_no_level(monkeypatch, lat, loss, solution, whole, names):
+    """The verifier on ``solution`` with S = X - A takes no block pass and
+    builds no functional: every level it reads keeps the range its maker
+    took. Its identity residual is 0.0, and its residuals ``names`` are those
+    of ``whole``, the solution with S materialised."""
+    whole_solution, whole_S = whole
+    kept = solution.expected_losses
+    want = [verify_mean_reflection(whole_solution, loss, whole_S, lat, expected_losses=losses)
             for losses in (kept, None)]
 
     def refuse(*args):
         raise AssertionError("the verifier passed over a level's blocks")
 
+    built = []
+    check = PathFunctional.__post_init__
     monkeypatch.setattr(reflection, "_level_blocks", refuse)
+    monkeypatch.setattr(PathFunctional, "__post_init__",
+                        lambda xi: built.append(xi.depth) or check(xi))
     for losses, whole in zip((kept, None), want):
-        read = verify_mean_reflection(solution, loss, S, lat, expected_losses=losses)
+        read = verify_mean_reflection(solution, loss, None, lat, expected_losses=losses)
         assert read.identity_residual == 0.0
-        _assert_same_reports(read, whole)
+        for name in names:
+            assert _bits(getattr(read, name)) == _bits(getattr(whole, name)), name
+        assert _bits(read.expected_losses) == _bits(whole.expected_losses)
+        assert read.passed == whole.passed
+    assert built == []
+
+
+@pytest.mark.parametrize("n_steps", range(1, 7))
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+def test_verifier_reads_no_level_of_an_sp_only_solution(monkeypatch, problem, n_steps):
+    """The run's X takes each S level's range moved by a_k, so the report is
+    the one that the direct construction and S give, identity included."""
+    lat, loss, solution, whole = _solve(_config(problem, "sp_only", n_steps))
+    _assert_verifier_reads_no_level(monkeypatch, lat, loss, solution, whole,
+                                    ("identity_residual", "constraint_min", "flatoff_residual"))
 
 
 def test_overflowing_s_plus_a_gives_a_nan_identity_residual():
     """S + A overflows to inf, so X - (S + A) is inf - inf: the residual is
-    NaN in both forms of the solution, and the verdict fails."""
+    NaN, and the verdict fails."""
     lat = build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 2))
     S = ProcessOnLattice(lat, 0, tuple(np.full(4**k, 1.7e308) for k in range(3)))
     A = DeterministicPath(lat.grid.times, np.array([0.0, 5e307, 1e308]))
     loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
     with np.errstate(over="ignore", invalid="ignore"):
-        for X in (None, S.shifted(A.values)):
-            report = verify_mean_reflection(SkorokhodSolution(X, A), loss, S, lat,
-                                            expected_losses=np.zeros(3))
-            assert np.isnan(report.identity_residual)
-            assert not report.passed
+        report = verify_mean_reflection(SkorokhodSolution(S.shifted(A.values), A), loss, S, lat,
+                                        expected_losses=np.zeros(3))
+    assert np.isnan(report.identity_residual)
+    assert not report.passed
 
 
 @pytest.mark.parametrize("stored_s", [True, False])
@@ -207,7 +248,7 @@ def test_nan_block_survives_an_earlier_positive_block(stored_s):
     NaN must carry through the running max, and, the losses being given, no
     functional of the NaN level is built. With S None, S is X - A by
     definition and the verifier reads X's ranges, so the NaN level raises
-    the functional's finiteness error, as a NaN level of a stored S does."""
+    the functional's finiteness error."""
     lat = build_lattice(VolatilityBand(1.0, 4.0), TimeGrid(1.0, 9))
     rng = np.random.default_rng(9)
     S = ProcessOnLattice(lat, 0, tuple(rng.normal(size=4**k) for k in range(10)))
@@ -242,32 +283,13 @@ def _subinterval_config(n_steps: int, subintervals: int, b: dict | None = None,
 
 @pytest.mark.parametrize("n_steps, subintervals", [(1, 1), (5, 1), (6, 2), (6, 3), (8, 4)])
 def test_verifier_reads_no_level_of_a_full_sde_solution(monkeypatch, n_steps, subintervals):
-    """S = X - A by definition, so a Picard solution verified with S None
-    takes no block pass and builds no functional: every level it reads keeps
-    the range its maker took. Its residuals other than the identity are
-    those of the materialised U."""
+    """Its residuals other than the identity are those of the materialised
+    U, whose X - A and + A may round."""
     config = _subinterval_config(n_steps, subintervals)
-    lat, loss, (solution, _), (_, whole_S) = _solve(config)
+    lat, loss, solution, whole = _solve(config)
     assert len(solution.diagnostics) == subintervals
-    kept = solution.expected_losses
-    want = [verify_mean_reflection(solution, loss, whole_S, lat, expected_losses=losses)
-            for losses in (kept, None)]
-
-    def refuse(*args):
-        raise AssertionError("the verifier passed over a level's blocks")
-
-    built = []
-    check = PathFunctional.__post_init__
-    monkeypatch.setattr(reflection, "_level_blocks", refuse)
-    monkeypatch.setattr(PathFunctional, "__post_init__",
-                        lambda xi: built.append(xi.depth) or check(xi))
-    for losses, whole in zip((kept, None), want):
-        read = verify_mean_reflection(solution, loss, None, lat, expected_losses=losses)
-        assert read.identity_residual == 0.0
-        for name in ("constraint_min", "flatoff_residual"):
-            assert _bits(getattr(read, name)) == _bits(getattr(whole, name)), name
-        assert _bits(read.expected_losses) == _bits(whole.expected_losses)
-    assert built == []
+    _assert_verifier_reads_no_level(monkeypatch, lat, loss, solution, whole,
+                                    ("constraint_min", "flatoff_residual"))
 
 
 @pytest.mark.parametrize("subintervals", [1, 2, 4, "sp_only"])
@@ -276,8 +298,8 @@ def test_constant_drift_runs_pass_with_a_zero_identity_residual(tmp_path, c, sub
     """A drift c against E[X] >= 0 makes A_T about -c. Half an ulp of A_T
     passes the 1e-12 identity threshold once -c passes about 3e4, so a
     recomputed (X - A) + A could fail such a run over several
-    subintervals. Stored X and stored S both give 0.0, and every run
-    passes."""
+    subintervals. A run verifies S as X - A by definition, so every run
+    gives 0.0 and passes."""
     mode = "sp_only" if subintervals == "sp_only" else "full_sde"
     config = _subinterval_config(8, 1 if mode == "sp_only" else subintervals,
                                  b={"name": "constant_drift", "params": {"c": c}},
@@ -332,9 +354,10 @@ def _process_bytes(depth: int) -> int:
 
 
 def test_sp_only_run_peak_is_s_plus_a_few_blocks(tmp_path):
-    """An n=8 run holds S and a few blocks of temporaries: a root find's
-    shifted block and loss values, or the CSV's |X|^p temporaries, plus the
-    sweep's buffers, about 2.75 blocks. A whole X would add 1.33 blocks."""
+    """An n=8 run holds one process, X formed in S's arrays, and a few
+    blocks of temporaries: a root find's shifted block and loss values, or
+    the CSV's |X|^p temporaries, plus the sweep's buffers, about 2.75
+    blocks. A second whole process would add 1.33 blocks."""
     config = _config("constant_sin", "sp_only", 8)
     runner.run_experiment(config, output_dir=str(tmp_path))
     peak = _traced_peak(lambda: runner.run_experiment(config, output_dir=str(tmp_path)))
