@@ -9,12 +9,19 @@ neighbors, so the scheme is monotone and stable. Linear tails are exact
 
 One kernel marches every solve: it updates a copy of the terminal data in
 place, so the nested expectation marches all its inner problems as one
-(n_inner, n_points) array. Each step is nine passes over the contiguous flat
-buffer, rows laid end to end; the curvature entries where two rows meet are
-reset to zero before the generator reads them. A batched row is therefore
-bitwise equal to the same row marched alone, and every march is bitwise
-equal to the plainly written step u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0)))
-except for data in the subnormal range (see ``_march_backward``).
+(n_inner, n_points) array. It takes the rows in blocks of about
+``_BLOCK_VALUES`` values, laid end to end, and marches each block through
+every step while its buffers stay in cache. A step is u += max(kh*d, kl*d),
+six passes over the block: the first differences of u, their differences
+d = (u[i+1] - u[i]) - (u[i] - u[i-1]), kl*d, kh*d, the max and the add, with
+kh and kl the band's two variances times 0.5*dt/dx^2. The second differences
+where two rows meet are reset to zero before the generator reads them. A
+batched row is therefore bitwise equal to the same row marched alone, and
+every march is bitwise equal to the plainly written step
+u + (kh*max(d, 0) - kl*max(-d, 0)) except for data in the subnormal range
+(see ``_march_backward``).
+
+Terminal data must be finite, as a lattice functional must be.
 
 Used to cross-validate the lattice engine, not to feed it.
 """
@@ -30,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, StabilityError
-from .lattice import VolatilityBand
+from .lattice import VolatilityBand, _require_finite
 
 # half-widths below this many terminal standard deviations trigger a warning
 _DOMAIN_STDS = 4.0
@@ -39,6 +46,9 @@ _DEFAULT_GRID_STDS = 6.0
 # the nested expectation's first-argument grid spans this many standard
 # deviations of B_{t1}
 _INNER_STDS = 4.0
+# values per row block of a march, 256 KiB of doubles: a block's three
+# buffers stay in L2
+_BLOCK_VALUES = 2**15
 
 
 @dataclass(frozen=True)
@@ -121,59 +131,74 @@ def _march_backward(terminal: np.ndarray, band: VolatilityBand, dx: float, dt: f
                     n_steps: int) -> np.ndarray:
     """March each row (the last axis) of ``terminal`` n_steps explicit steps back.
 
-    Updates a C-ordered copy in place with two preallocated buffers, in nine
-    passes per step, each over the whole contiguous flat buffer. Per element
-    the step is u + (0.5*dt)*max(sh*c, sl*c) with
-    c = ((u[i+1] - 2u[i]) + u[i-1]) * (1/dx^2), rounded in that order. The
-    curvature pass runs across row ends; the entries where one row meets the
-    next are reset to +0.0 before the generator reads them, so every row's
-    boundary columns keep zero curvature and rows never mix: a batched march
-    equals one-row marches bit for bit.
+    Updates a C-ordered copy in place. The rows go in blocks of
+    max(1, _BLOCK_VALUES // n_points) rows, laid end to end in one
+    contiguous flat buffer, and each block is marched through all n_steps
+    steps before the next starts. A block's two work buffers, made once per
+    call and sliced for a shorter last block, hold the second differences d
+    and, in turn, the first differences and the generator. Per element the
+    step is u + max(kh*d, kl*d) with d = (u[i+1] - u[i]) - (u[i] - u[i-1]),
+    rounded in that order, and kh, kl = sigma_high_sq, sigma_low_sq times
+    0.5*dt/(dx*dx), folded once per call. Six passes make a step. The
+    differences run across row ends; where a block holds two or more rows,
+    the entries of d where one row meets the next are reset to +0.0 before
+    the generator reads them, so every row's boundary columns keep zero
+    curvature and rows never mix: a batched march equals one-row marches bit
+    for bit, whatever the blocks.
 
-    This is the plainly written step u + dt*(0.5*(sh*max(c, 0) - sl*max(-c, 0)))
-    (``g_function``) bit for bit. ``VolatilityBand`` makes sl > 0 and
-    sh >= sl, and rounding is monotone, so:
+    This is the plainly written step u + (kh*max(d, 0) - kl*max(-d, 0))
+    (``g_function`` times 0.5*dt/dx^2) bit for bit. ``VolatilityBand``
+    makes kl > 0 and kh >= kl, and rounding is monotone and odd, so:
 
-    * c > 0: sh*c >= sl*c, and the plain form's sh*c - sl*0 is sh*c;
-    * c < 0: sl*c >= sh*c, and the plain form's 0 - sl*|c| is sl*c;
-    * c = +0 gives +0 in both. For c = -0 the max form gives -0 where the
-      plain one can give +0, but above the subnormal range c is -0 only
-      where u[i] = +0 and both of its neighbors are -0, and there u[i] + 0
-      is +0 for either zero.
+    * d > 0: kh*d >= kl*d, and the plain form's kh*d - kl*0 is kh*d;
+    * d < 0: kl*d >= kh*d, and the plain form's 0 - kl*|d| is kl*d;
+    * d = +0 gives +0 in both. For d = -0 the max form gives -0 where the
+      plain one can give +0, but d is -0 only where u[i] = +0 and
+      u[i+1] = -0 (a difference is zero only for equal operands), and
+      there u[i] + 0 is +0 for either zero.
 
-    Then dt*(0.5*y) and (0.5*dt)*y round the same real number whenever 0.5*y
-    and 0.5*dt are exact. Two caveats, for data outside any grid the solvers
-    build. Where sl*c, sh*c or 0.5*y is subnormal or underflows to zero (data
-    near 1e-310), a result can differ by one subnormal ulp or in the sign of a
-    zero. The products the plain form does not make (sl*c for c > 0, sh*c for
-    c < 0, 2*u at a row end) can overflow for data near 1e308: the bits stay
-    the same, but numpy emits an overflow RuntimeWarning.
+    Two caveats, for data outside any grid the solvers build. Where kl*d
+    underflows to zero for d < 0 (data near 1e-310), the max form adds -0
+    where the plain one adds +0, so a zero result can differ in its sign.
+    The products the plain form does not make (kl*d for d > 0, kh*d for
+    d < 0) and the differences across a row end can overflow for data near
+    1e308: the bits stay the same, but numpy emits an overflow or invalid
+    value RuntimeWarning.
     """
     u = np.array(terminal, dtype=float, order="C")
-    flat = u.reshape(-1)
     n = u.shape[-1]
-    inv_dx2 = 1.0 / (dx * dx)
-    half_dt = 0.5 * dt
-    sl, sh = band.sigma_low_sq, band.sigma_high_sq
-    left, mid, right = flat[:-2], flat[1:-1], flat[2:]
-    curvature = np.zeros_like(flat)
-    inner = curvature[1:-1]
-    # the last column of each row but the last and the first column of the
-    # next; the ends of the flat buffer are never written
-    seams = curvature[n - 1:-1].reshape(-1, n)[:, :2]
-    g = np.empty_like(flat)
-    for _ in range(n_steps):
-        np.multiply(2.0, mid, out=inner)
-        np.subtract(right, inner, out=inner)
-        np.add(inner, left, out=inner)
-        np.multiply(inner, inv_dx2, out=inner)
-        # zero curvature at the boundary columns: linear tails are exact solutions
-        seams.fill(0.0)
-        np.multiply(sl, curvature, out=g)
-        np.multiply(sh, curvature, out=curvature)
-        np.maximum(curvature, g, out=g)
-        np.multiply(g, half_dt, out=g)
-        np.add(flat, g, out=flat)
+    rows = u.reshape(-1, n)
+    scale = 0.5 * dt / (dx * dx)
+    kl, kh = band.sigma_low_sq * scale, band.sigma_high_sq * scale
+    per_block = max(1, _BLOCK_VALUES // n)
+    size = min(per_block, len(rows)) * n
+    second = np.zeros(size)
+    work = np.empty(size)
+    for start in range(0, len(rows), per_block):
+        flat = rows[start:start + per_block].reshape(-1)
+        m = flat.size
+        right, left = flat[1:], flat[:-1]
+        # the ends of a block's d are never written: a shorter last block's
+        # last entry was a seam of the block before, so it holds +0.0 too
+        d = second[:m]
+        inner = d[1:-1]
+        gen = work[:m]
+        # the first differences live in the generator's buffer until d is formed
+        first = work[:m - 1]
+        up, down = first[1:], first[:-1]
+        # the last column of each row but the last and the first column of
+        # the next: zero curvature at the boundary columns, where linear
+        # tails are exact solutions
+        seams = d[n - 1:-1].reshape(-1, n)[:, :2] if m > n else None
+        for _ in range(n_steps):
+            np.subtract(right, left, out=first)
+            np.subtract(up, down, out=inner)
+            if seams is not None:
+                seams.fill(0.0)
+            np.multiply(kl, d, out=gen)
+            np.multiply(kh, d, out=d)
+            np.maximum(d, gen, out=gen)
+            np.add(flat, gen, out=flat)
     return u
 
 
@@ -181,6 +206,7 @@ def _on_grid(values, xs: np.ndarray) -> np.ndarray:
     u = np.asarray(values, dtype=float)
     if u.shape != xs.shape:
         raise InvalidParameterError("terminal payoff must map the grid to one value per node")
+    _require_finite(u)
     return u
 
 

@@ -85,11 +85,25 @@ def test_lattice_pde_consistency_for_lipschitz_payoffs(band):
 
 def _reference_march(u, band, dx, dt, n_steps):
     """The one-row explicit step written out plainly, in the kernel's order."""
+    scale = 0.5 * dt / (dx * dx)
+    kl, kh = band.sigma_low_sq * scale, band.sigma_high_sq * scale
+    d = np.zeros_like(u)
+    for _ in range(n_steps):
+        d[1:-1] = (u[2:] - u[1:-1]) - (u[1:-1] - u[:-2])
+        u = u + (kh * np.maximum(d, 0.0) - kl * np.maximum(-d, 0.0))
+    return u
+
+
+def _curvature_march(u, band, dx, dt, n_steps):
+    """The step in its earlier plain form, each row of the last axis alone:
+    the curvature c = (u[i+1] - 2u[i] + u[i-1]) / dx^2, then u + dt*G(c)."""
     inv_dx2 = 1.0 / (dx * dx)
+    u = np.array(u, dtype=float)
     c = np.zeros_like(u)
     for _ in range(n_steps):
-        c[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) * inv_dx2
-        g = 0.5 * (band.sigma_high_sq * np.maximum(c, 0.0) - band.sigma_low_sq * np.maximum(-c, 0.0))
+        c[..., 1:-1] = (u[..., 2:] - 2.0 * u[..., 1:-1] + u[..., :-2]) * inv_dx2
+        g = 0.5 * (band.sigma_high_sq * np.maximum(c, 0.0)
+                   - band.sigma_low_sq * np.maximum(-c, 0.0))
         u = u + dt * g
     return u
 
@@ -137,9 +151,23 @@ def test_rows_of_far_apart_scales_do_not_leak_across_row_ends(march_band, order)
         _assert_rows_march_alone(rows[:6].reshape(2, 3, 25), march_band, dx, dt, 30)
 
 
+def test_batch_spanning_several_row_blocks_equals_one_row_marches_bitwise(band):
+    # rows of 2^13 + 1 points: three to a block, so eight rows make blocks of
+    # three, three and two rows, and both seams inside a block and the
+    # boundaries between blocks are crossed
+    n = 2**13 + 1
+    rows = np.random.default_rng(5).standard_normal((8, n))
+    rows[3] = 0.0
+    rows[4, ::3] = -0.0
+    assert pde._BLOCK_VALUES // n == 3
+    dx = 0.05
+    _assert_rows_march_alone(rows, band, dx, dx * dx / band.sigma_high_sq, 12)
+
+
 def test_data_up_to_1e300_march_without_runtime_warning():
-    # the max form makes products the plain step does not (sl*c for c > 0,
-    # sh*c for c < 0, 2u at a row end); none of them overflows below 1e300
+    # the max form makes products the plain step does not (kl*d for d > 0,
+    # kh*d for d < 0) and differences across a row end; none of them
+    # overflows below 1e300
     band = VolatilityBand(1.0, 4.0)
     rows = np.array([[1e300, -1e300, 1e300, -1e300, 1e300],
                      [-1e300, 1e300, -1e300, 1e300, -1e300],
@@ -181,6 +209,62 @@ def test_terminal_arrays_are_not_written(band):
     assert held.tobytes() == before.tobytes()
     nested_expectation_pde(lambda x1, x: held, band, grid, 0.25, 0.5, n_inner=5)
     assert held.tobytes() == before.tobytes()
+
+
+_HEAT_TERMINALS = (np.abs, lambda x: np.maximum(x - 0.5, 0.0), lambda x: x**2,
+                   lambda x: -(x**2))
+
+
+@pytest.mark.parametrize("dx", [0.1, 0.02])
+def test_heat_stays_within_rounding_of_the_curvature_form(band, dx, monkeypatch):
+    # the golden grid (dx = 0.1) and the default one: the six-pass step and
+    # the earlier curvature form are the same scheme and differ by rounding
+    space = SpaceGrid(half_width=12.0, dx=dx)
+    heat = [solve_nonlinear_heat(t, band, space, 1.0).u for t in _HEAT_TERMINALS]
+    monkeypatch.setattr(pde, "_march_backward", _curvature_march)
+    for terminal, u in zip(_HEAT_TERMINALS, heat):
+        plain = solve_nonlinear_heat(terminal, band, space, 1.0).u
+        assert np.max(np.abs(u - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
+def test_nested_stays_within_rounding_of_the_curvature_form(band, monkeypatch):
+    # the golden nested solve
+    space = SpaceGrid(half_width=12.0, dx=0.1)
+
+    def solve():
+        return nested_expectation_pde(lambda x1, x: np.abs(x - x1) + 0.3 * x1,
+                                      band, space, 0.5, 1.0)
+
+    value = solve()
+    monkeypatch.setattr(pde, "_march_backward", _curvature_march)
+    assert value == pytest.approx(solve(), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_heat_refuses_non_finite_terminal_data(band, bad):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+
+    def terminal(x):
+        out = np.abs(x)
+        out[7] = bad
+        return out
+
+    with pytest.raises(InvalidParameterError, match="^functional values must be finite$"):
+        solve_nonlinear_heat(terminal, band, grid, 0.5)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nested_refuses_non_finite_terminal_data(band, bad):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+
+    def payoff(x1, x):
+        out = np.abs(x - x1)
+        if x1 > 0.0:
+            out[-1] = bad
+        return out
+
+    with pytest.raises(InvalidParameterError, match="^functional values must be finite$"):
+        nested_expectation_pde(payoff, band, grid, 0.25, 0.5, n_inner=5)
 
 
 class TestNested:
