@@ -138,6 +138,14 @@ class SkorokhodSolution:
     expected_losses: np.ndarray | None = field(default=None, kw_only=True, repr=False,
                                                compare=False)
 
+    def __post_init__(self):
+        if not isinstance(self.X, ProcessOnLattice):
+            raise InvalidParameterError(
+                f"X must be a ProcessOnLattice, got {type(self.X).__name__}")
+        if not isinstance(self.A, DeterministicPath):
+            raise InvalidParameterError(
+                f"A must be a DeterministicPath, got {type(self.A).__name__}")
+
 
 @dataclass(frozen=True)
 class CheckResult:

@@ -1130,6 +1130,21 @@ class TestDeterministicPath:
             DeterministicPath([[0.0, 1.0]], [[0.0, 1.0]])
 
 
+class TestSkorokhodSolution:
+    @pytest.mark.parametrize("x", [None, np.zeros(4)])
+    def test_x_must_be_a_process_on_the_lattice(self, band, x):
+        lattice, S, solution = zero_s_with(band, [0.0, 0.5, 1.0])
+        with pytest.raises(InvalidParameterError) as raised:
+            SkorokhodSolution(x, solution.A)
+        assert str(raised.value) == f"X must be a ProcessOnLattice, got {type(x).__name__}"
+
+    def test_a_must_be_a_deterministic_path(self, band):
+        lattice, S, solution = zero_s_with(band, [0.0, 0.5, 1.0])
+        with pytest.raises(InvalidParameterError) as raised:
+            SkorokhodSolution(solution.X, solution.A.values)
+        assert str(raised.value) == "A must be a DeterministicPath, got ndarray"
+
+
 class TestStability:
     def test_identical_inputs_give_zero_gap(self, lattice6):
         loss = make_loss("linear", {"c0": 0.0, "c1": 1.0})
