@@ -146,8 +146,9 @@ def _march_backward(terminal: np.ndarray, band: VolatilityBand, dx: float, dt: f
     curvature and rows never mix: a batched march equals one-row marches bit
     for bit, whatever the blocks.
 
-    This is the plainly written step u + (kh*max(d, 0) - kl*max(-d, 0))
-    (``g_function`` times 0.5*dt/dx^2) bit for bit. ``VolatilityBand``
+    This is the plainly written step u + (kh*max(d, 0) - kl*max(-d, 0)),
+    which is u + dt*``g_function``(d/dx^2) with the factors folded into kh
+    and kl, bit for bit. ``VolatilityBand``
     makes kl > 0 and kh >= kl, and rounding is monotone and odd, so:
 
     * d > 0: kh*d >= kl*d, and the plain form's kh*d - kl*0 is kh*d;
