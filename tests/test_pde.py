@@ -95,8 +95,9 @@ def _reference_march(u, band, dx, dt, n_steps):
 
 
 def _curvature_march(u, band, dx, dt, n_steps):
-    """The step in its earlier plain form, each row of the last axis alone:
-    the curvature c = (u[i+1] - 2u[i] + u[i-1]) / dx^2, then u + dt*G(c)."""
+    """The same scheme in curvature form, each row of the last axis alone:
+    c = (u[i+1] - 2u[i] + u[i-1]) / dx^2, then u + dt*G(c). It rounds
+    differently from the kernel, so it is an oracle for closeness only."""
     inv_dx2 = 1.0 / (dx * dx)
     u = np.array(u, dtype=float)
     c = np.zeros_like(u)
@@ -218,7 +219,7 @@ _HEAT_TERMINALS = (np.abs, lambda x: np.maximum(x - 0.5, 0.0), lambda x: x**2,
 @pytest.mark.parametrize("dx", [0.1, 0.02])
 def test_heat_stays_within_rounding_of_the_curvature_form(band, dx, monkeypatch):
     # the golden grid (dx = 0.1) and the default one: the six-pass step and
-    # the earlier curvature form are the same scheme and differ by rounding
+    # the curvature form are the same scheme and differ by rounding
     space = SpaceGrid(half_width=12.0, dx=dx)
     heat = [solve_nonlinear_heat(t, band, space, 1.0).u for t in _HEAT_TERMINALS]
     monkeypatch.setattr(pde, "_march_backward", _curvature_march)
