@@ -286,8 +286,9 @@ class ProcessOnLattice:
     functionals (``_adopt``), so no reader makes a pass for them; only a
     finite range is kept, so a non-finite level raises where it is first
     read. A level written in place would leave its kept functional stale, so
-    the levels are not written while the process is in use; a run that forms
-    X = S + A in S's arrays reads S no more and hands X the moved ranges.
+    the levels are not written while the process is in use. (An ``sp_only``
+    run forms each X_k = S_k + a_k in S_k's array once S_k is read no more,
+    and hands X_k the moved range.)
     """
 
     lattice: PathLattice

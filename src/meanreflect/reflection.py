@@ -37,12 +37,18 @@ Each root find also returns E[l(t, X + x)] from its last sweep at its
 result x. Where the compensator equals a positive minimal shift, X at that
 grid time is S plus that shift, by the same addition, so the solvers keep
 that value, and ``verify_mean_reflection`` takes it in place of a sweep.
-``_reflect_levels`` is the one loop over levels that does this, for the
-direct construction and for each Picard iterate of ``sde.picard_step``.
-``_reflect_direct`` gives A and those values, and each of its two callers
-forms X = S + A by the same addition per node: ``solve_mean_reflection_direct``
-as a new process (``ProcessOnLattice.shifted``), leaving S as it is, and a
-run (``runner._solve``) in S's own arrays, which it reads no more.
+``_reflect_level`` is the one root rule of a level: ``_reflect_levels``
+runs it over the levels of each Picard iterate of ``sde.picard_step``, and
+``_direct_step`` takes one step of the direct construction with it, giving
+a_k and the kept value. ``_reflect_direct`` takes that step at every level
+of a stored S, for ``solve_mean_reflection_direct``, which forms X = S + A
+as a new process (``ProcessOnLattice.shifted``) and leaves S as it is; an
+``sp_only`` run takes it at each level as soon as S makes the level
+(``runner._sp_only_levels``) and forms X_k in S_k's own array, by the same
+addition per node. The verifier is split alike: ``_level_values`` gathers
+one level's identity residual and E[l(t_k, X_k)], and ``_verdict`` judges
+A and the gathered values, so the streamed run and
+``verify_mean_reflection`` share every check.
 
 A root-find evaluation E[l(t, X + x)] is one backward sweep that applies
 the shift and the loss to one leaf block of X at a time (see
@@ -607,11 +613,11 @@ def deterministic_skorokhod(s: np.ndarray, barrier: np.ndarray) -> tuple[np.ndar
     return s + compensator, compensator
 
 
-def _check_initial_constraint(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice) -> float:
-    """E[l(t0, S_t0)], the sweep of S's first level; raises where it is
-    below -``DEFAULT_PRECONDITION_TOL``."""
-    t0 = lattice.grid.times[S.start_step]
-    e0 = expected_loss(t0, S.functional_at(S.start_step), lattice, loss)
+def _check_initial_constraint(loss: LossSpec, t0: float, xi: PathFunctional,
+                              lattice: PathLattice) -> float:
+    """E[l(t0, S_t0)], the sweep of S's first level ``xi``; raises where it
+    is below -``DEFAULT_PRECONDITION_TOL``."""
+    e0 = expected_loss(t0, xi, lattice, loss)
     if e0 < -DEFAULT_PRECONDITION_TOL:
         raise InitialConstraintError(
             f"E[l(t0, S_t0)] = {e0} < 0 at the initial time t0={t0}"
@@ -637,47 +643,71 @@ def _reusable_losses(losses: np.ndarray, shifts: np.ndarray,
     give the same bits. A zero shift's value is the sweep of S itself, which
     S + 0.0 matches only where S holds no -0.0, so it is not kept. The start
     level's value is kept as given: ``sde.picard_step`` gives its check's
-    sweep of X's start level, which it keeps as the swept array, and
-    ``_reflect_direct`` gives NaN."""
+    sweep of X's start level, which it keeps as the swept array. The direct
+    construction keeps none there, and ``_direct_step`` makes the same
+    choice one step at a time."""
     kept = (shifts > 0.0) & (compensator == shifts)
     kept[0] = True
     return np.where(kept, losses, np.nan)
 
 
+def _reflect_level(loss: LossSpec, t: float, xi: PathFunctional, lattice: PathLattice,
+                   tol: float, shifts: np.ndarray, i: int, *, confirm: bool = True) -> float:
+    """The Skorokhod step's root at step i, on the level ``xi`` at time t:
+    the minimal shift, ``required_shift`` from ``_shift_guess`` with
+    ``confirm``, written into ``shifts[i]``; returns the value of that
+    root's last sweep."""
+    shifts[i], value = required_shift(t, xi, lattice, loss, tol, start=_shift_guess(shifts, i),
+                                      with_value=True, confirm=confirm)
+    return value
+
+
 def _reflect_levels(loss: LossSpec, U: ProcessOnLattice | None, lattice: PathLattice,
                     tol: float, levels: range, shifts: np.ndarray, losses: np.ndarray,
                     *, confirm: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The Skorokhod step at ``levels`` of U: each level's minimal shift,
-    ``required_shift`` from ``_shift_guess`` with ``confirm``, and the value
-    of that root's last sweep, written into ``shifts`` and ``losses``. These
-    hold one value per step of A, whose last step is the last of ``levels``;
-    the steps below ``levels`` keep theirs. Returns A, the running max of the
-    shifts, and ``_reusable_losses``. U may be None where ``levels`` is
-    empty."""
+    """``_reflect_level`` at ``levels`` of U, each root's value written into
+    ``losses``. ``shifts`` and ``losses`` hold one value per step of A,
+    whose last step is the last of ``levels``; the steps below ``levels``
+    keep theirs. Returns A, the running max of the shifts, and
+    ``_reusable_losses``. U may be None where ``levels`` is empty."""
     times = lattice.grid.times
     k0 = levels.stop - shifts.size
     for k in levels:
-        i = k - k0
-        shifts[i], losses[i] = required_shift(times[k], U.functional_at(k), lattice, loss, tol,
-                                              start=_shift_guess(shifts, i), with_value=True,
-                                              confirm=confirm)
+        losses[k - k0] = _reflect_level(loss, times[k], U.functional_at(k), lattice, tol, shifts,
+                                        k - k0, confirm=confirm)
     # A is the classical reflection of the zero path above the shifts: their
     # running max, since every shift is >= 0
     _, compensator = deterministic_skorokhod(np.zeros(shifts.size), shifts)
     return compensator, _reusable_losses(losses, shifts, compensator)
 
 
+def _direct_step(loss: LossSpec, t: float, xi: PathFunctional, lattice: PathLattice,
+                 tol: float, shifts: np.ndarray, i: int) -> tuple[float, float]:
+    """Step i of the direct construction, on the level ``xi`` of S at time
+    t, given the minimal shifts of the steps before it in ``shifts``: a_i,
+    the running max of the shifts, and E[l(t, S_i + a_i)] from the root's
+    last sweep where a_i is that positive shift (``_reusable_losses``), NaN
+    elsewhere. Step 0 checks the initial constraint and gives a_0 = 0.0:
+    the initial shift is zero by that check, and rounding noise there would
+    otherwise break A(0) = 0 exactly."""
+    if i == 0:
+        _check_initial_constraint(loss, t, xi, lattice)
+        return 0.0, math.nan
+    value = _reflect_level(loss, t, xi, lattice, tol, shifts, i)
+    a = float(np.max(shifts[: i + 1]))
+    return a, value if shifts[i] > 0.0 and a == shifts[i] else math.nan
+
+
 def _reflect_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
                     tol: float = DEFAULT_ROOT_TOL) -> tuple[DeterministicPath, np.ndarray]:
-    """The direct construction's A and reusable losses, for its caller to
-    form X = S + A."""
-    _check_initial_constraint(loss, S, lattice)
-    k0, k1 = S.start_step, S.end_step
-    # the initial shift is zero by the checked constraint; rounding noise there
-    # would otherwise break A(0) = 0 exactly
-    compensator, losses = _reflect_levels(loss, S, lattice, tol, range(k0 + 1, k1 + 1),
-                                          np.zeros(k1 - k0 + 1), np.full(k1 - k0 + 1, np.nan))
-    return DeterministicPath(lattice.grid.times[k0 : k1 + 1], compensator), losses
+    """The direct construction's A and reusable losses, one ``_direct_step``
+    per level of S in order, for its caller to form X = S + A."""
+    times = lattice.grid.times
+    steps = range(S.start_step, S.end_step + 1)
+    shifts, a, losses = np.zeros(len(steps)), np.empty(len(steps)), np.empty(len(steps))
+    for i, k in enumerate(steps):
+        a[i], losses[i] = _direct_step(loss, times[k], S.functional_at(k), lattice, tol, shifts, i)
+    return DeterministicPath(times[steps.start : steps.stop], a), losses
 
 
 def solve_mean_reflection_direct(loss: LossSpec, S: ProcessOnLattice, lattice: PathLattice,
@@ -700,9 +730,9 @@ def solve_mean_reflection_reduced(
     Each level is swept once for its mean, which also centres it: the
     barrier is ``centered_loss_inverse`` at z = 0, whose loss l - 0.0 is l
     bit for bit."""
-    _check_initial_constraint(loss, S, lattice)
     times = lattice.grid.times
     k0, k1 = S.start_step, S.end_step
+    _check_initial_constraint(loss, times[k0], S.functional_at(k0), lattice)
     n = k1 - k0 + 1
     means = np.zeros(n)
     barrier = np.zeros(n)
@@ -757,10 +787,12 @@ def verify_mean_reflection(
     A run passes S as None: S = X - A by definition, so the
     ``identity_residual`` is 0, read from no level, or NaN where some level's
     kept range minus a_k is not finite; rounding is monotone, as in
-    ``expected_loss``. Only a caller that passes S has X compared with it,
-    |X_k - (S_k + a_k)| one 4^8 block at a time, with a NaN in any block
-    carried through. ``expected_losses``, if given, holds one value per
-    checked step.
+    ``expected_loss``. Each level's two values come from ``_level_values``,
+    which an ``sp_only`` run calls on each level as it streams, and
+    ``_verdict`` judges them. Only a caller that passes S has X compared
+    with it, |X_k - (S_k + a_k)| one 4^8 block at a time, with a NaN in any
+    block carried through. ``expected_losses``, if given, holds one value
+    per checked step.
     """
     _require_tol(tol)
     times = lattice.grid.times
@@ -776,27 +808,50 @@ def verify_mean_reflection(
         raise GridMismatchError(
             f"expected_losses has shape {np.shape(expected_losses)} for the {len(steps)} "
             f"steps {steps[0]}..{steps[-1]}")
-    identity = 0.0
+    known = np.full(len(steps), np.nan) if expected_losses is None else expected_losses
+    identity, constraint = np.empty(len(steps)), np.empty(len(steps))
     if S is None:
-        if not all(_shift_stays_finite(X.functional_at(k).value_range, -float(a[i]))
-                   for i, k in enumerate(steps)):
-            identity = math.nan
-    else:
-        scratch = np.empty(min(4**steps[-1], 4**_lattice._BLOCK_LEVELS))
         for i, k in enumerate(steps):
-            x = X.at(k)
-            # the same operations per element as |X_k - (S_k + a_i)|
-            for part in _level_blocks(x.size):
-                gap = scratch[: x[part].size]
-                np.add(S.at(k)[part], a[i], out=gap)
-                np.subtract(x[part], gap, out=gap)
-                identity = float(np.max((identity, np.max(np.abs(gap, out=gap)))))
-    constraint = np.empty(len(steps))
+            identity[i], constraint[i] = _level_values(times[k], X.functional_at(k), a[i], loss,
+                                                       lattice, known[i])
+        return _verdict(a, identity, constraint, loss, tol)
+    scratch = np.empty(min(4**steps[-1], 4**_lattice._BLOCK_LEVELS))
     for i, k in enumerate(steps):
-        if expected_losses is not None and not math.isnan(expected_losses[i]):
-            constraint[i] = expected_losses[i]
-        else:
-            constraint[i] = expected_loss(times[k], X.functional_at(k), lattice, loss)
+        x = X.at(k)
+        # the same operations per element as |X_k - (S_k + a_i)|, with a NaN
+        # carried through the max
+        gaps = []
+        for part in _level_blocks(x.size):
+            gap = scratch[: x[part].size]
+            np.add(S.at(k)[part], a[i], out=gap)
+            np.subtract(x[part], gap, out=gap)
+            gaps.append(np.max(np.abs(gap, out=gap)))
+        identity[i] = np.max(gaps)
+    for i, k in enumerate(steps):
+        constraint[i] = known[i] if not math.isnan(known[i]) else expected_loss(
+            times[k], X.functional_at(k), lattice, loss)
+    return _verdict(a, identity, constraint, loss, tol)
+
+
+def _level_values(t: float, xi: PathFunctional, a: float, loss: LossSpec, lattice: PathLattice,
+                  known: float) -> tuple[float, float]:
+    """The two values the verifier gathers at one level X_k = ``xi`` at time
+    t, with S_k = X_k - a_k by definition: the identity residual, 0.0, or
+    NaN where some X_k - a_k is not finite, read from X_k's kept range
+    (rounding is monotone, as in ``expected_loss``); and E[l(t, X_k)],
+    ``known`` where it is a number and one sweep of X_k elsewhere."""
+    identity = 0.0 if _shift_stays_finite(xi.value_range, -float(a)) else math.nan
+    if math.isnan(known):
+        known = expected_loss(t, xi, lattice, loss)
+    return identity, known
+
+
+def _verdict(a: np.ndarray, identity: np.ndarray, constraint: np.ndarray, loss: LossSpec,
+             tol: float) -> VerificationReport:
+    """The verifier's report from A and the values gathered at each of its
+    steps: the identity residual and E[l(t_k, X_k)]."""
+    # np.max carries a NaN level residual
+    identity = float(np.max(identity))
     constraint_min = float(constraint.min())
     flatoff = float(np.sum(constraint[1:] * np.diff(a)))
     flatoff_limit = max(DEFAULT_PRECONDITION_TOL, loss.C_l * tol) * (1.0 + float(a[-1] - a[0]))

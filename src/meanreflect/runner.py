@@ -5,12 +5,20 @@ A ``gexp_probe`` run evaluates its terminal payoff phi(B_T) by
 (n+1)^2 reachable pairs of net signed counts of low- and high-volatility
 steps, and builds no lattice; the config's n_steps cap holds for every mode.
 
-A solving run holds the Skorokhod pair (X, A) and no other process: the
-verifier takes S as X - A by definition. ``full_sde`` takes X from
-``picard_solve``. ``sp_only`` takes A from ``reflection._reflect_direct``
-and forms X = S + A in S's own arrays, which it reads no more, with S's
-kept ranges moved by each a_k (``ProcessOnLattice._adopt``): the addition
-per node of ``S.shifted(A)``, with no second process allocated.
+A solving run checks the Skorokhod pair (X, A) level by level, taking S as
+X - A by definition. ``full_sde`` stores X from ``picard_solve`` and then
+replays it through ``verify_mean_reflection`` and ``_solution_csv``.
+``sp_only`` needs no stored level: A is the running max of the minimal
+shifts, so a_k and X_k = S_k + a_k are final once S_k exists, and the run is
+one forward pass over levels (``_sp_only_levels``). Each S_k comes from
+S_{k-1} by one Euler step and is reflected at once
+(``reflection._direct_step``). Once S_{k+1} is made, X_k takes S_k's array,
+by the addition per node of ``S.shifted(A)``, with S_k's range moved by
+a_k; it is checked and swept for its two CSV columns by the per-level code
+of the stored replay (``reflection._level_values``, ``_csv_columns``), and
+dropped. So an ``sp_only`` run holds at most two levels of S, and one
+verdict (``reflection._verdict``) judges both modes. ``_solve`` runs the
+same loop keeping every level, for callers that want the stored solution.
 
 All output is deterministic: repeated runs of one config produce
 byte-identical files. Floats are serialized with their shortest round-trip
@@ -48,18 +56,27 @@ from .errors import (
     SolverError,
 )
 from .gexpectation import terminal_upper_expectation, upper_expectation
-from .lattice import _BLOCK_LEVELS, ProcessOnLattice, build_lattice
+from .lattice import (
+    _BLOCK_LEVELS,
+    PathFunctional,
+    ProcessOnLattice,
+    _shift_range,
+    build_lattice,
+)
 from .loss import LossSpec, validate_loss
 from .reflection import (
     CheckResult,
+    DeterministicPath,
     SkorokhodSolution,
-    _reflect_direct,
+    _direct_step,
+    _level_values,
+    _verdict,
     verify_mean_reflection,
 )
 from .sde import (
     CONTRACTION_GUARD,
     MRSDEProblem,
-    integrate_sde,
+    _euler_step,
     picard_solve,
     validate_coefficients,
 )
@@ -230,49 +247,113 @@ def _csv_from_columns(header: str, columns: list[np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float) -> str:
-    """The CSV trace; e_l is E[l(t_k, X_k)] for every step, as the verifier
-    computed it. The |X|^p leaf map writes into one reused buffer of a
+def _csv_columns(lattice, t: float, xk: PathFunctional, p: float) -> tuple[float, float]:
+    """The CSV's E_X and E_absX_p at time t: E[X_k] and E[|X_k|^p] of the
+    level ``xk``. The |X|^p leaf map writes into one reused buffer of a
     block, with ``**=`` taking the same power as ``** p``."""
-    times = lattice.grid.times
-    n = lattice.depth
-    e_x = np.empty(n + 1)
-    e_abs_p = np.empty(n + 1)
-    buffer = np.empty(min(4**n, 4**_BLOCK_LEVELS))
+    buffer = np.empty(min(xk.values.size, 4**_BLOCK_LEVELS))
 
     def abs_p(v):
         out = np.abs(v, out=buffer[: v.size])
         out **= p
         return out
 
-    for k in range(n + 1):
-        xk = solution.X.functional_at(k)
-        e_x[k] = upper_expectation(lattice, xk)
-        try:
-            e_abs_p[k] = upper_expectation(lattice, xk, leaf_map=abs_p)
-        except InvalidParameterError:
-            raise InvalidParameterError(
-                f"CSV column E_absX_p at t={_fmt(times[k])}: |X|^p overflows for p={_fmt(p)}"
-            ) from None
-    return _csv_from_columns(CSV_HEADER, [times, solution.A.values, e_l, e_x, e_abs_p])
+    e_x = upper_expectation(lattice, xk)
+    try:
+        return e_x, upper_expectation(lattice, xk, leaf_map=abs_p)
+    except InvalidParameterError:
+        raise InvalidParameterError(
+            f"CSV column E_absX_p at t={_fmt(t)}: |X|^p overflows for p={_fmt(p)}"
+        ) from None
+
+
+def _solution_csv(lattice, solution: SkorokhodSolution, e_l: np.ndarray, p: float) -> str:
+    """The CSV trace of a stored solution; e_l is E[l(t_k, X_k)] for every
+    step, as the verifier computed it."""
+    times = lattice.grid.times
+    columns = np.array([_csv_columns(lattice, times[k], solution.X.functional_at(k), p)
+                        for k in range(lattice.depth + 1)])
+    return _csv_from_columns(CSV_HEADER, [times, solution.A.values, e_l, *columns.T])
+
+
+def _sp_only_levels(config: ExperimentConfig, loss: LossSpec, lattice, finish) -> None:
+    """The ``sp_only`` solve as one forward pass over levels: S by Euler
+    steps fed its own state, each level reflected by
+    ``reflection._direct_step`` as soon as it is made. Once S_{k+1} is made
+    from S_k, X_k = S_k + a_k takes S_k's array, by the addition per node of
+    ``S.shifted(A)``, and S_k's range moved by a_k; it goes to ``finish(k,
+    X_k, a_k, E)``, with E the value ``_direct_step`` kept (NaN where none).
+    The loop then drops X_k, so it holds at most two levels of S, and only
+    ``finish`` may keep one."""
+    coeffs, tol = config.coefficients(), config.solver.tol
+    times = lattice.grid.times
+    shifts = np.zeros(lattice.depth + 1)
+    s = np.array([float(config.problem.x0)])
+    # the initial check takes the first level's range, and each Euler step
+    # the range of the level it makes
+    xi = PathFunctional(0, s)
+    for k in range(lattice.depth + 1):
+        a, known = _direct_step(loss, times[k], xi, lattice, tol, shifts, k)
+        children = None
+        if k < lattice.depth:
+            children, children_range = _euler_step(coeffs, lattice, float(times[k]), s, s)
+        s += a
+        finish(k, PathFunctional._with_range(k, s, _shift_range(xi.value_range, a)), a, known)
+        if children is not None:
+            s = children
+            xi = PathFunctional._with_range(k + 1, s, children_range)
 
 
 def _solve(config: ExperimentConfig, loss: LossSpec):
     """The lattice and solution that a solving run makes of ``config`` with
-    the loss ``loss``; an ``sp_only`` X is formed in S's own arrays (see the
-    module docstring)."""
+    the loss ``loss``. ``sp_only`` runs the run's own level loop,
+    ``_sp_only_levels``, keeping every level (see the module docstring)."""
     lattice = build_lattice(config.band(), config.grid())
     if config.mode == "sp_only":
-        S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
-        A, losses = _reflect_direct(loss, S, lattice, tol=config.solver.tol)
-        for level, a in zip(S.values, A.values):
-            level += a
-        X = ProcessOnLattice(lattice, S.start_step, S.values)
-        X._adopt(S, range(S.start_step, S.end_step + 1), A.values)
-        return lattice, SkorokhodSolution(X, A, expected_losses=losses)
+        times = lattice.grid.times
+        levels, a, known = [], np.empty(times.size), np.empty(times.size)
+
+        def keep(k, x, a_k, value):
+            levels.append(x)
+            a[k], known[k] = a_k, value
+
+        _sp_only_levels(config, loss, lattice, keep)
+        X = ProcessOnLattice(lattice, 0, tuple(x.values for x in levels))
+        for k, x in enumerate(levels):
+            X._keep_range(k, x.value_range)
+        return lattice, SkorokhodSolution(X, DeterministicPath(times, a), expected_losses=known)
     problem = MRSDEProblem(x0=config.problem.x0, coeffs=config.coefficients(), loss=loss,
                            band=lattice.band, grid=lattice.grid, p=config.problem.p)
     return lattice, picard_solve(problem, config.solver, lattice=lattice)
+
+
+def _sp_only_run(config: ExperimentConfig, loss: LossSpec, checks: list) -> str:
+    """The CSV trace of an ``sp_only`` run, whose verification's checks go
+    into ``checks``. Each level is checked and swept for its CSV columns as
+    ``_sp_only_levels`` hands it on, by the code that
+    ``verify_mean_reflection`` and ``_solution_csv`` run on a stored
+    solution. A column's error is raised once the checks are in, as the CSV
+    pass of a stored solution raises after its verification; the columns of
+    the levels after it are not swept."""
+    lattice = build_lattice(config.band(), config.grid())
+    times = lattice.grid.times
+    a, identity, constraint, e_x, e_abs_p = (np.empty(times.size) for _ in range(5))
+    csv_errors = []
+
+    def finish(k, x, a_k, known):
+        a[k] = a_k
+        identity[k], constraint[k] = _level_values(times[k], x, a_k, loss, lattice, known)
+        if not csv_errors:
+            try:
+                e_x[k], e_abs_p[k] = _csv_columns(lattice, times[k], x, config.problem.p)
+            except InvalidParameterError as exc:
+                csv_errors.append(exc)
+
+    _sp_only_levels(config, loss, lattice, finish)
+    checks.extend(_verdict(a, identity, constraint, loss, config.solver.tol).checks)
+    if csv_errors:
+        raise csv_errors[0]
+    return _csv_from_columns(CSV_HEADER, [times, a, constraint, e_x, e_abs_p])
 
 
 # overflow and invalid operations surface as non-finite values, which the
@@ -313,32 +394,33 @@ def run_experiment(
                 if spot.violations:
                     diagnostics[key] = list(spot.violations)
 
-            if all(spot.ok for *_, spot in spot_checks):
+            if not all(spot.ok for *_, spot in spot_checks):
+                diagnostics["solve_skipped"] = "validation checks failed"
+            elif config.mode == "sp_only":
+                csv_text = _sp_only_run(config, loss, checks)
+            else:
                 lattice, solution = _solve(config, loss)
                 verification = verify_mean_reflection(
                     solution, loss, None, lattice, tol=config.solver.tol,
                     expected_losses=solution.expected_losses)
-                if config.mode == "full_sde":
-                    # picard_solve raises unless every subinterval converged
-                    checks.append(CheckResult("picard_converged", 1.0, 1.0, True))
-                    max_ratio = max(
-                        (r for d in solution.diagnostics for r in d.ratios), default=0.0
-                    )
-                    checks.append(CheckResult("contraction_ratio_max", max_ratio,
-                                              CONTRACTION_GUARD, max_ratio < CONTRACTION_GUARD))
-                    diagnostics["picard"] = {
-                        "restarts": solution.restarts,
-                        "subintervals": [
-                            {**asdict(d), "delta_steps": d.end_step - d.start_step,
-                             "iterations": d.iterations}
-                            for d in solution.diagnostics
-                        ],
-                    }
+                # picard_solve raises unless every subinterval converged
+                checks.append(CheckResult("picard_converged", 1.0, 1.0, True))
+                max_ratio = max(
+                    (r for d in solution.diagnostics for r in d.ratios), default=0.0
+                )
+                checks.append(CheckResult("contraction_ratio_max", max_ratio,
+                                          CONTRACTION_GUARD, max_ratio < CONTRACTION_GUARD))
+                diagnostics["picard"] = {
+                    "restarts": solution.restarts,
+                    "subintervals": [
+                        {**asdict(d), "delta_steps": d.end_step - d.start_step,
+                         "iterations": d.iterations}
+                        for d in solution.diagnostics
+                    ],
+                }
                 checks.extend(verification.checks)
                 csv_text = _solution_csv(lattice, solution, verification.expected_losses,
                                          config.problem.p)
-            else:
-                diagnostics["solve_skipped"] = "validation checks failed"
     except (SolverError, BracketError, InvalidParameterError) as exc:
         diagnostics["solver_error"] = f"{type(exc).__name__}: {exc}"
         exit_code = EXIT_SOLVER_FAILURE

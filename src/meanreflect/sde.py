@@ -399,8 +399,9 @@ def picard_step(
     """One application of the contraction map: integrate driven by ``driver``,
     then reflect. Its fixed points solve the subinterval problem.
 
-    The roots are those of ``reflection._reflect_levels``, the direct
-    construction's level loop: each starts from the line through the two
+    The roots are those of ``reflection._reflect_levels``, which takes the
+    direct construction's root rule (``reflection._reflect_level``) at each
+    level: each starts from the line through the two
     minimal shifts below it (``reflection._shift_guess``), and the solution
     keeps the value of each root's last sweep where A is that root
     (``SkorokhodSolution.expected_losses``).
@@ -460,7 +461,8 @@ def picard_step(
         kept = forward
         if kept_start is not None:
             forward._keep_range(k0, kept_start.value_range)
-        losses[0] = _check_initial_constraint(loss, forward, lattice)
+        losses[0] = _check_initial_constraint(loss, times[k0], forward.functional_at(k0),
+                                              lattice)
     u = list(forward.values) if forward is not None else []
     root_levels = range(fresh, end_step + 1)
     # the Euler step took U's range, so the root finds make no pass for it

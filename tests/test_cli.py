@@ -200,8 +200,11 @@ def test_flatoff_limit_follows_the_solver_tol(tmp_path, mode, loss, tol):
 
 def _constant_s_run(tmp_path, monkeypatch, A, losses=None, tol=1e-10, c0=0.0):
     """A depth-2 ``sp_only`` run of the constant S = c0 against l = x - c0
-    whose direct construction returns A and the kept ``losses``."""
-    monkeypatch.setattr(runner, "_reflect_direct", lambda *args, **kwargs: (A, losses))
+    whose direct construction's step k gives a_k = A_k and the kept value
+    ``losses[k]`` (NaN at every step without ``losses``)."""
+    kept = np.full(A.values.size, np.nan) if losses is None else losses
+    monkeypatch.setattr(runner, "_direct_step",
+                        lambda loss, t, xi, lattice, tol, shifts, k: (A.values[k], kept[k]))
     config = config_from_dict({
         "mode": "sp_only", "solver": {"tol": tol},
         "problem": {"n_steps": 2, "x0": c0,

@@ -844,8 +844,8 @@ def test_picard_solve_equals_confirming_every_root(solve, loss_name, lattice8):
 @pytest.mark.parametrize("loss_name", sorted(REUSE_LOSSES))
 def test_picard_step_reflects_its_forward_pass_as_the_direct_loop_does(loss_name, lattice6,
                                                                       monkeypatch):
-    # picard_step and _reflect_direct share one root loop
-    # (reflection._reflect_levels): a full and a previous= confirming step
+    # picard_step and _reflect_direct share one root rule
+    # (reflection._reflect_level): a full and a previous= confirming step
     # give the shifts, A and kept losses of _reflect_direct on
     # integrate_forward's U from the same driver and initial level, bit for
     # bit. picard_step's X_0 is the initial array, and it keeps its check's

@@ -8,6 +8,7 @@ reports must be bitwise the one that a materialised S gives, and no
 whole-level copy of a process may be built during a run.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from meanreflect import (
     TimeGrid,
     VolatilityBand,
     build_lattice,
+    cli,
     integrate_sde,
     make_loss,
     reflection,
@@ -160,11 +162,13 @@ def test_readers_form_signed_zeros_as_the_whole_addition_does(lattice5, rise):
 
 
 def test_overflowing_x_raises_where_its_range_is_first_read(tmp_path, monkeypatch):
-    """X_3 = S_3 + a_3 overflows. A run forms X in S's arrays, where level 3
-    then keeps no range, so its verifier raises the finiteness error where
-    it first reads that range, before any loss evaluation, and the run exits
-    3. A caller that passes S has X compared with S + A first, and raises
-    after the loss evaluations of steps 0-2."""
+    """X_3 = S_3 + a_3 overflows. A run forms X_3 in S_3's array once S_4 is
+    made, and the range it moves by a_3 raises the finiteness error there:
+    after the loss evaluations of steps 0-2, which it has checked, and
+    before any at step 3. The run exits 3 with that error, though |X_0|^2
+    overflows the CSV column first: a column's error waits for the checks,
+    as it does after a stored solve. A caller that passes S has X compared
+    with S + A first, and raises after the same loss evaluations."""
     config = config_from_dict({"mode": "sp_only", "problem": {
         "n_steps": 5, "x0": 1.5e308, "sigma": {"name": "constant_sigma", "params": {"a": 0.0}},
         "loss": {"name": "linear", "params": {"c0": 0.0, "c1": 0.0}}}})
@@ -173,13 +177,14 @@ def test_overflowing_x_raises_where_its_range_is_first_read(tmp_path, monkeypatc
     seen, real = [], reflection.expected_loss
     monkeypatch.setattr(reflection, "expected_loss",
                         lambda t, *args, **kwargs: seen.append(t) or real(t, *args, **kwargs))
-    monkeypatch.setattr(runner, "_reflect_direct",
-                        lambda *args, **kwargs: (A, np.full(lat.depth + 1, np.nan)))
+    monkeypatch.setattr(runner, "_direct_step",
+                        lambda loss, t, xi, lattice, tol, shifts, k: (A.values[k], np.nan))
     result = runner.run_experiment(config, output_dir=str(tmp_path))
     assert result.exit_code == runner.EXIT_SOLVER_FAILURE
     assert (result.report["diagnostics"]["solver_error"]
             == "InvalidParameterError: functional values must be finite")
-    assert seen == []
+    assert seen == list(lat.grid.times[:3])
+    seen.clear()
     S = integrate_sde(config.coefficients(), lat, config.problem.x0)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(InvalidParameterError) as info:
@@ -364,6 +369,19 @@ def test_sp_only_run_peak_is_s_plus_a_few_blocks(tmp_path):
     assert peak < _process_bytes(8) + 3.5 * BLOCK_BYTES
 
 
+@pytest.mark.parametrize("loss", ["linear", "arctan_shift", "smooth_sin"])
+def test_sp_only_run_at_the_lattice_cap_holds_two_levels_of_s(tmp_path, loss):
+    """An n=10 run makes S_10 from S_9 and then drops S_9, which has become
+    X_9 and been checked, so its peak is S_9, S_10 and the Euler step's
+    temporaries of a block: below three blocks above the two levels. A run
+    that holds every level of S (10.67 MiB) while a root find's temporaries
+    are live peaks above that."""
+    config = _streamed_config(loss, 10)
+    runner.run_experiment(config, output_dir=str(tmp_path))
+    peak = _traced_peak(lambda: runner.run_experiment(config, output_dir=str(tmp_path)))
+    assert peak < 8 * (4**9 + 4**10) + 3 * BLOCK_BYTES
+
+
 def test_reduced_construction_drops_its_last_centred_level():
     """At depth 10 the peak is S and X plus under a block: the top level's
     centred copy (16 blocks) is gone before X is built."""
@@ -375,3 +393,88 @@ def test_reduced_construction_drops_its_last_centred_level():
         solve_mean_reflection_reduced(config.loss_spec(), S, lat, config.solver.tol)
 
     assert _traced_peak(solve) < 2 * _process_bytes(10) + BLOCK_BYTES
+
+
+# the losses of the streamed-run comparison, each with an x0 on its constraint
+STREAMED_LOSSES = {
+    "linear": ({"name": "linear", "params": {"c0": 0.0, "c1": 1.0}}, 0.0),
+    "arctan_shift": ({"name": "arctan_shift", "params": {"c": 5.0}}, 2.0),
+    "smooth_sin": ({"name": "smooth_sin"}, 0.0),
+}
+
+
+def _streamed_config(loss: str, n_steps: int, x0: float | None = None):
+    b, sigma, _, _ = PROBLEMS["ou_linear"]
+    spec, on_constraint = STREAMED_LOSSES[loss]
+    return config_from_dict({"mode": "sp_only", "problem": {
+        "n_steps": n_steps, "b": b, "sigma": sigma, "loss": spec,
+        "x0": on_constraint if x0 is None else x0}})
+
+
+def _stored_replay(construction: str):
+    """A stand-in for ``runner._sp_only_run`` that solves and stores every
+    level first, by ``runner._solve`` or by ``solve_mean_reflection_direct``
+    on an integrated S, and then checks the stored solution and writes its
+    CSV as a ``full_sde`` run does."""
+
+    def run(config, loss, checks):
+        if construction == "solve":
+            lattice, solution = runner._solve(config, loss)
+        else:
+            lattice = build_lattice(config.band(), config.grid())
+            S = integrate_sde(config.coefficients(), lattice, config.problem.x0)
+            solution = solve_mean_reflection_direct(loss, S, lattice, config.solver.tol)
+        verification = verify_mean_reflection(solution, loss, None, lattice,
+                                              tol=config.solver.tol,
+                                              expected_losses=solution.expected_losses)
+        checks.extend(verification.checks)
+        return runner._solution_csv(lattice, solution, verification.expected_losses,
+                                    config.problem.p)
+
+    return run
+
+
+def _cli_outputs(tmp_path, capsys, config) -> tuple:
+    """The exit code, CSV, report and stdout of ``meanreflect run`` on
+    ``config``, written into ``tmp_path``."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    out = tmp_path / "out"
+    for stale in ("trace.csv", "report.json"):
+        (out / stale).unlink(missing_ok=True)
+    code = cli.main(["run", str(path), "--output-dir", str(out)])
+    files = [(out / name).read_bytes() if (out / name).exists() else None
+             for name in ("trace.csv", "report.json")]
+    return code, *files, capsys.readouterr().out
+
+
+STREAMED_CASES = {
+    **{f"{loss}_n{n}": (loss, n, None) for loss in STREAMED_LOSSES for n in (1, 3, 6, 9, 10)},
+    # x0 = -0.0 on the constraint: X_0 = S_0 + 0.0 is +0.0
+    "linear_negative_zero_n6": ("linear", 6, -0.0),
+    # |X_0|^2 overflows, so the run exits 3 naming the CSV column, after its checks
+    "linear_abs_power_overflow_n4": ("linear", 4, 1e300),
+}
+
+
+@pytest.mark.parametrize("case", [*STREAMED_CASES, "slack_n6"])
+def test_streamed_run_writes_what_a_stored_solve_gives(tmp_path, capsys, monkeypatch, case):
+    """The streamed run, checked and written level by level, gives the
+    bytes of the stored solution's replay through the same verdict and
+    columns: the CSV, the report and stdout, with the exit code. The
+    "slack" problem's constraint never binds, from x0 = -0.0."""
+    config = _config("slack", "sp_only", 6) if case == "slack_n6" else _streamed_config(
+        *STREAMED_CASES[case])
+    streamed = _cli_outputs(tmp_path, capsys, config)
+    for construction in ("solve", "direct"):
+        monkeypatch.setattr(runner, "_sp_only_run", _stored_replay(construction))
+        assert _cli_outputs(tmp_path, capsys, config) == streamed, construction
+    code, csv, report, stdout = streamed
+    if case == "linear_abs_power_overflow_n4":
+        assert code == runner.EXIT_SOLVER_FAILURE and csv is None
+        assert "CSV column E_absX_p at t=0.0" in json.loads(report)["diagnostics"]["solver_error"]
+        assert len(json.loads(report)["checks"]) == 7
+    else:
+        assert code == runner.EXIT_PASS, stdout
+        a_final = float(csv.decode().splitlines()[-1].split(",")[1])
+        assert (a_final == 0.0) == (case == "slack_n6")
