@@ -100,6 +100,7 @@ class TimeGrid:
         if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
             raise InvalidParameterError(f"n_steps must be an integer, got {self.n_steps!r}")
         object.__setattr__(self, "n_steps", int(self.n_steps))
+        _refuse_bool("horizon", self.horizon)
         if self.n_steps < 0:
             raise InvalidParameterError(f"n_steps must be a nonnegative integer, got {self.n_steps}")
         if self.n_steps == 0:
@@ -168,6 +169,13 @@ class PathFunctional:
         object.__setattr__(xi, "values", values)
         _set_range(xi, value_range)
         return xi
+
+
+def _refuse_bool(name: str, value) -> None:
+    """Refuse a Python or numpy bool where a real number is meant: it would
+    pass every check on the number as 0 or 1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
 
 
 def _depth(depth) -> int:

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidParameterError, StabilityError
-from .lattice import VolatilityBand, _require_finite
+from .lattice import VolatilityBand, _refuse_bool, _require_finite
 
 # half-widths below this many terminal standard deviations trigger a warning
 _DOMAIN_STDS = 4.0
@@ -59,6 +59,8 @@ class SpaceGrid:
     dx: float
 
     def __post_init__(self):
+        _refuse_bool("half_width", self.half_width)
+        _refuse_bool("dx", self.dx)
         if not (self.dx > 0.0 and self.half_width >= self.dx):
             raise InvalidParameterError(
                 f"need 0 < dx <= half_width, got dx={self.dx}, half_width={self.half_width}"
@@ -116,6 +118,7 @@ def _resolve_dt(space: SpaceGrid, band: VolatilityBand, horizon: float,
     if dt is None:
         n = max(1, math.ceil(horizon / bound - 1e-12))
         return horizon / n, n
+    _refuse_bool("dt", dt)
     if not (dt > 0.0 and math.isfinite(dt)):
         raise InvalidParameterError(f"dt must be positive and finite, got {dt}")
     if dt > bound * (1.0 + 1e-12):
@@ -223,6 +226,7 @@ def solve_nonlinear_heat(
     ``terminal`` must map an array of grid points to payoff values. dt=None
     picks the largest stable step that divides the horizon evenly.
     """
+    _refuse_bool("horizon", horizon)
     if not (horizon > 0.0 and math.isfinite(horizon)):
         raise InvalidParameterError(f"horizon must be positive and finite, got {horizon}")
     _warn_if_narrow(space, band, horizon)
@@ -263,6 +267,8 @@ def nested_expectation_pde(
     deviations of B_{t1}, are marched as one batch; their diagonal becomes the
     outer terminal condition.
     """
+    _refuse_bool("t1", t1)
+    _refuse_bool("horizon", horizon)
     if not math.isfinite(horizon):
         raise InvalidParameterError(f"horizon must be finite, got {horizon}")
     if not 0.0 < t1 < horizon:

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -323,6 +324,51 @@ def test_non_finite_horizon_or_dt_is_a_parameter_error(band, bad):
         nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5, dt=bad, n_inner=3)
     with pytest.raises(InvalidParameterError, match="horizon"):
         nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, bad, n_inner=3)
+
+
+BOOLS = pytest.mark.parametrize("flag", [True, False, np.bool_(True), np.bool_(False)],
+                                ids=["True", "False", "numpy_True", "numpy_False"])
+
+
+def _refused(name, flag):
+    """The exact refusal of the bool ``flag`` given as ``name``."""
+    return pytest.raises(InvalidParameterError,
+                         match=f"^{re.escape(f'{name} must be a real number, got {flag!r}')}$")
+
+
+@BOOLS
+def test_heat_refuses_a_bool_for_a_number(band, flag):
+    # True would pass as a horizon, or a dt, of 1.0
+    grid = SpaceGrid(30.0, 3.0)
+    with _refused("horizon", flag):
+        solve_nonlinear_heat(np.abs, band, grid, flag)
+    with _refused("dt", flag):
+        solve_nonlinear_heat(np.abs, band, grid, 1.0, dt=flag)
+
+
+@BOOLS
+def test_nested_refuses_a_bool_for_a_number(band, flag):
+    grid = SpaceGrid(half_width=9.0, dx=0.1)
+    with _refused("t1", flag):
+        nested_expectation_pde(lambda x1, x: x, band, grid, flag, 2.0, n_inner=3)
+    with _refused("horizon", flag):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, flag, n_inner=3)
+    with _refused("dt", flag):
+        nested_expectation_pde(lambda x1, x: x, band, grid, 0.25, 0.5, dt=flag, n_inner=3)
+
+
+@BOOLS
+def test_grids_refuse_a_bool_for_a_number(flag):
+    with _refused("half_width", flag):
+        SpaceGrid(flag, 0.5)
+    with _refused("dx", flag):
+        SpaceGrid(3.0, flag)
+    # TimeGrid(True, 4) would have dt 0.25, and TimeGrid(False, 0) pass as
+    # the degenerate grid
+    with _refused("horizon", flag):
+        TimeGrid(flag, 4)
+    with _refused("horizon", flag):
+        TimeGrid(flag, 0)
 
 
 @pytest.mark.parametrize("half_width, dx", [(1.0, 0.0), (1.0, -0.1), (0.05, 0.1),
