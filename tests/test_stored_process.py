@@ -1,11 +1,14 @@
-"""A solving run holds the Skorokhod pair (X, A) and no other process.
-``full_sde`` takes X from Picard's iterates, and ``sp_only`` forms X = S + A
-in S's own arrays, the addition per node that ``solve_mean_reflection_direct``
-makes in a new process, so the run's X must be the library's bit for bit,
--0.0 + 0.0 = +0.0 included, and the library must leave its caller's S as it
-was. The verifier takes S as X - A by definition, so every value a run
-reports must be bitwise the one that a materialised S gives, and no
-whole-level copy of a process may be built during a run.
+"""A solving run checks the Skorokhod pair (X, A) and holds no other
+process. ``full_sde`` takes X from Picard's iterates. ``sp_only`` streams:
+it forms each X_k = S_k + a_k in S_k's own array, the addition per node
+that ``solve_mean_reflection_direct`` makes in a new process, checks it and
+drops it, so a run holds at most two levels of S, and ``runner._solve``
+keeps every level of the same loop. So the run's X must be the library's
+bit for bit, -0.0 + 0.0 = +0.0 included, the library must leave its
+caller's S as it was, and the streamed run must write the bytes of the
+stored solution's replay. The verifier takes S as X - A by definition, so
+every value a run reports must be bitwise the one that a materialised S
+gives, and no whole-level copy of a process may be built during a run.
 """
 
 import json
